@@ -54,6 +54,7 @@ from .tw import (
     functional_gradient,
     functional_value,
     solve_tw,
+    tw_admissibility,
     tw_problem,
 )
 from .vav import (
@@ -65,6 +66,7 @@ from .vav import (
     f_fun,
     f_fun_t,
     solve_vav,
+    vav_admissibility,
     vav_problem,
     vav_quantized_integrals,
 )
@@ -118,8 +120,10 @@ __all__ = [
     "residual_report",
     "solve_tw",
     "solve_vav",
+    "tw_admissibility",
     "tw_problem",
     "tw_quantized_integrals",
+    "vav_admissibility",
     "vav_problem",
     "vav_quantized_integrals",
 ]

@@ -10,9 +10,9 @@ configuration errors.
 
 import argparse
 import json
-import math
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +24,37 @@ from .diagnostics import (
     report_tw,
     report_vav,
 )
-from .errors import (
-    BradlowViolation,
-    ConfigurationError,
-    Inadmissible,
-    SolverError,
-    VortexLabError,
-)
-from .sources import VortexConfiguration
+from .errors import ConfigurationError, SolverError, VortexLabError
+from .sources import VortexConfiguration, mollifier_width
 from .surface import TorusGeometry
-from .tw import solve_tw, tw_problem
-from .vav import solve_vav, vav_problem
+from .tw import solve_tw, tw_admissibility, tw_problem
+from .vav import solve_vav, vav_admissibility, vav_problem
 
 _FIELD_COLUMNS = ("x1", "x2", "u", "v", "e_u", "e_v", "Fhat", "Ftilde")
 _FMT = "%.11e"  # 12 significant digits
+
+
+# ---------------------------------------------------------------- models ----
+
+
+# One model's entry points, in the order a run uses them, and its methods.
+_Model = namedtuple("_Model", "admissibility problem solve report curvatures methods")
+
+
+def _models():
+    """The model table. It is built on each call so that the entry points
+    are looked up on this module at call time; a traced run wraps them here."""
+    return {
+        "tw": _Model(tw_admissibility, tw_problem, solve_tw, report_tw, curvatures_tw, ("newton",)),
+        "vav": _Model(
+            vav_admissibility,
+            vav_problem,
+            solve_vav,
+            report_vav,
+            curvatures_vav,
+            ("newton", "fixed_point"),
+        ),
+    }
 
 
 # ---------------------------------------------------------------- config ----
@@ -59,22 +76,42 @@ def _require(section, key, where):
     return section[key]
 
 
+def _real(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where):
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_sources(raw, L1, L2):
     _check_keys(raw, ("zeros_q", "poles_q", "zeros_p", "poles_p"), "sources")
     lists = {}
     for name in ("zeros_q", "poles_q", "zeros_p", "poles_p"):
+        items = raw.get(name, [])
+        if not isinstance(items, list):
+            raise ConfigurationError(f"sources.{name} must be a list, got {items!r}")
         entries = []
-        for item in raw.get(name, []):
+        for item in items:
             if not isinstance(item, (list, tuple)) or len(item) != 3:
                 raise ConfigurationError(
                     f"sources.{name}: entries are [x, y, multiplicity], got {item!r}"
                 )
             x, y, m = item
-            if int(m) != m or m <= 0:
+            where = f"sources.{name}: coordinate"
+            x, y = _real(x, where), _real(y, where)
+            m = _integer(m, f"sources.{name}: multiplicity")
+            if m <= 0:
                 raise ConfigurationError(
                     f"sources.{name}: multiplicity must be a positive integer, got {m!r}"
                 )
-            entries.append((float(x) % L1, float(y) % L2, int(m)))
+            entries.append((x % L1, y % L2, m))
         lists[name] = entries
     return lists
 
@@ -89,10 +126,10 @@ class RunConfig:
 
         torus = _require(data, "torus", "config")
         _check_keys(torus, ("L1", "L2", "n1", "n2"), "torus")
-        self.L1 = float(_require(torus, "L1", "torus"))
-        self.L2 = float(_require(torus, "L2", "torus"))
-        self.n1 = int(_require(torus, "n1", "torus"))
-        self.n2 = int(_require(torus, "n2", "torus"))
+        self.L1 = _real(_require(torus, "L1", "torus"), "torus.L1")
+        self.L2 = _real(_require(torus, "L2", "torus"), "torus.L2")
+        self.n1 = _integer(_require(torus, "n1", "torus"), "torus.n1")
+        self.n2 = _integer(_require(torus, "n2", "torus"), "torus.n2")
 
         self.sources = _parse_sources(data.get("sources", {}), self.L1, self.L2)
 
@@ -101,28 +138,26 @@ class RunConfig:
             solver, ("model", "method", "tol", "max_iter", "kappa", "seed"), "solver"
         )
         self.model = _require(solver, "model", "solver")
-        if self.model not in ("tw", "vav"):
-            raise ConfigurationError(f"solver.model must be 'tw' or 'vav', got {self.model!r}")
-        valid_methods = {
-            "tw": ("newton", "gradient"),
-            "vav": ("newton", "fixed_point"),
-        }[self.model]
+        models = _models()
+        if not isinstance(self.model, str) or self.model not in models:
+            raise ConfigurationError(
+                f"solver.model must be one of {tuple(models)}, got {self.model!r}"
+            )
+        valid_methods = models[self.model].methods
         self.method = solver.get("method", "newton")
         if self.method not in valid_methods:
             raise ConfigurationError(
                 f"solver.method for model {self.model!r} must be one of "
                 f"{valid_methods}, got {self.method!r}"
             )
-        self.tol = float(solver.get("tol", 1e-8))
+        self.tol = _real(solver.get("tol", 1e-8), "solver.tol")
         self.max_iter = solver.get("max_iter", None)
         if self.max_iter is not None:
-            self.max_iter = int(self.max_iter)
-        self.kappa = float(solver.get("kappa", 2.0))
+            self.max_iter = _integer(self.max_iter, "solver.max_iter")
+        self.kappa = _real(solver.get("kappa", 2.0), "solver.kappa")
         self.seed = solver.get("seed", None)
         if self.seed is not None:
-            self.seed = int(self.seed)
-        if self.model == "tw" and (self.sources["poles_q"] or self.sources["poles_p"]):
-            raise ConfigurationError("tw model admits zeros only; pole lists must be empty")
+            self.seed = _integer(self.seed, "solver.seed")
 
         outputs = data.get("outputs", {})
         _check_keys(outputs, ("report", "fields", "format"), "outputs")
@@ -134,6 +169,15 @@ class RunConfig:
         default_fields = "fields.csv" if self.format == "csv" else "fields.bin"
         self.report_path = outputs.get("report", "report.json")
         self.fields_path = outputs.get("fields", default_fields)
+        for key, path in (("report", self.report_path), ("fields", self.fields_path)):
+            if not isinstance(path, str):
+                raise ConfigurationError(f"outputs.{key} must be a path, got {path!r}")
+        # plotdata reads a dump as CSV exactly when its name ends in .csv
+        if (Path(self.fields_path).suffix == ".csv") != (self.format == "csv"):
+            raise ConfigurationError(
+                f"outputs.fields {self.fields_path!r} must end in .csv exactly when "
+                f"outputs.format is 'csv' (format is {self.format!r})"
+            )
 
     def geometry(self):
         return TorusGeometry(self.L1, self.L2, self.n1, self.n2)
@@ -153,7 +197,7 @@ class RunConfig:
                 "kappa": self.kappa,
                 "seed": self.seed,
             },
-            "sigma": self.kappa * max(geometry.h1, geometry.h2),
+            "sigma": mollifier_width(geometry, self.kappa),
         }
 
 
@@ -177,65 +221,6 @@ def _write_report(report: SolveReport, path):
         fh.write("\n")
 
 
-def _inadmissible_report(model, inputs, detail, wall_seconds):
-    return SolveReport(
-        model=model,
-        status="inadmissible",
-        inputs=inputs,
-        admissibility=detail,
-        solver_trace={"iterations": 0, "converged": False},
-        timings={"wall_seconds": wall_seconds},
-    )
-
-
-def _nonconverged_report(model, inputs, admissibility, exc, wall_seconds):
-    return SolveReport(
-        model=model,
-        status="nonconverged",
-        inputs=inputs,
-        admissibility=admissibility,
-        solver_trace={
-            "converged": False,
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "history": exc.trace,
-        },
-        timings={"wall_seconds": wall_seconds},
-    )
-
-
-def _tw_admissibility_detail(config, geom):
-    N1, _, N2, _ = config.counts()
-    a1 = geom.area - 2.0 * math.pi * (N1 + N2)
-    a2 = geom.area - 2.0 * math.pi * (N1 + 2 * N2)
-    return {
-        "satisfied": False,
-        "violated": "Bradlow bound",
-        "margin": a2,
-        "a1": a1,
-        "a2": a2,
-    }
-
-
-def _vav_admissibility_detail(config, geom):
-    N1, P1, N2, P2 = config.counts()
-    a = -math.pi * (N1 - P1 + N2 - P2) / geom.area
-    b = -math.pi * (N1 - P1 + 2 * (N2 - P2)) / geom.area
-    violated = []
-    if abs(a) >= 1.0:
-        violated.append("difference bound (total)")
-    if abs(b) >= 1.0:
-        violated.append("difference bound (weighted)")
-    return {
-        "satisfied": False,
-        "violated": violated,
-        "a": a,
-        "b": b,
-        "margin_a": 1.0 - abs(a),
-        "margin_b": 1.0 - abs(b),
-    }
-
-
 # ----------------------------------------------------------- field dumps ----
 
 
@@ -243,10 +228,7 @@ def _field_planes(geom, sol, model):
     x1, x2 = geom.nodes()
     u = sol.u.values
     v = sol.v.values
-    if model == "tw":
-        fhat, ftilde = curvatures_tw(sol)
-    else:
-        fhat, ftilde = curvatures_vav(sol)
+    fhat, ftilde = _models()[model].curvatures(sol)
     return np.stack(
         [x1, x2, u, v, np.exp(u), np.exp(v), fhat.values, ftilde.values]
     )
@@ -317,35 +299,29 @@ def _read_fields(path):
 
 
 def _solve_once(cfg: RunConfig, geom, config):
-    """Admissibility check plus one solve; returns (status, report_or_parts)."""
+    """Admissibility check plus one solve; returns (status, admissibility
+    record, report, solution).
+
+    The admissibility record decides exit 2 before any problem is built.
+    """
     t0 = time.perf_counter()
+    model = _models()[cfg.model]
     inputs = cfg.inputs_echo(geom)
-    if cfg.model == "tw":
-        try:
-            problem = tw_problem(geom, config, kappa=cfg.kappa)
-        except BradlowViolation:
-            detail = _tw_admissibility_detail(config, geom)
-            return 2, _inadmissible_report("tw", inputs, detail, time.perf_counter() - t0), None, None
-        kwargs = {"tol": cfg.tol, "method": cfg.method}
-        if cfg.max_iter is not None:
-            kwargs["max_iter"] = cfg.max_iter
-        if cfg.seed is not None:
-            rng = np.random.default_rng(cfg.seed)
-            kwargs["x0"] = (
-                rng.standard_normal((geom.n1, geom.n2)),
-                rng.standard_normal((geom.n1, geom.n2)),
-            )
-        try:
-            sol = solve_tw(problem, **kwargs)
-        except SolverError as exc:
-            adm = {"satisfied": True, "a1": problem.a1, "a2": problem.a2}
-            return 3, _nonconverged_report("tw", inputs, adm, exc, time.perf_counter() - t0), None, None
-        return 0, report_tw(sol, problem, inputs, time.perf_counter() - t0), sol, problem
-    try:
-        problem = vav_problem(geom, config, kappa=cfg.kappa)
-    except Inadmissible:
-        detail = _vav_admissibility_detail(config, geom)
-        return 2, _inadmissible_report("vav", inputs, detail, time.perf_counter() - t0), None, None
+    adm = model.admissibility(config, geom)
+
+    def unsolved(status, solver_trace):
+        return SolveReport(
+            model=cfg.model,
+            status=status,
+            inputs=inputs,
+            admissibility=adm.report,
+            solver_trace=solver_trace,
+            timings={"wall_seconds": time.perf_counter() - t0},
+        )
+
+    if not adm.satisfied:
+        return 2, adm, unsolved("inadmissible", {"iterations": 0, "converged": False}), None
+    problem = model.problem(geom, config, kappa=cfg.kappa)
     kwargs = {"tol": cfg.tol, "method": cfg.method}
     if cfg.max_iter is not None:
         kwargs["max_iter"] = cfg.max_iter
@@ -356,17 +332,16 @@ def _solve_once(cfg: RunConfig, geom, config):
             rng.standard_normal((geom.n1, geom.n2)),
         )
     try:
-        sol = solve_vav(problem, **kwargs)
+        sol = model.solve(problem, **kwargs)
     except SolverError as exc:
-        adm = {
-            "satisfied": True,
-            "a": problem.a,
-            "b": problem.b,
-            "margin_a": 1.0 - abs(problem.a),
-            "margin_b": 1.0 - abs(problem.b),
+        solver_trace = {
+            "converged": False,
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "history": exc.trace,
         }
-        return 3, _nonconverged_report("vav", inputs, adm, exc, time.perf_counter() - t0), None, None
-    return 0, report_vav(sol, problem, inputs, time.perf_counter() - t0), sol, problem
+        return 3, adm, unsolved("nonconverged", solver_trace), None
+    return 0, adm, model.report(sol, problem, inputs, time.perf_counter() - t0), sol
 
 
 def cmd_solve(config_path, out_dir):
@@ -374,7 +349,7 @@ def cmd_solve(config_path, out_dir):
     geom = cfg.geometry()
     config = cfg.configuration()
     out = Path(out_dir)
-    status, report, sol, _ = _solve_once(cfg, geom, config)
+    status, _, report, sol = _solve_once(cfg, geom, config)
     _write_report(report, out / cfg.report_path)
     if status == 0:
         planes = _field_planes(geom, sol, cfg.model)
@@ -394,34 +369,17 @@ def cmd_sweep(config_path, lengths, out_dir):
             name: [(x * L / cfg.L1, y * L / cfg.L2, m) for x, y, m in entries]
             for name, entries in cfg.sources.items()
         }
-        config = VortexConfiguration(**scaled)
-        area = geom.area
-        if cfg.model == "tw":
-            detail = _tw_admissibility_detail(config, geom)
-            margins = (detail["a1"], detail["a2"])
-            admissible = detail["a2"] > 0.0
-        else:
-            detail = _vav_admissibility_detail(config, geom)
-            margins = (detail["margin_a"], detail["margin_b"])
-            admissible = detail["margin_a"] > 0.0 and detail["margin_b"] > 0.0
-        if not admissible:
-            rows.append((area, 0, margins[0], margins[1], "", "", "", "", ""))
-            continue
-        status, report, sol, _ = _solve_once(cfg, geom, config)
+        status, adm, report, sol = _solve_once(cfg, geom, VortexConfiguration(**scaled))
+        row = (geom.area, int(adm.satisfied), *adm.margins)
         if status != 0:
-            rows.append((area, 1, margins[0], margins[1], "", "", "", "", ""))
+            rows.append(row + ("", "", "", "", ""))
             continue
-        sup_eu = float(np.exp(sol.u.values).max())
-        sup_ev = float(np.exp(sol.v.values).max())
         qi = report.quantized_integrals
         rows.append(
-            (
-                area,
-                1,
-                margins[0],
-                margins[1],
-                sup_eu,
-                sup_ev,
+            row
+            + (
+                float(np.exp(sol.u.values).max()),
+                float(np.exp(sol.v.values).max()),
                 qi["Iu"]["rel_error"],
                 qi["Iv"]["rel_error"],
                 report.solver_trace["iterations"],
@@ -493,10 +451,7 @@ def main(argv=None):
         if args.command == "plotdata":
             return cmd_plotdata(args.fields, args.out)
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, OSError, ValueError) as exc:
-        print(f"vortexlab: error: {exc}", file=sys.stderr)
-        return 1
-    except VortexLabError as exc:
+    except (VortexLabError, OSError, ValueError) as exc:
         print(f"vortexlab: error: {exc}", file=sys.stderr)
         return 1
 

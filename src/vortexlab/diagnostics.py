@@ -15,12 +15,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernels import f_half
-from .sources import VortexConfiguration
-from .tw import TWProblem, TWSolution, _Work as _TWWork
-from .vav import VAVProblem, VAVSolution, _Work as _VAVWork, vav_quantized_integrals
-
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
+from .sources import FOUR_PI, TWO_PI, VortexConfiguration
+from .tw import TWProblem, TWSolution, tw_admissibility, tw_residual
+from .vav import (
+    VAVProblem,
+    VAVSolution,
+    vav_admissibility,
+    vav_quantized_integrals,
+    vav_residual,
+)
 
 
 def curvatures_tw(sol: TWSolution):
@@ -91,19 +94,9 @@ def residual_report(sol, problem):
     """Sup and L2 norms of the discrete residuals of the governing system."""
     geom = problem.geometry
     if isinstance(problem, TWProblem):
-        work = _TWWork(problem)
-        U = sol.U.values
-        V = sol.V.values
-        e1 = np.exp(work.u01 + U)
-        e2 = np.exp(work.v01 + V)
-        l1, l2 = geom.lap_pair(U, V)
-        N1, _, N2, _ = problem.config.counts()
-        r1 = l1 - (4.0 * (e1 - 1.0) - 2.0 * (e2 - 1.0) + FOUR_PI * N1 / geom.area)
-        r2 = l2 - (-2.0 * (e1 - 1.0) + 2.0 * (e2 - 1.0) + FOUR_PI * N2 / geom.area)
+        r1, r2 = tw_residual(sol, problem)
     elif isinstance(problem, VAVProblem):
-        work = _VAVWork(problem)
-        fu, fv = work.f_pair(sol.U.values, sol.V.values)
-        r1, r2 = work.residual(sol.U.values, sol.V.values, fu, fv)
+        r1, r2 = vav_residual(sol, problem)
     else:
         raise TypeError(f"unsupported problem type {type(problem)!r}")
     sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
@@ -184,7 +177,7 @@ def report_tw(sol: TWSolution, problem: TWProblem, inputs, wall_seconds) -> Solv
         model="tw",
         status="solved",
         inputs=inputs,
-        admissibility={"satisfied": True, "a1": problem.a1, "a2": problem.a2},
+        admissibility=tw_admissibility(problem.config, problem.geometry).report,
         solver_trace={
             "method": sol.method,
             "iterations": sol.iterations,
@@ -212,13 +205,7 @@ def report_vav(sol: VAVSolution, problem: VAVProblem, inputs, wall_seconds) -> S
         model="vav",
         status="solved",
         inputs=inputs,
-        admissibility={
-            "satisfied": True,
-            "a": problem.a,
-            "b": problem.b,
-            "margin_a": 1.0 - abs(problem.a),
-            "margin_b": 1.0 - abs(problem.b),
-        },
+        admissibility=vav_admissibility(problem.config, problem.geometry).report,
         solver_trace={
             "method": sol.method,
             "iterations": sol.iterations,

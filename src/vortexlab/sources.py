@@ -12,6 +12,7 @@ whose right-hand side has exactly zero discrete mean by construction.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,25 @@ class VortexConfiguration:
 
     def counts(self):
         return self.N1, self.P1, self.N2, self.P2
+
+
+class Admissibility(NamedTuple):
+    """A model's existence test for one configuration on one torus.
+
+    `constants` are the values the integrated equations force, `margins`
+    the slack of the two bounds (a solution exists iff both are positive),
+    and `report` the "admissibility" entry of a run report.
+    """
+
+    constants: tuple
+    margins: tuple
+    satisfied: bool
+    report: dict
+
+
+def mollifier_width(geom: TorusGeometry, kappa) -> float:
+    """Source width sigma = kappa*max(h1, h2): kappa grid cells."""
+    return float(kappa) * max(geom.h1, geom.h2)
 
 
 def _wrap(d, L):

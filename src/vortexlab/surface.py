@@ -182,6 +182,18 @@ def _same_geometry(*fields):
     return geom
 
 
+def start_pair(geom: TorusGeometry, x0):
+    """Solver start arrays: copies of the pair x0, or zeros when x0 is None."""
+    shape = (geom.n1, geom.n2)
+    if x0 is None:
+        return np.zeros(shape), np.zeros(shape)
+    a = np.array(x0[0], dtype=np.float64, copy=True)
+    b = np.array(x0[1], dtype=np.float64, copy=True)
+    if a.shape != shape or b.shape != shape:
+        raise ConfigurationError("x0 arrays do not match the grid")
+    return a, b
+
+
 def laplacian(f: ScalarField) -> ScalarField:
     """Spectral Laplacian of a field."""
     return f.geometry.field(f.geometry.lap(f.values))

@@ -10,8 +10,8 @@ The change of variables f = U, h = U + 2V decouples the Laplacians and
 turns the system into the Euler-Lagrange equations of a strictly convex
 functional, so a damped Newton iteration with a spectral preconditioner
 converges globally and the minimizer is unique. Existence requires the area
-bound N1 + 2*N2 < |S|/(2*pi); `check_bradlow` tests it and returns the two
-positive constants a1, a2 that the integrated equations force.
+bound N1 + 2*N2 < |S|/(2*pi); `tw_admissibility` tests it and gives the two
+constants a1, a2 that the integrated equations force.
 """
 
 import warnings
@@ -27,8 +27,15 @@ from .errors import (
     MaxIterExceeded,
 )
 from .kernels import clipped_exp
-from .sources import FOUR_PI, TWO_PI, VortexConfiguration, background
-from .surface import ScalarField, TorusGeometry, _same_geometry
+from .sources import (
+    FOUR_PI,
+    TWO_PI,
+    Admissibility,
+    VortexConfiguration,
+    background,
+    mollifier_width,
+)
+from .surface import ScalarField, TorusGeometry, _same_geometry, start_pair
 
 # Newton-step contraction threshold used for the inner CG tolerance.
 _ARMIJO_C = 1e-4
@@ -37,20 +44,31 @@ _ARMIJO_C = 1e-4
 _MEAN_TOL = 1e-12
 
 
-def check_bradlow(config: VortexConfiguration, geom: TorusGeometry):
-    """Area-bound check; returns (a1, a2) or raises BradlowViolation.
+def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
+    """The Bradlow bound: constants (a1, a2), margins (a1, a2) and the report.
 
     a1 = |S| - 2*pi*(N1 + N2) and a2 = |S| - 2*pi*(N1 + 2*N2) are the values
     the integrals of e^u and e^v must take; the bound is exactly a2 > 0.
+    Poles raise ConfigurationError: the model admits zeros only.
     """
     if config.P1 != 0 or config.P2 != 0:
         raise ConfigurationError("tw model admits zeros only; pole lists must be empty")
     N1, _, N2, _ = config.counts()
     a1 = geom.area - TWO_PI * (N1 + N2)
     a2 = geom.area - TWO_PI * (N1 + 2 * N2)
-    if a2 <= 0.0:
-        raise BradlowViolation(a2)
-    return a1, a2
+    satisfied = a2 > 0.0
+    report = {"satisfied": satisfied, "a1": a1, "a2": a2}
+    if not satisfied:
+        report.update(violated="Bradlow bound", margin=a2)
+    return Admissibility((a1, a2), (a1, a2), satisfied, report)
+
+
+def check_bradlow(config: VortexConfiguration, geom: TorusGeometry):
+    """Area-bound check; returns (a1, a2) or raises BradlowViolation."""
+    adm = tw_admissibility(config, geom)
+    if not adm.satisfied:
+        raise BradlowViolation(adm.margins[1])
+    return adm.constants
 
 
 @dataclass(frozen=True)
@@ -72,7 +90,7 @@ def tw_problem(geom: TorusGeometry, config: VortexConfiguration, kappa=2.0) -> T
     The mollifier width is kappa grid cells, sigma = kappa*max(h1, h2).
     """
     a1, a2 = check_bradlow(config, geom)
-    sigma = float(kappa) * max(geom.h1, geom.h2)
+    sigma = mollifier_width(geom, kappa)
     return TWProblem(
         geometry=geom,
         config=config,
@@ -128,6 +146,20 @@ class _Work:
         return self.geom.helmholtz_pair(r1, r2, 1.0)
 
 
+def tw_residual(sol, problem: TWProblem):
+    """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
+    geom = problem.geometry
+    U = sol.U.values
+    V = sol.V.values
+    e1 = np.exp(problem.u01.values + U)
+    e2 = np.exp(problem.v01.values + V)
+    l1, l2 = geom.lap_pair(U, V)
+    N1, _, N2, _ = problem.config.counts()
+    r1 = l1 - (4.0 * (e1 - 1.0) - 2.0 * (e2 - 1.0) + FOUR_PI * N1 / geom.area)
+    r2 = l2 - (-2.0 * (e1 - 1.0) + 2.0 * (e2 - 1.0) + FOUR_PI * N2 / geom.area)
+    return r1, r2
+
+
 @dataclass
 class TWSolution:
     """Converged fields and the solve record.
@@ -149,35 +181,34 @@ class TWSolution:
     method: str
 
 
+def _warned_exps(f, h, problem):
+    """_Work and exponentials at (f, h); clamped exponent arguments are
+    flagged with a RuntimeWarning at the public caller's caller."""
+    _same_geometry(f, h, problem.u01)
+    work = _Work(problem)
+    e1, e2, n_clip = work.exps(f.values, h.values)
+    if n_clip:
+        warnings.warn(
+            f"{n_clip} exponent argument(s) clamped at 500; iterate diverging",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return work, e1, e2
+
+
 def functional_value(f: ScalarField, h: ScalarField, problem: TWProblem) -> float:
     """The convex objective whose critical points solve the system.
 
     Exponent arguments above 500 are clamped and flagged with a
     RuntimeWarning: a clamp means the iterate is diverging.
     """
-    _same_geometry(f, h, problem.u01)
-    work = _Work(problem)
-    e1, e2, n_clip = work.exps(f.values, h.values)
-    if n_clip:
-        warnings.warn(
-            f"{n_clip} exponent argument(s) clamped at 500; iterate diverging",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    work, e1, e2 = _warned_exps(f, h, problem)
     return work.functional(f.values, h.values, e1, e2)
 
 
 def functional_gradient(f: ScalarField, h: ScalarField, problem: TWProblem):
     """L2-gradient of the objective; its zeros solve the transformed system."""
-    _same_geometry(f, h, problem.u01)
-    work = _Work(problem)
-    e1, e2, n_clip = work.exps(f.values, h.values)
-    if n_clip:
-        warnings.warn(
-            f"{n_clip} exponent argument(s) clamped at 500; iterate diverging",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    work, e1, e2 = _warned_exps(f, h, problem)
     g1, g2 = work.gradient(f.values, h.values, e1, e2)
     geom = problem.geometry
     return geom.field(g1), geom.field(g2)
@@ -205,25 +236,18 @@ def solve_tw(
 ) -> TWSolution:
     """Minimize the convex objective; returns the unique solution fields.
 
-    method="newton" (default) is damped Newton with preconditioned-CG inner
-    solves and Armijo backtracking; method="gradient" is preconditioned
-    descent, a slow but simple fallback. Convergence is sup-norm of the
-    gradient below `tol` with the integrated gradients at rounding level.
-    `x0` may hold a pair of start arrays (used by the uniqueness check).
+    method="newton" is the only method: damped Newton with preconditioned-CG
+    inner solves and Armijo backtracking, falling back to the preconditioned
+    gradient direction when the Newton direction is not a descent one.
+    Convergence is sup-norm of the gradient below `tol` with the integrated
+    gradients at rounding level. `x0` may hold a pair of start arrays (used
+    by the uniqueness check).
     """
-    if method not in ("newton", "gradient"):
+    if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")
     geom = problem.geometry
     work = _Work(problem)
-    shape = (geom.n1, geom.n2)
-    if x0 is None:
-        f = np.zeros(shape)
-        h = np.zeros(shape)
-    else:
-        f = np.array(x0[0], dtype=np.float64, copy=True)
-        h = np.array(x0[1], dtype=np.float64, copy=True)
-        if f.shape != shape or h.shape != shape:
-            raise ConfigurationError("x0 arrays do not match the grid")
+    f, h = start_pair(geom, x0)
 
     trace = []
     clip_events = 0
@@ -262,20 +286,16 @@ def solve_tw(
             kind = "polish"
             continue
 
-        if method == "newton":
-            eta = min(0.1, np.sqrt(g_sup))
-            d1, d2, _ = pcg_pair(
-                work.hessian_apply(e1, e2),
-                work.precondition,
-                -g1,
-                -g2,
-                rtol=eta,
-            )
-            slope = geom.quad(g1 * d1 + g2 * d2)
-            if slope >= 0.0:
-                d1, d2 = work.precondition(-g1, -g2)
-                slope = geom.quad(g1 * d1 + g2 * d2)
-        else:
+        eta = min(0.1, np.sqrt(g_sup))
+        d1, d2, _ = pcg_pair(
+            work.hessian_apply(e1, e2),
+            work.precondition,
+            -g1,
+            -g2,
+            rtol=eta,
+        )
+        slope = geom.quad(g1 * d1 + g2 * d2)
+        if slope >= 0.0:
             d1, d2 = work.precondition(-g1, -g2)
             slope = geom.quad(g1 * d1 + g2 * d2)
 

@@ -34,11 +34,13 @@ from .errors import (
 from .kernels import df_half, f_half
 from .sources import (
     FOUR_PI,
+    Admissibility,
     BackgroundSet,
     VortexConfiguration,
     build_backgrounds,
+    mollifier_width,
 )
-from .surface import ScalarField, TorusGeometry, _same_geometry
+from .surface import ScalarField, TorusGeometry, _same_geometry, start_pair
 
 _ARMIJO_C = 1e-4
 _SHIFT_TOL = 1e-12
@@ -55,27 +57,42 @@ def f_fun(s1, s2, t):
     Saturates to +-1 at infinite arguments and stays strictly inside
     (-1, 1) for finite ones. Accepts scalars or arrays.
     """
-    return np.tanh(0.5 * (np.asarray(s1, dtype=np.float64) - s2 + t))
+    return f_half(s1 - s2 + t)
 
 
 def f_fun_t(s1, s2, t):
     """Derivative of f_fun in t, (1 - f^2)/2; valued in (0, 1/2]."""
-    f = f_fun(s1, s2, t)
-    return 0.5 * (1.0 - f * f)
+    return df_half(s1 - s2 + t)
 
 
-def check_admissibility(config: VortexConfiguration, geom: TorusGeometry):
-    """Existence check; returns (a, b) or raises Inadmissible with margins.
+def vav_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
+    """The difference bounds: constants (a, b), margins and the report.
 
     a = -pi*(N1 - P1 + N2 - P2)/|S| and b = -pi*(N1 - P1 + 2(N2 - P2))/|S|;
-    a solution exists iff |a| < 1 and |b| < 1.
+    a solution exists iff the margins 1 - |a| and 1 - |b| are positive.
     """
     N1, P1, N2, P2 = config.counts()
     a = -np.pi * (N1 - P1 + N2 - P2) / geom.area
     b = -np.pi * (N1 - P1 + 2 * (N2 - P2)) / geom.area
-    if abs(a) >= 1.0 or abs(b) >= 1.0:
-        raise Inadmissible(1.0 - abs(a), 1.0 - abs(b))
-    return float(a), float(b)
+    margin_a = 1.0 - abs(a)
+    margin_b = 1.0 - abs(b)
+    satisfied = abs(a) < 1.0 and abs(b) < 1.0
+    report = {"satisfied": satisfied, "a": a, "b": b, "margin_a": margin_a, "margin_b": margin_b}
+    if not satisfied:
+        report["violated"] = [
+            name
+            for name, c in (("difference bound (total)", a), ("difference bound (weighted)", b))
+            if abs(c) >= 1.0
+        ]
+    return Admissibility((a, b), (margin_a, margin_b), satisfied, report)
+
+
+def check_admissibility(config: VortexConfiguration, geom: TorusGeometry):
+    """Existence check; returns (a, b) or raises Inadmissible with margins."""
+    adm = vav_admissibility(config, geom)
+    if not adm.satisfied:
+        raise Inadmissible(*adm.margins)
+    return adm.constants
 
 
 @dataclass(frozen=True)
@@ -95,7 +112,7 @@ def vav_problem(
 ) -> VAVProblem:
     """Build a VAVProblem; the mollifier width is kappa grid cells."""
     a, b = check_admissibility(config, geom)
-    sigma = float(kappa) * max(geom.h1, geom.h2)
+    sigma = mollifier_width(geom, kappa)
     return VAVProblem(
         geometry=geom,
         config=config,
@@ -209,6 +226,13 @@ class _Work:
         return self.geom.helmholtz_pair(p1, p2, 0.25)
 
 
+def vav_residual(sol, problem: VAVProblem):
+    """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
+    work = _Work(problem)
+    fu, fv = work.f_pair(sol.U.values, sol.V.values)
+    return work.residual(sol.U.values, sol.V.values, fu, fv)
+
+
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     """One application of the constrained fixed-point map.
 
@@ -273,15 +297,7 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
 
 def _solve_newton(problem, work, tol, max_iter, x0):
     geom = work.geom
-    shape = (geom.n1, geom.n2)
-    if x0 is None:
-        U = np.zeros(shape)
-        V = np.zeros(shape)
-    else:
-        U = np.array(x0[0], dtype=np.float64, copy=True)
-        V = np.array(x0[1], dtype=np.float64, copy=True)
-        if U.shape != shape or V.shape != shape:
-            raise ConfigurationError("x0 arrays do not match the grid")
+    U, V = start_pair(geom, x0)
     trace = []
     it = 0
     step = 0.0
@@ -349,15 +365,9 @@ def _solve_newton(problem, work, tol, max_iter, x0):
 
 def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
     geom = work.geom
-    shape = (geom.n1, geom.n2)
-    if x0 is None:
-        Up = np.zeros(shape)
-        Vp = np.zeros(shape)
-    else:
-        Up = np.array(x0[0], dtype=np.float64, copy=True)
-        Vp = np.array(x0[1], dtype=np.float64, copy=True)
-        Up -= Up.mean()
-        Vp -= Vp.mean()
+    Up, Vp = start_pair(geom, x0)
+    Up -= Up.mean()
+    Vp -= Vp.mean()
     trace = []
     history = []
     it = 0

@@ -193,13 +193,33 @@ def test_bad_multiplicity_exit1(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
 
-def test_malformed_section_exit1(tmp_path):
+def test_malformed_section_exit1(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.json", sources=[[1.0, 1.0, 1]])
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     cfg2 = write_config(tmp_path / "run2.json", solver="tw")
     assert main(["solve", "--config", str(cfg2), "--out", str(tmp_path)]) == 1
     (tmp_path / "run3.json").write_text("not json{")
     assert main(["solve", "--config", str(tmp_path / "run3.json"), "--out", str(tmp_path)]) == 1
+    # null or non-integral values and a field-dump name that plotdata would
+    # read in the wrong format are refused at parse time, before any output
+    bad = [
+        {"torus": {"L1": None, "L2": 6.0, "n1": 32, "n2": 32}},
+        {"sources": {"zeros_q": [[None, 3.1, 1]]}},
+        {"sources": {"zeros_q": None}},
+        {"torus": {"L1": 6.0, "L2": 6.0, "n1": 32.7, "n2": 32}},
+        {"solver": {"model": "tw", "max_iter": 3.9}},
+        {"solver": {"model": "tw", "seed": 1.5}},
+        {"outputs": {"format": "csv", "fields": "f.dat"}},
+        {"outputs": {"format": "f64bin", "fields": "f.csv"}},
+        {"outputs": {"report": None}},
+    ]
+    for k, overrides in enumerate(bad):
+        out = tmp_path / f"bad{k}"
+        cfg = write_config(tmp_path / f"bad{k}.json", **overrides)
+        capsys.readouterr()
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1, overrides
+        assert capsys.readouterr().err.startswith("vortexlab: error: "), overrides
+        assert not out.exists(), overrides
 
 
 def test_sweep_vacuum(tmp_path):

@@ -227,13 +227,6 @@ def test_max_iter_exceeded(geom):
     assert len(exc.value.trace) >= 1
 
 
-def test_gradient_descent_fallback(geom):
-    problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
-    sol = solve_tw(problem, method="gradient", tol=1e-6, max_iter=5000)
-    ref = solve_tw(problem)
-    assert np.abs(sol.U.values - ref.U.values).max() < 1e-4
-
-
 def test_unknown_method_rejected(geom):
     problem = tw_problem(geom, VortexConfiguration())
     with pytest.raises(ConfigurationError):

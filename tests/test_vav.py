@@ -3,6 +3,7 @@ import pytest
 
 from vortexlab import (
     BracketFailure,
+    ConfigurationError,
     Inadmissible,
     Stagnation,
     TorusGeometry,
@@ -323,6 +324,14 @@ def test_fixed_point_constraint_at_return(balanced):
     fv = np.tanh(0.5 * sol.v.values)
     assert abs(geom.quad(fu) - problem.a * geom.area) <= 2e-12
     assert abs(geom.quad(fv) - problem.b * geom.area) <= 2e-12
+
+
+@pytest.mark.parametrize("method", ["newton", "fixed_point"])
+def test_wrong_shape_start_rejected(geom, method):
+    problem = vav_problem(geom, VortexConfiguration())
+    x0 = (np.zeros((8, 8)), np.zeros((8, 8)))
+    with pytest.raises(ConfigurationError):
+        solve_vav(problem, method=method, x0=x0)
 
 
 def test_fixed_point_stagnation_on_large_torus():
