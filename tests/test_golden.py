@@ -29,6 +29,12 @@ FIELD_HASHES = GOLDEN / "fields.sha256.json"
 
 TW_PAIR = {"zeros_q": [[1.0, 1.5, 1]], "zeros_p": [[2.0, 2.5, 1]]}
 VAV_PAIR = {"zeros_q": [[1.1, 1.5, 1]], "poles_q": [[2.9, 2.6, 1]]}
+# a, b nonzero: the fixed-point solve needs nonzero constraint shifts
+VAV_UNBALANCED = {
+    "zeros_q": [[1.1, 1.5, 2]],
+    "poles_q": [[2.9, 2.6, 1]],
+    "zeros_p": [[0.7, 3.1, 1]],
+}
 
 
 def _config(L, sources, solver):
@@ -52,6 +58,12 @@ CASES = {
     "vav_fixed_point": (
         "solve",
         _config(4.0, VAV_PAIR, {"model": "vav", "method": "fixed_point"}),
+        [],
+        0,
+    ),
+    "vav_fixed_point_unbalanced": (
+        "solve",
+        _config(4.0, VAV_UNBALANCED, {"model": "vav", "method": "fixed_point"}),
         [],
         0,
     ),
@@ -81,7 +93,7 @@ CASES = {
         0,
     ),
 }
-FIELD_CASES = ("tw_newton", "vav_newton")
+FIELD_CASES = ("tw_newton", "vav_newton", "vav_fixed_point_unbalanced")
 
 
 def _run(name, tmp_path):
