@@ -151,9 +151,17 @@ class RunConfig:
                 f"{valid_methods}, got {self.method!r}"
             )
         self.tol = _real(solver.get("tol", 1e-8), "solver.tol")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigurationError(
+                f"solver.tol must be a finite positive number, got {self.tol!r}"
+            )
         self.max_iter = solver.get("max_iter", None)
         if self.max_iter is not None:
             self.max_iter = _integer(self.max_iter, "solver.max_iter")
+            if self.max_iter < 1:
+                raise ConfigurationError(
+                    f"solver.max_iter must be a positive integer, got {self.max_iter!r}"
+                )
         self.kappa = _real(solver.get("kappa", 2.0), "solver.kappa")
         self.seed = solver.get("seed", None)
         if self.seed is not None:

@@ -16,7 +16,14 @@ Two methods are provided. The default is damped Newton on the full fields
 constrained fixed-point map T: the means are carried by explicit shifts
 c1, c2 chosen so the integral constraints hold at every iterate, and the
 mean-zero parts are updated through inverse Laplacians. Damped Picard on T
-is not guaranteed to converge; stagnation is detected and reported.
+is not guaranteed to converge; stagnation is detected and reported. Each
+iteration solves for two shifts: c2 at the current iterate, and c1 after
+the U update, which the next iteration reuses. Each shift root find starts
+from that shift's value at the previous iterate. Newton from there brackets
+the root tightly, and the reference bisection on [-700, 700] is replayed,
+evaluating only the midpoints inside the bracket. So each shift is the same
+float that the bisection alone returns. Where no bracket is found, every
+midpoint is evaluated.
 """
 
 from dataclasses import dataclass
@@ -45,6 +52,11 @@ from .surface import ScalarField, TorusGeometry, _same_geometry, start_pair
 _ARMIJO_C = 1e-4
 _SHIFT_TOL = 1e-12
 _SHIFT_BRACKET = 700.0
+# |g| at the ends of a warm-start bracket must exceed this, well above
+# _SHIFT_TOL and the rounding of the quadrature, so that every point outside
+# the bracket has a known sign and cannot meet the early-return test.
+_SHIFT_MARGIN = 1e-10
+_SHIFT_NEWTON_STEPS = 12
 _MEAN_TOL = 1e-12
 # Inverse of the coupling matrix [[8, -4], [-4, 4]]; used to symmetrize the
 # Newton systems and to build the preconditioner.
@@ -123,36 +135,59 @@ def vav_problem(
     )
 
 
-def _shift(base, target, geom, bracket=_SHIFT_BRACKET):
-    """Unique c with quad(tanh((base + c)/2)) = target.
+def _shift(base, target, geom, guess=0.0):
+    """Unique c with g(c) = quad(tanh((base + c)/2)) - target = 0.
 
-    The map is strictly increasing in c, so bisection on [-bracket, bracket]
-    followed by Newton polishing converges; |integral - target| <= 1e-12 at
-    the returned c. BracketFailure signals saturated or inadmissible data.
+    g is increasing in c. The returned c is the result of one fixed
+    procedure: from c = 0, 30 bisection halvings of [-700, 700], stopping
+    early once |g| <= 1e-12, then Newton polishing kept inside the bisection
+    bracket; |g| <= 1e-12 at the returned c. BracketFailure signals
+    saturated or inadmissible data.
+
+    `guess` (the fixed-point solver passes the previous iterate's c) makes
+    that procedure cheap without changing its result by a bit. Newton from
+    the guess estimates the root, and g is evaluated on either side of the
+    estimate; when the two values have opposite signs by more than
+    _SHIFT_MARGIN, they bracket the root in (L, H). The bisection is then
+    replayed: a midpoint outside (L, H) takes its sign from the bracket,
+    because g is nondecreasing, and only a midpoint inside it is evaluated.
+    When Newton leaves |c| < 700, meets g' <= 0 or the bracket check fails,
+    every midpoint is evaluated, after checking that g(-700) <= 0 <= g(700).
     """
+    known = {}
 
     def g(c):
-        return geom.quad(f_half(base + c)) - target
+        if c not in known:
+            known[c] = geom.quad(f_half(base + c)) - target
+        return known[c]
 
-    lo, hi = -bracket, bracket
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo > 0.0 or g_hi < 0.0:
-        raise BracketFailure(
-            f"integral does not cross target within |c| <= {bracket:g} "
-            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
-        )
+    lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
+    L, H = _newton_bracket(base, target, geom, guess, known)
+    if not (lo < L and H < hi and g(L) < -_SHIFT_MARGIN and g(H) > _SHIFT_MARGIN):
+        g_lo = g(lo)
+        g_hi = g(hi)
+        if g_lo > 0.0 or g_hi < 0.0:
+            raise BracketFailure(
+                f"integral does not cross target within |c| <= {hi:g} "
+                f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
+            )
+        L, H = lo, hi
     c = 0.0
-    g_c = g(c)
     for _ in range(30):
-        if abs(g_c) <= _SHIFT_TOL:
-            return c
-        if g_c > 0.0:
+        if c <= L:
+            lo = c
+        elif c >= H:
             hi = c
         else:
-            lo = c
+            g_c = g(c)
+            if abs(g_c) <= _SHIFT_TOL:
+                return c
+            if g_c > 0.0:
+                hi = c
+            else:
+                lo = c
         c = 0.5 * (lo + hi)
-        g_c = g(c)
+    g_c = g(c)
     for _ in range(60):
         if abs(g_c) <= _SHIFT_TOL:
             return c
@@ -169,6 +204,32 @@ def _shift(base, target, geom, bracket=_SHIFT_BRACKET):
     if abs(g_c) <= 1e-9:
         return c
     raise BracketFailure(f"shift residual stalled at {g_c:.3e}")
+
+
+def _newton_bracket(base, target, geom, c, known):
+    """A candidate root bracket (L, H) from Newton started at c.
+
+    Each step takes g and g' = quad((1 - t^2)/2) from one tanh evaluation
+    t and stores g(c) in `known`. Once a step is below 1e-5 the next iterate
+    lies within step**2/2 of the root, since |g''| <= g'; the bracket is
+    centred there, with g' * half-width >= 10 * _SHIFT_MARGIN. Returns
+    (-700, 700), which the caller treats as no bracket, if Newton meets
+    g' <= 0, leaves |c| < 700 or does not settle in _SHIFT_NEWTON_STEPS.
+    """
+    for _ in range(_SHIFT_NEWTON_STEPS):
+        t = f_half(base + c)
+        known[c] = g_c = geom.quad(t) - target
+        dg = geom.quad(0.5 * (1.0 - t * t))
+        if not dg > 0.0:
+            break
+        step = g_c / dg
+        c -= step
+        if not abs(c) < _SHIFT_BRACKET:
+            break
+        if abs(step) <= 1e-5:
+            half = max(1e-9, 10.0 * _SHIFT_MARGIN / dg)
+            return c - half, c + half
+    return -_SHIFT_BRACKET, _SHIFT_BRACKET
 
 
 def constraint_shift(
@@ -371,10 +432,12 @@ def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
     trace = []
     history = []
     it = 0
+    # each shift starts from its value at the previous iterate
+    c1 = _shift(work.du + Up, problem.a * geom.area, geom)
+    fu = f_half(work.du + Up + c1)
+    c2 = 0.0
     while True:
-        c1 = _shift(work.du + Up, problem.a * geom.area, geom)
-        c2 = _shift(work.dv + Vp, problem.b * geom.area, geom)
-        fu = f_half(work.du + Up + c1)
+        c2 = _shift(work.dv + Vp, problem.b * geom.area, geom, c2)
         fv = f_half(work.dv + Vp + c2)
         rhs1, rhs2 = work.rhs_shifted(fu, fv)
         l1, l2 = geom.lap_pair(Up, Vp)
@@ -405,9 +468,9 @@ def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
         # contraction at noticeably smaller areas.
         t1 = geom.inv_lap_projected(rhs1)
         Up = (1.0 - omega) * Up + omega * t1
-        c1_new = _shift(work.du + Up, problem.a * geom.area, geom)
-        fu_new = f_half(work.du + Up + c1_new)
-        rhs2_new = -4.0 * (fu_new - work.a) + 4.0 * (fv - work.b)
+        c1 = _shift(work.du + Up, problem.a * geom.area, geom, c1)
+        fu = f_half(work.du + Up + c1)
+        rhs2_new = -4.0 * (fu - work.a) + 4.0 * (fv - work.b)
         t2 = geom.inv_lap_projected(rhs2_new)
         Vp = (1.0 - omega) * Vp + omega * t2
         it += 1

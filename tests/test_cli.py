@@ -200,8 +200,9 @@ def test_malformed_section_exit1(tmp_path, capsys):
     assert main(["solve", "--config", str(cfg2), "--out", str(tmp_path)]) == 1
     (tmp_path / "run3.json").write_text("not json{")
     assert main(["solve", "--config", str(tmp_path / "run3.json"), "--out", str(tmp_path)]) == 1
-    # null or non-integral values and a field-dump name that plotdata would
-    # read in the wrong format are refused at parse time, before any output
+    # null or non-integral values, a field-dump name that plotdata would
+    # read in the wrong format and unmeetable solver settings are refused at
+    # parse time, before any output
     bad = [
         {"torus": {"L1": None, "L2": 6.0, "n1": 32, "n2": 32}},
         {"sources": {"zeros_q": [[None, 3.1, 1]]}},
@@ -212,6 +213,14 @@ def test_malformed_section_exit1(tmp_path, capsys):
         {"outputs": {"format": "csv", "fields": "f.dat"}},
         {"outputs": {"format": "f64bin", "fields": "f.csv"}},
         {"outputs": {"report": None}},
+        # solver settings that no solve can meet are configuration errors,
+        # not solver outcomes (json accepts NaN and Infinity)
+        {"solver": {"model": "tw", "tol": 0}},
+        {"solver": {"model": "tw", "tol": -1e-8}},
+        {"solver": {"model": "tw", "tol": float("nan")}},
+        {"solver": {"model": "tw", "tol": float("inf")}},
+        {"solver": {"model": "tw", "max_iter": -3}},
+        {"solver": {"model": "tw", "max_iter": 0}},
     ]
     for k, overrides in enumerate(bad):
         out = tmp_path / f"bad{k}"

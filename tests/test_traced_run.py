@@ -63,3 +63,28 @@ def test_traced_cli_records_layer_spans(bench, tmp_path, command):
         assert program.cli.main(argv) == 0
     missing = set(SPANS) - _recorded(tracer)
     assert not missing, f"traced {command} recorded no {sorted(missing)} spans"
+
+
+def test_traced_fixed_point_shift_counts(bench):
+    # two warm-started constraint shifts per iteration, each with a handful
+    # of grid-wide tanh evaluations that the traced run attributes to it
+    tracing, program = bench
+    geom = program.surface.TorusGeometry(4.0, 4.0, 32, 32)
+    cfg = program.vl.VortexConfiguration(
+        zeros_q=[(1.1, 1.5, 2)], poles_q=[(2.9, 2.6, 1)], zeros_p=[(0.7, 3.1, 1)]
+    )
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer, program):
+        problem = program.vav.vav_problem(geom, cfg)
+        sol = program.vav.solve_vav(problem, method="fixed_point")
+    names = [tracer.names[i] for i in tracer.name]
+    shifts = {k for k, nm in enumerate(names) if nm == "vav._shift"}
+    tanh = [
+        k
+        for k, nm in enumerate(names)
+        if nm in ("kernels.f_half", "kernels.df_half") and tracer.parent[k] in shifts
+    ]
+    assert sol.iterations > 0 and sol.c1 != 0.0 and sol.c2 != 0.0
+    assert len(shifts) == 2 * sol.iterations + 2
+    assert tanh, "no tanh spans recorded inside vav._shift"
+    assert len(tanh) / len(shifts) <= 10.0

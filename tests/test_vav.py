@@ -18,6 +18,7 @@ from vortexlab import (
     vav_problem,
     vav_quantized_integrals,
 )
+from vortexlab.kernels import df_half, f_half
 from vortexlab.sources import BackgroundSet, background
 from vortexlab.vav import VAVProblem, _shift
 
@@ -168,8 +169,6 @@ def test_constraint_shift_reflection_identities(geom):
 
 
 def test_constraint_shift_residual_tolerance(geom):
-    from vortexlab.kernels import f_half
-
     W = four_mode_field(geom)
     target = 0.3 * geom.area
     c = _shift(W, target, geom)
@@ -180,6 +179,108 @@ def test_constraint_shift_bracket_failure(geom):
     zero = geom.zeros()
     with pytest.raises(BracketFailure):
         constraint_shift(zero, zero, zero, 1.0001 * geom.area, geom)
+
+
+# The constraint shift before its warm start, kept verbatim: _shift must return
+# the same float for every guess, so that fixed-point iterates, traces and
+# field dumps do not move in their last bits.
+_SHIFT_TOL = 1e-12
+_SHIFT_BRACKET = 700.0
+
+
+def _shift_reference(base, target, geom, bracket=_SHIFT_BRACKET):
+    """Unique c with quad(tanh((base + c)/2)) = target.
+
+    The map is strictly increasing in c, so bisection on [-bracket, bracket]
+    followed by Newton polishing converges; |integral - target| <= 1e-12 at
+    the returned c. BracketFailure signals saturated or inadmissible data.
+    """
+
+    def g(c):
+        return geom.quad(f_half(base + c)) - target
+
+    lo, hi = -bracket, bracket
+    g_lo = g(lo)
+    g_hi = g(hi)
+    if g_lo > 0.0 or g_hi < 0.0:
+        raise BracketFailure(
+            f"integral does not cross target within |c| <= {bracket:g} "
+            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
+        )
+    c = 0.0
+    g_c = g(c)
+    for _ in range(30):
+        if abs(g_c) <= _SHIFT_TOL:
+            return c
+        if g_c > 0.0:
+            hi = c
+        else:
+            lo = c
+        c = 0.5 * (lo + hi)
+        g_c = g(c)
+    for _ in range(60):
+        if abs(g_c) <= _SHIFT_TOL:
+            return c
+        if g_c > 0.0:
+            hi = c
+        else:
+            lo = c
+        dg = geom.quad(df_half(base + c))
+        c_new = c - g_c / dg if dg > 0.0 else 0.5 * (lo + hi)
+        if not (lo < c_new < hi):
+            c_new = 0.5 * (lo + hi)
+        c = c_new
+        g_c = g(c)
+    if abs(g_c) <= 1e-9:
+        return c
+    raise BracketFailure(f"shift residual stalled at {g_c:.3e}")
+
+
+def _smooth_field(geom, rng, amplitude):
+    """A random trigonometric polynomial with modes |k| <= 3 on the torus."""
+    x1, x2 = geom.nodes()
+    W = np.zeros_like(x1)
+    for k1 in range(-3, 4):
+        for k2 in range(-3, 4):
+            phase = 2 * PI * (k1 * x1 / geom.L1 + k2 * x2 / geom.L2)
+            W += rng.standard_normal() * np.cos(phase + rng.uniform(0, 2 * PI))
+    return amplitude * W / np.abs(W).max()
+
+
+def _warm_guesses(root):
+    return (0.0, root, root + 1e-6, root - 1e-6, 5.0, -5.0, 650.0, -650.0)
+
+
+def test_shift_matches_cold_bisection_bit_for_bit(geom):
+    rng = np.random.default_rng(11)
+    bases = [geom.zeros().values] + [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]
+    for base in bases:
+        for frac in (-0.9, -0.3, 0.0, 0.4, 0.95):
+            target = frac * geom.area
+            root = _shift_reference(base, target, geom)
+            for guess in _warm_guesses(root):
+                assert _shift(base, target, geom, guess) == root, (frac, guess)
+
+
+def test_shift_closed_forms_match_cold_bisection(geom):
+    zero = geom.zeros()
+    for a in (-0.9, 0.0, 0.5, 0.999):
+        root = _shift_reference(zero.values, a * geom.area, geom)
+        assert constraint_shift(zero, zero, zero, a * geom.area, geom) == root
+        for guess in _warm_guesses(2 * np.arctanh(a)):
+            assert _shift(zero.values, a * geom.area, geom, guess) == root, (a, guess)
+
+
+def test_shift_bracket_failure_message_unchanged(geom):
+    W = _smooth_field(geom, np.random.default_rng(12), 1.0)
+    for frac in (1.0001, -1.0001):
+        target = frac * geom.area
+        with pytest.raises(BracketFailure) as ref:
+            _shift_reference(W, target, geom)
+        for guess in (0.0, 3.0, -3.0, 650.0, -650.0):
+            with pytest.raises(BracketFailure) as exc:
+                _shift(W, target, geom, guess)
+            assert str(exc.value) == str(ref.value), (frac, guess)
 
 
 # ---------------------------------------------------------------- apply_T ----
