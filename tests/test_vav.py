@@ -253,8 +253,7 @@ def _warm_guesses(root):
 
 def test_shift_matches_cold_bisection_bit_for_bit(geom):
     rng = np.random.default_rng(11)
-    bases = [geom.zeros().values] + [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]
-    for base in bases:
+    for base in [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]:
         for frac in (-0.9, -0.3, 0.0, 0.4, 0.95):
             target = frac * geom.area
             root = _shift_reference(base, target, geom)
