@@ -6,7 +6,9 @@ with the files under tests/golden/<case>/:
 * `report.json` byte for byte, after dropping `timings` (the only
   non-deterministic section);
 * `sweep.csv` byte for byte;
-* for the cases listed in FIELD_HASHES, the SHA-256 of `fields.csv`.
+* for the cases listed in FIELD_CASES, the SHA-256 of `fields.csv`;
+* for the cases listed in PLOT_CASES, the SHA-256 of the `plot.dat` that
+  `vortexlab plotdata` makes from the case's field dump.
 
 The files were generated with numpy 2.4.6 (Python 3.11). FFT and
 transcendental rounding may differ under another numpy build, so a
@@ -26,6 +28,7 @@ from vortexlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 FIELD_HASHES = GOLDEN / "fields.sha256.json"
+PLOT_HASHES = GOLDEN / "plot.sha256.json"
 
 TW_PAIR = {"zeros_q": [[1.0, 1.5, 1]], "zeros_p": [[2.0, 2.5, 1]]}
 VAV_PAIR = {"zeros_q": [[1.1, 1.5, 1]], "poles_q": [[2.9, 2.6, 1]]}
@@ -67,6 +70,15 @@ CASES = {
         [],
         0,
     ),
+    "vav_newton_f64bin": (
+        "solve",
+        {
+            **_config(4.0, VAV_PAIR, {"model": "vav"}),
+            "outputs": {"format": "f64bin", "fields": "fields.bin"},
+        },
+        [],
+        0,
+    ),
     "tw_inadmissible": ("solve", _config(4.0, TW_PAIR, {"model": "tw"}), [], 2),
     "vav_inadmissible": (
         "solve",
@@ -94,6 +106,9 @@ CASES = {
     ),
 }
 FIELD_CASES = ("tw_newton", "vav_newton", "vav_fixed_point_unbalanced")
+# name -> the field dump plotdata reads
+PLOT_CASES = {name: "fields.csv" for name in FIELD_CASES}
+PLOT_CASES["vav_newton_f64bin"] = "fields.bin"
 
 
 def _run(name, tmp_path):
@@ -122,6 +137,12 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _plot_sha256(name, out):
+    plot = out / "plot.dat"
+    assert main(["plotdata", "--fields", str(out / PLOT_CASES[name]), "--out", str(plot)]) == 0
+    return _sha256(plot)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     code, out = _run(name, tmp_path)
@@ -131,10 +152,13 @@ def test_golden(name, tmp_path):
     if name in FIELD_CASES:
         hashes = json.loads(FIELD_HASHES.read_text())
         assert _sha256(out / "fields.csv") == hashes[name]
+    if name in PLOT_CASES:
+        hashes = json.loads(PLOT_HASHES.read_text())
+        assert _plot_sha256(name, out) == hashes[name]
 
 
 def regenerate(work_dir):
-    hashes = {}
+    hashes, plot_hashes = {}, {}
     for name in sorted(CASES):
         code, out = _run(name, work_dir)
         if code != CASES[name][3]:
@@ -144,7 +168,10 @@ def regenerate(work_dir):
             (GOLDEN / name / fname).write_bytes(data)
         if name in FIELD_CASES:
             hashes[name] = _sha256(out / "fields.csv")
+        if name in PLOT_CASES:
+            plot_hashes[name] = _plot_sha256(name, out)
     FIELD_HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+    PLOT_HASHES.write_text(json.dumps(plot_hashes, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
