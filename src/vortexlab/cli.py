@@ -230,6 +230,98 @@ def _write_report(report: SolveReport, path):
 
 
 # ----------------------------------------------------------- field dumps ----
+#
+# Text dumps (the CSV dump and plotdata's gnuplot blocks) print every value
+# as `_FMT % float(v)`, 12 significant digits, and _format_rows makes those
+# exact bytes for a whole block of rows at once. For a finite value with
+# 1e-11 <= |v| < 1e34 and decimal exponent e, y = |v| * 10**(11 - e) is one
+# correctly rounded multiply or divide by an exact power of ten
+# (|11 - e| <= 22). When 1e11 <= y < 1e12 and the fraction of y is more
+# than 2 ulps away from one half, rint(y) is the 12-digit significand
+# (Clinger's fast path); a carry such as 9.9999999999995 ->
+# 1.00000000000e+01 moves e up by one. The digits come from lookup tables,
+# and so does ±0. Every other value (subnormal, NaN, inf, far exponents and
+# near-ties) is formatted by `%`, CPython's correctly rounded dtoa, and put
+# in its slot. Writers format a fixed block of rows at a time, so memory
+# stays flat in the grid size.
+#
+# A dump must be in the writer's layout: the grid in C order, x1 constant
+# over each block of n2 rows and increasing from block to block, and x2 the
+# same increasing sequence in every block. A binary dump's sidecar must name
+# the writer's columns, dtype and order. Anything else is refused.
+
+_CSV_CHUNK_ROWS = 1024
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+
+
+def _words(*columns):
+    """Little-endian uint32 words from four columns of ASCII codes."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).astype(np.uint8).view("<u4")[..., 0]
+
+
+# A value takes 5 words (20 bytes): "-d.d" "dddd" "dddd" "dde+" "XX", a pad
+# byte, then the separator. Bytes a value does not use are NUL and are
+# deleted at the end: the pad, the '-' of a positive value, and the tail of
+# a shorter fallback text.
+_Q = np.arange(10**4)
+_DIGITS4 = _words(_Q // 1000 + 48, _Q // 100 % 10 + 48, _Q // 10 % 10 + 48, _Q % 10 + 48)
+_D = np.arange(100)
+_LEAD = _words([[0], [ord("-")]], _D // 10 + 48, ord("."), _D % 10 + 48).ravel()
+_LAST = _words(_D // 10 + 48, _D % 10 + 48, ord("e"), [[ord("+")], [ord("-")]]).ravel()
+_EXP = _words(_D // 10 + 48, _D % 10 + 48, 0, 0)
+
+
+def _scaled(a, e):
+    """y = a * 10**(11 - e), one correctly rounded operation (|11 - e| <= 22)."""
+    k = 11 - e
+    p = _POW10[np.minimum(abs(k), 22)]
+    y = a * p
+    return np.divide(a, p, out=y, where=k < 0)
+
+
+def _format_rows(rows, sep):
+    """Bytes of `sep.join(_FMT % float(v) for v in row) + "\n"` for each row
+    of the 2-D float array `rows`; `sep` is one byte."""
+    x = np.asarray(rows, dtype=np.float64)
+    ncols = x.shape[1]
+    x = x.ravel()
+    a = abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -11) & (e <= 33)
+    a = np.where(fast, a, 1.0)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    y = _scaled(a, e)
+    e = e + (y >= 1e12) - (y < 1e11)  # log10 was off by one
+    y = _scaled(a, e)
+    fast &= (abs(e - 11) <= 22) & (y >= 1e11) & (y < 1e12)
+    fast &= abs(y - np.floor(y) - 0.5) > 2 * np.spacing(y)
+    n = np.rint(y)
+    carry = n == 1e12  # 9.9999999999995 -> 1.00000000000e+01
+    zero = x == 0  # n = 0 and e = 0 print [-]0.00000000000e+00
+    n = np.where(fast & ~carry, n, np.where(zero, 0.0, 1e11)).astype(np.int64)
+    e = np.where(fast, e + carry, 0)
+    fast |= zero
+
+    words = np.empty((x.size, 5), "<u4")
+    lead = n // 10**10
+    n -= lead * 10**10
+    words[:, 0] = _LEAD[np.signbit(x) * 100 + lead]
+    quad = n // 10**6
+    n -= quad * 10**6
+    words[:, 1] = _DIGITS4[quad]
+    quad = n // 100
+    words[:, 2] = _DIGITS4[quad]
+    words[:, 3] = _LAST[(e < 0) * 100 + n - quad * 100]
+    words[:, 4] = _EXP[abs(e)]
+    out = words.view(np.uint8)
+    out[:, -1] = sep[0]
+    out[ncols - 1 :: ncols, -1] = ord("\n")
+    for i in np.flatnonzero(~fast):
+        text = (_FMT % float(x[i])).encode()
+        out[i, :-1] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _field_planes(geom, sol, model):
@@ -248,14 +340,10 @@ def _write_fields(path, planes, fmt):
     n1, n2 = planes.shape[1], planes.shape[2]
     if fmt == "csv":
         flat = planes.reshape(len(_FIELD_COLUMNS), n1 * n2).T
-        np.savetxt(
-            path,
-            flat,
-            fmt=_FMT,
-            delimiter=",",
-            header=",".join(_FIELD_COLUMNS),
-            comments="",
-        )
+        with open(path, "wb") as fh:
+            fh.write((",".join(_FIELD_COLUMNS) + "\n").encode())
+            for start in range(0, n1 * n2, _CSV_CHUNK_ROWS):
+                fh.write(_format_rows(flat[start : start + _CSV_CHUNK_ROWS], b","))
     else:
         with open(path, "wb") as fh:
             fh.write(planes.astype("<f8").tobytes(order="C"))
@@ -269,6 +357,22 @@ def _write_fields(path, planes, fmt):
         with open(str(path) + ".json", "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _check_grid_order(path, planes):
+    x1, x2 = planes[0], planes[1]
+    if not (
+        (x1 == x1[:, :1]).all()
+        and (np.diff(x1[:, 0]) > 0).all()
+        and (x2 == x2[:1]).all()
+        and (np.diff(x2[0]) > 0).all()
+    ):
+        raise ConfigurationError(
+            f"{path}: nodes are not in the writer's grid order "
+            "(x1 constant over each block of n2 rows and increasing across "
+            "blocks, x2 the same increasing sequence in every block)"
+        )
+    return planes
 
 
 def _read_fields(path):
@@ -287,20 +391,23 @@ def _read_fields(path):
         n2 = len(np.unique(flat[:, 1]))
         if n1 * n2 != flat.shape[0]:
             raise ConfigurationError(f"{path}: row count does not form a grid")
-        return flat.T.reshape(len(_FIELD_COLUMNS), n1, n2)
+        return _check_grid_order(path, flat.T.reshape(len(_FIELD_COLUMNS), n1, n2))
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise ConfigurationError(f"missing sidecar {sidecar_path}")
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    layout = {"columns": list(_FIELD_COLUMNS), "dtype": "<f8", "order": "C"}
+    if any(sidecar.get(key) != value for key, value in layout.items()):
+        raise ConfigurationError(f"{sidecar_path}: the dump's layout must be {layout}")
     n1, n2 = int(sidecar["n1"]), int(sidecar["n2"])
-    raw = np.fromfile(path, dtype=sidecar.get("dtype", "<f8"))
+    raw = np.fromfile(path, dtype="<f8")
     expected = len(_FIELD_COLUMNS) * n1 * n2
     if raw.size != expected:
         raise ConfigurationError(
             f"{path}: expected {expected} values, found {raw.size}"
         )
-    return raw.reshape(len(_FIELD_COLUMNS), n1, n2)
+    return _check_grid_order(path, raw.reshape(len(_FIELD_COLUMNS), n1, n2))
 
 
 # -------------------------------------------------------------- commands ----
@@ -406,15 +513,12 @@ def cmd_sweep(config_path, lengths, out_dir):
 
 def cmd_plotdata(fields_path, out_path):
     planes = _read_fields(fields_path)
-    n1, n2 = planes.shape[1], planes.shape[2]
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for i in range(n1):
-            for j in range(n2):
-                fh.write(" ".join(_FMT % planes[c, i, j] for c in range(len(_FIELD_COLUMNS))))
-                fh.write("\n")
-            fh.write("\n")
+    with open(out_path, "wb") as fh:
+        # one gnuplot block of n2 lines per grid row, then a blank line
+        for block in planes.transpose(1, 2, 0):
+            fh.write(_format_rows(block, b" ") + b"\n")
     return 0
 
 

@@ -8,7 +8,9 @@ Quadrature is the periodic trapezoidal rule h1*h2*sum, which is exact for
 trigonometric polynomials resolved by the grid.
 """
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -192,6 +194,15 @@ def start_pair(geom: TorusGeometry, x0):
     if a.shape != shape or b.shape != shape:
         raise ConfigurationError("x0 arrays do not match the grid")
     return a, b
+
+
+def check_solver_settings(tol, max_iter):
+    """Refuse settings no solve can meet: `tol` must be a finite positive
+    number and `max_iter`, unless None (the method's default), an integer >= 1."""
+    if not (isinstance(tol, Real) and 0.0 < tol < math.inf):
+        raise ConfigurationError(f"tol must be a finite positive number, got {tol!r}")
+    if max_iter is not None and not (isinstance(max_iter, Integral) and max_iter >= 1):
+        raise ConfigurationError(f"max_iter must be a positive integer, got {max_iter!r}")
 
 
 def laplacian(f: ScalarField) -> ScalarField:

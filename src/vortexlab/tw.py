@@ -35,7 +35,13 @@ from .sources import (
     background,
     mollifier_width,
 )
-from .surface import ScalarField, TorusGeometry, _same_geometry, start_pair
+from .surface import (
+    ScalarField,
+    TorusGeometry,
+    _same_geometry,
+    check_solver_settings,
+    start_pair,
+)
 
 # Newton-step contraction threshold used for the inner CG tolerance.
 _ARMIJO_C = 1e-4
@@ -245,6 +251,7 @@ def solve_tw(
     """
     if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")
+    check_solver_settings(tol, max_iter)
     geom = problem.geometry
     work = _Work(problem)
     f, h = start_pair(geom, x0)

@@ -47,7 +47,13 @@ from .sources import (
     build_backgrounds,
     mollifier_width,
 )
-from .surface import ScalarField, TorusGeometry, _same_geometry, start_pair
+from .surface import (
+    ScalarField,
+    TorusGeometry,
+    _same_geometry,
+    check_solver_settings,
+    start_pair,
+)
 
 _ARMIJO_C = 1e-4
 _SHIFT_TOL = 1e-12
@@ -497,6 +503,7 @@ def solve_vav(
     is an expected reportable outcome there, not a bug.
     Both methods return sup-norm residual of the governing system below `tol`.
     """
+    check_solver_settings(tol, max_iter)
     work = _Work(problem)
     if method == "newton":
         return _solve_newton(problem, work, tol, 50 if max_iter is None else max_iter, x0)

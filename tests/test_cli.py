@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vortexlab.cli import main
+from vortexlab import TorusGeometry
+from vortexlab.cli import _FMT, _format_rows, _write_fields, cmd_plotdata, main
 
 PI = np.pi
 
@@ -290,3 +292,147 @@ def test_binary_dump_roundtrip(tmp_path):
     assert main(["plotdata", "--fields", str(bin_path), "--out", str(plot)]) == 0
     vals = np.loadtxt(plot).T.reshape(8, 32, 32)
     np.testing.assert_allclose(vals, raw, rtol=1e-9, atol=1e-15)
+
+
+# ------------------------------------------------------------ field I/O ----
+
+
+def _grid_planes(n1, n2, seed=0):
+    """A dump's 8 planes: the grid nodes, then standard normals."""
+    x1, x2 = TorusGeometry(6.0, 5.0, n1, n2).nodes()
+    values = np.random.default_rng(seed).standard_normal((6, n1, n2))
+    return np.concatenate([np.stack([x1, x2]), values])
+
+
+def _oracle_values():
+    rng = np.random.default_rng(2024)
+    finfo = np.finfo(np.float64)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    special += [finfo.tiny, -finfo.tiny, finfo.max, -finfo.max]
+    # exact ties, and carries into the next decade
+    special += [123456789012.5, 123456789013.5, 12345678901250000.0, 0.5, 2.5]
+    special += [9.9999999999995, 9.9999999999995e-5, 9.99999999999949e33, 999999999999.5]
+    # three-digit exponents, and the edges of the multiply-by-10**k range
+    special += [1e100, -2.5e-250, 1.5e-100, 1e-11, 1e-12, 1e22, 1e23, 1e33, 1e34, 1e35]
+    powers = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    # values whose 12th digit is within a few ulps of a tie
+    near = (rng.integers(10**11, 10**12, 2000) + 0.5) * 10.0 ** rng.integers(-22, 22, 2000)
+    # just below and above rounding up to the next power of ten
+    carry = (1e12 - 0.5 + rng.uniform(-1e-3, 1e-3, 2000)) * 10.0 ** rng.integers(-23, 23, 2000)
+    return np.concatenate(
+        [
+            special,
+            powers,
+            np.nextafter(powers, np.inf),
+            np.nextafter(powers, -np.inf),
+            near,
+            np.nextafter(near, np.inf),
+            np.nextafter(near, -np.inf),
+            carry,
+            rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(100_000),
+        ]
+    )
+
+
+def test_formatter_matches_percent_bit_for_bit():
+    values = _oracle_values()
+    got = _format_rows(values.reshape(-1, 1), b",").split(b"\n")
+    assert got[-1] == b""
+    expected = [(_FMT % float(v)).encode() for v in values]
+    wrong = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
+    assert len(got) - 1 == len(expected)
+    assert not wrong, wrong[:5]
+
+
+def _reference_lines(rows, sep):
+    return [sep.join(_FMT % float(v) for v in row) for row in rows]
+
+
+def test_dump_and_plotdata_layout_non_square(tmp_path):
+    n1, n2 = 8, 12
+    planes = _grid_planes(n1, n2)
+    csv = tmp_path / "fields.csv"
+    _write_fields(csv, planes, "csv")
+    lines = _reference_lines(planes.reshape(8, -1).T, ",")
+    assert csv.read_text() == "x1,x2,u,v,e_u,e_v,Fhat,Ftilde\n" + "".join(
+        line + "\n" for line in lines
+    )
+
+    # re-formatting a 12-digit value gives its text back, so plot.dat is the
+    # CSV's rows with blanks for commas, a blank line after every n2 of them
+    plot = tmp_path / "plot.dat"
+    assert main(["plotdata", "--fields", str(csv), "--out", str(plot)]) == 0
+    blocks = [
+        "".join(line.replace(",", " ") + "\n" for line in lines[i * n2 : (i + 1) * n2]) + "\n"
+        for i in range(n1)
+    ]
+    assert plot.read_text() == "".join(blocks)
+
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, planes, "f64bin")
+    assert main(["plotdata", "--fields", str(binary), "--out", str(plot)]) == 0
+    expected = "".join(
+        "".join(line + "\n" for line in _reference_lines(planes[:, i].T, " ")) + "\n"
+        for i in range(n1)
+    )
+    assert plot.read_text() == expected
+
+
+def test_field_io_memory_guard(tmp_path):
+    # the text writers format a fixed block of rows at a time; formatting a
+    # 256^2 dump at once would peak at tens of MB
+    planes = _grid_planes(256, 256)
+    csv = tmp_path / "fields.csv"
+    tracemalloc.start()
+    try:
+        _write_fields(csv, planes, "csv")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cmd_plotdata(csv, tmp_path / "plot.dat")
+        plot_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 4e6
+    assert plot_peak <= 8e6
+
+
+def _refused(tmp_path, dump, capsys):
+    capsys.readouterr()
+    plot = tmp_path / "plot.dat"
+    code = main(["plotdata", "--fields", str(dump), "--out", str(plot)])
+    return code == 1 and capsys.readouterr().err.startswith("vortexlab: error: ")
+
+
+def test_plotdata_refuses_csv_out_of_grid_order(tmp_path, capsys):
+    csv = tmp_path / "fields.csv"
+    _write_fields(csv, _grid_planes(8, 8), "csv")
+    header, *rows = csv.read_text().splitlines(keepends=True)
+    assert main(["plotdata", "--fields", str(csv), "--out", str(tmp_path / "ok.dat")]) == 0
+
+    # x2 as the outer index: n1 * n2 still equals the row count
+    transposed = [rows[i * 8 + j] for j in range(8) for i in range(8)]
+    csv.write_text(header + "".join(transposed))
+    assert _refused(tmp_path, csv, capsys)
+
+    # one node missing and another one twice
+    csv.write_text(header + "".join(rows[:10] + [rows[9]] + rows[11:]))
+    assert _refused(tmp_path, csv, capsys)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("columns", ["x1", "x2", "v", "u", "e_v", "e_u", "Fhat", "Ftilde"]),
+        ("order", "F"),
+        ("dtype", ">f8"),
+    ],
+)
+def test_plotdata_refuses_sidecar_other_layout(tmp_path, capsys, key, value):
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, _grid_planes(8, 8), "f64bin")
+    sidecar_path = tmp_path / "fields.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar[key] = value
+    sidecar_path.write_text(json.dumps(sidecar))
+    assert _refused(tmp_path, binary, capsys)

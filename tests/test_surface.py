@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+import vortexlab.tw
+import vortexlab.vav
 from vortexlab import (
     ConfigurationError,
     NonZeroMean,
     TorusGeometry,
+    VortexConfiguration,
     grad_energy,
     integrate,
     inv_laplacian,
     laplacian,
     mean,
+    solve_tw,
+    solve_vav,
+    tw_problem,
+    vav_problem,
 )
+from vortexlab.surface import check_solver_settings
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +178,44 @@ def test_anisotropic_grid_operators():
     )
     w = random_field(geom, 6, mean_zero=True)
     assert np.abs(laplacian(inv_laplacian(w)).values - w.values).max() < 1e-10
+
+
+# Solver settings no solve can meet. Before the shared check, tol 0 or NaN
+# ran the whole iteration budget and max_iter <= 0 raised MaxIterExceeded
+# without an iteration.
+UNMEETABLE = [
+    {"tol": 0.0},
+    {"tol": -1e-8},
+    {"tol": float("nan")},
+    {"tol": float("inf")},
+    {"max_iter": 0},
+    {"max_iter": -3},
+    {"max_iter": 2.5},
+]
+
+
+def _no_work(problem):
+    raise AssertionError("the solve started")
+
+
+@pytest.mark.parametrize(
+    "model, method", [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")]
+)
+@pytest.mark.parametrize("settings", UNMEETABLE)
+def test_unmeetable_solver_settings_rejected_before_work(model, method, settings, monkeypatch):
+    geom = TorusGeometry(6.0, 6.0, 32, 32)
+    if model == "tw":
+        problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
+        solve = solve_tw
+    else:
+        cfg = VortexConfiguration(zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)])
+        problem = vav_problem(geom, cfg)
+        solve = solve_vav
+    monkeypatch.setattr(getattr(vortexlab, model), "_Work", _no_work)
+    with pytest.raises(ConfigurationError):
+        solve(problem, method=method, **settings)
+
+
+def test_solver_settings_accepted():
+    for tol, max_iter in [(1e-8, None), (np.float64(1e-3), np.int64(1)), (1, 50)]:
+        check_solver_settings(tol, max_iter)
