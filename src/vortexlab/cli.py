@@ -398,9 +398,10 @@ def _read_fields(path):
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     layout = {"columns": list(_FIELD_COLUMNS), "dtype": "<f8", "order": "C"}
-    if any(sidecar.get(key) != value for key, value in layout.items()):
+    if not isinstance(sidecar, dict) or any(sidecar.get(k) != v for k, v in layout.items()):
         raise ConfigurationError(f"{sidecar_path}: the dump's layout must be {layout}")
-    n1, n2 = int(sidecar["n1"]), int(sidecar["n2"])
+    n1 = _integer(sidecar.get("n1"), f"{sidecar_path}: n1")
+    n2 = _integer(sidecar.get("n2"), f"{sidecar_path}: n2")
     raw = np.fromfile(path, dtype="<f8")
     expected = len(_FIELD_COLUMNS) * n1 * n2
     if raw.size != expected:

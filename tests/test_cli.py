@@ -426,6 +426,7 @@ def test_plotdata_refuses_csv_out_of_grid_order(tmp_path, capsys):
         ("columns", ["x1", "x2", "v", "u", "e_v", "e_u", "Fhat", "Ftilde"]),
         ("order", "F"),
         ("dtype", ">f8"),
+        ("n1", None),
     ],
 )
 def test_plotdata_refuses_sidecar_other_layout(tmp_path, capsys, key, value):
