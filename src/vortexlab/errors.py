@@ -72,7 +72,8 @@ class MaxIterExceeded(SolverError):
 
 
 class DivergedIterate(SolverError):
-    """Iterates left the representable range (overflow guard tripped twice)."""
+    """Newton iterates diverged: the overflow guard tripped twice, an iterate
+    became non-finite, or the line search found no descent in 40 halvings."""
 
 
 class Stagnation(SolverError):

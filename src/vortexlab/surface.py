@@ -185,7 +185,7 @@ def _same_geometry(*fields):
 
 
 def start_pair(geom: TorusGeometry, x0):
-    """Solver start arrays: copies of the pair x0, or zeros when x0 is None."""
+    """Solver start arrays: copies of the finite pair x0, or zeros when x0 is None."""
     shape = (geom.n1, geom.n2)
     if x0 is None:
         return np.zeros(shape), np.zeros(shape)
@@ -193,6 +193,8 @@ def start_pair(geom: TorusGeometry, x0):
     b = np.array(x0[1], dtype=np.float64, copy=True)
     if a.shape != shape or b.shape != shape:
         raise ConfigurationError("x0 arrays do not match the grid")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ConfigurationError("x0 arrays must be finite")
     return a, b
 
 

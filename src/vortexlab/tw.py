@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pcg_pair
-from .errors import (
-    BradlowViolation,
-    ConfigurationError,
-    DivergedIterate,
-    MaxIterExceeded,
-)
+from ._linalg import ARMIJO_C, newton_solve, pcg_pair
+from .errors import BradlowViolation, ConfigurationError, DivergedIterate
 from .kernels import clipped_exp
 from .sources import (
     FOUR_PI,
@@ -42,13 +37,6 @@ from .surface import (
     check_solver_settings,
     start_pair,
 )
-
-# Newton-step contraction threshold used for the inner CG tolerance.
-_ARMIJO_C = 1e-4
-# Absolute ceiling on the integrated-gradient defect at convergence; this is
-# what makes the count-quantized integrals exact to rounding.
-_MEAN_TOL = 1e-12
-
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
     """The Bradlow bound: constants (a1, a2), margins (a1, a2) and the report.
@@ -118,6 +106,7 @@ class _Work:
         N1, _, N2, _ = problem.config.counts()
         self.cf = FOUR_PI * N1 / self.geom.area
         self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
+        self.clip_events = 0
 
     def exps(self, f, h):
         e1, c1 = clipped_exp(self.u01 + f)
@@ -150,6 +139,55 @@ class _Work:
 
     def precondition(self, r1, r2):
         return self.geom.helmholtz_pair(r1, r2, 1.0)
+
+    # hooks of the Newton driver (_linalg.newton_solve)
+    sup_label = "grad sup"
+
+    def evaluate(self, f, h, trace):
+        e1, e2, n_clip = self.exps(f, h)
+        if n_clip:
+            self.clip_events += 1
+            if self.clip_events >= 2:
+                raise DivergedIterate(
+                    "overflow guard tripped twice; iterates diverging", trace
+                )
+        g1, g2 = self.gradient(f, h, e1, e2)
+        g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
+        i_val = self.functional(f, h, e1, e2)
+        m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
+        return g_sup, i_val, m_abs, {"I": i_val, "grad_sup": g_sup}, (f, h, e1, e2, g1, g2)
+
+    def polish(self, state):
+        """Newton step on the two field means; drives the integrated
+        gradients to rounding level so the count-quantized integrals hold
+        exactly."""
+        f, h, e1, e2, g1, g2 = state
+        quad = self.geom.quad
+        q1 = quad(4.0 * e1 + e2)
+        q2 = quad(e2)
+        jac = np.array([[q1, -q2], [-q2, q2]])
+        delta = np.linalg.solve(jac, -np.array([quad(g1), quad(g2)]))
+        return f + delta[0], h + delta[1]
+
+    def direction(self, state, i_val, eta):
+        """Newton direction, or the preconditioned gradient when the Newton
+        direction is not a descent one; Armijo bound on the functional."""
+        _, _, e1, e2, g1, g2 = state
+        quad = self.geom.quad
+        d1, d2, _ = pcg_pair(
+            self.hessian_apply(e1, e2), self.precondition, -g1, -g2, rtol=eta
+        )
+        slope = quad(g1 * d1 + g2 * d2)
+        kind = "newton"
+        if slope >= 0.0:
+            d1, d2 = self.precondition(-g1, -g2)
+            slope = quad(g1 * d1 + g2 * d2)
+            kind = "gradient"
+        return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope
+
+    def merit(self, f, h):
+        e1, e2, _ = self.exps(f, h)
+        return self.functional(f, h, e1, e2)
 
 
 def tw_residual(sol, problem: TWProblem):
@@ -220,18 +258,6 @@ def functional_gradient(f: ScalarField, h: ScalarField, problem: TWProblem):
     return geom.field(g1), geom.field(g2)
 
 
-def _mean_polish_step(work, geom, f, h, e1, e2, g1, g2):
-    """Newton step on the two field means; drives the integrated gradients
-    to rounding level so the count-quantized integrals hold exactly."""
-    m1 = geom.quad(g1)
-    m2 = geom.quad(g2)
-    q1 = geom.quad(4.0 * e1 + e2)
-    q2 = geom.quad(e2)
-    jac = np.array([[q1, -q2], [-q2, q2]])
-    delta = np.linalg.solve(jac, -np.array([m1, m2]))
-    return f + delta[0], h + delta[1]
-
-
 def solve_tw(
     problem: TWProblem,
     *,
@@ -243,8 +269,9 @@ def solve_tw(
     """Minimize the convex objective; returns the unique solution fields.
 
     method="newton" is the only method: damped Newton with preconditioned-CG
-    inner solves and Armijo backtracking, falling back to the preconditioned
-    gradient direction when the Newton direction is not a descent one.
+    inner solves and Armijo backtracking (`_linalg.newton_solve`), falling
+    back to the preconditioned gradient direction, logged as kind "gradient",
+    when the Newton direction is not a descent one.
     Convergence is sup-norm of the gradient below `tol` with the integrated
     gradients at rounding level. `x0` may hold a pair of start arrays (used
     by the uniqueness check).
@@ -254,85 +281,16 @@ def solve_tw(
     check_solver_settings(tol, max_iter)
     geom = problem.geometry
     work = _Work(problem)
-    f, h = start_pair(geom, x0)
-
-    trace = []
-    clip_events = 0
-    it = 0
-    step = 0.0
-    kind = "init"
-    while True:
-        e1, e2, n_clip = work.exps(f, h)
-        if n_clip:
-            clip_events += 1
-            if clip_events >= 2:
-                raise DivergedIterate(
-                    "overflow guard tripped twice; iterates diverging", trace
-                )
-        g1, g2 = work.gradient(f, h, e1, e2)
-        g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-        i_val = work.functional(f, h, e1, e2)
-        if not np.isfinite(i_val) or not np.isfinite(g_sup):
-            raise DivergedIterate("non-finite iterate", trace)
-        m_abs = max(abs(geom.quad(g1)), abs(geom.quad(g2)))
-        trace.append(
-            {"iter": it, "I": i_val, "grad_sup": g_sup, "step": step, "kind": kind}
-        )
-        if g_sup < tol and m_abs <= _MEAN_TOL:
-            break
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"no convergence in {max_iter} iterations "
-                f"(grad sup {g_sup:.3e}, tol {tol:.1e})",
-                trace,
-            )
-        if g_sup < tol:
-            f, h = _mean_polish_step(work, geom, f, h, e1, e2, g1, g2)
-            it += 1
-            step = 0.0
-            kind = "polish"
-            continue
-
-        eta = min(0.1, np.sqrt(g_sup))
-        d1, d2, _ = pcg_pair(
-            work.hessian_apply(e1, e2),
-            work.precondition,
-            -g1,
-            -g2,
-            rtol=eta,
-        )
-        slope = geom.quad(g1 * d1 + g2 * d2)
-        if slope >= 0.0:
-            d1, d2 = work.precondition(-g1, -g2)
-            slope = geom.quad(g1 * d1 + g2 * d2)
-
-        t = 1.0
-        accepted = False
-        for _ in range(40):
-            e1t, e2t, _ = work.exps(f + t * d1, h + t * d2)
-            if work.functional(f + t * d1, h + t * d2, e1t, e2t) <= i_val + _ARMIJO_C * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise DivergedIterate("line search failed to find descent", trace)
-        f = f + t * d1
-        h = h + t * d2
-        it += 1
-        step = t
-        kind = method
-
-    u_field = geom.field(f)
-    v_field = geom.field(0.5 * (h - f))
+    f, h, it, g_sup, i_val, trace = newton_solve(work, *start_pair(geom, x0), tol, max_iter)
     return TWSolution(
-        U=u_field,
-        V=v_field,
+        U=geom.field(f),
+        V=geom.field(0.5 * (h - f)),
         u=geom.field(work.u01 + f),
         v=geom.field(work.v01 + 0.5 * (h - f)),
         iterations=it,
         final_gradient_norm=g_sup,
         functional_value=i_val,
         trace=trace,
-        clip_events=clip_events,
+        clip_events=work.clip_events,
         method=method,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pcg_pair
+from ._linalg import ARMIJO_C, newton_solve, pcg_pair
 from .errors import (
     BracketFailure,
     ConfigurationError,
@@ -55,7 +55,6 @@ from .surface import (
     start_pair,
 )
 
-_ARMIJO_C = 1e-4
 _SHIFT_TOL = 1e-12
 _SHIFT_BRACKET = 700.0
 # |g| at the ends of a warm-start bracket must exceed this, well above
@@ -63,7 +62,6 @@ _SHIFT_BRACKET = 700.0
 # the bracket has a known sign and cannot meet the early-return test.
 _SHIFT_MARGIN = 1e-10
 _SHIFT_NEWTON_STEPS = 12
-_MEAN_TOL = 1e-12
 # Inverse of the coupling matrix [[8, -4], [-4, 4]]; used to symmetrize the
 # Newton systems and to build the preconditioner.
 _AINV = ((0.25, 0.25), (0.25, 0.5))
@@ -292,6 +290,46 @@ class _Work:
         p2 = -4.0 * r1 + 4.0 * r2
         return self.geom.helmholtz_pair(p1, p2, 0.25)
 
+    # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
+    sup_label = "residual sup"
+
+    def evaluate(self, U, V, trace):
+        geom = self.geom
+        fu, fv = self.f_pair(U, V)
+        r1, r2 = self.residual(U, V, fu, fv)
+        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+        phi = geom.quad(r1 * r1 + r2 * r2)
+        m_abs = max(
+            abs(geom.quad(fu) - self.a * geom.area),
+            abs(geom.quad(fv) - self.b * geom.area),
+        )
+        return r_sup, phi, m_abs, {"resid_sup": r_sup, "phi": phi}, (U, V, r1, r2)
+
+    def polish(self, state):
+        """Fold the exact constraint shifts into the means."""
+        U, V, _, _ = state
+        U = U + _shift(self.du + U, self.a * self.geom.area, self.geom)
+        V = V + _shift(self.dv + V, self.b * self.geom.area, self.geom)
+        return U, V
+
+    def direction(self, state, phi, eta):
+        """Newton direction of the symmetrized system; Armijo bound on phi."""
+        U, V, r1, r2 = state
+        d1_diag = df_half(self.du + U)
+        d2_diag = df_half(self.dv + V)
+        (i11, i12), (i21, i22) = _AINV
+        b1 = i11 * r1 + i12 * r2
+        b2 = i21 * r1 + i22 * r2
+        dU, dV, _ = pcg_pair(
+            self.jacobian_apply(d1_diag, d2_diag), self.precondition, b1, b2, rtol=eta
+        )
+        return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
+
+    def merit(self, U, V):
+        fu, fv = self.f_pair(U, V)
+        r1, r2 = self.residual(U, V, fu, fv)
+        return self.geom.quad(r1 * r1 + r2 * r2)
+
 
 def vav_residual(sol, problem: VAVProblem):
     """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
@@ -363,70 +401,7 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
 
 
 def _solve_newton(problem, work, tol, max_iter, x0):
-    geom = work.geom
-    U, V = start_pair(geom, x0)
-    trace = []
-    it = 0
-    step = 0.0
-    kind = "init"
-    while True:
-        fu, fv = work.f_pair(U, V)
-        r1, r2 = work.residual(U, V, fu, fv)
-        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-        phi = geom.quad(r1 * r1 + r2 * r2)
-        m_abs = max(
-            abs(geom.quad(fu) - work.a * geom.area),
-            abs(geom.quad(fv) - work.b * geom.area),
-        )
-        trace.append(
-            {"iter": it, "resid_sup": r_sup, "phi": phi, "step": step, "kind": kind}
-        )
-        if r_sup < tol and m_abs <= _MEAN_TOL:
-            break
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"no convergence in {max_iter} iterations "
-                f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
-                trace,
-            )
-        if r_sup < tol:
-            # fold the exact constraint shifts into the means
-            U = U + _shift(work.du + U, work.a * geom.area, geom)
-            V = V + _shift(work.dv + V, work.b * geom.area, geom)
-            it += 1
-            step = 0.0
-            kind = "polish"
-            continue
-
-        d1_diag = df_half(work.du + U)
-        d2_diag = df_half(work.dv + V)
-        (i11, i12), (i21, i22) = _AINV
-        b1 = i11 * r1 + i12 * r2
-        b2 = i21 * r1 + i22 * r2
-        eta = min(0.1, np.sqrt(r_sup))
-        dU, dV, _ = pcg_pair(
-            work.jacobian_apply(d1_diag, d2_diag),
-            work.precondition,
-            b1,
-            b2,
-            rtol=eta,
-        )
-        t = 1.0
-        accepted = False
-        for _ in range(40):
-            fu_t, fv_t = work.f_pair(U + t * dU, V + t * dV)
-            r1_t, r2_t = work.residual(U + t * dU, V + t * dV, fu_t, fv_t)
-            if geom.quad(r1_t * r1_t + r2_t * r2_t) <= (1.0 - 2.0 * _ARMIJO_C * t) * phi:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            raise MaxIterExceeded("residual line search failed to descend", trace)
-        U = U + t * dU
-        V = V + t * dV
-        it += 1
-        step = t
-        kind = "newton"
+    U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
     return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
 
 

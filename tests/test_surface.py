@@ -5,6 +5,7 @@ import vortexlab.tw
 import vortexlab.vav
 from vortexlab import (
     ConfigurationError,
+    DivergedIterate,
     NonZeroMean,
     TorusGeometry,
     VortexConfiguration,
@@ -194,26 +195,55 @@ UNMEETABLE = [
 ]
 
 
+SOLVE_PATHS = [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")]
+
+
 def _no_work(problem):
     raise AssertionError("the solve started")
 
 
-@pytest.mark.parametrize(
-    "model, method", [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")]
-)
-@pytest.mark.parametrize("settings", UNMEETABLE)
-def test_unmeetable_solver_settings_rejected_before_work(model, method, settings, monkeypatch):
+def _problem_and_solver(model):
     geom = TorusGeometry(6.0, 6.0, 32, 32)
     if model == "tw":
-        problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
-        solve = solve_tw
-    else:
-        cfg = VortexConfiguration(zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)])
-        problem = vav_problem(geom, cfg)
-        solve = solve_vav
+        return tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)])), solve_tw
+    cfg = VortexConfiguration(zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)])
+    return vav_problem(geom, cfg), solve_vav
+
+
+@pytest.mark.parametrize("model, method", SOLVE_PATHS)
+@pytest.mark.parametrize("settings", UNMEETABLE)
+def test_unmeetable_solver_settings_rejected_before_work(model, method, settings, monkeypatch):
+    problem, solve = _problem_and_solver(model)
     monkeypatch.setattr(getattr(vortexlab, model), "_Work", _no_work)
     with pytest.raises(ConfigurationError):
         solve(problem, method=method, **settings)
+
+
+# A non-finite start is a configuration error on every path; left to the
+# solvers, one NaN ends in a different error class on each of them.
+@pytest.mark.parametrize("model, method", SOLVE_PATHS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_rejected(model, method, bad):
+    problem, solve = _problem_and_solver(model)
+    x0 = (np.zeros((32, 32)), np.zeros((32, 32)))
+    x0[1][5, 7] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        solve(problem, method=method, x0=x0)
+
+
+def _nan_direction(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
+    return np.full_like(b1, np.nan), np.full_like(b2, np.nan), 1
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_line_search_failure_is_one_class(model, monkeypatch):
+    # both Newton solvers go through one driver, so a direction that no step
+    # length can accept ends the same way in each model
+    problem, solve = _problem_and_solver(model)
+    monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _nan_direction)
+    with pytest.raises(DivergedIterate, match="line search failed") as exc:
+        solve(problem)
+    assert [e["kind"] for e in exc.value.trace] == ["init"]
 
 
 def test_solver_settings_accepted():

@@ -88,3 +88,36 @@ def test_traced_fixed_point_shift_counts(bench):
     assert len(shifts) == 2 * sol.iterations + 2
     assert tanh, "no tanh spans recorded inside vav._shift"
     assert len(tanh) / len(shifts) <= 10.0
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_traced_newton_records_inner_layers(bench, model):
+    # the traced run wraps pcg_pair and the pointwise kernels on the model
+    # modules; the Newton driver must keep reaching them through those names
+    tracing, program = bench
+    geom = program.surface.TorusGeometry(6.0, 6.0, 32, 32)
+    tracer = tracing.Tracer()
+    with tracing.Patches(tracer, program):
+        if model == "tw":
+            cfg = program.vl.VortexConfiguration(zeros_q=[(2.3, 3.1, 1)])
+            program.tw.solve_tw(program.tw.tw_problem(geom, cfg))
+        else:
+            cfg = program.vl.VortexConfiguration(
+                zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)]
+            )
+            program.vav.solve_vav(program.vav.vav_problem(geom, cfg), method="newton")
+    names = [tracer.names[i] for i in tracer.name]
+    solver = {k for k, nm in enumerate(names) if nm == f"{model}.solve_{model}"}
+
+    def in_solver(k):
+        while k >= 0:
+            if k in solver:
+                return True
+            k = tracer.parent[k]
+        return False
+
+    pcg = [k for k, nm in enumerate(names) if nm == "linalg.pcg_pair" and in_solver(k)]
+    kern = [k for k, nm in enumerate(names) if nm.startswith("kernels.") and in_solver(k)]
+    assert len(solver) == 1
+    assert pcg and all(tracer.value[k] > 0 for k in pcg)
+    assert kern

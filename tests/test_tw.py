@@ -253,3 +253,27 @@ def test_diverged_iterate_is_diagnosed(geom):
     absurd = np.full((geom.n1, geom.n2), 700.0)
     with pytest.raises(DivergedIterate):
         solve_tw(problem, x0=(absurd, absurd))
+
+
+def test_gradient_fallback_is_labelled(one_vortex, monkeypatch):
+    # the first inner solve returns the ascent direction, so that step must
+    # fall back to the preconditioned gradient and be logged as such
+    import vortexlab.tw
+
+    calls = []
+    pcg_pair = vortexlab.tw.pcg_pair
+
+    def ascent_once(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
+        calls.append(rtol)
+        if len(calls) == 1:
+            return -b1, -b2, 1
+        return pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter)
+
+    monkeypatch.setattr(vortexlab.tw, "pcg_pair", ascent_once)
+    problem, reference = one_vortex
+    sol = solve_tw(problem)
+    kinds = [e["kind"] for e in sol.trace]
+    assert kinds[:2] == ["init", "gradient"]
+    assert set(kinds[2:]) <= {"newton", "polish"} and "gradient" not in kinds[2:]
+    assert sol.final_gradient_norm < 1e-8
+    assert np.abs(sol.U.values - reference.U.values).max() < 1e-6
