@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vortexlab.tw
 from vortexlab import (
     BradlowViolation,
     ConfigurationError,
@@ -258,13 +259,11 @@ def test_diverged_iterate_is_diagnosed(geom):
 def test_gradient_fallback_is_labelled(one_vortex, monkeypatch):
     # the first inner solve returns the ascent direction, so that step must
     # fall back to the preconditioned gradient and be logged as such
-    import vortexlab.tw
-
     calls = []
     pcg_pair = vortexlab.tw.pcg_pair
 
     def ascent_once(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
-        calls.append(rtol)
+        calls.append(None)
         if len(calls) == 1:
             return -b1, -b2, 1
         return pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter)
