@@ -183,7 +183,11 @@ class _Work:
             d1, d2 = self.precondition(-g1, -g2)
             slope = quad(g1 * d1 + g2 * d2)
             kind = "gradient"
-        return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope
+        # Near the minimum the predicted decrease falls below the rounding
+        # of I (about 1e2), and every trial step would be refused on noise:
+        # allow an eps*|I| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).
+        slack = 1e-12 * (1.0 + abs(i_val)) if -slope < 1e-9 * (1.0 + abs(i_val)) else 0.0
+        return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope + slack
 
     def merit(self, f, h):
         e1, e2, _ = self.exps(f, h)

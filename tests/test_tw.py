@@ -228,6 +228,25 @@ def test_max_iter_exceeded(geom):
     assert len(exc.value.trace) >= 1
 
 
+def test_no_stall_near_the_minimum():
+    # Once grad sup is near 1e-7, the functional's Armijo decrease is below
+    # the rounding of I ~ 1e2; without a rounding allowance in the bound the
+    # line search halves every step and this cold 128^2 solve stalls at grad
+    # sup 1.016e-07 after 50 iterations.
+    L = 1.1 * np.sqrt(6 * np.pi)
+    geom = TorusGeometry(L, L, 128, 128)
+    cfg = VortexConfiguration(
+        zeros_q=[(L / 6, 1.5 * L / 6, 1)], zeros_p=[(2 * L / 6, 2.5 * L / 6, 1)]
+    )
+    problem = tw_problem(geom, cfg)
+    sol = solve_tw(problem)
+    assert sol.iterations <= 10
+    assert sol.final_gradient_norm < 1e-8
+    qi = tw_quantized_integrals(sol, problem)
+    assert qi["Iu"] == pytest.approx(2 * TWO_PI, abs=1e-10)
+    assert qi["Iv"] == pytest.approx(3 * TWO_PI, abs=1e-10)
+
+
 def test_unknown_method_rejected(geom):
     problem = tw_problem(geom, VortexConfiguration())
     with pytest.raises(ConfigurationError):
