@@ -4,13 +4,16 @@ pairs of grid arrays.
 Both Newton solvers reduce their inner linear systems to a symmetric
 positive definite operator acting on a two-component field; CG with a
 spectral (inverse-Helmholtz) preconditioner is the matching iterative
-solver. Both run the same outer loop, `newton_solve`, and differ only in
+solver. It runs on the pair's packed spectrum (see `surface`), where the
+preconditioner is pointwise and the operator needs one transform pair.
+Both solvers run the same outer loop, `newton_solve`, and differ only in
 the model hooks it calls. Everything here works on raw arrays for speed.
 """
 
 import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
+from .surface import pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO_C = 1e-4
@@ -19,47 +22,45 @@ ARMIJO_C = 1e-4
 MEAN_TOL = 1e-12
 
 
-def _dot(a1, a2, b1, b2):
-    return float(np.dot(a1.ravel(), b1.ravel()) + np.dot(a2.ravel(), b2.ravel()))
+def _dot(A, B):
+    # N times the pair inner product, by Parseval; N cancels in every
+    # ratio CG forms.
+    return float(np.vdot(A, B).real)
 
 
 def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
     """Solve op(x) = b for a two-component field with preconditioned CG.
 
-    `apply_op` and `apply_prec` map array pairs to array pairs; `apply_op`
-    must be symmetric positive definite and `apply_prec` an SPD
-    approximation of its inverse. Returns (x1, x2, iterations).
+    The iteration runs on packed spectra P = fft2(p1 + i*p2): `apply_op`
+    and `apply_prec` map one packed array to another; `apply_op` must be
+    symmetric positive definite and `apply_prec` an SPD approximation of
+    its inverse. b1, b2 are grid arrays; returns the grid arrays (x1, x2)
+    and the iteration count. Besides the operator's own transforms, the
+    solve makes two FFT2s: one to pack b and one to unpack x.
     """
-    x1 = np.zeros_like(b1)
-    x2 = np.zeros_like(b2)
-    r1 = b1.copy()
-    r2 = b2.copy()
-    norm0 = np.sqrt(_dot(r1, r2, r1, r2))
+    R = pack_pair(b1, b2)
+    X = np.zeros_like(R)
+    norm0 = np.sqrt(_dot(R, R))
     if norm0 == 0.0:
-        return x1, x2, 0
-    z1, z2 = apply_prec(r1, r2)
-    p1 = z1.copy()
-    p2 = z2.copy()
-    rz = _dot(r1, r2, z1, z2)
+        return np.zeros_like(b1), np.zeros_like(b2), 0
+    P = Z = apply_prec(R)
+    rz = _dot(R, Z)
     for it in range(1, max_iter + 1):
-        q1, q2 = apply_op(p1, p2)
-        pq = _dot(p1, p2, q1, q2)
+        Q = apply_op(P)
+        pq = _dot(P, Q)
         if pq <= 0.0:
             # loss of positive definiteness to rounding; return best iterate
-            return x1, x2, it
+            return (*unpack_pair(X), it)
         alpha = rz / pq
-        x1 += alpha * p1
-        x2 += alpha * p2
-        r1 -= alpha * q1
-        r2 -= alpha * q2
-        if np.sqrt(_dot(r1, r2, r1, r2)) <= rtol * norm0:
-            return x1, x2, it
-        z1, z2 = apply_prec(r1, r2)
-        rz_new = _dot(r1, r2, z1, z2)
-        p1 = z1 + (rz_new / rz) * p1
-        p2 = z2 + (rz_new / rz) * p2
+        X += alpha * P
+        R -= alpha * Q
+        if np.sqrt(_dot(R, R)) <= rtol * norm0:
+            return (*unpack_pair(X), it)
+        Z = apply_prec(R)
+        rz_new = _dot(R, Z)
+        P = Z + (rz_new / rz) * P
         rz = rz_new
-    return x1, x2, max_iter
+    return (*unpack_pair(X), max_iter)
 
 
 def newton_solve(work, x1, x2, tol, max_iter):

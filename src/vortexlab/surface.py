@@ -6,6 +6,18 @@ operators are spectral: a field is transformed with the FFT, the symbol of
 the operator is applied mode by mode, and the result is transformed back.
 Quadrature is the periodic trapezoidal rule h1*h2*sum, which is exact for
 trigonometric polynomials resolved by the grid.
+
+The Newton solvers work on pairs of real arrays, and most of their FFTs are
+spent in the inner CG solve. There a pair (a, b) is carried as one packed
+spectrum P = fft2(a + i*b) (`pack_pair`; `unpack_pair` inverts it), on
+which the -Lap symbol and the inverse-Helmholtz preconditioner act mode by
+mode, and the pair inner product is Re vdot(A, B) = N*(<a1,b1> + <a2,b2>)
+by Parseval, N = n1*n2. A constant 2x2 mix of the pair is pointwise on the
+packed spectrum too, through the -k mode (`mix_packed`). Only the pointwise
+(diagonal) part of an operator needs a transform back to the grid and
+forward again, so one CG iteration costs two FFT2s. The Dirichlet energies
+of both arrays come from one packed spectrum (`grad_sq_packed`), because
+the symbol |k|^2 is even in k.
 """
 
 import math
@@ -60,6 +72,10 @@ class TorusGeometry:
         nz = self._ksq > 0.0
         inv[nz] = -1.0 / self._ksq[nz]
         self._inv_sym = inv
+        # flat index of the mode -k for each mode k; see mix_packed
+        neg1 = -np.arange(self.n1) % self.n1
+        neg2 = -np.arange(self.n2) % self.n2
+        self._neg = neg1[:, None] * self.n2 + neg2[None, :]
 
     def __eq__(self, other):
         if not isinstance(other, TorusGeometry):
@@ -133,8 +149,36 @@ class TorusGeometry:
 
     def grad_sq(self, a):
         """Integral of |grad a|^2 via Parseval on the mode coefficients."""
-        ah = np.fft.fft2(a)
-        power = ah.real**2 + ah.imag**2
+        return self.grad_sq_packed(np.fft.fft2(a))
+
+    # ---- packed spectra P = fft2(a + i*b) of array pairs (a, b) ----
+
+    def lap_packed(self, P):
+        """Packed spectrum of the pair's Laplacians."""
+        return -self._ksq * P
+
+    def helmholtz_packed(self, P, gamma):
+        """Packed spectrum of the solution of (-Lap + gamma) x = pair, gamma > 0."""
+        return P / (self._ksq + gamma)
+
+    def mix_packed(self, P, m):
+        """Packed spectrum of the constant mix (m11*a + m12*b, m21*a + m22*b).
+
+        With C(k) = conj(P(-k)), the spectra of a and b are (P + C)/2 and
+        (P - C)/(2i), so the mix is alpha*P + beta*C.
+        """
+        (m11, m12), (m21, m22) = m
+        alpha = 0.5 * complex(m11 + m22, m21 - m12)
+        beta = 0.5 * complex(m11 - m22, m21 + m12)
+        return alpha * P + beta * np.conj(P.take(self._neg))
+
+    def grad_sq_packed(self, P):
+        """grad_sq(a) + grad_sq(b) from the packed spectrum of (a, b).
+
+        Exact, since the cross terms of |P|^2 cancel between k and -k when
+        the symbol is even: sum |k|^2 |P|^2 = sum |k|^2 (|A|^2 + |B|^2).
+        """
+        power = P.real**2 + P.imag**2
         return (
             self.h1
             * self.h2
@@ -182,6 +226,17 @@ def _same_geometry(*fields):
         if f.geometry != geom:
             raise ConfigurationError("fields live on different geometries")
     return geom
+
+
+def pack_pair(a, b):
+    """Packed spectrum fft2(a + i*b) of two real arrays: one FFT2."""
+    return np.fft.fft2(a + 1j * b)
+
+
+def unpack_pair(P):
+    """The real arrays (a, b) whose packed spectrum is P: one inverse FFT2."""
+    w = np.fft.ifft2(P)
+    return w.real, w.imag
 
 
 def start_pair(geom: TorusGeometry, x0):

@@ -35,7 +35,9 @@ from .surface import (
     TorusGeometry,
     _same_geometry,
     check_solver_settings,
+    pack_pair,
     start_pair,
+    unpack_pair,
 )
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
@@ -113,32 +115,37 @@ class _Work:
         e2, c2 = clipped_exp(self.v01 + 0.5 * (h - f))
         return e1, e2, c1 + c2
 
-    def functional(self, f, h, e1, e2):
+    def functional(self, f, h, e1, e2, Z):
+        """The objective at (f, h); Z is the packed spectrum of (f, h)."""
         geom = self.geom
         bulk = geom.quad(e1 - f + e2 - 0.5 * (h - f))
         return (
-            0.5 * (geom.grad_sq(f) + geom.grad_sq(h))
+            0.5 * geom.grad_sq_packed(Z)
             + 4.0 * bulk
             + self.cf * geom.quad(f)
             + self.ch * geom.quad(h)
         )
 
-    def gradient(self, f, h, e1, e2):
-        lf, lh = self.geom.lap_pair(f, h)
+    def gradient(self, Z, e1, e2):
+        lf, lh = unpack_pair(self.geom.lap_packed(Z))
         g1 = -lf + 4.0 * (e1 - 1.0) - 2.0 * (e2 - 1.0) + self.cf
         g2 = -lh + 2.0 * (e2 - 1.0) + self.ch
         return g1, g2
 
     def hessian_apply(self, e1, e2):
-        def apply_op(d1, d2):
-            l1, l2 = self.geom.lap_pair(d1, d2)
+        """The Hessian on packed spectra: -Lap mode by mode, the pointwise
+        coupling on the grid."""
+        lap_packed = self.geom.lap_packed
+
+        def apply_op(D):
+            d1, d2 = unpack_pair(D)
             mix = e2 * (d1 - d2)
-            return -l1 + 4.0 * e1 * d1 + mix, -l2 - mix
+            return pack_pair(4.0 * e1 * d1 + mix, -mix) - lap_packed(D)
 
         return apply_op
 
-    def precondition(self, r1, r2):
-        return self.geom.helmholtz_pair(r1, r2, 1.0)
+    def precondition(self, R):
+        return self.geom.helmholtz_packed(R, 1.0)
 
     # hooks of the Newton driver (_linalg.newton_solve)
     sup_label = "grad sup"
@@ -151,9 +158,10 @@ class _Work:
                 raise DivergedIterate(
                     "overflow guard tripped twice; iterates diverging", trace
                 )
-        g1, g2 = self.gradient(f, h, e1, e2)
+        Z = pack_pair(f, h)
+        g1, g2 = self.gradient(Z, e1, e2)
         g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-        i_val = self.functional(f, h, e1, e2)
+        i_val = self.functional(f, h, e1, e2, Z)
         m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
         return g_sup, i_val, m_abs, {"I": i_val, "grad_sup": g_sup}, (f, h, e1, e2, g1, g2)
 
@@ -180,7 +188,7 @@ class _Work:
         slope = quad(g1 * d1 + g2 * d2)
         kind = "newton"
         if slope >= 0.0:
-            d1, d2 = self.precondition(-g1, -g2)
+            d1, d2 = self.geom.helmholtz_pair(-g1, -g2, 1.0)
             slope = quad(g1 * d1 + g2 * d2)
             kind = "gradient"
         # Near the minimum the predicted decrease falls below the rounding
@@ -191,7 +199,7 @@ class _Work:
 
     def merit(self, f, h):
         e1, e2, _ = self.exps(f, h)
-        return self.functional(f, h, e1, e2)
+        return self.functional(f, h, e1, e2, pack_pair(f, h))
 
 
 def tw_residual(sol, problem: TWProblem):
@@ -251,13 +259,13 @@ def functional_value(f: ScalarField, h: ScalarField, problem: TWProblem) -> floa
     RuntimeWarning: a clamp means the iterate is diverging.
     """
     work, e1, e2 = _warned_exps(f, h, problem)
-    return work.functional(f.values, h.values, e1, e2)
+    return work.functional(f.values, h.values, e1, e2, pack_pair(f.values, h.values))
 
 
 def functional_gradient(f: ScalarField, h: ScalarField, problem: TWProblem):
     """L2-gradient of the objective; its zeros solve the transformed system."""
     work, e1, e2 = _warned_exps(f, h, problem)
-    g1, g2 = work.gradient(f.values, h.values, e1, e2)
+    g1, g2 = work.gradient(pack_pair(f.values, h.values), e1, e2)
     geom = problem.geometry
     return geom.field(g1), geom.field(g2)
 

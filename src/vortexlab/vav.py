@@ -52,7 +52,9 @@ from .surface import (
     TorusGeometry,
     _same_geometry,
     check_solver_settings,
+    pack_pair,
     start_pair,
+    unpack_pair,
 )
 
 _SHIFT_TOL = 1e-12
@@ -62,8 +64,9 @@ _SHIFT_BRACKET = 700.0
 # the bracket has a known sign and cannot meet the early-return test.
 _SHIFT_MARGIN = 1e-10
 _SHIFT_NEWTON_STEPS = 12
-# Inverse of the coupling matrix [[8, -4], [-4, 4]]; used to symmetrize the
-# Newton systems and to build the preconditioner.
+# The coupling matrix and its inverse; the inverse symmetrizes the Newton
+# systems, and the preconditioner applies the matrix itself.
+_A = ((8.0, -4.0), (-4.0, 4.0))
 _AINV = ((0.25, 0.25), (0.25, 0.5))
 
 
@@ -274,21 +277,20 @@ class _Work:
         return r1, r2
 
     def jacobian_apply(self, d1_diag, d2_diag):
-        (i11, i12), (i21, i22) = _AINV
+        """The symmetrized Jacobian -AINV*Lap + diag(d1, d2) on packed
+        spectra: the mix and -Lap mode by mode, the diagonal on the grid."""
+        geom = self.geom
 
-        def apply_op(p1, p2):
-            l1, l2 = self.geom.lap_pair(p1, p2)
-            return (
-                -(i11 * l1 + i12 * l2) + d1_diag * p1,
-                -(i21 * l1 + i22 * l2) + d2_diag * p2,
+        def apply_op(P):
+            p1, p2 = unpack_pair(P)
+            return pack_pair(d1_diag * p1, d2_diag * p2) - geom.lap_packed(
+                geom.mix_packed(P, _AINV)
             )
 
         return apply_op
 
-    def precondition(self, r1, r2):
-        p1 = 8.0 * r1 - 4.0 * r2
-        p2 = -4.0 * r1 + 4.0 * r2
-        return self.geom.helmholtz_pair(p1, p2, 0.25)
+    def precondition(self, R):
+        return self.geom.helmholtz_packed(self.geom.mix_packed(R, _A), 0.25)
 
     # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
     sup_label = "residual sup"

@@ -19,7 +19,7 @@ from vortexlab import (
     tw_problem,
     vav_problem,
 )
-from vortexlab.surface import check_solver_settings
+from vortexlab.surface import check_solver_settings, pack_pair, unpack_pair
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,75 @@ def test_anisotropic_grid_operators():
     )
     w = random_field(geom, 6, mean_zero=True)
     assert np.abs(laplacian(inv_laplacian(w)).values - w.values).max() < 1e-10
+
+
+def test_packed_spectrum_operations():
+    # a non-square grid, so that a wrong -k index or axis shows
+    geom = TorusGeometry(5.0, 7.5, 16, 24)
+    a = random_field(geom, 11).values
+    b = random_field(geom, 12).values
+    P = pack_pair(a, b)
+    a2, b2 = unpack_pair(P)
+    assert np.abs(a2 - a).max() < 1e-13 and np.abs(b2 - b).max() < 1e-13
+    m = ((8.0, -4.0), (-3.0, 0.5))
+    mixed = unpack_pair(geom.mix_packed(P, m))
+    assert np.abs(mixed[0] - (8.0 * a - 4.0 * b)).max() < 1e-12
+    assert np.abs(mixed[1] - (-3.0 * a + 0.5 * b)).max() < 1e-12
+    for got, want in zip(unpack_pair(geom.lap_packed(P)), geom.lap_pair(a, b)):
+        assert np.abs(got - want).max() < 1e-12
+    for got, want in zip(
+        unpack_pair(geom.helmholtz_packed(P, 0.25)), geom.helmholtz_pair(a, b, 0.25)
+    ):
+        assert np.abs(got - want).max() < 1e-12
+    assert geom.grad_sq_packed(P) == pytest.approx(
+        geom.grad_sq(a) + geom.grad_sq(b), rel=1e-13
+    )
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_fft2_counts_per_layer(model, monkeypatch):
+    # The inner CG runs on packed spectra: per iteration one transform pair
+    # for the pointwise part of the operator, plus one to pack the
+    # right-hand side and one to unpack the solution. A tw evaluate packs
+    # (f, h) once for both Laplacians and both Dirichlet energies, and a
+    # line-search trial needs only the energies.
+    count = [0]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft2", counting(np.fft.fft2))
+    monkeypatch.setattr(np.fft, "ifft2", counting(np.fft.ifft2))
+    module = getattr(vortexlab, model)
+    calls = {}
+
+    def measured(name, fn, cg=False):
+        def wrapped(*args, **kwargs):
+            before = count[0]
+            result = fn(*args, **kwargs)
+            calls.setdefault(name, []).append(
+                (count[0] - before, result[2] if cg else None)
+            )
+            return result
+
+        return wrapped
+
+    monkeypatch.setattr(module, "pcg_pair", measured("pcg", module.pcg_pair, cg=True))
+    if model == "tw":
+        work = vortexlab.tw._Work
+        monkeypatch.setattr(work, "evaluate", measured("evaluate", work.evaluate))
+        monkeypatch.setattr(work, "merit", measured("merit", work.merit))
+    problem, solve = _problem_and_solver(model)
+    solve(problem)
+    assert calls["pcg"] and all(it > 0 for _, it in calls["pcg"])
+    assert [n for n, _ in calls["pcg"]] == [2 * it + 2 for _, it in calls["pcg"]]
+    if model == "tw":
+        assert calls["evaluate"] and {n for n, _ in calls["evaluate"]} == {2}
+        assert calls["merit"] and {n for n, _ in calls["merit"]} == {1}
 
 
 # Solver settings no solve can meet. Before the shared check, tol 0 or NaN
