@@ -81,6 +81,6 @@ class Stagnation(SolverError):
     convergence of the damped iteration, so this is a reportable outcome."""
 
 
-class BracketFailure(VortexLabError):
+class BracketFailure(SolverError):
     """Constraint-shift root not bracketed; signals saturated or
     inadmissible data."""

@@ -262,6 +262,14 @@ def check_solver_settings(tol, max_iter):
         raise ConfigurationError(f"max_iter must be a positive integer, got {max_iter!r}")
 
 
+def check_relaxation(omega):
+    """Refuse a relaxation factor outside (0, 1]: 0 never moves the iterate,
+    and a factor above 1, a negative one or NaN drives the constraint shifts
+    out of their bracket."""
+    if not (isinstance(omega, Real) and 0.0 < omega <= 1.0):
+        raise ConfigurationError(f"omega must be a number in (0, 1], got {omega!r}")
+
+
 def laplacian(f: ScalarField) -> ScalarField:
     """Spectral Laplacian of a field."""
     return f.geometry.field(f.geometry.lap(f.values))

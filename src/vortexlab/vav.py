@@ -51,6 +51,7 @@ from .surface import (
     ScalarField,
     TorusGeometry,
     _same_geometry,
+    check_relaxation,
     check_solver_settings,
     pack_pair,
     start_pair,
@@ -474,13 +475,16 @@ def solve_vav(
     symmetrized inner system solved by preconditioned CG and a line search
     on the squared residual norm. method="fixed_point": damped Picard on the
     constrained map applied componentwise (each component's update sees the
-    fresh values of the ones before it), relaxation factor `omega`; raises
+    fresh values of the ones before it), relaxation factor `omega` in (0, 1]
+    (anything else raises ConfigurationError before any work); raises
     Stagnation if the residual stops decreasing (reduction below 1e-3 over
     50 iterations). The map is not a contraction on large tori, so stagnation
     is an expected reportable outcome there, not a bug.
     Both methods return sup-norm residual of the governing system below `tol`.
     """
     check_solver_settings(tol, max_iter)
+    if method == "fixed_point":
+        check_relaxation(omega)
     work = _Work(problem)
     if method == "newton":
         return _solve_newton(problem, work, tol, 50 if max_iter is None else max_iter, x0)

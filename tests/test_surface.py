@@ -4,9 +4,11 @@ import pytest
 import vortexlab.tw
 import vortexlab.vav
 from vortexlab import (
+    BracketFailure,
     ConfigurationError,
     DivergedIterate,
     NonZeroMean,
+    SolverError,
     TorusGeometry,
     VortexConfiguration,
     grad_energy,
@@ -19,7 +21,7 @@ from vortexlab import (
     tw_problem,
     vav_problem,
 )
-from vortexlab.surface import check_solver_settings, pack_pair, unpack_pair
+from vortexlab.surface import check_relaxation, check_solver_settings, pack_pair, unpack_pair
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +290,21 @@ def test_unmeetable_solver_settings_rejected_before_work(model, method, settings
         solve(problem, method=method, **settings)
 
 
+# A relaxation factor outside (0, 1] used to run: 0 ended in Stagnation
+# after 50 iterations, and -1, 3 and NaN in BracketFailure from the shifts.
+@pytest.mark.parametrize("omega", [0.0, -1.0, 3.0, float("nan"), float("inf")])
+def test_fixed_point_relaxation_outside_unit_interval_rejected(omega, monkeypatch):
+    problem, solve = _problem_and_solver("vav")
+    monkeypatch.setattr(vortexlab.vav, "_Work", _no_work)
+    with pytest.raises(ConfigurationError, match="omega"):
+        solve(problem, method="fixed_point", omega=omega)
+
+
+def test_bracket_failure_is_a_solver_error():
+    # one class means "the solve failed": the CLI reports it as exit 3
+    assert issubclass(BracketFailure, SolverError)
+
+
 # A non-finite start is a configuration error on every path; left to the
 # solvers, one NaN ends in a different error class on each of them.
 @pytest.mark.parametrize("model, method", SOLVE_PATHS)
@@ -318,3 +335,5 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
 def test_solver_settings_accepted():
     for tol, max_iter in [(1e-8, None), (np.float64(1e-3), np.int64(1)), (1, 50)]:
         check_solver_settings(tol, max_iter)
+    for omega in (1, 1.0, 0.5, np.float64(1e-3)):
+        check_relaxation(omega)
