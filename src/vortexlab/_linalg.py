@@ -58,7 +58,8 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
             return (*unpack_pair(X), it)
         Z = apply_prec(R)
         rz_new = _dot(R, Z)
-        P = Z + (rz_new / rz) * P
+        P *= rz_new / rz
+        P += Z
         rz = rz_new
     return (*unpack_pair(X), max_iter)
 

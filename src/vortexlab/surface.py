@@ -22,6 +22,7 @@ the symbol |k|^2 is even in k.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral, Real
 
 import numpy as np
@@ -72,10 +73,6 @@ class TorusGeometry:
         nz = self._ksq > 0.0
         inv[nz] = -1.0 / self._ksq[nz]
         self._inv_sym = inv
-        # flat index of the mode -k for each mode k; see mix_packed
-        neg1 = -np.arange(self.n1) % self.n1
-        neg2 = -np.arange(self.n2) % self.n2
-        self._neg = neg1[:, None] * self.n2 + neg2[None, :]
 
     def __eq__(self, other):
         if not isinstance(other, TorusGeometry):
@@ -95,6 +92,14 @@ class TorusGeometry:
             f"TorusGeometry(L1={self.L1}, L2={self.L2}, "
             f"n1={self.n1}, n2={self.n2})"
         )
+
+    @cached_property
+    def _neg(self):
+        """Flat index of the mode -k for each mode k (see mix_packed); built
+        on first use, so that geometries no Newton solve uses stay small."""
+        neg1 = -np.arange(self.n1) % self.n1
+        neg2 = -np.arange(self.n2) % self.n2
+        return neg1[:, None] * self.n2 + neg2[None, :]
 
     def nodes(self):
         """Node coordinate arrays (X1, X2), each of shape (n1, n2)."""
@@ -165,12 +170,14 @@ class TorusGeometry:
         """Packed spectrum of the constant mix (m11*a + m12*b, m21*a + m22*b).
 
         With C(k) = conj(P(-k)), the spectra of a and b are (P + C)/2 and
-        (P - C)/(2i), so the mix is alpha*P + beta*C.
+        (P - C)/(2i), so the mix is alpha*P + beta*C with
+        alpha = (m11 + m22 + i*(m21 - m12))/2, beta = (m11 - m22 + i*(m21 + m12))/2.
         """
         (m11, m12), (m21, m22) = m
-        alpha = 0.5 * complex(m11 + m22, m21 - m12)
-        beta = 0.5 * complex(m11 - m22, m21 + m12)
-        return alpha * P + beta * np.conj(P.take(self._neg))
+        C = np.conjugate(P.take(self._neg))
+        C *= 0.5 * complex(m11 - m22, m21 + m12)
+        C += 0.5 * complex(m11 + m22, m21 - m12) * P
+        return C
 
     def grad_sq_packed(self, P):
         """grad_sq(a) + grad_sq(b) from the packed spectrum of (a, b).
@@ -230,7 +237,10 @@ def _same_geometry(*fields):
 
 def pack_pair(a, b):
     """Packed spectrum fft2(a + i*b) of two real arrays: one FFT2."""
-    return np.fft.fft2(a + 1j * b)
+    z = np.empty(np.shape(a), dtype=np.complex128)
+    z.real = a
+    z.imag = b
+    return np.fft.fft2(z)
 
 
 def unpack_pair(P):

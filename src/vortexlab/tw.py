@@ -140,7 +140,9 @@ class _Work:
         def apply_op(D):
             d1, d2 = unpack_pair(D)
             mix = e2 * (d1 - d2)
-            return pack_pair(4.0 * e1 * d1 + mix, -mix) - lap_packed(D)
+            Q = pack_pair(4.0 * e1 * d1 + mix, -mix)
+            Q -= lap_packed(D)
+            return Q
 
         return apply_op
 

@@ -284,9 +284,9 @@ class _Work:
 
         def apply_op(P):
             p1, p2 = unpack_pair(P)
-            return pack_pair(d1_diag * p1, d2_diag * p2) - geom.lap_packed(
-                geom.mix_packed(P, _AINV)
-            )
+            Q = pack_pair(d1_diag * p1, d2_diag * p2)
+            Q -= geom.lap_packed(geom.mix_packed(P, _AINV))
+            return Q
 
         return apply_op
 
