@@ -241,9 +241,9 @@ def _write_report(report: SolveReport, path):
 # (Clinger's fast path); a carry such as 9.9999999999995 ->
 # 1.00000000000e+01 moves e up by one. The digits come from lookup tables,
 # and so does ±0. Every other value (subnormal, NaN, inf, far exponents and
-# near-ties) is formatted by `%`, CPython's correctly rounded dtoa, and put
-# in its slot. Writers format a fixed block of rows at a time, so memory
-# stays flat in the grid size.
+# near-ties) is formatted by `%`, CPython's correctly rounded dtoa, once
+# per distinct value of the block, and put in its slots. Writers format a
+# fixed block of rows at a time, so memory stays flat in the grid size.
 #
 # A dump must be in the writer's layout: the grid in C order, x1 constant
 # over each block of n2 rows and increasing from block to block, and x2 the
@@ -317,10 +317,15 @@ def _format_rows(rows, sep):
     out = words.view(np.uint8)
     out[:, -1] = sep[0]
     out[ncols - 1 :: ncols, -1] = ord("\n")
-    for i in np.flatnonzero(~fast):
-        text = (_FMT % float(x[i])).encode()
-        out[i, :-1] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # each distinct value once: grid coordinates repeat from row to row
+        bits, which = np.unique(x[slow].view(np.uint64), return_inverse=True)
+        texts = np.zeros((bits.size, out.shape[1] - 1), np.uint8)
+        for j, v in enumerate(bits.view(np.float64)):
+            text = (_FMT % float(v)).encode()
+            texts[j, : len(text)] = np.frombuffer(text, np.uint8)
+        out[slow, :-1] = texts[which]
     return out.tobytes().translate(None, b"\0")
 
 
