@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vortexlab.cli
 from vortexlab import TorusGeometry
 from vortexlab.cli import _FMT, _format_rows, _write_fields, cmd_plotdata, main
 
@@ -343,6 +344,44 @@ def test_formatter_matches_percent_bit_for_bit():
     wrong = [(v, g, e) for v, g, e in zip(values, got, expected) if g != e]
     assert len(got) - 1 == len(expected)
     assert not wrong, wrong[:5]
+
+    # one block in which near-ties repeat, next to ±0 and NaNs: each slot
+    # of a value formatted once must still get its own text
+    rng = np.random.default_rng(7)
+    ties = (rng.integers(10**11, 10**12, 40) + 0.5) * 10.0 ** rng.integers(-5, 5, 40)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001], np.uint64)
+    pool = np.concatenate([ties, -ties, [0.0, -0.0], nans.view(np.float64)])
+    block = rng.choice(pool, (500, 4))
+    got = _format_rows(block, b" ")
+    assert got == "".join(" ".join(_FMT % float(v) for v in row) + "\n" for row in block).encode()
+
+
+def test_formatter_formats_each_fallback_value_once_per_block(monkeypatch):
+    # At L = 5.734521 and 256 nodes, i*h is a 12-digit near-tie for about a
+    # fifth of the coordinates, and a dump repeats each coordinate n times.
+    calls = [0]
+
+    class CountingFormat(str):
+        def __mod__(self, value):
+            calls[0] += 1
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(vortexlab.cli, "_FMT", CountingFormat(_FMT))
+    x1, x2 = TorusGeometry(5.734521, 5.734521, 256, 256).nodes()
+    rows = np.stack([x1.ravel(), x2.ravel()], axis=1)
+    total = 0
+    for start in range(0, len(rows), 1024):
+        block = rows[start : start + 1024]
+        calls[0] = 0
+        distinct = np.unique(block)
+        _format_rows(distinct.reshape(-1, 1), b",")
+        fallback_values = calls[0]
+        calls[0] = 0
+        got = _format_rows(block, b",")
+        assert calls[0] <= fallback_values
+        total += calls[0]
+        assert got == "".join(",".join(_FMT % float(v) for v in row) + "\n" for row in block).encode()
+    assert total > 0  # the near-ties take the fallback
 
 
 def _reference_lines(rows, sep):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vortexlab.surface
 import vortexlab.tw
 import vortexlab.vav
 from vortexlab import (
@@ -206,6 +207,57 @@ def test_packed_spectrum_operations():
     )
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("shape", [(8, 12), (32, 32), (96, 64), (256, 256)])
+def test_transform_seam_is_numpy_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    real = rng.standard_normal(shape)
+    cplx = real + 1j * rng.standard_normal(shape)
+    for x in (real, cplx, real.T, cplx.T):
+        before = x.copy()
+        for seam, ref in (
+            (vortexlab.surface.fft2, np.fft.fft2),
+            (vortexlab.surface.ifft2, np.fft.ifft2),
+        ):
+            got = seam(x)
+            assert got.dtype == np.complex128 and got.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(ref(x)))
+            assert np.array_equal(_bits(x), _bits(before))
+
+
+# Transforms of numpy.fft; its frequency helpers may be used anywhere.
+_NUMPY_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft"}
+
+
+def test_transforms_only_through_the_seam():
+    import ast
+    from pathlib import Path
+
+    seam = {("surface.py", "fft2"), ("surface.py", "ifft2")}
+    outside = []
+    for path in sorted(Path(vortexlab.surface.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in _NUMPY_TRANSFORMS
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "fft"
+                and (path.name, owner.get(node)) not in seam
+            ):
+                outside.append(f"{path.name}:{node.lineno}")
+        assert "from numpy.fft import" not in path.read_text(), path.name
+    assert not outside
+
+
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_fft2_counts_per_layer(model, monkeypatch):
     # The inner CG runs on packed spectra: per iteration one transform pair
@@ -222,8 +274,8 @@ def test_fft2_counts_per_layer(model, monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(np.fft, "fft2", counting(np.fft.fft2))
-    monkeypatch.setattr(np.fft, "ifft2", counting(np.fft.ifft2))
+    monkeypatch.setattr(vortexlab.surface, "fft2", counting(vortexlab.surface.fft2))
+    monkeypatch.setattr(vortexlab.surface, "ifft2", counting(vortexlab.surface.ifft2))
     module = getattr(vortexlab, model)
     calls = {}
 
