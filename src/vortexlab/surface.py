@@ -38,15 +38,21 @@ def fft2(x):
     """np.fft.fft2(x), with both axis passes writing into one new array.
 
     numpy gives each pass a fresh output of its own; sharing one saves an
-    array of the grid's size per transform and gives the same bits. The
-    input is not modified.
+    array of the grid's size per transform and gives the same bits, since
+    fft2 is these two passes in this order. The input is not modified.
     """
-    return np.fft.fft2(x, out=np.empty(np.shape(x), dtype=np.complex128))
+    w = np.fft.fft(x, axis=-1)
+    return np.fft.fft(w, axis=-2, out=w)
 
 
 def ifft2(x):
-    """np.fft.ifft2(x), with both axis passes writing into one new array."""
-    return np.fft.ifft2(x, out=np.empty(np.shape(x), dtype=np.complex128))
+    """np.fft.ifft2(x), with both axis passes writing into one new array.
+
+    The passes are spelled out because np.fft.ifft2 ignores its `out`
+    argument (numpy 2.0 to 2.4).
+    """
+    w = np.fft.ifft(x, axis=-1)
+    return np.fft.ifft(w, axis=-2, out=w)
 
 
 class TorusGeometry:
