@@ -48,8 +48,8 @@ def fft2(x):
 def ifft2(x):
     """np.fft.ifft2(x), with both axis passes writing into one new array.
 
-    The passes are spelled out because np.fft.ifft2 ignores its `out`
-    argument (numpy 2.0 to 2.4).
+    The passes are spelled out because np.fft.ifft2 does not hand its
+    `out` argument on to them (numpy 2.4.6) and allocates one per pass.
     """
     w = np.fft.ifft(x, axis=-1)
     return np.fft.ifft(w, axis=-2, out=w)
