@@ -92,11 +92,12 @@ class TorusGeometry:
         self.x2 = np.arange(self.n2) * self.h2
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.h1)
         k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.h2)
-        self._ksq = k1[:, None] ** 2 + k2[None, :] ** 2
+        # -|k|^2, the symbol of the Laplacian; the only |k|^2 array kept
+        self._lap_sym = -(k1[:, None] ** 2 + k2[None, :] ** 2)
         # -1/|k|^2 with the zero mode removed: the spectral inverse Laplacian.
-        inv = np.zeros_like(self._ksq)
-        nz = self._ksq > 0.0
-        inv[nz] = -1.0 / self._ksq[nz]
+        inv = np.zeros_like(self._lap_sym)
+        nz = self._lap_sym < 0.0
+        inv[nz] = 1.0 / self._lap_sym[nz]
         self._inv_sym = inv
 
     def __eq__(self, other):
@@ -134,7 +135,7 @@ class TorusGeometry:
 
     def lap(self, a):
         """Laplacian of a sample array; the result has zero mean to rounding."""
-        return ifft2(-self._ksq * fft2(a)).real
+        return ifft2(self._lap_sym * fft2(a)).real
 
     def lap_pair(self, a, b):
         """Laplacians of two real arrays with one complex transform pair.
@@ -142,7 +143,7 @@ class TorusGeometry:
         Valid because the symbol is real: packing b into the imaginary part
         keeps the two fields exactly separated.
         """
-        w = ifft2(-self._ksq * fft2(a + 1j * b))
+        w = ifft2(self._lap_sym * fft2(a + 1j * b))
         return w.real, w.imag
 
     def inv_lap(self, a, mean_tol=1e-10):
@@ -170,7 +171,7 @@ class TorusGeometry:
 
     def helmholtz_pair(self, a, b, gamma):
         """Solve (-Lap + gamma) x = rhs for two arrays at once, gamma > 0."""
-        w = ifft2(fft2(a + 1j * b) / (self._ksq + gamma))
+        w = ifft2(fft2(a + 1j * b) / (gamma - self._lap_sym))
         return w.real, w.imag
 
     def quad(self, a):
@@ -185,11 +186,11 @@ class TorusGeometry:
 
     def lap_packed(self, P):
         """Packed spectrum of the pair's Laplacians."""
-        return -self._ksq * P
+        return self._lap_sym * P
 
     def helmholtz_packed(self, P, gamma):
         """Packed spectrum of the solution of (-Lap + gamma) x = pair, gamma > 0."""
-        return P / (self._ksq + gamma)
+        return P / (gamma - self._lap_sym)
 
     def mix_packed(self, P, m):
         """Packed spectrum of the constant mix (m11*a + m12*b, m21*a + m22*b).
@@ -215,7 +216,7 @@ class TorusGeometry:
             self.h1
             * self.h2
             / (self.n1 * self.n2)
-            * float((self._ksq * power).sum())
+            * -float((self._lap_sym * power).sum())
         )
 
     # ---- field constructors ----
