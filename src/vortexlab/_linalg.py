@@ -20,6 +20,10 @@ ARMIJO_C = 1e-4
 # Absolute ceiling on the integrated defect at convergence; this is what
 # makes the count-quantized integrals exact to rounding.
 MEAN_TOL = 1e-12
+# Largest CG step length. With an SPD preconditioner that approximates the
+# operator's inverse, the step is 1/(a Rayleigh quotient of the
+# preconditioned operator); past 1/eps that quotient is rounding noise.
+_MAX_STEP = 1.0 / np.finfo(np.float64).eps
 
 
 def _dot(A, B):
@@ -48,10 +52,12 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
     for it in range(1, max_iter + 1):
         Q = apply_op(P)
         pq = _dot(P, Q)
-        if pq <= 0.0:
-            # loss of positive definiteness to rounding; return best iterate
+        alpha = rz / pq if pq > 0.0 else 0.0
+        if not 0.0 < alpha <= _MAX_STEP:
+            # breakdown: positive definiteness lost to rounding, or no
+            # curvature above rounding along P (a degenerate operator, or
+            # rz/pq overflows or is NaN); return the best iterate
             return (*unpack_pair(X), it)
-        alpha = rz / pq
         X += alpha * P
         R -= alpha * Q
         if np.sqrt(_dot(R, R)) <= rtol * norm0:
