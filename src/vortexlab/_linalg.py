@@ -2,10 +2,13 @@
 pairs of grid arrays.
 
 Both Newton solvers reduce their inner linear systems to a symmetric
-positive definite operator acting on a two-component field; CG with a
-spectral (inverse-Helmholtz) preconditioner is the matching iterative
-solver. It runs on the pair's packed spectrum (see `surface`), where the
-preconditioner is pointwise and the operator needs one transform pair.
+positive definite operator acting on a two-component field: a constant
+elliptic part -L*Lap plus pointwise coefficients. CG preconditioned with
+the exact inverse of the operator with those coefficients replaced by
+their grid means (Concus & Golub, SIAM J. Numer. Anal. 10, 1973) is the
+matching iterative solver. It runs on the pair's packed spectrum (see
+`surface`), where the preconditioner is pointwise and the operator needs
+one transform pair.
 Both solvers run the same outer loop, `newton_solve`, and differ only in
 the model hooks it calls. Everything here works on raw arrays for speed.
 """

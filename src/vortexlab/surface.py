@@ -10,12 +10,14 @@ trigonometric polynomials resolved by the grid.
 The Newton solvers work on pairs of real arrays, and most of their FFTs are
 spent in the inner CG solve. There a pair (a, b) is carried as one packed
 spectrum P = fft2(a + i*b) (`pack_pair`; `unpack_pair` inverts it), on
-which the -Lap symbol and the inverse-Helmholtz preconditioner act mode by
-mode, and the pair inner product is Re vdot(A, B) = N*(<a1,b1> + <a2,b2>)
-by Parseval, N = n1*n2. A constant 2x2 mix of the pair is pointwise on the
-packed spectrum too, through the -k mode (`mix_packed`). Only the pointwise
-(diagonal) part of an operator needs a transform back to the grid and
-forward again, so one CG iteration costs two FFT2s. The Dirichlet energies
+which the -Lap symbol acts mode by mode, and the pair inner product is
+Re vdot(A, B) = N*(<a1,b1> + <a2,b2>) by Parseval, N = n1*n2. A constant
+2x2 mix of the pair is pointwise on the packed spectrum too, through the
+-k mode (`mix_packed`), and so is the inverse of a constant-coefficient
+operator -L*Lap + M (`elliptic_inverse_packed`), the CG preconditioner of
+both solvers. Only the pointwise (variable-coefficient) part of an
+operator needs a transform back to the grid and forward again, so one CG
+iteration costs two FFT2s. The Dirichlet energies
 of both arrays come from one packed spectrum (`grad_sq_packed`), because
 the symbol |k|^2 is even in k.
 
@@ -188,10 +190,6 @@ class TorusGeometry:
         """Packed spectrum of the pair's Laplacians."""
         return self._lap_sym * P
 
-    def helmholtz_packed(self, P, gamma):
-        """Packed spectrum of the solution of (-Lap + gamma) x = pair, gamma > 0."""
-        return P / (gamma - self._lap_sym)
-
     def mix_packed(self, P, m):
         """Packed spectrum of the constant mix (m11*a + m12*b, m21*a + m22*b).
 
@@ -200,10 +198,41 @@ class TorusGeometry:
         alpha = (m11 + m22 + i*(m21 - m12))/2, beta = (m11 - m22 + i*(m21 + m12))/2.
         """
         (m11, m12), (m21, m22) = m
-        C = np.conjugate(P.take(self._neg))
-        C *= 0.5 * complex(m11 - m22, m21 + m12)
-        C += 0.5 * complex(m11 + m22, m21 - m12) * P
+        return self._conj_mix(
+            P, 0.5 * complex(m11 + m22, m21 - m12), 0.5 * complex(m11 - m22, m21 + m12)
+        )
+
+    def _conj_mix(self, P, alpha, beta):
+        """alpha*P + beta*conj(P(-k)); alpha, beta are numbers or mode arrays."""
+        C = P.take(self._neg)
+        np.conjugate(C, out=C)
+        C *= beta
+        C += alpha * P
         return C
+
+    def elliptic_inverse_packed(self, L, M):
+        """The map from the packed spectrum of a pair to that of the solution
+        x of (-L*Lap + M) x = pair, for constant symmetric 2x2 L and M.
+
+        Mode by mode this is the inverse G(k) of K(k) = |k|^2 L + M, a real
+        symmetric 2x2 matrix even in k, so by the algebra of `mix_packed` it
+        acts as alpha*P + beta*conj(P(-k)) with alpha = (g11 + g22)/2 and
+        beta = (g11 - g22)/2 + i*g12. Both arrays are built here once; the
+        map makes no transform. K(k) must be positive definite with positive
+        diagonal; its determinant is kept at least COEFF_FLOOR*k11*k22, so
+        that rounding in a nearly singular block cannot divide by zero.
+        """
+        (l11, l12), (_, l22) = L
+        (m11, m12), (_, m22) = M
+        s = self._lap_sym
+        k11 = m11 - l11 * s
+        k22 = m22 - l22 * s
+        k12 = m12 - l12 * s
+        det = k11 * k22 - k12 * k12
+        np.maximum(det, COEFF_FLOOR * k11 * k22, out=det)
+        alpha = 0.5 * (k11 + k22) / det
+        beta = (0.5 * (k22 - k11) - 1j * k12) / det
+        return lambda P: self._conj_mix(P, alpha, beta)
 
     def grad_sq_packed(self, P):
         """grad_sq(a) + grad_sq(b) from the packed spectrum of (a, b).
@@ -251,6 +280,18 @@ class ScalarField:
             raise ConfigurationError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+# Mean coefficients a preconditioner is built from are kept within
+# [COEFF_FLOOR, 1/COEFF_FLOOR]. Only a degenerate iterate leaves that range
+# (exponentials that underflow or are clamped, a saturated tanh), and there
+# the bounds keep every 2x2 block of the inverse finite and invertible.
+COEFF_FLOOR = 1e-12
+
+
+def bounded_means(*arrays):
+    """The means of the arrays, each clipped to [COEFF_FLOOR, 1/COEFF_FLOOR]."""
+    return [min(max(float(a.mean()), COEFF_FLOOR), 1.0 / COEFF_FLOOR) for a in arrays]
 
 
 def _same_geometry(*fields):

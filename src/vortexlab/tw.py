@@ -34,11 +34,15 @@ from .surface import (
     ScalarField,
     TorusGeometry,
     _same_geometry,
+    bounded_means,
     check_solver_settings,
     pack_pair,
     start_pair,
     unpack_pair,
 )
+
+_IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
     """The Bradlow bound: constants (a1, a2), margins (a1, a2) and the report.
@@ -146,9 +150,6 @@ class _Work:
 
         return apply_op
 
-    def precondition(self, R):
-        return self.geom.helmholtz_packed(R, 1.0)
-
     # hooks of the Newton driver (_linalg.newton_solve)
     sup_label = "grad sup"
 
@@ -184,9 +185,11 @@ class _Work:
         direction is not a descent one; Armijo bound on the functional."""
         _, _, e1, e2, g1, g2 = state
         quad = self.geom.quad
-        d1, d2, _ = pcg_pair(
-            self.hessian_apply(e1, e2), self.precondition, -g1, -g2, rtol=eta
-        )
+        # CG is preconditioned with the exact inverse of the Hessian's
+        # constant part: -Lap plus the grid mean of the coupling matrix
+        m1, m2 = bounded_means(e1, e2)
+        prec = self.geom.elliptic_inverse_packed(_IDENTITY, ((4.0 * m1 + m2, -m2), (-m2, m2)))
+        d1, d2, _ = pcg_pair(self.hessian_apply(e1, e2), prec, -g1, -g2, rtol=eta)
         slope = quad(g1 * d1 + g2 * d2)
         kind = "newton"
         if slope >= 0.0:

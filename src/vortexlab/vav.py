@@ -51,6 +51,7 @@ from .surface import (
     ScalarField,
     TorusGeometry,
     _same_geometry,
+    bounded_means,
     check_relaxation,
     check_solver_settings,
     pack_pair,
@@ -65,9 +66,8 @@ _SHIFT_BRACKET = 700.0
 # the bracket has a known sign and cannot meet the early-return test.
 _SHIFT_MARGIN = 1e-10
 _SHIFT_NEWTON_STEPS = 12
-# The coupling matrix and its inverse; the inverse symmetrizes the Newton
-# systems, and the preconditioner applies the matrix itself.
-_A = ((8.0, -4.0), (-4.0, 4.0))
+# The inverse of the coupling matrix ((8, -4), (-4, 4)); it symmetrizes the
+# Newton systems, which then read -_AINV*Lap + diag(d1, d2).
 _AINV = ((0.25, 0.25), (0.25, 0.5))
 
 
@@ -290,9 +290,6 @@ class _Work:
 
         return apply_op
 
-    def precondition(self, R):
-        return self.geom.helmholtz_packed(self.geom.mix_packed(R, _A), 0.25)
-
     # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
     sup_label = "residual sup"
 
@@ -323,9 +320,11 @@ class _Work:
         (i11, i12), (i21, i22) = _AINV
         b1 = i11 * r1 + i12 * r2
         b2 = i21 * r1 + i22 * r2
-        dU, dV, _ = pcg_pair(
-            self.jacobian_apply(d1_diag, d2_diag), self.precondition, b1, b2, rtol=eta
-        )
+        # CG is preconditioned with the exact inverse of the constant part,
+        # -_AINV*Lap + diag(mean d1, mean d2)
+        m1, m2 = bounded_means(d1_diag, d2_diag)
+        prec = self.geom.elliptic_inverse_packed(_AINV, ((m1, 0.0), (0.0, m2)))
+        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
         return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
 
     def merit(self, U, V):
