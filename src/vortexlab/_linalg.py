@@ -50,8 +50,10 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
     norm0 = np.sqrt(_dot(R, R))
     if norm0 == 0.0:
         return np.zeros_like(b1), np.zeros_like(b2), 0
-    P = Z = apply_prec(R)
-    rz = _dot(R, Z)
+    P = apply_prec(R)
+    rz = _dot(R, P)
+    # Q and Z are deleted once used, so that they are not still alive, next
+    # to their successors, through the next operator or preconditioner apply.
     for it in range(1, max_iter + 1):
         Q = apply_op(P)
         pq = _dot(P, Q)
@@ -63,12 +65,14 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
             return (*unpack_pair(X), it)
         X += alpha * P
         R -= alpha * Q
+        del Q
         if np.sqrt(_dot(R, R)) <= rtol * norm0:
             return (*unpack_pair(X), it)
         Z = apply_prec(R)
         rz_new = _dot(R, Z)
         P *= rz_new / rz
         P += Z
+        del Z
         rz = rz_new
     return (*unpack_pair(X), max_iter)
 
