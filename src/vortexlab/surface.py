@@ -228,22 +228,10 @@ class TorusGeometry:
         k11 = m11 - l11 * s
         k22 = m22 - l22 * s
         k12 = m12 - l12 * s
-        det = k11 * k22
-        floor = COEFF_FLOOR * det
-        det -= k12 * k12
-        np.maximum(det, floor, out=det)
-        # The rest runs in place and builds beta from its real and imaginary
-        # parts: grid-sized temporaries cost more here than the arithmetic.
-        alpha = np.add(k11, k22)
-        alpha *= 0.5
-        alpha /= det
-        inv = np.divide(1.0, det, out=det)
-        beta = np.empty(s.shape, dtype=np.complex128)
-        np.subtract(k22, k11, out=beta.real)
-        beta.real *= 0.5
-        beta.real *= inv
-        np.multiply(k12, inv, out=beta.imag)
-        np.negative(beta.imag, out=beta.imag)
+        det = k11 * k22 - k12 * k12
+        np.maximum(det, COEFF_FLOOR * k11 * k22, out=det)
+        alpha = 0.5 * (k11 + k22) / det
+        beta = (0.5 * (k22 - k11) - 1j * k12) / det
         return lambda P: self._conj_mix(P, alpha, beta)
 
     def grad_sq_packed(self, P):
