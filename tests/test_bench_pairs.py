@@ -23,13 +23,14 @@ def tool():
     return module
 
 
-def _run(side, pair, p50=None, frac=None, attempted=24, failed=0):
+def _run(side, pair, p50=None, frac=None, attempted=24, failed=0, **extra):
     metrics = {}
     if p50 is not None:
         metrics["op_p50_s"] = {"value": p50, "unit": "s"}
     if frac is not None:
         metrics["verified_frac"] = {"value": frac, "unit": "frac"}
-    return {"side": side, "pair": pair, "attempted": attempted, "failed": failed, "metrics": metrics}
+    run = {"side": side, "pair": pair, "attempted": attempted, "failed": failed, "metrics": metrics}
+    return {**run, **extra}
 
 
 def test_order_alternates(tool):
@@ -58,24 +59,37 @@ def test_summary_of_ten_pairs(tool):
     frac = s["metrics"]["verified_frac"]
     # equal values win for neither side; higher is better here
     assert frac["wins"] == 0 and str(frac["gap"]) == "0.0"
-    assert s["ops"] == {"base": {"attempted": 240, "failed": 0}, "change": {"attempted": 240, "failed": 0}}
+    clean = {"runs": 10, "no_result": 0, "incorrect": 0, "attempted": 240, "failed": 0}
+    assert s["ops"] == {"base": clean, "change": clean}
     lines = tool.format_summary(s)
-    assert "wins 9/10" in lines[0] and lines[-1] == "change: 0 of 240 operations failed"
+    assert "wins 9/10" in lines[0]
+    assert lines[-1] == (
+        "change: 0 of 240 operations failed; of 10 runs 0 gave no result and 0 were not correct"
+    )
 
 
 def test_summary_with_a_failed_run(tool):
     runs = [
-        _run("base", 0, 0.5, 1.0, failed=1),
-        _run("change", 0, 0.4, 1.0),
-        _run("base", 1, 0.5, 1.0),
-        _run("change", 1, attempted=0),  # the run gave no result
+        _run("base", 0, 0.5, 1.0, failed=1, returncode=0, correct=True),
+        _run("change", 0, 0.4, 1.0, returncode=0, correct=False),  # a wrong result
+        _run("base", 1, 0.5, 1.0, returncode=0, correct=True),
+        _run("change", 1, attempted=0, returncode=0),  # exit 0 but no metrics
+        _run("base", 2, 0.5, 1.0, returncode=1, correct=True),  # metrics, then a crash
+        _run("change", 2, attempted=0, returncode=-9),  # killed before any result
     ]
     s = tool.summarize(runs, METRICS)
     p50 = s["metrics"]["op_p50_s"]
-    assert (p50["wins"], p50["pairs"]) == (1, 2)
+    assert (p50["wins"], p50["pairs"]) == (1, 3)
     assert p50["change"] == {"median": 0.4, "q1": 0.4, "q3": 0.4, "n": 1}
-    assert s["ops"]["base"] == {"attempted": 48, "failed": 1}
-    assert s["ops"]["change"] == {"attempted": 24, "failed": 0}
+    assert s["ops"]["base"] == {"runs": 3, "no_result": 1, "incorrect": 0, "attempted": 72, "failed": 1}
+    assert s["ops"]["change"] == {"runs": 3, "no_result": 2, "incorrect": 1, "attempted": 24, "failed": 0}
+    lines = tool.format_summary(s)
+    assert lines[-2] == (
+        "base: 1 of 72 operations failed; of 3 runs 1 gave no result and 0 were not correct"
+    )
+    assert lines[-1] == (
+        "change: 0 of 24 operations failed; of 3 runs 2 gave no result and 1 were not correct"
+    )
     empty = tool.summarize([_run("base", 0), _run("change", 0)], METRICS)
     assert empty["metrics"]["op_p50_s"]["base"] is None
     assert empty["metrics"]["op_p50_s"]["gap"] is None

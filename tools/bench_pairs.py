@@ -1,15 +1,18 @@
 """Paired benchmark runs of two checkouts, and their summary.
 
     python3 tools/bench_pairs.py --base ../parent --change . \
-        --workload sweep-128 --seed 1 --pairs 10 --seconds 22 --out BENCH_9.json
+        --workload sweep-128 --seed 1 --pairs 10 --out BENCH_9.json
 
 Runs `perfbench/run.py --trace 0` in each checkout, one run per side per
 pair, alternating which side runs first (base first in even pairs), so
-that a drift of the machine's speed falls on both sides alike. For every
-end-to-end metric of the change checkout's BENCHMARK.json it prints each
-side's median and quartiles, the pairs the change won and the gap between
-the medians against the base's interquartile range, and each side's
-failed and attempted operation counts.
+that a drift of the machine's speed falls on both sides alike. Each run
+lasts the benchmark's own run length (`run_seconds` of the change
+checkout's BENCHMARK.json). For every end-to-end metric there it prints
+each side's median and quartiles, the pairs the change won and the gap
+between the medians against the base's interquartile range. For each side
+it prints the failed and attempted operation counts, the runs that gave
+no result (non-zero exit or no metrics) and the runs whose results were
+not correct.
 
 Every run (side, pair, order, exit code, wall time, operation counts and
 metrics) goes to the --out JSON file together with its summary. An
@@ -51,25 +54,31 @@ def summarize(runs, metrics):
     """Per-metric statistics of paired runs.
 
     `runs` holds dicts with `side` ("base" or "change"), `pair`,
-    `attempted`, `failed` and `metrics` ({name: {"value": v}}; empty for a
-    run that gave no result). `metrics` holds dicts with `name` and
-    `better` ("lower" or "higher"). A pair counts as won when both of its
-    runs have the metric and the change's value is strictly better.
-    Returns {"ops": {side: {"attempted", "failed"}}, "metrics": {name:
+    `attempted`, `failed`, `metrics` ({name: {"value": v}}; empty for a
+    run that gave no result) and optionally `returncode` and `correct`.
+    `metrics` holds dicts with `name` and `better` ("lower" or "higher").
+    A pair counts as won when both of its runs have the metric and the
+    change's value is strictly better. Returns {"ops": {side: {"runs",
+    "no_result", "incorrect", "attempted", "failed"}}, "metrics": {name:
     {"base": stats, "change": stats, "wins", "pairs", "gap", "base_iqr"}}},
     with stats {"median", "q1", "q3", "n"} or None when no run has it, and
     gap the signed improvement of the change's median (positive = better).
+    A run has no result when it exited non-zero or gave no metrics, and is
+    incorrect when it reported `correct` false.
     """
     by_pair = {}
     for run in runs:
         by_pair.setdefault(run["pair"], {})[run["side"]] = run
-    ops = {
-        side: {
-            "attempted": sum(r.get("attempted", 0) for r in runs if r["side"] == side),
-            "failed": sum(r.get("failed", 0) for r in runs if r["side"] == side),
+    ops = {}
+    for side in SIDES:
+        mine = [r for r in runs if r["side"] == side]
+        ops[side] = {
+            "runs": len(mine),
+            "no_result": sum(r.get("returncode", 0) != 0 or not r.get("metrics") for r in mine),
+            "incorrect": sum(r.get("correct") is False for r in mine),
+            "attempted": sum(r.get("attempted", 0) for r in mine),
+            "failed": sum(r.get("failed", 0) for r in mine),
         }
-        for side in SIDES
-    }
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -117,7 +126,10 @@ def format_summary(summary):
         lines.append(f"{name:14s} {sides[0]:32s} {sides[1]:32s} wins {e['wins']}/{e['pairs']}{tail}")
     for side in SIDES:
         o = summary["ops"][side]
-        lines.append(f"{side}: {o['failed']} of {o['attempted']} operations failed")
+        lines.append(
+            f"{side}: {o['failed']} of {o['attempted']} operations failed; of {o['runs']} runs "
+            f"{o['no_result']} gave no result and {o['incorrect']} were not correct"
+        )
     return lines
 
 
@@ -152,16 +164,16 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=22.0)
     ap.add_argument("--out", required=True, help="JSON file; an existing one gains a set")
     args = ap.parse_args(argv)
     checkouts = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     runs = []
     for pair in range(args.pairs):
         for side in order(pair):
-            record = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            record = run_once(checkouts[side], args.workload, args.seed, seconds)
             record.update(side=side, pair=pair, first=side == order(pair)[0])
             runs.append(record)
             p50 = _value(record, "op_p50_s")
@@ -181,7 +193,7 @@ def main(argv=None):
         {
             "workload": args.workload,
             "seed": args.seed,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "pairs": args.pairs,
             # directory names only: name the checkouts after their commits
             "checkouts": {side: os.path.basename(path) for side, path in checkouts.items()},
