@@ -12,14 +12,27 @@ with the files under tests/golden/<case>/:
 
 The files were generated with numpy 2.4.6 (Python 3.11). FFT and
 transcendental rounding may differ under another numpy build, so a
-failure after a numpy upgrade is not by itself a regression. To
+failure after a numpy upgrade is not by itself a regression. To see what a
+change moves, without writing anything under tests/golden:
+
+    PYTHONPATH=src python tests/test_golden.py --diff
+
+It prints "same" or "changed" for every golden file and hash. For a
+changed report or sweep it lists the JSON paths or CSV cells that moved:
+integer, string and other non-float changes one by one, float changes as a
+count and the largest |delta| per path (list indices dropped) or per CSV
+column. It exits 1 when anything changed. To
 regenerate, on code whose behaviour is known to be right:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import csv
 import hashlib
+import io
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +122,8 @@ FIELD_CASES = ("tw_newton", "vav_newton", "vav_fixed_point_unbalanced")
 # name -> the field dump plotdata reads
 PLOT_CASES = {name: "fields.csv" for name in FIELD_CASES}
 PLOT_CASES["vav_newton_f64bin"] = "fields.bin"
+# hashed output -> the golden file holding its hash for each case
+HASH_FILES = {"fields.csv": FIELD_HASHES, "plot.dat": PLOT_HASHES}
 
 
 def _run(name, tmp_path):
@@ -143,22 +158,29 @@ def _plot_sha256(name, out):
     return _sha256(plot)
 
 
+def _hashes(name, out):
+    """The hashed outputs of one case: output name -> SHA-256."""
+    hashes = {}
+    if name in FIELD_CASES:
+        hashes["fields.csv"] = _sha256(out / "fields.csv")
+    if name in PLOT_CASES:
+        hashes["plot.dat"] = _plot_sha256(name, out)
+    return hashes
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     code, out = _run(name, tmp_path)
     assert code == CASES[name][3]
     for fname, data in _outputs(name, out).items():
         assert data == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} differs"
-    if name in FIELD_CASES:
-        hashes = json.loads(FIELD_HASHES.read_text())
-        assert _sha256(out / "fields.csv") == hashes[name]
-    if name in PLOT_CASES:
-        hashes = json.loads(PLOT_HASHES.read_text())
-        assert _plot_sha256(name, out) == hashes[name]
+    for output, digest in _hashes(name, out).items():
+        hashes = json.loads(HASH_FILES[output].read_text())
+        assert digest == hashes[name], f"{name}: {output} hash differs"
 
 
 def regenerate(work_dir):
-    hashes, plot_hashes = {}, {}
+    tables = {output: {} for output in HASH_FILES}
     for name in sorted(CASES):
         code, out = _run(name, work_dir)
         if code != CASES[name][3]:
@@ -166,16 +188,99 @@ def regenerate(work_dir):
         (GOLDEN / name).mkdir(parents=True, exist_ok=True)
         for fname, data in _outputs(name, out).items():
             (GOLDEN / name / fname).write_bytes(data)
-        if name in FIELD_CASES:
-            hashes[name] = _sha256(out / "fields.csv")
-        if name in PLOT_CASES:
-            plot_hashes[name] = _plot_sha256(name, out)
-    FIELD_HASHES.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
-    PLOT_HASHES.write_text(json.dumps(plot_hashes, indent=2, sort_keys=True) + "\n")
+        for output, digest in _hashes(name, out).items():
+            tables[output][name] = digest
+    for output, table in tables.items():
+        HASH_FILES[output].write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+
+
+def _json_leaves(node, path):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _json_leaves(value, f"{path}[{k}]")
+    else:
+        yield path, node
+
+
+def _cell(text):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _leaves(fname, data):
+    """A report's leaves by JSON path, or a sweep's cells by row and column."""
+    if fname.endswith(".json"):
+        return dict(_json_leaves(json.loads(data), ""))
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return {
+        f"{column}[{header[0]}={row[0]}]": _cell(text)
+        for row in rows
+        for column, text in zip(header, row)
+    }
+
+
+def _is_float_change(old, new):
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+    return numbers and (isinstance(old, float) or isinstance(new, float))
+
+
+def describe_changes(fname, old_data, new_data):
+    """Lines saying which leaves of a golden file moved between two versions."""
+    old, new = _leaves(fname, old_data), _leaves(fname, new_data)
+    lines, float_moves = [], {}
+    for key in [*old, *(k for k in new if k not in old)]:
+        before, after = old.get(key, "<absent>"), new.get(key, "<absent>")
+        if before == after:
+            continue
+        if _is_float_change(before, after):
+            # floats are summed up per path with the list indices or row dropped
+            group = re.sub(r"\[[^]]*\]", "[]", key)
+            float_moves.setdefault(group, []).append((abs(after - before), key))
+        else:
+            lines.append(f"{key}: {before!r} -> {after!r}")
+    for group, moves in float_moves.items():
+        delta, key = max(moves)
+        if len(moves) == 1:
+            lines.append(f"{key}: float moved by {delta:.3g}")
+        else:
+            lines.append(f"{group}: {len(moves)} floats moved, max |delta| {delta:.3g} at {key}")
+    return lines
+
+
+def diff(work_dir):
+    """Print how a fresh run differs from tests/golden; True if anything does."""
+    tables = {output: json.loads(path.read_text()) for output, path in HASH_FILES.items()}
+    changed = False
+    for name in sorted(CASES):
+        code, out = _run(name, work_dir)
+        if code != CASES[name][3]:
+            print(f"{name}: changed (exit {code}, expected {CASES[name][3]})")
+            changed = True
+            continue
+        for fname, data in _outputs(name, out).items():
+            golden = (GOLDEN / name / fname).read_bytes()
+            print(f"{name}/{fname}: {'same' if data == golden else 'changed'}")
+            for line in describe_changes(fname, golden, data) if data != golden else ():
+                print(f"    {line}")
+            changed |= data != golden
+        for output, digest in _hashes(name, out).items():
+            same = digest == tables[output].get(name)
+            print(f"{name}/{output} sha256: {'same' if same else 'changed'}")
+            changed |= not same
+    return changed
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
+        if sys.argv[1:] == ["--diff"]:
+            sys.exit(1 if diff(Path(tmp)) else 0)
         regenerate(Path(tmp))
