@@ -18,12 +18,9 @@ c1, c2 chosen so the integral constraints hold at every iterate, and the
 mean-zero parts are updated through inverse Laplacians. Damped Picard on T
 is not guaranteed to converge; stagnation is detected and reported. Each
 iteration solves for two shifts: c2 at the current iterate, and c1 after
-the U update, which the next iteration reuses. Each shift root find starts
-from that shift's value at the previous iterate. Newton from there brackets
-the root tightly, and the reference bisection on [-700, 700] is replayed,
-evaluating only the midpoints inside the bracket. So each shift is the same
-float that the bisection alone returns. Where no bracket is found, every
-midpoint is evaluated.
+the U update, which the next iteration reuses. Each shift root find is a
+safeguarded Newton iteration started from that shift's value at the
+previous iterate, so it takes two or three grid-wide tanh evaluations.
 """
 
 from dataclasses import dataclass
@@ -61,11 +58,7 @@ from .surface import (
 
 _SHIFT_TOL = 1e-12
 _SHIFT_BRACKET = 700.0
-# |g| at the ends of a warm-start bracket must exceed this, well above
-# _SHIFT_TOL and the rounding of the quadrature, so that every point outside
-# the bracket has a known sign and cannot meet the early-return test.
-_SHIFT_MARGIN = 1e-10
-_SHIFT_NEWTON_STEPS = 12
+_SHIFT_STEPS = 100
 # The inverse of the coupling matrix ((8, -4), (-4, 4)); it symmetrizes the
 # Newton systems, which then read -_AINV*Lap + diag(d1, d2).
 _AINV = ((0.25, 0.25), (0.25, 0.5))
@@ -146,98 +139,45 @@ def vav_problem(
 def _shift(base, target, geom, guess=0.0):
     """Unique c with g(c) = quad(tanh((base + c)/2)) - target = 0.
 
-    g is increasing in c. The returned c is the result of one fixed
-    procedure: from c = 0, 30 bisection halvings of [-700, 700], stopping
-    early once |g| <= 1e-12, then Newton polishing kept inside the bisection
-    bracket; |g| <= 1e-12 at the returned c. BracketFailure signals
+    g is increasing in c. Safeguarded Newton (rtsafe, Press et al.,
+    Numerical Recipes, 3rd ed., sec. 9.4) from `guess` clamped to
+    [-700, 700]: each step takes g and g' = quad((1 - t^2)/2) from one tanh
+    evaluation t, and every evaluated point tightens the sign bracket, which
+    starts at (-700, 700). A Newton step that would leave the bracket, or
+    g' <= 0, is replaced by bisection. Returns once |g| <= 1e-12, or with
+    |g| <= 1e-9 once the bracket has collapsed. BracketFailure signals
     saturated or inadmissible data.
-
-    `guess` (the fixed-point solver passes the previous iterate's c) makes
-    that procedure cheap without changing its result by a bit. Newton from
-    the guess estimates the root, and g is evaluated on either side of the
-    estimate; when the two values have opposite signs by more than
-    _SHIFT_MARGIN, they bracket the root in (L, H). The bisection is then
-    replayed: a midpoint outside (L, H) takes its sign from the bracket,
-    because g is nondecreasing, and only a midpoint inside it is evaluated.
-    When Newton leaves |c| < 700, meets g' <= 0 or the bracket check fails,
-    every midpoint is evaluated, after checking that g(-700) <= 0 <= g(700).
     """
-    known = {}
-
-    def g(c):
-        if c not in known:
-            known[c] = geom.quad(f_half(base + c)) - target
-        return known[c]
-
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
-    L, H = _newton_bracket(base, target, geom, guess, known)
-    if not (lo < L and H < hi and g(L) < -_SHIFT_MARGIN and g(H) > _SHIFT_MARGIN):
-        g_lo = g(lo)
-        g_hi = g(hi)
-        if g_lo > 0.0 or g_hi < 0.0:
-            raise BracketFailure(
-                f"integral does not cross target within |c| <= {hi:g} "
-                f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
-            )
-        L, H = lo, hi
-    c = 0.0
-    for _ in range(30):
-        if c <= L:
-            lo = c
-        elif c >= H:
-            hi = c
-        else:
-            g_c = g(c)
-            if abs(g_c) <= _SHIFT_TOL:
-                return c
-            if g_c > 0.0:
-                hi = c
-            else:
-                lo = c
-        c = 0.5 * (lo + hi)
-    g_c = g(c)
-    for _ in range(60):
+    c = min(max(guess, lo), hi)
+    for _ in range(_SHIFT_STEPS):
+        t = f_half(base + c)
+        g_c = geom.quad(t) - target
         if abs(g_c) <= _SHIFT_TOL:
             return c
         if g_c > 0.0:
             hi = c
         else:
             lo = c
-        dg = geom.quad(df_half(base + c))
-        c_new = c - g_c / dg if dg > 0.0 else 0.5 * (lo + hi)
-        if not (lo < c_new < hi):
+        dg = geom.quad(0.5 * (1.0 - t * t))
+        # lo is outside the open bracket, so g' <= 0 falls through to bisection
+        c_new = c - g_c / dg if dg > 0.0 else lo
+        if not lo < c_new < hi:
             c_new = 0.5 * (lo + hi)
+            if not lo < c_new < hi:
+                break
         c = c_new
-        g_c = g(c)
     if abs(g_c) <= 1e-9:
         return c
+    lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
+    g_lo = geom.quad(f_half(base + lo)) - target
+    g_hi = geom.quad(f_half(base + hi)) - target
+    if g_lo > 0.0 or g_hi < 0.0:
+        raise BracketFailure(
+            f"integral does not cross target within |c| <= {hi:g} "
+            f"(g({lo:g}) = {g_lo:.3e}, g({hi:g}) = {g_hi:.3e})"
+        )
     raise BracketFailure(f"shift residual stalled at {g_c:.3e}")
-
-
-def _newton_bracket(base, target, geom, c, known):
-    """A candidate root bracket (L, H) from Newton started at c.
-
-    Each step takes g and g' = quad((1 - t^2)/2) from one tanh evaluation
-    t and stores g(c) in `known`. Once a step is below 1e-5 the next iterate
-    lies within step**2/2 of the root, since |g''| <= g'; the bracket is
-    centred there, with g' * half-width >= 10 * _SHIFT_MARGIN. Returns
-    (-700, 700), which the caller treats as no bracket, if Newton meets
-    g' <= 0, leaves |c| < 700 or does not settle in _SHIFT_NEWTON_STEPS.
-    """
-    for _ in range(_SHIFT_NEWTON_STEPS):
-        t = f_half(base + c)
-        known[c] = g_c = geom.quad(t) - target
-        dg = geom.quad(0.5 * (1.0 - t * t))
-        if not dg > 0.0:
-            break
-        step = g_c / dg
-        c -= step
-        if not abs(c) < _SHIFT_BRACKET:
-            break
-        if abs(step) <= 1e-5:
-            half = max(1e-9, 10.0 * _SHIFT_MARGIN / dg)
-            return c - half, c + half
-    return -_SHIFT_BRACKET, _SHIFT_BRACKET
 
 
 def constraint_shift(

