@@ -77,8 +77,11 @@ def _require(section, key, where):
 
 
 def _real(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    # json.load accepts NaN, Infinity and integers beyond the float range
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    ):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -151,10 +154,8 @@ class RunConfig:
                 f"{valid_methods}, got {self.method!r}"
             )
         self.tol = _real(solver.get("tol", 1e-8), "solver.tol")
-        if not 0.0 < self.tol < np.inf:
-            raise ConfigurationError(
-                f"solver.tol must be a finite positive number, got {self.tol!r}"
-            )
+        if not self.tol > 0.0:
+            raise ConfigurationError(f"solver.tol must be positive, got {self.tol!r}")
         self.max_iter = solver.get("max_iter", None)
         if self.max_iter is not None:
             self.max_iter = _integer(self.max_iter, "solver.max_iter")

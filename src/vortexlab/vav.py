@@ -421,17 +421,17 @@ def solve_vav(
     is an expected reportable outcome there, not a bug.
     Both methods return sup-norm residual of the governing system below `tol`.
     """
+    if method not in ("newton", "fixed_point"):
+        raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
     if method == "fixed_point":
         check_relaxation(omega)
     work = _Work(problem)
     if method == "newton":
         return _solve_newton(problem, work, tol, 50 if max_iter is None else max_iter, x0)
-    if method == "fixed_point":
-        return _solve_fixed_point(
-            problem, work, tol, 2000 if max_iter is None else max_iter, omega, x0
-        )
-    raise ConfigurationError(f"unknown method {method!r}")
+    return _solve_fixed_point(
+        problem, work, tol, 2000 if max_iter is None else max_iter, omega, x0
+    )
 
 
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):

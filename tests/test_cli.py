@@ -224,6 +224,23 @@ def test_malformed_section_exit1(tmp_path, capsys):
         {"solver": {"model": "tw", "tol": float("inf")}},
         {"solver": {"model": "tw", "max_iter": -3}},
         {"solver": {"model": "tw", "max_iter": 0}},
+        # every number must be finite: an infinite kappa used to end in an
+        # OverflowError traceback, and on an inadmissible torus a NaN kappa
+        # or coordinate in exit 2 with NaN in report.json
+        {"solver": {"model": "tw", "kappa": float("inf")}},
+        {"solver": {"model": "tw", "kappa": float("nan")}},
+        {"torus": {"L1": float("inf"), "L2": 6.0, "n1": 32, "n2": 32}},
+        {"torus": {"L1": 6.0, "L2": float("nan"), "n1": 32, "n2": 32}},
+        {"torus": {"L1": 10**400, "L2": 6.0, "n1": 32, "n2": 32}},
+        {"sources": {"zeros_q": [[2.3, float("-inf"), 1]]}},
+        {
+            "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
+            "solver": {"model": "tw", "kappa": float("nan")},
+        },
+        {
+            "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
+            "sources": {"zeros_q": [[float("nan"), 1.1, 1]]},
+        },
     ]
     for k, overrides in enumerate(bad):
         out = tmp_path / f"bad{k}"

@@ -386,6 +386,13 @@ def test_unmeetable_solver_settings_rejected_before_work(model, method, settings
         solve(problem, method=method, **settings)
 
 
+def test_unknown_vav_method_rejected_before_work(monkeypatch):
+    problem, solve = _problem_and_solver("vav")
+    monkeypatch.setattr(vortexlab.vav, "_Work", _no_work)
+    with pytest.raises(ConfigurationError, match="unknown method"):
+        solve(problem, method="bogus")
+
+
 # A relaxation factor outside (0, 1] used to run: 0 ended in Stagnation
 # after 50 iterations, and -1, 3 and NaN in BracketFailure from the shifts.
 @pytest.mark.parametrize("omega", [0.0, -1.0, 3.0, float("nan"), float("inf")])
