@@ -58,6 +58,7 @@ from .surface import (
 
 _SHIFT_TOL = 1e-12
 _SHIFT_BRACKET = 700.0
+# caps the shift loop; bisection alone narrows (-700, 700) below 1e-12 in 51 steps
 _SHIFT_STEPS = 100
 # The inverse of the coupling matrix ((8, -4), (-4, 4)); it symmetrizes the
 # Newton systems, which then read -_AINV*Lap + diag(d1, d2).
@@ -164,7 +165,7 @@ def _shift(base, target, geom, guess=0.0):
         c_new = c - g_c / dg if dg > 0.0 else lo
         if not lo < c_new < hi:
             c_new = 0.5 * (lo + hi)
-            if not lo < c_new < hi:
+            if not lo < c_new < hi:  # no float left inside: the bracket has collapsed
                 break
         c = c_new
     if abs(g_c) <= 1e-9:
