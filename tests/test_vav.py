@@ -305,6 +305,19 @@ def test_shift_from_a_close_guess_takes_at_most_three_tanh(geom, monkeypatch):
                 assert len(calls) <= 3, (frac, guess, len(calls))
 
 
+def test_shift_accepts_a_rounding_level_residual_on_a_large_torus():
+    # area 1e6: the quadrature rounds at about 1e-10, so |g| <= 1e-12 is out of
+    # reach for some targets, and the shift returns once its bracket collapses
+    geom = TorusGeometry(1000.0, 1000.0, 64, 64)
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        base = 3.0 * rng.standard_normal((64, 64))
+        target = rng.uniform(-0.9, 0.9) * geom.area
+        c = _shift(base, target, geom)
+        assert abs(geom.quad(f_half(base + c)) - target) <= 1e-9
+        assert c == pytest.approx(_shift_reference(base, target, geom), abs=1e-12)
+
+
 def test_shift_bracket_failure_message_unchanged(geom):
     W = _smooth_field(geom, np.random.default_rng(12), 1.0)
     for frac in (1.0001, -1.0001):
