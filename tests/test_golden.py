@@ -21,8 +21,9 @@ It prints "same" or "changed" for every golden file and hash. For a
 changed report or sweep it lists the JSON paths or CSV cells that moved:
 integer, string and other non-float changes one by one, float changes as a
 count and the largest |delta| per path (list indices dropped) or per CSV
-column. It exits 1 when anything changed. To
-regenerate, on code whose behaviour is known to be right:
+column. It exits 1 when anything changed.
+
+To regenerate, on code whose behaviour is known to be right:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -231,7 +232,7 @@ def _is_float_change(old, new):
     return numbers and (isinstance(old, float) or isinstance(new, float))
 
 
-def describe_changes(fname, old_data, new_data):
+def _describe_changes(fname, old_data, new_data):
     """Lines saying which leaves of a golden file moved between two versions."""
     old, new = _leaves(fname, old_data), _leaves(fname, new_data)
     lines, float_moves = [], {}
@@ -266,10 +267,12 @@ def diff(work_dir):
             continue
         for fname, data in _outputs(name, out).items():
             golden = (GOLDEN / name / fname).read_bytes()
-            print(f"{name}/{fname}: {'same' if data == golden else 'changed'}")
-            for line in describe_changes(fname, golden, data) if data != golden else ():
-                print(f"    {line}")
-            changed |= data != golden
+            same = data == golden
+            print(f"{name}/{fname}: {'same' if same else 'changed'}")
+            if not same:
+                for line in _describe_changes(fname, golden, data):
+                    print(f"    {line}")
+            changed |= not same
         for output, digest in _hashes(name, out).items():
             same = digest == tables[output].get(name)
             print(f"{name}/{output} sha256: {'same' if same else 'changed'}")
@@ -280,6 +283,8 @@ def diff(work_dir):
 if __name__ == "__main__":
     import tempfile
 
+    if sys.argv[1:] not in ([], ["--diff"]):
+        raise SystemExit("usage: python tests/test_golden.py [--diff]")
     with tempfile.TemporaryDirectory() as tmp:
         if sys.argv[1:] == ["--diff"]:
             sys.exit(1 if diff(Path(tmp)) else 0)
