@@ -57,6 +57,12 @@ from .surface import (
 )
 
 _SHIFT_TOL = 1e-12
+# the residual accepted once the bracket has collapsed
+_SHIFT_ACCEPT = 1e-9
+# The rounding of quad(tanh(...)) - target, relative to the area: quad sums
+# n1*n2 values below 1 in magnitude times h1*h2, and on a 64^2 grid of area
+# 1e8 that difference was seen to round at up to 0.7*eps*area.
+_QUAD_ROUNDING = 4.0 * np.finfo(float).eps
 _SHIFT_BRACKET = 700.0
 # caps the shift loop; bisection alone narrows (-700, 700) below 1e-12 in 51 steps
 _SHIFT_STEPS = 100
@@ -146,15 +152,18 @@ def _shift(base, target, geom, guess=0.0):
     evaluation t, and every evaluated point tightens the sign bracket, which
     starts at (-700, 700). A Newton step that would leave the bracket, or
     g' <= 0, is replaced by bisection. Returns once |g| <= 1e-12, or with
-    |g| <= 1e-9 once the bracket has collapsed. BracketFailure signals
+    |g| <= 1e-9 once the bracket has collapsed. Both tolerances are scaled
+    up by the rounding estimate 4*eps*area of g where that exceeds 1e-12,
+    which is on tori of area above about 1100. BracketFailure signals
     saturated or inadmissible data.
     """
+    scale = max(1.0, _QUAD_ROUNDING * geom.area / _SHIFT_TOL)
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
     c = min(max(guess, lo), hi)
     for _ in range(_SHIFT_STEPS):
         t = f_half(base + c)
         g_c = geom.quad(t) - target
-        if abs(g_c) <= _SHIFT_TOL:
+        if abs(g_c) <= _SHIFT_TOL * scale:
             return c
         if g_c > 0.0:
             hi = c
@@ -168,7 +177,7 @@ def _shift(base, target, geom, guess=0.0):
             if not lo < c_new < hi:  # no float left inside: the bracket has collapsed
                 break
         c = c_new
-    if abs(g_c) <= 1e-9:
+    if abs(g_c) <= _SHIFT_ACCEPT * scale:
         return c
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
     g_lo = geom.quad(f_half(base + lo)) - target

@@ -306,16 +306,29 @@ def test_shift_from_a_close_guess_takes_at_most_three_tanh(geom, monkeypatch):
 
 
 def test_shift_accepts_a_rounding_level_residual_on_a_large_torus():
-    # area 1e6: the quadrature rounds at about 1e-10, so |g| <= 1e-12 is out of
-    # reach for some targets, and the shift returns once its bracket collapses
-    geom = TorusGeometry(1000.0, 1000.0, 64, 64)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        base = 3.0 * rng.standard_normal((64, 64))
-        target = rng.uniform(-0.9, 0.9) * geom.area
-        c = _shift(base, target, geom)
-        assert abs(geom.quad(f_half(base + c)) - target) <= 1e-9
-        assert c == pytest.approx(_shift_reference(base, target, geom), abs=1e-12)
+    # areas 1e6 and 1e8: the quadrature rounds at about eps*area (2e-10 and
+    # 2e-8), so |g| <= 1e-12 is out of reach for some targets. At area 1e8
+    # an absolute 1e-9 acceptance raised BracketFailure on 2 of these 20
+    # inputs, and so does the cold bisection.
+    for L in (1000.0, 10000.0):
+        geom = TorusGeometry(L, L, 64, 64)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            base = 3.0 * rng.standard_normal((64, 64))
+            target = rng.uniform(-0.9, 0.9) * geom.area
+
+            def g(c):
+                return geom.quad(f_half(base + c)) - target
+
+            c = _shift(base, target, geom)
+            assert abs(g(c)) <= max(1e-9, 1e-15 * geom.area), L
+            # g changes sign within 1e-12 of c, far above its rounding here
+            assert g(c - 1e-12) < 0.0 < g(c + 1e-12), L
+            try:
+                root = _shift_reference(base, target, geom)
+            except BracketFailure:
+                continue
+            assert c == pytest.approx(root, abs=1e-12), L
 
 
 def test_shift_bracket_failure_message_unchanged(geom):
