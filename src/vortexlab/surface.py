@@ -21,9 +21,15 @@ iteration costs two FFT2s. The Dirichlet energies
 of both arrays come from one packed spectrum (`grad_sq_packed`), because
 the symbol |k|^2 is even in k.
 
-Every 2-D transform in the package goes through `fft2` and `ifft2` below.
-They are numpy's own transforms, bit for bit, except that both axis passes
-write into one fresh output array instead of one each.
+Every 2-D transform in the package goes through one of the four seam
+functions below: the complex pair `fft2`/`ifft2` and the real-data pair
+`rfft2`/`irfft2`. They are numpy's own transforms, bit for bit; `fft2`,
+`ifft2` and `rfft2` write both axis passes into one fresh output array
+instead of one each. An operator from one real array to one real array
+(`lap`, `inv_lap`, `inv_lap_projected`) uses the real pair on the half
+spectrum, about half the work of a complex pair, with a view of the
+symbol's first n2/2 + 1 columns. The operators on pairs and `grad_sq` use
+the packed complex spectrum above.
 """
 
 import math
@@ -55,6 +61,22 @@ def ifft2(x):
     """
     w = np.fft.ifft(x, axis=-1)
     return np.fft.ifft(w, axis=-2, out=w)
+
+
+def rfft2(x):
+    """np.fft.rfft2(x) of a real array: the half spectrum, columns
+    0..n2/2, with both axis passes writing into one new array.
+
+    About half the work of fft2 on the same grid. The input is not modified.
+    """
+    w = np.fft.rfft(x, axis=-1)
+    return np.fft.fft(w, axis=-2, out=w)
+
+
+def irfft2(X, n2):
+    """np.fft.irfft2(X, s=(X.shape[0], n2)): the real array of n2 columns
+    whose half spectrum is X. The input is not modified."""
+    return np.fft.irfft(np.fft.ifft(X, axis=-2), n2, axis=-1)
 
 
 class TorusGeometry:
@@ -135,9 +157,17 @@ class TorusGeometry:
 
     # ---- array-level spectral core (used by the solvers) ----
 
+    def _apply_real(self, sym, a):
+        """The real array with spectrum sym * fft2(a), for a real array a and
+        a real symbol sym even in k: one real transform pair on the half
+        spectrum, through a view of sym's first n2/2 + 1 columns."""
+        X = rfft2(a)
+        X *= sym[:, : X.shape[1]]
+        return irfft2(X, self.n2)
+
     def lap(self, a):
         """Laplacian of a sample array; the result has zero mean to rounding."""
-        return ifft2(self._lap_sym * fft2(a)).real
+        return self._apply_real(self._lap_sym, a)
 
     def lap_pair(self, a, b):
         """Laplacians of two real arrays with one complex transform pair.
@@ -158,12 +188,13 @@ class TorusGeometry:
         tol = mean_tol * float(np.abs(a).max())
         if abs(m) > tol:
             raise NonZeroMean(m, tol)
-        return ifft2(self._inv_sym * fft2(a)).real
+        return self._apply_real(self._inv_sym, a)
 
     def inv_lap_projected(self, a):
         """inv_lap after removing the mean; for right-hand sides that are
-        zero-mean by construction up to rounding."""
-        return ifft2(self._inv_sym * fft2(a - a.mean())).real
+        zero-mean by construction up to rounding. Mode by mode,
+        lap(inv_lap_projected(a)) is a - mean(a)."""
+        return self._apply_real(self._inv_sym, a - a.mean())
 
     def inv_lap_pair_projected(self, a, b):
         """Projected inverse Laplacian of two arrays via one transform pair."""

@@ -271,10 +271,43 @@ def test_transform_seam_is_numpy_bit_for_bit(shape):
             assert got.dtype == np.complex128 and got.shape == x.shape
             assert np.array_equal(_bits(got), _bits(ref(x)))
             assert np.array_equal(_bits(x), _bits(before))
+    for x in (real, real.T):
+        before = x.copy()
+        got = vortexlab.surface.rfft2(x)
+        assert got.dtype == np.complex128 and got.shape == (x.shape[0], x.shape[1] // 2 + 1)
+        assert np.array_equal(_bits(got), _bits(np.fft.rfft2(x)))
+        assert np.array_equal(_bits(x), _bits(before))
+    # half spectra of real arrays, and any complex array of that shape
+    for n1, n2 in (shape, shape[::-1]):
+        half = (n1, n2 // 2 + 1)
+        wild = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        wild_t = (rng.standard_normal(half[::-1]) + 1j * rng.standard_normal(half[::-1])).T
+        for X in (np.fft.rfft2(rng.standard_normal((n1, n2))), wild, wild_t):
+            before = X.copy()
+            got = vortexlab.surface.irfft2(X, n2)
+            assert got.dtype == np.float64 and got.shape == (n1, n2)
+            assert np.array_equal(_bits(got), _bits(np.fft.irfft2(X, s=(n1, n2))))
+            assert np.array_equal(_bits(X), _bits(before))
 
 
 # Transforms of numpy.fft; its frequency helpers may be used anywhere.
-_NUMPY_TRANSFORMS = {"fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft"}
+_NUMPY_TRANSFORMS = {
+    "fft",
+    "ifft",
+    "fft2",
+    "ifft2",
+    "fftn",
+    "ifftn",
+    "rfft",
+    "irfft",
+    "rfft2",
+    "irfft2",
+    "rfftn",
+    "irfftn",
+    "hfft",
+    "ihfft",
+}
+_SEAM = ("fft2", "ifft2", "rfft2", "irfft2")
 
 
 def test_transforms_only_through_the_seam():
@@ -285,7 +318,7 @@ def test_transforms_only_through_the_seam():
         tree = ast.parse(source)
         seam = set()
         for fn in tree.body:
-            if path.name == "surface.py" and getattr(fn, "name", None) in ("fft2", "ifft2"):
+            if path.name == "surface.py" and getattr(fn, "name", None) in _SEAM:
                 seam.update(ast.walk(fn))
         outside += [
             f"{path.name}:{node.lineno}"
@@ -299,33 +332,42 @@ def test_transforms_only_through_the_seam():
     assert not outside
 
 
-@pytest.mark.parametrize("model", ["tw", "vav"])
-def test_fft2_counts_per_layer(model, monkeypatch):
+@pytest.mark.parametrize(
+    "model, method",
+    [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")],
+    ids=["tw", "vav", "vav-fixed_point"],
+)
+def test_fft2_counts_per_layer(model, method, monkeypatch):
     # The inner CG runs on packed spectra: per iteration one transform pair
     # for the pointwise part of the operator, plus one to pack the
     # right-hand side and one to unpack the solution. A tw evaluate packs
     # (f, h) once for both Laplacians and both Dirichlet energies, and a
-    # line-search trial needs only the energies.
-    count = [0]
+    # line-search trial needs only the energies. A fixed-point iteration
+    # makes two real pairs (its inverse Laplacians); one complex pair starts
+    # the carried Laplacians and one checks the residual at convergence.
+    problem, solve = _problem_and_solver(model)
+    count = dict.fromkeys(("fft2", "ifft2", "rfft2", "irfft2"), 0)
 
-    def counting(fn):
+    def counting(name, fn):
         def wrapped(*args, **kwargs):
-            count[0] += 1
+            count[name] += 1
             return fn(*args, **kwargs)
 
         return wrapped
 
-    monkeypatch.setattr(vortexlab.surface, "fft2", counting(vortexlab.surface.fft2))
-    monkeypatch.setattr(vortexlab.surface, "ifft2", counting(vortexlab.surface.ifft2))
+    for name in count:
+        monkeypatch.setattr(
+            vortexlab.surface, name, counting(name, getattr(vortexlab.surface, name))
+        )
     module = getattr(vortexlab, model)
     calls = {}
 
     def measured(name, fn, cg=False):
         def wrapped(*args, **kwargs):
-            before = count[0]
+            before = sum(count.values())
             result = fn(*args, **kwargs)
             calls.setdefault(name, []).append(
-                (count[0] - before, result[2] if cg else None)
+                (sum(count.values()) - before, result[2] if cg else None)
             )
             return result
 
@@ -336,8 +378,13 @@ def test_fft2_counts_per_layer(model, monkeypatch):
         work = vortexlab.tw._Work
         monkeypatch.setattr(work, "evaluate", measured("evaluate", work.evaluate))
         monkeypatch.setattr(work, "merit", measured("merit", work.merit))
-    problem, solve = _problem_and_solver(model)
-    solve(problem)
+    sol = solve(problem, method=method)
+    if method == "fixed_point":
+        assert sol.iterations > 0 and "pcg" not in calls
+        it = sol.iterations
+        assert count == {"fft2": 2, "ifft2": 2, "rfft2": 2 * it, "irfft2": 2 * it}
+        return
+    assert count["rfft2"] == count["irfft2"] == 0
     assert calls["pcg"] and all(it > 0 for _, it in calls["pcg"])
     assert [n for n, _ in calls["pcg"]] == [2 * it + 2 for _, it in calls["pcg"]]
     # the preconditioner inverts the operator's constant part exactly; with

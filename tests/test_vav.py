@@ -6,6 +6,7 @@ from vortexlab import (
     BracketFailure,
     ConfigurationError,
     Inadmissible,
+    SolverError,
     Stagnation,
     TorusGeometry,
     VortexConfiguration,
@@ -21,7 +22,7 @@ from vortexlab import (
 )
 from vortexlab.kernels import df_half, f_half
 from vortexlab.sources import BackgroundSet, background
-from vortexlab.vav import VAVProblem, _shift
+from vortexlab.vav import VAVProblem, _shift, vav_residual
 
 PI = np.pi
 
@@ -530,3 +531,95 @@ def test_shifted_and_unshifted_residuals_match(balanced):
     r2_shift = l2 - (-4 * (fu - problem.a) + 4 * (fv - problem.b))
     assert np.abs(r1_direct - r1_shift).max() < 1e-12
     assert np.abs(r2_direct - r2_shift).max() < 1e-12
+
+
+# ------------------------------------------------- the carried Laplacian ----
+# The fixed-point loop carries Lap(U) and Lap(V) through its damped updates
+# instead of transforming the iterate; only its convergence check transforms.
+
+FP_SOURCES = {
+    "balanced": VortexConfiguration(zeros_q=[(1.1, 1.5, 1)], poles_q=[(2.9, 2.6, 1)]),
+    "unbalanced": VortexConfiguration(
+        zeros_q=[(1.1, 1.5, 2)], poles_q=[(2.9, 2.6, 1)], zeros_p=[(0.7, 3.1, 1)]
+    ),
+}
+
+
+def _fp_problem(sources):
+    return vav_problem(TorusGeometry(4.0, 4.0, 32, 32), FP_SOURCES[sources])
+
+
+def _residual_sup(sol, problem):
+    r1, r2 = vav_residual(sol, problem)
+    return max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+
+
+@pytest.mark.parametrize("start", ["default", "seeded"])
+@pytest.mark.parametrize("sources", ["balanced", "unbalanced"])
+def test_fixed_point_reports_the_residual_of_its_fields(sources, start):
+    problem = _fp_problem(sources)
+    geom = problem.geometry
+    x0 = None
+    if start == "seeded":
+        rng = np.random.default_rng(21)
+        x0 = (_smooth_field(geom, rng, 0.5), _smooth_field(geom, rng, 0.5))
+    sol = solve_vav(problem, method="fixed_point", x0=x0)
+    assert sol.iterations > 0
+    assert sol.final_residual == _residual_sup(sol, problem)
+    assert sol.final_residual < 1e-8
+    assert sol.trace[-1]["resid_sup"] == sol.final_residual
+
+
+def _wrong_first_laplacians(monkeypatch, error):
+    """Make the first TorusGeometry.lap_pair call of a solve, the one that
+    starts the carried Laplacians, return error(l1, l2) instead."""
+    true_lap_pair = TorusGeometry.lap_pair
+    calls = []
+
+    def lap_pair(self, a, b):
+        calls.append(1)
+        l1, l2 = true_lap_pair(self, a, b)
+        return error(l1, l2) if len(calls) == 1 else (l1, l2)
+
+    monkeypatch.setattr(TorusGeometry, "lap_pair", lap_pair)
+    return calls
+
+
+@pytest.mark.parametrize("sources", ["balanced", "unbalanced"])
+def test_fixed_point_recovers_from_a_wrong_carried_laplacian(sources, monkeypatch):
+    problem = _fp_problem(sources)
+    x1, x2 = problem.geometry.nodes()
+    smooth = 50.0 * np.cos(2 * PI * x1 / 4.0) * np.sin(2 * PI * x2 / 4.0)
+    _wrong_first_laplacians(monkeypatch, lambda l1, l2: (l1 + smooth, l2 - 2.0 * smooth))
+    try:
+        sol = solve_vav(problem, method="fixed_point")
+    except SolverError:
+        return
+    assert _residual_sup(sol, problem) < 1e-8
+    assert sol.final_residual == _residual_sup(sol, problem)
+
+
+def test_fixed_point_iterates_on_after_a_missed_check(monkeypatch):
+    # The carried Laplacians start equal to the first right-hand sides, so
+    # the carried residual reads zero at the start while the true one does
+    # not. The check must miss, and the solve must go on from the true
+    # Laplacians to the fields of an undisturbed solve.
+    problem = _fp_problem("unbalanced")
+    geom = problem.geometry
+    clean = solve_vav(problem, method="fixed_point")
+    bg = problem.backgrounds
+    du = bg.u01.values - bg.u02.values
+    dv = bg.v01.values - bg.v02.values
+    fu = f_half(du + _shift(du, problem.a * geom.area, geom))
+    fv = f_half(dv + _shift(dv, problem.b * geom.area, geom))
+    rhs1 = 8.0 * (fu - problem.a) - 4.0 * (fv - problem.b)
+    rhs2 = -4.0 * (fu - problem.a) + 4.0 * (fv - problem.b)
+    calls = _wrong_first_laplacians(monkeypatch, lambda l1, l2: (rhs1, rhs2))
+    sol = solve_vav(problem, method="fixed_point")
+    assert sol.trace[0]["resid_sup"] > 1.0
+    # start, missed check, restart from the true Laplacians, final check
+    assert len(calls) == 4
+    assert sol.iterations == clean.iterations
+    assert np.array_equal(sol.U.values, clean.U.values)
+    assert np.array_equal(sol.V.values, clean.V.values)
+    assert sol.final_residual == _residual_sup(sol, problem) < 1e-8
