@@ -16,7 +16,6 @@ from .diagnostics import (
     flux_report_tw,
     flux_report_vav,
     residual_report,
-    tw_quantized_integrals,
 )
 from .errors import (
     BracketFailure,
@@ -56,6 +55,7 @@ from .tw import (
     solve_tw,
     tw_admissibility,
     tw_problem,
+    tw_quantized_integrals,
 )
 from .vav import (
     VAVProblem,

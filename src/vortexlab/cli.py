@@ -6,29 +6,33 @@ keys are a hard error. Exit codes separate the three outcomes the theory
 distinguishes: 0 solved, 2 inadmissible (no solution exists for these
 sources on this area), 3 solver nonconvergence; 1 is reserved for I/O and
 configuration errors.
+
+What a run needs of a model (its methods, admissibility and curvatures) is
+read from the model's record in `diagnostics.MODELS`; the solved report is
+built from the same record. Only the problem builder, solver and report
+entry point are looked up per model here (`_entry_points`).
 """
 
 import argparse
 import json
 import sys
 import time
-from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (
-    SolveReport,
-    curvatures_tw,
-    curvatures_vav,
-    report_tw,
-    report_vav,
-)
+from .diagnostics import MODELS, SolveReport, report_tw, report_vav
 from .errors import ConfigurationError, SolverError, VortexLabError
-from .sources import VortexConfiguration, mollifier_width
-from .surface import TorusGeometry
-from .tw import solve_tw, tw_admissibility, tw_problem
-from .vav import solve_vav, vav_admissibility, vav_problem
+from .sources import (
+    VortexConfiguration,
+    _integer,
+    _normalize_points,
+    _real,
+    mollifier_width,
+)
+from .surface import TorusGeometry, check_solver_settings
+from .tw import solve_tw, tw_problem
+from .vav import solve_vav, vav_problem
 
 _FIELD_COLUMNS = ("x1", "x2", "u", "v", "e_u", "e_v", "Fhat", "Ftilde")
 _FMT = "%.11e"  # 12 significant digits
@@ -37,24 +41,15 @@ _FMT = "%.11e"  # 12 significant digits
 # ---------------------------------------------------------------- models ----
 
 
-# One model's entry points, in the order a run uses them, and its methods.
-_Model = namedtuple("_Model", "admissibility problem solve report curvatures methods")
-
-
-def _models():
-    """The model table. It is built on each call so that the entry points
-    are looked up on this module at call time; a traced run wraps them here."""
+def _entry_points(tag):
+    """The model's problem builder, solver and report builder. They are read
+    from this module's globals at each call because a traced benchmark run
+    wraps these names here; this lookup and the `report_*` aliases go when it
+    stops wrapping names (ROADMAP item 2)."""
     return {
-        "tw": _Model(tw_admissibility, tw_problem, solve_tw, report_tw, curvatures_tw, ("newton",)),
-        "vav": _Model(
-            vav_admissibility,
-            vav_problem,
-            solve_vav,
-            report_vav,
-            curvatures_vav,
-            ("newton", "fixed_point"),
-        ),
-    }
+        "tw": (tw_problem, solve_tw, report_tw),
+        "vav": (vav_problem, solve_vav, report_vav),
+    }[tag]
 
 
 # ---------------------------------------------------------------- config ----
@@ -76,23 +71,6 @@ def _require(section, key, where):
     return section[key]
 
 
-def _real(value, where):
-    # json.load accepts NaN, Infinity and integers beyond the float range
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    ):
-        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where):
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _parse_sources(raw, L1, L2):
     _check_keys(raw, ("zeros_q", "poles_q", "zeros_p", "poles_p"), "sources")
     lists = {}
@@ -100,22 +78,8 @@ def _parse_sources(raw, L1, L2):
         items = raw.get(name, [])
         if not isinstance(items, list):
             raise ConfigurationError(f"sources.{name} must be a list, got {items!r}")
-        entries = []
-        for item in items:
-            if not isinstance(item, (list, tuple)) or len(item) != 3:
-                raise ConfigurationError(
-                    f"sources.{name}: entries are [x, y, multiplicity], got {item!r}"
-                )
-            x, y, m = item
-            where = f"sources.{name}: coordinate"
-            x, y = _real(x, where), _real(y, where)
-            m = _integer(m, f"sources.{name}: multiplicity")
-            if m <= 0:
-                raise ConfigurationError(
-                    f"sources.{name}: multiplicity must be a positive integer, got {m!r}"
-                )
-            entries.append((x % L1, y % L2, m))
-        lists[name] = entries
+        points = _normalize_points(items, f"sources.{name}")
+        lists[name] = [(x % L1, y % L2, m) for x, y, m in points]
     return lists
 
 
@@ -141,12 +105,11 @@ class RunConfig:
             solver, ("model", "method", "tol", "max_iter", "kappa", "seed"), "solver"
         )
         self.model = _require(solver, "model", "solver")
-        models = _models()
-        if not isinstance(self.model, str) or self.model not in models:
+        if not isinstance(self.model, str) or self.model not in MODELS:
             raise ConfigurationError(
-                f"solver.model must be one of {tuple(models)}, got {self.model!r}"
+                f"solver.model must be one of {tuple(MODELS)}, got {self.model!r}"
             )
-        valid_methods = models[self.model].methods
+        valid_methods = MODELS[self.model].methods
         self.method = solver.get("method", "newton")
         if self.method not in valid_methods:
             raise ConfigurationError(
@@ -154,19 +117,18 @@ class RunConfig:
                 f"{valid_methods}, got {self.method!r}"
             )
         self.tol = _real(solver.get("tol", 1e-8), "solver.tol")
-        if not self.tol > 0.0:
-            raise ConfigurationError(f"solver.tol must be positive, got {self.tol!r}")
         self.max_iter = solver.get("max_iter", None)
         if self.max_iter is not None:
             self.max_iter = _integer(self.max_iter, "solver.max_iter")
-            if self.max_iter < 1:
-                raise ConfigurationError(
-                    f"solver.max_iter must be a positive integer, got {self.max_iter!r}"
-                )
+        check_solver_settings(self.tol, self.max_iter)
         self.kappa = _real(solver.get("kappa", 2.0), "solver.kappa")
+        if self.kappa < 1.0:
+            # the sources' width is kappa grid cells, and the grid resolves
+            # no width under one cell (SigmaTooSmall)
+            raise ConfigurationError(f"solver.kappa must be at least 1, got {self.kappa!r}")
         self.seed = solver.get("seed", None)
         if self.seed is not None:
-            self.seed = _integer(self.seed, "solver.seed")
+            self.seed = _integer(self.seed, "solver.seed", minimum=0)
 
         outputs = data.get("outputs", {})
         _check_keys(outputs, ("report", "fields", "format"), "outputs")
@@ -334,7 +296,7 @@ def _field_planes(geom, sol, model):
     x1, x2 = geom.nodes()
     u = sol.u.values
     v = sol.v.values
-    fhat, ftilde = _models()[model].curvatures(sol)
+    fhat, ftilde = MODELS[model].curvatures(sol)
     return np.stack(
         [x1, x2, u, v, np.exp(u), np.exp(v), fhat.values, ftilde.values]
     )
@@ -406,8 +368,8 @@ def _read_fields(path):
     layout = {"columns": list(_FIELD_COLUMNS), "dtype": "<f8", "order": "C"}
     if not isinstance(sidecar, dict) or any(sidecar.get(k) != v for k, v in layout.items()):
         raise ConfigurationError(f"{sidecar_path}: the dump's layout must be {layout}")
-    n1 = _integer(sidecar.get("n1"), f"{sidecar_path}: n1")
-    n2 = _integer(sidecar.get("n2"), f"{sidecar_path}: n2")
+    n1 = _integer(sidecar.get("n1"), f"{sidecar_path}: n1", minimum=1)
+    n2 = _integer(sidecar.get("n2"), f"{sidecar_path}: n2", minimum=1)
     raw = np.fromfile(path, dtype="<f8")
     expected = len(_FIELD_COLUMNS) * n1 * n2
     if raw.size != expected:
@@ -427,9 +389,9 @@ def _solve_once(cfg: RunConfig, geom, config):
     The admissibility record decides exit 2 before any problem is built.
     """
     t0 = time.perf_counter()
-    model = _models()[cfg.model]
+    build_problem, solve, report = _entry_points(cfg.model)
     inputs = cfg.inputs_echo(geom)
-    adm = model.admissibility(config, geom)
+    adm = MODELS[cfg.model].admissibility(config, geom)
 
     def unsolved(status, solver_trace):
         return SolveReport(
@@ -443,7 +405,7 @@ def _solve_once(cfg: RunConfig, geom, config):
 
     if not adm.satisfied:
         return 2, adm, unsolved("inadmissible", {"iterations": 0, "converged": False}), None
-    problem = model.problem(geom, config, kappa=cfg.kappa)
+    problem = build_problem(geom, config, kappa=cfg.kappa)
     kwargs = {"tol": cfg.tol, "method": cfg.method}
     if cfg.max_iter is not None:
         kwargs["max_iter"] = cfg.max_iter
@@ -454,7 +416,7 @@ def _solve_once(cfg: RunConfig, geom, config):
             rng.standard_normal((geom.n1, geom.n2)),
         )
     try:
-        sol = model.solve(problem, **kwargs)
+        sol = solve(problem, **kwargs)
     except SolverError as exc:
         solver_trace = {
             "converged": False,
@@ -463,7 +425,7 @@ def _solve_once(cfg: RunConfig, geom, config):
             "history": exc.trace,
         }
         return 3, adm, unsolved("nonconverged", solver_trace), None
-    return 0, adm, model.report(sol, problem, inputs, time.perf_counter() - t0), sol
+    return 0, adm, report(sol, problem, inputs, time.perf_counter() - t0), sol
 
 
 def cmd_solve(config_path, out_dir):

@@ -11,6 +11,8 @@ weighted point set is the mean-zero solution of
 whose right-hand side has exactly zero discrete mean by construction.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,19 +25,40 @@ TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 
 
+def _real(value, where):
+    # json.load accepts NaN, Infinity and integers beyond the float range
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    ):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where, minimum=None):
+    """`value` as an int; it must be an integer or an integral float, and at
+    least `minimum` when that is given."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{where} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def _normalize_points(points, label):
+    """(x, y, multiplicity) tuples of finite floats and a positive int, or
+    ConfigurationError."""
     out = []
     for entry in points:
-        if len(entry) != 3:
+        try:
+            x, y, m = entry
+        except (TypeError, ValueError):
             raise ConfigurationError(
                 f"{label}: each source is (x, y, multiplicity), got {entry!r}"
-            )
-        x, y, m = entry
-        if int(m) != m or m <= 0:
-            raise ConfigurationError(
-                f"{label}: multiplicity must be a positive integer, got {m!r}"
-            )
-        out.append((float(x), float(y), int(m)))
+            ) from None
+        m = _integer(m, f"{label}: multiplicity", minimum=1)
+        out.append((_real(x, f"{label}: coordinate"), _real(y, f"{label}: coordinate"), m))
     return tuple(out)
 
 
@@ -164,17 +187,12 @@ def background(geom: TorusGeometry, points, sigma) -> ScalarField:
 
 @dataclass(frozen=True)
 class BackgroundSet:
-    """The four normalized singular backgrounds plus the source counts."""
+    """The four normalized singular backgrounds of a configuration."""
 
     u01: ScalarField
     u02: ScalarField
     v01: ScalarField
     v02: ScalarField
-    N1: int
-    P1: int
-    N2: int
-    P2: int
-    sigma: float
 
 
 def build_backgrounds(
@@ -186,9 +204,4 @@ def build_backgrounds(
         u02=background(geom, config.poles_q, sigma),
         v01=background(geom, config.zeros_p, sigma),
         v02=background(geom, config.poles_p, sigma),
-        N1=config.N1,
-        P1=config.P1,
-        N2=config.N2,
-        P2=config.P2,
-        sigma=float(sigma),
     )

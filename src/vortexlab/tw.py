@@ -221,6 +221,15 @@ def tw_residual(sol, problem: TWProblem):
     return r1, r2
 
 
+def tw_quantized_integrals(sol, problem: TWProblem):
+    """Integrals of 1 - e^u and 1 - e^v, pinned to 2*pi*(N1+N2) and
+    2*pi*(N1+2*N2) by the counts."""
+    geom = problem.geometry
+    iu = geom.quad(1.0 - np.exp(sol.u.values))
+    iv = geom.quad(1.0 - np.exp(sol.v.values))
+    return {"Iu": iu, "Iv": iv}
+
+
 @dataclass
 class TWSolution:
     """Converged fields and the solve record.
@@ -238,7 +247,6 @@ class TWSolution:
     final_gradient_norm: float
     functional_value: float
     trace: list
-    clip_events: int
     method: str
 
 
@@ -308,6 +316,5 @@ def solve_tw(
         final_gradient_norm=g_sup,
         functional_value=i_val,
         trace=trace,
-        clip_events=work.clip_events,
         method=method,
     )

@@ -309,20 +309,13 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     """
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
-    t1, t2, _, _ = _apply_T_arrays(work, U.values, V.values, problem)
     geom = problem.geometry
+    u = work.du + U.values
+    v = work.dv + V.values
+    fu = f_half(u + _shift(u, problem.a * geom.area, geom))
+    fv = f_half(v + _shift(v, problem.b * geom.area, geom))
+    t1, t2 = geom.inv_lap_pair_projected(*work.rhs_shifted(fu, fv))
     return geom.field(t1), geom.field(t2)
-
-
-def _apply_T_arrays(work, U, V, problem):
-    geom = work.geom
-    c1 = _shift(work.du + U, problem.a * geom.area, geom)
-    c2 = _shift(work.dv + V, problem.b * geom.area, geom)
-    fu = f_half(work.du + U + c1)
-    fv = f_half(work.dv + V + c2)
-    r1, r2 = work.rhs_shifted(fu, fv)
-    t1, t2 = geom.inv_lap_pair_projected(r1, r2)
-    return t1, t2, c1, c2
 
 
 @dataclass
@@ -360,11 +353,6 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
         trace=trace,
         method=method,
     )
-
-
-def _solve_newton(problem, work, tol, max_iter, x0):
-    U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
-    return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
 
 
 def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
@@ -460,7 +448,9 @@ def solve_vav(
         check_relaxation(omega)
     work = _Work(problem)
     if method == "newton":
-        return _solve_newton(problem, work, tol, 50 if max_iter is None else max_iter, x0)
+        max_iter = 50 if max_iter is None else max_iter
+        U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
+        return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
     return _solve_fixed_point(
         problem, work, tol, 2000 if max_iter is None else max_iter, omega, x0
     )

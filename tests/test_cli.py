@@ -237,6 +237,20 @@ def test_malformed_section_exit1(tmp_path, capsys):
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "solver": {"model": "tw", "kappa": float("nan")},
         },
+        # numpy refuses a negative seed, and a kappa under 1 puts the source
+        # width under one grid cell (SigmaTooSmall); on an inadmissible torus
+        # both used to end in exit 2 with a report
+        {"solver": {"model": "tw", "seed": -1}},
+        {"solver": {"model": "tw", "kappa": 0.5}},
+        {"solver": {"model": "tw", "kappa": 0}},
+        {
+            "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
+            "solver": {"model": "tw", "seed": -1},
+        },
+        {
+            "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
+            "solver": {"model": "tw", "kappa": 0.5},
+        },
         {
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "sources": {"zeros_q": [[float("nan"), 1.1, 1]]},
@@ -491,5 +505,19 @@ def test_plotdata_refuses_sidecar_other_layout(tmp_path, capsys, key, value):
     sidecar_path = tmp_path / "fields.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     sidecar[key] = value
+    sidecar_path.write_text(json.dumps(sidecar))
+    assert _refused(tmp_path, binary, capsys)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 0), (0, 8), (8, 0)])
+def test_plotdata_refuses_empty_binary_dump(tmp_path, capsys, n1, n2):
+    # 0 values match a sidecar with a zero grid count; the grid-order check
+    # used to index the empty planes and end in an IndexError traceback
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, _grid_planes(8, 8), "f64bin")
+    binary.write_bytes(b"")
+    sidecar_path = tmp_path / "fields.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar.update(n1=n1, n2=n2)
     sidecar_path.write_text(json.dumps(sidecar))
     assert _refused(tmp_path, binary, capsys)

@@ -31,10 +31,22 @@ def test_configuration_counts():
 
 
 def test_configuration_rejects_bad_multiplicity():
-    with pytest.raises(ConfigurationError):
-        VortexConfiguration(zeros_q=[(1.0, 2.0, 0)])
-    with pytest.raises(ConfigurationError):
-        VortexConfiguration(zeros_q=[(1.0, 2.0, 1.5)])
+    # every malformed entry is a ConfigurationError, never a bare ValueError,
+    # OverflowError or TypeError, and bools and non-finite coordinates are no
+    # numbers
+    for entry in (
+        (1.0, 2.0, 0),
+        (1.0, 2.0, 1.5),
+        (1.0, 2.0, float("nan")),
+        (1.0, 2.0, float("inf")),
+        (1.0, 2.0, True),
+        5,
+        ("a", 2.0, 1),
+        (float("nan"), 2.0, 1),
+        (1.0, float("-inf"), 1),
+    ):
+        with pytest.raises(ConfigurationError):
+            VortexConfiguration(zeros_q=[entry])
 
 
 def test_configuration_rejects_coincident_zero_pole():
@@ -148,8 +160,13 @@ def test_build_backgrounds_counts(geom):
         poles_q=[(4.0, 4.0, 2)],
         zeros_p=[(2.0, 6.0, 1)],
     )
-    bset = build_backgrounds(geom, cfg, 2 * geom.h1)
-    assert (bset.N1, bset.P1, bset.N2, bset.P2) == (1, 2, 1, 0)
+    sigma = 2 * geom.h1
+    bset = build_backgrounds(geom, cfg, sigma)
+    # each source set's background, in its slot
+    for f, points in zip(
+        (bset.u01, bset.u02, bset.v01), (cfg.zeros_q, cfg.poles_q, cfg.zeros_p)
+    ):
+        assert np.array_equal(f.values, background(geom, points, sigma).values)
     assert np.abs(bset.v02.values).max() == 0.0
     for f in (bset.u01, bset.u02, bset.v01):
         assert abs(mean(f)) < 1e-10

@@ -121,3 +121,18 @@ def test_traced_newton_records_inner_layers(bench, model):
     assert len(solver) == 1
     assert pcg and all(tracer.value[k] > 0 for k in pcg)
     assert kern
+
+
+def test_untraced_check_accepts_library_solves(bench, tmp_path):
+    # perfbench's own check of a library solve calls
+    # diagnostics.tw_quantized_integrals, diagnostics.flux_report_tw and
+    # flux_report_vav and vav.vav_quantized_integrals by name
+    _, program = bench
+    workloads = _load("workloads")
+    items = workloads.make_inputs("newton-512", 1, grid=32)[:2]
+    assert [it.model for it in items] == ["tw", "vav"]
+    runner = workloads.Runner("newton-512", items, program, str(tmp_path))
+    runner.setup()
+    for k in range(len(items)):
+        outcome = runner.check(k, runner.run_op(k))
+        assert outcome.verified == 1, (items[k].model, outcome.errors)

@@ -353,9 +353,7 @@ def _degenerate_problem(geom):
     sigma = 2 * geom.h1
     same = background(geom, [(3.0, 3.0, 1)], sigma)
     zero = geom.zeros()
-    bset = BackgroundSet(
-        u01=same, u02=same, v01=zero, v02=zero, N1=1, P1=1, N2=0, P2=0, sigma=sigma
-    )
+    bset = BackgroundSet(u01=same, u02=same, v01=zero, v02=zero)
     return VAVProblem(
         geometry=geom, config=cfg, backgrounds=bset, a=0.0, b=0.0, sigma=sigma
     )
