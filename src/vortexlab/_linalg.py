@@ -31,8 +31,14 @@ _MAX_STEP = 1.0 / np.finfo(np.float64).eps
 
 def _dot(A, B):
     # N times the pair inner product, by Parseval; N cancels in every
-    # ratio CG forms.
-    return float(np.vdot(A, B).real)
+    # ratio CG forms. Re vdot(A, B) is the real dot product of the
+    # interleaved float views, summed here by einsum's own loop and not by
+    # BLAS: np.vdot hands a sum this long to a BLAS thread pool, which from
+    # 128^2 up wakes a second thread for every call between single-threaded
+    # transforms and rounds the sum differently for each thread count.
+    a = A.reshape(-1).view(np.float64)
+    b = B.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", a, b))
 
 
 def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):

@@ -11,7 +11,9 @@ The Newton solvers work on pairs of real arrays, and most of their FFTs are
 spent in the inner CG solve. There a pair (a, b) is carried as one packed
 spectrum P = fft2(a + i*b) (`pack_pair`; `unpack_pair` inverts it), on
 which the -Lap symbol acts mode by mode, and the pair inner product is
-Re vdot(A, B) = N*(<a1,b1> + <a2,b2>) by Parseval, N = n1*n2. A constant
+Re vdot(A, B) = N*(<a1,b1> + <a2,b2>) by Parseval, N = n1*n2, summed
+without BLAS so that it wakes no BLAS thread and its bits do not depend on
+the thread count (see `_linalg._dot`). A constant
 2x2 mix of the pair is pointwise on the packed spectrum too, through the
 -k mode (`mix_packed`), and so is the inverse of a constant-coefficient
 operator -L*Lap + M (`elliptic_inverse_packed`), the CG preconditioner of

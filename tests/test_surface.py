@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +333,62 @@ def test_transforms_only_through_the_seam():
             and node not in seam
         ]
     assert not outside
+
+
+# numpy calls that hand their work to BLAS. np.vdot made each CG inner
+# product wake a BLAS thread, and its bits depended on the thread count.
+_BLAS_CALLS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+
+
+def test_no_blas_in_the_solve_path():
+    # the 2x2 np.linalg.solve of the tw polish is the one LAPACK call
+    found = []
+    for path in sorted(Path(vortexlab.surface.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in _BLAS_CALLS:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append(f"{path.name}:{node.lineno} @")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+            ):
+                found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+    assert [f for f in found if not (f.startswith("tw.py") and f.endswith("linalg.solve"))] == []
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from vortexlab import (TorusGeometry, VortexConfiguration, solve_tw, solve_vav,
+                       tw_problem, vav_problem)
+geom = TorusGeometry(8.0, 8.0, 128, 128)
+tw = solve_tw(tw_problem(geom, VortexConfiguration(
+    zeros_q=[(2.3, 3.1, 1), (5.2, 6.0, 1)], zeros_p=[(6.1, 1.4, 1)])))
+vav = solve_vav(vav_problem(geom, VortexConfiguration(
+    zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)], zeros_p=[(6.0, 6.5, 1)])))
+digest = hashlib.sha256()
+for sol in (tw, vav):
+    digest.update(sol.U.values.tobytes())
+    digest.update(sol.V.values.tobytes())
+print(tw.iterations, vav.iterations, digest.hexdigest())
+"""
+
+
+def test_newton_solves_do_not_depend_on_the_blas_thread_count():
+    # 128^2 is the smallest grid here whose CG sums OpenBLAS would thread
+    src = str(Path(vortexlab.surface.__file__).resolve().parent.parent)
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize(
