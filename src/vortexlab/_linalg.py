@@ -86,10 +86,15 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
 def newton_solve(work, x1, x2, tol, max_iter):
     """Damped inexact Newton from (x1, x2) with the model hooks on `work`.
 
-    `work.evaluate(x1, x2, trace)` returns (sup, merit, mean defect, trace
-    record, state); `work.polish(state)` returns the next iterate;
+    `work.evaluate(x1, x2, trace, point)` returns (sup, merit, mean defect,
+    trace record, state); `work.polish(state)` returns the next iterate;
     `work.direction(state, merit, eta)` returns (d1, d2, kind, bound), and
-    a step t is accepted once `work.merit(x1 + t*d1, x2 + t*d2) <= bound(t)`.
+    `work.merit(y1, y2)` returns (value, point), where point holds what the
+    merit computed at y. A step t is accepted once the value at
+    y = x + t*d is at most bound(t). That y is the next iterate, so its
+    point goes to `evaluate`, which then recomputes none of it (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 8);
+    at the start and after a polish, point is None.
     Converged means sup < tol and mean defect <= MEAN_TOL; with only the sup
     below tol, the polish step is taken. Returns (x1, x2, iterations, sup,
     merit, trace). The hooks call `pcg_pair` and the kernels by their names
@@ -99,8 +104,10 @@ def newton_solve(work, x1, x2, tol, max_iter):
     it = 0
     step = 0.0
     kind = "init"
+    point = None
     while True:
-        sup, merit, mean_defect, record, state = work.evaluate(x1, x2, trace)
+        sup, merit, mean_defect, record, state = work.evaluate(x1, x2, trace, point)
+        point = None
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
         trace.append({"iter": it, **record, "step": step, "kind": kind})
@@ -121,8 +128,11 @@ def newton_solve(work, x1, x2, tol, max_iter):
         d1, d2, kind, bound = work.direction(state, merit, min(0.1, np.sqrt(sup)))
         t = 1.0
         for _ in range(40):
-            if work.merit(x1 + t * d1, x2 + t * d2) <= bound(t):
+            value, point = work.merit(x1 + t * d1, x2 + t * d2)
+            if value <= bound(t):
                 break
+            # a refused trial's arrays go before the next trial's are made
+            point = None
             t *= 0.5
         else:
             raise DivergedIterate("line search failed to find descent", trace)

@@ -153,18 +153,16 @@ class _Work:
     # hooks of the Newton driver (_linalg.newton_solve)
     sup_label = "grad sup"
 
-    def evaluate(self, f, h, trace):
-        e1, e2, n_clip = self.exps(f, h)
+    def evaluate(self, f, h, trace, point=None):
+        i_val, e1, e2, n_clip, Z = self._point(f, h) if point is None else point
         if n_clip:
             self.clip_events += 1
             if self.clip_events >= 2:
                 raise DivergedIterate(
                     "overflow guard tripped twice; iterates diverging", trace
                 )
-        Z = pack_pair(f, h)
         g1, g2 = self.gradient(Z, e1, e2)
         g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-        i_val = self.functional(f, h, e1, e2, Z)
         m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
         return g_sup, i_val, m_abs, {"I": i_val, "grad_sup": g_sup}, (f, h, e1, e2, g1, g2)
 
@@ -202,9 +200,16 @@ class _Work:
         slack = 1e-12 * (1.0 + abs(i_val)) if -slope < 1e-9 * (1.0 + abs(i_val)) else 0.0
         return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope + slack
 
+    def _point(self, f, h):
+        """(I, e1, e2, clip count, Z) at (f, h): what the merit computes
+        and `evaluate` needs."""
+        e1, e2, n_clip = self.exps(f, h)
+        Z = pack_pair(f, h)
+        return self.functional(f, h, e1, e2, Z), e1, e2, n_clip, Z
+
     def merit(self, f, h):
-        e1, e2, _ = self.exps(f, h)
-        return self.functional(f, h, e1, e2, pack_pair(f, h))
+        point = self._point(f, h)
+        return point[0], point
 
 
 def tw_residual(sol, problem: TWProblem):

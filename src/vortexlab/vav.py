@@ -253,12 +253,10 @@ class _Work:
     # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
     sup_label = "residual sup"
 
-    def evaluate(self, U, V, trace):
+    def evaluate(self, U, V, trace, point=None):
         geom = self.geom
-        fu, fv = self.f_pair(U, V)
-        r1, r2 = self.residual(U, V, fu, fv)
+        phi, fu, fv, r1, r2 = self._point(U, V) if point is None else point
         r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-        phi = geom.quad(r1 * r1 + r2 * r2)
         m_abs = max(
             abs(geom.quad(fu) - self.a * geom.area),
             abs(geom.quad(fv) - self.b * geom.area),
@@ -287,10 +285,16 @@ class _Work:
         dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
         return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
 
-    def merit(self, U, V):
+    def _point(self, U, V):
+        """(phi, fu, fv, r1, r2) at (U, V): what the merit computes and
+        `evaluate` needs."""
         fu, fv = self.f_pair(U, V)
         r1, r2 = self.residual(U, V, fu, fv)
-        return self.geom.quad(r1 * r1 + r2 * r2)
+        return self.geom.quad(r1 * r1 + r2 * r2), fu, fv, r1, r2
+
+    def merit(self, U, V):
+        point = self._point(U, V)
+        return point[0], point
 
 
 def vav_residual(sol, problem: VAVProblem):

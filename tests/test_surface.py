@@ -399,9 +399,12 @@ def test_newton_solves_do_not_depend_on_the_blas_thread_count():
 def test_fft2_counts_per_layer(model, method, monkeypatch):
     # The inner CG runs on packed spectra: per iteration one transform pair
     # for the pointwise part of the operator, plus one to pack the
-    # right-hand side and one to unpack the solution. A tw evaluate packs
-    # (f, h) once for both Laplacians and both Dirichlet energies, and a
-    # line-search trial needs only the energies. A fixed-point iteration
+    # right-hand side and one to unpack the solution. A line-search trial
+    # packs (f, h) once for both Dirichlet energies (tw) or makes the
+    # residual's lap_pair (vav). An evaluate after an accepted trial reuses
+    # that trial's work: tw only unpacks the Laplacians, vav transforms
+    # nothing. At the start and after a polish, tw packs and unpacks and vav
+    # makes its lap_pair, 2 transforms each. A fixed-point iteration
     # makes two real pairs (its inverse Laplacians); one complex pair starts
     # the carried Laplacians and one checks the residual at convergence.
     problem, solve = _problem_and_solver(model)
@@ -421,22 +424,27 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     module = getattr(vortexlab, model)
     calls = {}
 
-    def measured(name, fn, cg=False):
+    def measured(name, fn, what=lambda args, result: None):
         def wrapped(*args, **kwargs):
             before = sum(count.values())
             result = fn(*args, **kwargs)
             calls.setdefault(name, []).append(
-                (sum(count.values()) - before, result[2] if cg else None)
+                (sum(count.values()) - before, what(args, result))
             )
             return result
 
         return wrapped
 
-    monkeypatch.setattr(module, "pcg_pair", measured("pcg", module.pcg_pair, cg=True))
-    if model == "tw":
-        work = vortexlab.tw._Work
-        monkeypatch.setattr(work, "evaluate", measured("evaluate", work.evaluate))
-        monkeypatch.setattr(work, "merit", measured("merit", work.merit))
+    def cg_iters(args, result):
+        return result[2]
+
+    def reused(args, result):
+        return args[4] is not None
+
+    monkeypatch.setattr(module, "pcg_pair", measured("pcg", module.pcg_pair, cg_iters))
+    work = module._Work
+    monkeypatch.setattr(work, "evaluate", measured("evaluate", work.evaluate, reused))
+    monkeypatch.setattr(work, "merit", measured("merit", work.merit))
     sol = solve(problem, method=method)
     if method == "fixed_point":
         assert sol.iterations > 0 and "pcg" not in calls
@@ -449,9 +457,30 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     # the preconditioner inverts the operator's constant part exactly; with
     # the inverse-Helmholtz one these solves took 29 (tw) and 25 (vav)
     assert sum(it for _, it in calls["pcg"]) <= {"tw": 18, "vav": 15}[model]
-    if model == "tw":
-        assert calls["evaluate"] and {n for n, _ in calls["evaluate"]} == {2}
-        assert calls["merit"] and {n for n, _ in calls["merit"]} == {1}
+    evaluates = calls["evaluate"]
+    fresh = [n for n, r in evaluates if not r]
+    after_trial = [n for n, r in evaluates if r]
+    polishes = sum(e["kind"] == "polish" for e in sol.trace)
+    assert len(evaluates) == len(sol.trace) == sol.iterations + 1
+    assert len(fresh) == 1 + polishes and fresh == [2] * len(fresh)
+    assert after_trial and set(after_trial) == {{"tw": 1, "vav": 0}[model]}
+    assert calls["merit"] and {n for n, _ in calls["merit"]} == {{"tw": 1, "vav": 2}[model]}
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_evaluate_reuses_the_accepted_trial_bit_for_bit(model, monkeypatch):
+    # the accepted trial point is the next iterate, the same x + t*d
+    problem, solve = _problem_and_solver(model)
+    reused = solve(problem)
+    work = getattr(vortexlab, model)._Work
+    merit = work.merit
+    monkeypatch.setattr(work, "merit", lambda self, a, b: (merit(self, a, b)[0], None))
+    fresh = solve(problem)
+    assert reused.iterations == fresh.iterations
+    assert any(e["kind"] == "newton" for e in fresh.trace)
+    assert reused.trace == fresh.trace
+    for name in ("U", "V"):
+        assert getattr(reused, name).values.tobytes() == getattr(fresh, name).values.tobytes()
 
 
 # Solver settings no solve can meet. Before the shared check, tol 0 or NaN
