@@ -193,10 +193,11 @@ class TorusGeometry:
         return self._apply_real(self._inv_sym, a)
 
     def inv_lap_projected(self, a):
-        """inv_lap after removing the mean; for right-hand sides that are
+        """inv_lap without the mean check; for right-hand sides that are
         zero-mean by construction up to rounding. Mode by mode,
-        lap(inv_lap_projected(a)) is a - mean(a)."""
-        return self._apply_real(self._inv_sym, a - a.mean())
+        lap(inv_lap_projected(a)) is a - mean(a): the symbol is 0 on the
+        zero mode, so the mean needs no subtracting first."""
+        return self._apply_real(self._inv_sym, a)
 
     def inv_lap_pair_projected(self, a, b):
         """Projected inverse Laplacian of two arrays via one transform pair."""
