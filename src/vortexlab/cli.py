@@ -23,14 +23,8 @@ import numpy as np
 
 from .diagnostics import MODELS, SolveReport, report_tw, report_vav
 from .errors import ConfigurationError, SolverError, VortexLabError
-from .sources import (
-    VortexConfiguration,
-    _integer,
-    _normalize_points,
-    _real,
-    mollifier_width,
-)
-from .surface import TorusGeometry, check_solver_settings
+from .sources import VortexConfiguration, _normalize_points, mollifier_width
+from .surface import TorusGeometry, _integer, _real, check_solver_settings
 from .tw import solve_tw, tw_problem
 from .vav import solve_vav, vav_problem
 

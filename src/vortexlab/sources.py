@@ -11,44 +11,27 @@ weighted point set is the mean-zero solution of
 whose right-hand side has exactly zero discrete mean by construction.
 """
 
-import numbers
-import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, SigmaTooSmall
-from .surface import ScalarField, TorusGeometry
+from .surface import ScalarField, TorusGeometry, _integer, _real
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 
 
-def _real(value, where):
-    # json.load accepts NaN, Infinity and integers beyond the float range
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    ):
-        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, where, minimum=None):
-    """`value` as an int; it must be an integer or an integral float, and at
-    least `minimum` when that is given."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{where} must be at least {minimum}, got {value!r}")
-    return int(value)
-
-
 def _normalize_points(points, label):
     """(x, y, multiplicity) tuples of finite floats and a positive int, or
     ConfigurationError."""
+    # a string is iterable too, but one character at a time
+    if isinstance(points, (str, bytes)) or not isinstance(points, Iterable):
+        raise ConfigurationError(
+            f"{label}: expected a list of (x, y, multiplicity) sources, got {points!r}"
+        )
     out = []
     for entry in points:
         try:

@@ -35,6 +35,7 @@ the packed complex spectrum above.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral, Real
@@ -98,19 +99,18 @@ class TorusGeometry:
     """
 
     def __init__(self, L1, L2, n1, n2):
-        L1 = float(L1)
-        L2 = float(L2)
-        if not (np.isfinite(L1) and np.isfinite(L2)) or L1 <= 0.0 or L2 <= 0.0:
+        L1 = _real(L1, "L1")
+        L2 = _real(L2, "L2")
+        if L1 <= 0.0 or L2 <= 0.0:
             raise ConfigurationError(f"side lengths must be positive, got {L1}, {L2}")
-        for n in (n1, n2):
-            if int(n) != n or n < 8 or n % 2 != 0:
-                raise ConfigurationError(
-                    f"grid counts must be even integers >= 8, got {n1}, {n2}"
-                )
+        n1 = _integer(n1, "n1")
+        n2 = _integer(n2, "n2")
+        if min(n1, n2) < 8 or n1 % 2 or n2 % 2:
+            raise ConfigurationError(f"grid counts must be even integers >= 8, got {n1}, {n2}")
         self.L1 = L1
         self.L2 = L2
-        self.n1 = int(n1)
-        self.n2 = int(n2)
+        self.n1 = n1
+        self.n2 = n2
         self.h1 = L1 / self.n1
         self.h2 = L2 / self.n2
         self.area = L1 * L2
@@ -365,6 +365,27 @@ def start_pair(geom: TorusGeometry, x0):
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ConfigurationError("x0 arrays must be finite")
     return a, b
+
+
+def _real(value, where):
+    # json.load accepts NaN, Infinity and integers beyond the float range
+    if isinstance(value, bool) or not (
+        isinstance(value, Real) and abs(value) <= sys.float_info.max
+    ):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where, minimum=None):
+    """`value` as an int; it must be an integer or an integral float, and at
+    least `minimum` when that is given."""
+    if isinstance(value, bool) or not (
+        isinstance(value, Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{where} must be at least {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_solver_settings(tol, max_iter):

@@ -47,6 +47,11 @@ def test_configuration_rejects_bad_multiplicity():
     ):
         with pytest.raises(ConfigurationError):
             VortexConfiguration(zeros_q=[entry])
+    # a source list that is not a list; a string used to be read one
+    # character at a time, and None or a number raised a bare TypeError
+    for points in (None, 3, "ab"):
+        with pytest.raises(ConfigurationError, match="list of"):
+            VortexConfiguration(zeros_q=points)
 
 
 def test_configuration_rejects_coincident_zero_pole():

@@ -51,6 +51,16 @@ def test_geometry_validation():
         TorusGeometry(1.0, 1.0, 15, 16)
     with pytest.raises(ConfigurationError):
         TorusGeometry(1.0, 1.0, 4, 16)
+    # these raised ValueError, OverflowError, ValueError and TypeError
+    for bad in (float("nan"), float("inf"), "a", None):
+        with pytest.raises(ConfigurationError):
+            TorusGeometry(1.0, 1.0, bad, 16)
+        with pytest.raises(ConfigurationError):
+            TorusGeometry(1.0, 1.0, 16, bad)
+        with pytest.raises(ConfigurationError):
+            TorusGeometry(bad, 1.0, 16, 16)
+        with pytest.raises(ConfigurationError):
+            TorusGeometry(1.0, bad, 16, 16)
 
 
 def test_geometry_equality():
