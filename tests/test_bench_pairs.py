@@ -1,9 +1,10 @@
-"""The summary of tools/bench_pairs.py on synthetic paired runs.
+"""The summary and the JSON record of tools/bench_pairs.py, on synthetic paired runs.
 
 The tool is loaded by path; it runs no benchmark here.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,29 @@ def test_summary_with_a_failed_run(tool):
     assert empty["metrics"]["op_p50_s"]["base"] is None
     assert empty["metrics"]["op_p50_s"]["gap"] is None
     assert "base -" in tool.format_summary(empty)[0]
+
+
+def test_machine_block_names_the_blas_threads(tool, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    block = tool.machine()
+    assert block["blas_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert block["blas_env"]["OMP_NUM_THREADS"] is None
+    assert set(block["blas_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert block["numpy"] and block["python"]
+    assert block["affinity_cpus"] is None or 1 <= block["affinity_cpus"] <= block["cpus"]
+
+
+def test_each_set_keeps_its_own_machine_block(tool, tmp_path):
+    out = tmp_path / "bench.json"
+    # a file written before the block moved into the sets keeps its old one
+    out.write_text('{"machine": {"cpus": 2}, "sets": [{"workload": "old"}]}')
+    tool.append_set(out, {"workload": "a", "machine": {"cpus": 4}})
+    tool.append_set(out, {"workload": "b", "machine": {"cpus": 8}})
+    data = json.loads(out.read_text())
+    assert data["machine"] == {"cpus": 2}
+    assert [s["workload"] for s in data["sets"]] == ["old", "a", "b"]
+    assert [s.get("machine") for s in data["sets"]] == [None, {"cpus": 4}, {"cpus": 8}]
+    fresh = tmp_path / "new.json"
+    tool.append_set(fresh, {"workload": "c", "machine": {"cpus": 1}})
+    assert json.loads(fresh.read_text()) == {"sets": [{"workload": "c", "machine": {"cpus": 1}}]}

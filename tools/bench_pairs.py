@@ -15,12 +15,14 @@ no result (non-zero exit or no metrics) and the runs whose results were
 not correct.
 
 Every run (side, pair, order, exit code, wall time, operation counts and
-metrics) goes to the --out JSON file together with its summary. An
-existing file gains one more set, so that several workloads and seeds can
-share one file. Standard library only.
+metrics) goes to the --out JSON file together with its summary and the
+machine it ran on. An existing file gains one more set, so that several
+workloads and seeds can share one file; each set keeps its own machine
+block. Standard library only.
 """
 
 import argparse
+import importlib.metadata
 import json
 import os
 import platform
@@ -30,6 +32,9 @@ import sys
 import time
 
 SIDES = ("base", "change")
+# The BLAS thread settings a run inherits; a BLAS call's speed and bits
+# can depend on them.
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def order(pair):
@@ -133,6 +138,38 @@ def format_summary(summary):
     return lines
 
 
+def machine():
+    """The machine and settings one set of runs ran with."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        affinity = None
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy,
+        "platform": platform.platform(),
+        "cpus": os.cpu_count(),
+        "affinity_cpus": affinity,
+        "blas_env": {name: os.environ.get(name) for name in BLAS_ENV},
+    }
+
+
+def append_set(path, entry):
+    """Add one set to the JSON file at `path`, creating the file if needed."""
+    data = {"sets": []}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data["sets"].append(entry)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1)
+        fh.write("\n")
+
+
 def run_once(checkout, workload, seed, seconds):
     """One untraced benchmark run in `checkout`; returns its record."""
     cmd = [
@@ -180,30 +217,20 @@ def main(argv=None):
             print(f"pair {pair} {side}: op_p50_s {p50} ({record['wall_s']:.0f} s)", flush=True)
     summary = summarize(runs, metrics)
     print("\n".join(format_summary(summary)))
-    data = {"machine": {}, "sets": []}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
-            data = json.load(fh)
-    data["machine"] = {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-    }
-    data["sets"].append(
+    append_set(
+        args.out,
         {
             "workload": args.workload,
             "seed": args.seed,
             "seconds": seconds,
             "pairs": args.pairs,
+            "machine": machine(),
             # directory names only: name the checkouts after their commits
             "checkouts": {side: os.path.basename(path) for side, path in checkouts.items()},
             "summary": summary,
             "runs": runs,
-        }
+        },
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
     return 0
 
 
