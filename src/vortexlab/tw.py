@@ -154,7 +154,7 @@ class _Work:
     sup_label = "grad sup"
 
     def evaluate(self, f, h, trace, point=None):
-        i_val, e1, e2, n_clip, Z = self._point(f, h) if point is None else point
+        i_val, e1, e2, n_clip, Z = self.merit(f, h)[1] if point is None else point
         if n_clip:
             self.clip_events += 1
             if self.clip_events >= 2:
@@ -200,16 +200,13 @@ class _Work:
         slack = 1e-12 * (1.0 + abs(i_val)) if -slope < 1e-9 * (1.0 + abs(i_val)) else 0.0
         return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope + slack
 
-    def _point(self, f, h):
-        """(I, e1, e2, clip count, Z) at (f, h): what the merit computes
-        and `evaluate` needs."""
+    def merit(self, f, h):
+        """I at (f, h), and the point (I, e1, e2, clip count, Z) that
+        `evaluate` needs there."""
         e1, e2, n_clip = self.exps(f, h)
         Z = pack_pair(f, h)
-        return self.functional(f, h, e1, e2, Z), e1, e2, n_clip, Z
-
-    def merit(self, f, h):
-        point = self._point(f, h)
-        return point[0], point
+        i_val = self.functional(f, h, e1, e2, Z)
+        return i_val, (i_val, e1, e2, n_clip, Z)
 
 
 def tw_residual(sol, problem: TWProblem):

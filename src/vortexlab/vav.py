@@ -255,7 +255,7 @@ class _Work:
 
     def evaluate(self, U, V, trace, point=None):
         geom = self.geom
-        phi, fu, fv, r1, r2 = self._point(U, V) if point is None else point
+        phi, fu, fv, r1, r2 = self.merit(U, V)[1] if point is None else point
         r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         m_abs = max(
             abs(geom.quad(fu) - self.a * geom.area),
@@ -285,16 +285,13 @@ class _Work:
         dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
         return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
 
-    def _point(self, U, V):
-        """(phi, fu, fv, r1, r2) at (U, V): what the merit computes and
-        `evaluate` needs."""
+    def merit(self, U, V):
+        """phi at (U, V), and the point (phi, fu, fv, r1, r2) that
+        `evaluate` needs there."""
         fu, fv = self.f_pair(U, V)
         r1, r2 = self.residual(U, V, fu, fv)
-        return self.geom.quad(r1 * r1 + r2 * r2), fu, fv, r1, r2
-
-    def merit(self, U, V):
-        point = self._point(U, V)
-        return point[0], point
+        phi = self.geom.quad(r1 * r1 + r2 * r2)
+        return phi, (phi, fu, fv, r1, r2)
 
 
 def vav_residual(sol, problem: VAVProblem):

@@ -479,12 +479,15 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_evaluate_reuses_the_accepted_trial_bit_for_bit(model, monkeypatch):
-    # the accepted trial point is the next iterate, the same x + t*d
+    # The accepted trial point is the next iterate, the same x + t*d. With
+    # the point dropped, evaluate recomputes it from the iterate.
     problem, solve = _problem_and_solver(model)
     reused = solve(problem)
     work = getattr(vortexlab, model)._Work
-    merit = work.merit
-    monkeypatch.setattr(work, "merit", lambda self, a, b: (merit(self, a, b)[0], None))
+    evaluate = work.evaluate
+    monkeypatch.setattr(
+        work, "evaluate", lambda self, a, b, trace, point=None: evaluate(self, a, b, trace)
+    )
     fresh = solve(problem)
     assert reused.iterations == fresh.iterations
     assert any(e["kind"] == "newton" for e in fresh.trace)
