@@ -27,6 +27,8 @@ MEAN_TOL = 1e-12
 # operator's inverse, the step is 1/(a Rayleigh quotient of the
 # preconditioned operator); past 1/eps that quotient is rounding noise.
 _MAX_STEP = 1.0 / np.finfo(np.float64).eps
+# Iteration cap of one inner CG solve.
+_CG_MAX_ITER = 500
 
 
 def _dot(A, B):
@@ -41,7 +43,7 @@ def _dot(A, B):
     return float(np.einsum("i,i->", a, b))
 
 
-def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
+def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
     """Solve op(x) = b for a two-component field with preconditioned CG.
 
     The iteration runs on packed spectra P = fft2(p1 + i*p2): `apply_op`
@@ -60,7 +62,7 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
     rz = _dot(R, P)
     # Q and Z are deleted once used, so that they are not still alive, next
     # to their successors, through the next operator or preconditioner apply.
-    for it in range(1, max_iter + 1):
+    for it in range(1, _CG_MAX_ITER + 1):
         Q = apply_op(P)
         pq = _dot(P, Q)
         alpha = rz / pq if pq > 0.0 else 0.0
@@ -80,34 +82,40 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
         P += Z
         del Z
         rz = rz_new
-    return (*unpack_pair(X), max_iter)
+    return (*unpack_pair(X), _CG_MAX_ITER)
 
 
 def newton_solve(work, x1, x2, tol, max_iter):
     """Damped inexact Newton from (x1, x2) with the model hooks on `work`.
 
-    `work.evaluate(x1, x2, trace, point)` returns (sup, merit, mean defect,
-    trace record, state); `work.polish(state)` returns the next iterate;
-    `work.direction(state, merit, eta)` returns (d1, d2, kind, bound), and
-    `work.merit(y1, y2)` returns (value, point), where point holds what the
-    merit computed at y. A step t is accepted once the value at
-    y = x + t*d is at most bound(t). That y is the next iterate, so its
-    point goes to `evaluate`, which then recomputes none of it (Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995, ch. 8);
-    at the start and after a polish, point is None.
+    `work.point(y1, y2)` returns (merit, sup, mean defect, clamp count,
+    trace record, state) at y; `work.direction(state, merit, eta)` returns
+    (d1, d2, kind, bound), and `work.polish(state)` returns the next
+    iterate. A step t is accepted once the merit at the trial y = x + t*d
+    is at most bound(t); that trial, with its point, is the next iterate
+    (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
+    and Nonlinear Equations, SIAM 1996, sec. 6.3). A point is built at the
+    start, after a polish and for each trial, and nowhere else.
     Converged means sup < tol and mean defect <= MEAN_TOL; with only the sup
     below tol, the polish step is taken. Returns (x1, x2, iterations, sup,
-    merit, trace). The hooks call `pcg_pair` and the kernels by their names
+    merit, trace). Every DivergedIterate is raised here: at the second
+    iterate whose exponent arguments were clamped (refused trials do not
+    count), at a non-finite merit or sup, and when the line search finds
+    no descent. The hooks call `pcg_pair` and the kernels by their names
     on the model modules, where a traced run wraps them.
     """
     trace = []
     it = 0
     step = 0.0
     kind = "init"
-    point = None
+    clamped = 0
+    point = work.point(x1, x2)
     while True:
-        sup, merit, mean_defect, record, state = work.evaluate(x1, x2, trace, point)
-        point = None
+        merit, sup, mean_defect, n_clip, record, state = point
+        if n_clip:
+            clamped += 1
+            if clamped >= 2:
+                raise DivergedIterate("overflow guard tripped twice; iterates diverging", trace)
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
         trace.append({"iter": it, **record, "step": step, "kind": kind})
@@ -124,18 +132,20 @@ def newton_solve(work, x1, x2, tol, max_iter):
             x1, x2 = work.polish(state)
             step = 0.0
             kind = "polish"
+            point = work.point(x1, x2)
             continue
         d1, d2, kind, bound = work.direction(state, merit, min(0.1, np.sqrt(sup)))
         t = 1.0
         for _ in range(40):
-            value, point = work.merit(x1 + t * d1, x2 + t * d2)
-            if value <= bound(t):
+            y1 = x1 + t * d1
+            y2 = x2 + t * d2
+            point = work.point(y1, y2)
+            if point[0] <= bound(t):
                 break
             # a refused trial's arrays go before the next trial's are made
-            point = None
+            del point, y1, y2
             t *= 0.5
         else:
             raise DivergedIterate("line search failed to find descent", trace)
-        x1 = x1 + t * d1
-        x2 = x2 + t * d2
+        x1, x2 = y1, y2
         step = t

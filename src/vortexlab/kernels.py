@@ -12,16 +12,16 @@ import numpy as np
 EXP_CAP = 500.0
 
 
-def clipped_exp(x, cap=EXP_CAP):
-    """exp(min(x, cap)) together with the number of clipped entries.
+def clipped_exp(x):
+    """exp(min(x, EXP_CAP)) together with the number of clipped entries.
 
     The cap converts a diverging iterate into a diagnosable event instead
     of a silent inf/NaN.
     """
     x = np.asarray(x, dtype=np.float64)
-    n_clip = int(np.count_nonzero(x > cap))
+    n_clip = int(np.count_nonzero(x > EXP_CAP))
     if n_clip:
-        x = np.minimum(x, cap)
+        x = np.minimum(x, EXP_CAP)
     return np.exp(x), n_clip
 
 

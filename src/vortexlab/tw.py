@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import ARMIJO_C, newton_solve, pcg_pair
-from .errors import BradlowViolation, ConfigurationError, DivergedIterate
+from .errors import BradlowViolation, ConfigurationError
 from .kernels import clipped_exp
 from .sources import (
     FOUR_PI,
@@ -112,7 +112,6 @@ class _Work:
         N1, _, N2, _ = problem.config.counts()
         self.cf = FOUR_PI * N1 / self.geom.area
         self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
-        self.clip_events = 0
 
     def exps(self, f, h):
         e1, c1 = clipped_exp(self.u01 + f)
@@ -153,18 +152,17 @@ class _Work:
     # hooks of the Newton driver (_linalg.newton_solve)
     sup_label = "grad sup"
 
-    def evaluate(self, f, h, trace, point=None):
-        i_val, e1, e2, n_clip, Z = self.merit(f, h)[1] if point is None else point
-        if n_clip:
-            self.clip_events += 1
-            if self.clip_events >= 2:
-                raise DivergedIterate(
-                    "overflow guard tripped twice; iterates diverging", trace
-                )
+    def point(self, f, h):
+        """I at (f, h), the gradient's sup and integrated defect, the clamp
+        count, the trace record and the state (f, h, e1, e2, g1, g2)."""
+        e1, e2, n_clip = self.exps(f, h)
+        Z = pack_pair(f, h)
+        i_val = self.functional(f, h, e1, e2, Z)
         g1, g2 = self.gradient(Z, e1, e2)
         g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
         m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
-        return g_sup, i_val, m_abs, {"I": i_val, "grad_sup": g_sup}, (f, h, e1, e2, g1, g2)
+        record = {"I": i_val, "grad_sup": g_sup}
+        return i_val, g_sup, m_abs, n_clip, record, (f, h, e1, e2, g1, g2)
 
     def polish(self, state):
         """Newton step on the two field means; drives the integrated
@@ -199,14 +197,6 @@ class _Work:
         # allow an eps*|I| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).
         slack = 1e-12 * (1.0 + abs(i_val)) if -slope < 1e-9 * (1.0 + abs(i_val)) else 0.0
         return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope + slack
-
-    def merit(self, f, h):
-        """I at (f, h), and the point (I, e1, e2, clip count, Z) that
-        `evaluate` needs there."""
-        e1, e2, n_clip = self.exps(f, h)
-        Z = pack_pair(f, h)
-        i_val = self.functional(f, h, e1, e2, Z)
-        return i_val, (i_val, e1, e2, n_clip, Z)
 
 
 def tw_residual(sol, problem: TWProblem):

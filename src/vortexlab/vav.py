@@ -253,15 +253,19 @@ class _Work:
     # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
     sup_label = "residual sup"
 
-    def evaluate(self, U, V, trace, point=None):
+    def point(self, U, V):
+        """phi at (U, V), the residual's sup and integrated defect, no
+        clamps, the trace record and the state (U, V, r1, r2)."""
         geom = self.geom
-        phi, fu, fv, r1, r2 = self.merit(U, V)[1] if point is None else point
+        fu, fv = self.f_pair(U, V)
+        r1, r2 = self.residual(U, V, fu, fv)
+        phi = geom.quad(r1 * r1 + r2 * r2)
         r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         m_abs = max(
             abs(geom.quad(fu) - self.a * geom.area),
             abs(geom.quad(fv) - self.b * geom.area),
         )
-        return r_sup, phi, m_abs, {"resid_sup": r_sup, "phi": phi}, (U, V, r1, r2)
+        return phi, r_sup, m_abs, 0, {"resid_sup": r_sup, "phi": phi}, (U, V, r1, r2)
 
     def polish(self, state):
         """Fold the exact constraint shifts into the means."""
@@ -284,14 +288,6 @@ class _Work:
         prec = self.geom.elliptic_inverse_packed(_AINV, ((m1, 0.0), (0.0, m2)))
         dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
         return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
-
-    def merit(self, U, V):
-        """phi at (U, V), and the point (phi, fu, fv, r1, r2) that
-        `evaluate` needs there."""
-        fu, fv = self.f_pair(U, V)
-        r1, r2 = self.residual(U, V, fu, fv)
-        phi = self.geom.quad(r1 * r1 + r2 * r2)
-        return phi, (phi, fu, fv, r1, r2)
 
 
 def vav_residual(sol, problem: VAVProblem):
@@ -362,7 +358,6 @@ def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
     Up -= Up.mean()
     Vp -= Vp.mean()
     trace = []
-    history = []
     it = 0
     # each shift starts from its value at the previous iterate
     c1 = _shift(work.du + Up, problem.a * geom.area, geom)
@@ -386,13 +381,12 @@ def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
             r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(Up, Vp)
-        history.append(r_sup)
         trace.append({"iter": it, "resid_sup": r_sup, "c1": c1, "c2": c2})
         if r_sup < tol:
             return _package(
                 problem, work, U, V, c1, c2, it, r_sup, trace, "fixed_point"
             )
-        if it >= 50 and r_sup > (1.0 - 1e-3) * history[it - 50]:
+        if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
             raise Stagnation(
                 f"fixed-point residual stuck near {r_sup:.3e} after {it} "
                 "iterations; the damped iteration is not contracting here",

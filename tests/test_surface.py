@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -401,6 +402,17 @@ def test_newton_solves_do_not_depend_on_the_blas_thread_count():
     assert out[0] == out[1]
 
 
+def _point_calls(trace):
+    """For each `point` call of a converged Newton solve, whether it built an
+    iterate: a step 0.5**k was accepted after k refused trials."""
+    accepted = [True]
+    for e in trace[1:]:
+        if e["kind"] != "polish":
+            accepted += [False] * round(-math.log2(e["step"]))
+        accepted.append(True)
+    return accepted
+
+
 @pytest.mark.parametrize(
     "model, method",
     [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")],
@@ -409,12 +421,10 @@ def test_newton_solves_do_not_depend_on_the_blas_thread_count():
 def test_fft2_counts_per_layer(model, method, monkeypatch):
     # The inner CG runs on packed spectra: per iteration one transform pair
     # for the pointwise part of the operator, plus one to pack the
-    # right-hand side and one to unpack the solution. A line-search trial
-    # packs (f, h) once for both Dirichlet energies (tw) or makes the
-    # residual's lap_pair (vav). An evaluate after an accepted trial reuses
-    # that trial's work: tw only unpacks the Laplacians, vav transforms
-    # nothing. At the start and after a polish, tw packs and unpacks and vav
-    # makes its lap_pair, 2 transforms each. A fixed-point iteration
+    # right-hand side and one to unpack the solution. A point packs (f, h)
+    # once, for both Dirichlet energies and the gradient's Laplacians, and
+    # unpacks those (tw), or makes the residual's lap_pair (vav): 2
+    # transforms wherever it is built. A fixed-point iteration
     # makes two real pairs (its inverse Laplacians); one complex pair starts
     # the carried Laplacians and one checks the residual at convergence.
     problem, solve = _problem_and_solver(model)
@@ -448,16 +458,11 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     def cg_iters(args, result):
         return result[2]
 
-    def reused(args, result):
-        return args[4] is not None
-
     monkeypatch.setattr(module, "pcg_pair", measured("pcg", module.pcg_pair, cg_iters))
-    work = module._Work
-    monkeypatch.setattr(work, "evaluate", measured("evaluate", work.evaluate, reused))
-    monkeypatch.setattr(work, "merit", measured("merit", work.merit))
+    monkeypatch.setattr(module._Work, "point", measured("point", module._Work.point))
     sol = solve(problem, method=method)
     if method == "fixed_point":
-        assert sol.iterations > 0 and "pcg" not in calls
+        assert sol.iterations > 0 and "pcg" not in calls and "point" not in calls
         it = sol.iterations
         assert count == {"fft2": 2, "ifft2": 2, "rfft2": 2 * it, "irfft2": 2 * it}
         return
@@ -467,33 +472,47 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     # the preconditioner inverts the operator's constant part exactly; with
     # the inverse-Helmholtz one these solves took 29 (tw) and 25 (vav)
     assert sum(it for _, it in calls["pcg"]) <= {"tw": 18, "vav": 15}[model]
-    evaluates = calls["evaluate"]
-    fresh = [n for n, r in evaluates if not r]
-    after_trial = [n for n, r in evaluates if r]
-    polishes = sum(e["kind"] == "polish" for e in sol.trace)
-    assert len(evaluates) == len(sol.trace) == sol.iterations + 1
-    assert len(fresh) == 1 + polishes and fresh == [2] * len(fresh)
-    assert after_trial and set(after_trial) == {{"tw": 1, "vav": 0}[model]}
-    assert calls["merit"] and {n for n, _ in calls["merit"]} == {{"tw": 1, "vav": 2}[model]}
+    points = [n for n, _ in calls["point"]]
+    assert len(sol.trace) == sol.iterations + 1
+    assert len(points) == len(_point_calls(sol.trace)) and set(points) == {2}
+
+
+# Constant starts far from the solution, where the full Newton step is
+# refused: tw from (8, -8) takes 16 iterations with a first step of 2**-8,
+# and vav from (2, -2) 7 iterations with a first step of 0.5.
+BACKTRACKING = {"tw": (8.0, -8.0), "vav": (2.0, -2.0)}
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
-def test_evaluate_reuses_the_accepted_trial_bit_for_bit(model, monkeypatch):
-    # The accepted trial point is the next iterate, the same x + t*d. With
-    # the point dropped, evaluate recomputes it from the iterate.
+def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
+    # The accepted trial is the next iterate as it stands: its point gives
+    # the trace record. The overflow guard counts iterates only; three of
+    # the refused tw trials clamp an exponent, so a guard that counted
+    # trials would stop this solve, which converges.
     problem, solve = _problem_and_solver(model)
-    reused = solve(problem)
     work = getattr(vortexlab, model)._Work
-    evaluate = work.evaluate
-    monkeypatch.setattr(
-        work, "evaluate", lambda self, a, b, trace, point=None: evaluate(self, a, b, trace)
-    )
-    fresh = solve(problem)
-    assert reused.iterations == fresh.iterations
-    assert any(e["kind"] == "newton" for e in fresh.trace)
-    assert reused.trace == fresh.trace
-    for name in ("U", "V"):
-        assert getattr(reused, name).values.tobytes() == getattr(fresh, name).values.tobytes()
+    point = work.point
+    calls = []
+
+    def recorded(self, y1, y2):
+        result = point(self, y1, y2)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(work, "point", recorded)
+    x0 = tuple(np.full((32, 32), c) for c in BACKTRACKING[model])
+    sol = solve(problem, x0=x0)
+    assert sol.trace[1]["kind"] != "polish" and sol.trace[1]["step"] < 1.0
+    accepted = _point_calls(sol.trace)
+    assert len(calls) == len(accepted) and not all(accepted)
+    driver_keys = ("iter", "step", "kind")
+    records = [{k: v for k, v in e.items() if k not in driver_keys} for e in sol.trace]
+    assert [c[4] for c, ok in zip(calls, accepted) if ok] == records
+    refused_clamps = sum(c[3] > 0 for c, ok in zip(calls, accepted) if not ok)
+    if model == "tw":
+        assert refused_clamps >= 2
+    else:
+        assert not any(c[3] for c in calls)
 
 
 # Solver settings no solve can meet. Before the shared check, tol 0 or NaN
@@ -580,7 +599,7 @@ def test_degenerate_start_fails_as_a_solver_error(model, start):
         solve(problem, x0=x0)
 
 
-def _nan_direction(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
+def _nan_direction(apply_op, apply_prec, b1, b2, rtol):
     return np.full_like(b1, np.nan), np.full_like(b2, np.nan), 1
 
 

@@ -281,11 +281,11 @@ def test_gradient_fallback_is_labelled(one_vortex, monkeypatch):
     calls = []
     pcg_pair = vortexlab.tw.pcg_pair
 
-    def ascent_once(apply_op, apply_prec, b1, b2, rtol, max_iter=500):
+    def ascent_once(apply_op, apply_prec, b1, b2, rtol):
         calls.append(None)
         if len(calls) == 1:
             return -b1, -b2, 1
-        return pcg_pair(apply_op, apply_prec, b1, b2, rtol, max_iter)
+        return pcg_pair(apply_op, apply_prec, b1, b2, rtol)
 
     monkeypatch.setattr(vortexlab.tw, "pcg_pair", ascent_once)
     problem, reference = one_vortex
