@@ -57,6 +57,8 @@ def test_summary_of_ten_pairs(tool):
     assert (p50["wins"], p50["pairs"]) == (9, 10)
     assert p50["gap"] == pytest.approx(0.05)
     assert p50["base_iqr"] == pytest.approx(0.045)
+    # no bound given, no verdict
+    assert p50["verdict"] is None
     frac = s["metrics"]["verified_frac"]
     # equal values win for neither side; higher is better here
     assert frac["wins"] == 0 and str(frac["gap"]) == "0.0"
@@ -95,6 +97,33 @@ def test_summary_with_a_failed_run(tool):
     assert empty["metrics"]["op_p50_s"]["base"] is None
     assert empty["metrics"]["op_p50_s"]["gap"] is None
     assert "base -" in tool.format_summary(empty)[0]
+
+
+def _verdict(tool, base, change, better="lower"):
+    """The verdict on op_p50_s for runs with these values, under a 0.25 bound."""
+    runs = [_run("base", i, b) for i, b in enumerate(base)]
+    runs += [_run("change", i, c) for i, c in enumerate(change)]
+    s = tool.summarize(runs, [{"name": "op_p50_s", "better": better, "bound": 0.25}])
+    verdict = s["metrics"]["op_p50_s"]["verdict"]
+    assert tool.format_summary(s)[0].endswith("  " + verdict)
+    return verdict
+
+
+def test_verdict_against_the_bound(tool):
+    tight = [1.0] * 5
+    # the bound is relative to the base median: 1.26 is worse, 1.24 within
+    assert _verdict(tool, tight, [1.26] * 5) == "worse"
+    assert _verdict(tool, tight, [1.24] * 5) == "within bound"
+    assert _verdict(tool, tight, [0.74] * 5, better="higher") == "worse"
+    assert _verdict(tool, tight, [0.76, 1.3, 0.8, 0.9, 1.2], better="higher") == "within bound"
+    # base IQR 1.0 over a median of 2.0 exceeds the bound: no verdict of
+    # "within bound" unless every change run beats every base run
+    wide = [1.0, 1.5, 2.0, 2.5, 3.0]
+    assert _verdict(tool, wide, [1.9] * 5) == "unresolved"
+    assert _verdict(tool, wide, [2.4] * 5) == "unresolved"
+    assert _verdict(tool, wide, [0.9] * 5) == "within bound"
+    assert _verdict(tool, wide, [3.1] * 5, better="higher") == "within bound"
+    assert _verdict(tool, wide, [2.6] * 5) == "worse"
 
 
 def test_machine_block_names_the_blas_threads(tool, monkeypatch):

@@ -9,7 +9,8 @@ that a drift of the machine's speed falls on both sides alike. Each run
 lasts the benchmark's own run length (`run_seconds` of the change
 checkout's BENCHMARK.json). For every end-to-end metric there it prints
 each side's median and quartiles, the pairs the change won and the gap
-between the medians against the base's interquartile range. For each side
+between the medians against the base's interquartile range, and its
+no-regression verdict against the metric's `bound` there. For each side
 it prints the failed and attempted operation counts, the runs that gave
 no result (non-zero exit or no metrics) and the runs whose results were
 not correct.
@@ -61,13 +62,18 @@ def summarize(runs, metrics):
     `runs` holds dicts with `side` ("base" or "change"), `pair`,
     `attempted`, `failed`, `metrics` ({name: {"value": v}}; empty for a
     run that gave no result) and optionally `returncode` and `correct`.
-    `metrics` holds dicts with `name` and `better` ("lower" or "higher").
-    A pair counts as won when both of its runs have the metric and the
-    change's value is strictly better. Returns {"ops": {side: {"runs",
-    "no_result", "incorrect", "attempted", "failed"}}, "metrics": {name:
-    {"base": stats, "change": stats, "wins", "pairs", "gap", "base_iqr"}}},
-    with stats {"median", "q1", "q3", "n"} or None when no run has it, and
-    gap the signed improvement of the change's median (positive = better).
+    `metrics` holds dicts with `name`, `better` ("lower" or "higher") and
+    optionally `bound`, relative to the base median. A pair counts as won
+    when both of its runs have the metric and the change's value is
+    strictly better. Returns {"ops": {side: {"runs", "no_result",
+    "incorrect", "attempted", "failed"}}, "metrics": {name: {"base": stats,
+    "change": stats, "wins", "pairs", "gap", "base_iqr", "verdict"}}}, with
+    stats {"median", "q1", "q3", "n"} or None when no run has it, and gap
+    the signed improvement of the change's median (positive = better).
+    The verdict is "worse" when the change's median is worse by more than
+    bound times the base median; "unresolved" when the base IQR exceeds
+    bound times the base median and not every change run beats every base
+    run; "within bound" otherwise; None without a bound or a gap.
     A run has no result when it exited non-zero or gave no metrics, and is
     incorrect when it reported `correct` false.
     """
@@ -89,11 +95,14 @@ def summarize(runs, metrics):
         name = metric["name"]
         sign = 1.0 if metric["better"] == "lower" else -1.0
         entry = {}
+        values = {}
         for side in SIDES:
-            values = [v for r in runs if r["side"] == side and (v := _value(r, name)) is not None]
-            if values:
-                q1, med, q3 = quartiles(values)
-                entry[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+            values[side] = [
+                v for r in runs if r["side"] == side and (v := _value(r, name)) is not None
+            ]
+            if values[side]:
+                q1, med, q3 = quartiles(values[side])
+                entry[side] = {"median": med, "q1": q1, "q3": q3, "n": len(values[side])}
             else:
                 entry[side] = None
         wins = 0
@@ -110,6 +119,19 @@ def summarize(runs, metrics):
             entry["base_iqr"] = entry["base"]["q3"] - entry["base"]["q1"]
         else:
             entry["gap"] = entry["base_iqr"] = None
+        entry["verdict"] = None
+        bound = metric.get("bound")
+        if bound is not None and entry["gap"] is not None:
+            allowed = bound * abs(entry["base"]["median"])
+            beats_all = max(sign * v for v in values["change"]) < min(
+                sign * v for v in values["base"]
+            )
+            if -entry["gap"] > allowed:
+                entry["verdict"] = "worse"
+            elif entry["base_iqr"] > allowed and not beats_all:
+                entry["verdict"] = "unresolved"
+            else:
+                entry["verdict"] = "within bound"
         out[name] = entry
     return {"ops": ops, "metrics": out}
 
@@ -128,6 +150,8 @@ def format_summary(summary):
         tail = ""
         if e["gap"] is not None:
             tail = f"  gap {e['gap']:+.4g} vs base IQR {e['base_iqr']:.4g}"
+        if e["verdict"]:
+            tail += f"  {e['verdict']}"
         lines.append(f"{name:14s} {sides[0]:32s} {sides[1]:32s} wins {e['wins']}/{e['pairs']}{tail}")
     for side in SIDES:
         o = summary["ops"][side]
