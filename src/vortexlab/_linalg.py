@@ -27,7 +27,7 @@ MEAN_TOL = 1e-12
 # operator's inverse, the step is 1/(a Rayleigh quotient of the
 # preconditioned operator); past 1/eps that quotient is rounding noise.
 _MAX_STEP = 1.0 / np.finfo(np.float64).eps
-# Iteration cap of one inner CG solve.
+# A CG solve that reaches this many iterations returns its last iterate.
 _CG_MAX_ITER = 500
 
 
@@ -89,20 +89,19 @@ def newton_solve(work, x1, x2, tol, max_iter):
     """Damped inexact Newton from (x1, x2) with the model hooks on `work`.
 
     `work.point(y1, y2)` returns (merit, sup, mean defect, clamp count,
-    trace record, state) at y; `work.direction(state, merit, eta)` returns
-    (d1, d2, kind, bound), and `work.polish(state)` returns the next
-    iterate. A step t is accepted once the merit at the trial y = x + t*d
-    is at most bound(t); that trial, with its point, is the next iterate
-    (Dennis & Schnabel, Numerical Methods for Unconstrained Optimization
-    and Nonlinear Equations, SIAM 1996, sec. 6.3). A point is built at the
-    start, after a polish and for each trial, and nowhere else.
-    Converged means sup < tol and mean defect <= MEAN_TOL; with only the sup
-    below tol, the polish step is taken. Returns (x1, x2, iterations, sup,
-    merit, trace). Every DivergedIterate is raised here: at the second
-    iterate whose exponent arguments were clamped (refused trials do not
-    count), at a non-finite merit or sup, and when the line search finds
-    no descent. The hooks call `pcg_pair` and the kernels by their names
-    on the model modules, where a traced run wraps them.
+    trace record, state) at y, `work.direction(state, merit, eta)` returns
+    (d1, d2, kind, bound) and `work.polish(state)` the next iterate. The
+    first trial y = x + t*d, t = 1, 1/2, ..., whose merit is at most
+    bound(t) is the next iterate as it stands (Dennis & Schnabel, Numerical
+    Methods for Unconstrained Optimization and Nonlinear Equations, SIAM
+    1996, sec. 6.3). Converged means sup < tol and mean defect <= MEAN_TOL;
+    with only the sup below tol, the polish step is taken. Every
+    DivergedIterate is raised here: at the second iterate with clamped
+    exponent arguments (refused trials do not count), at a non-finite merit
+    or sup, and when the line search finds no descent. Returns (x1, x2,
+    iterations, sup, merit, trace). The hooks call `pcg_pair` and the
+    kernels by their names on the model modules, where a traced run wraps
+    them.
     """
     trace = []
     it = 0
@@ -112,10 +111,9 @@ def newton_solve(work, x1, x2, tol, max_iter):
     point = work.point(x1, x2)
     while True:
         merit, sup, mean_defect, n_clip, record, state = point
-        if n_clip:
-            clamped += 1
-            if clamped >= 2:
-                raise DivergedIterate("overflow guard tripped twice; iterates diverging", trace)
+        clamped += bool(n_clip)
+        if clamped >= 2:
+            raise DivergedIterate("overflow guard tripped twice; iterates diverging", trace)
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
         trace.append({"iter": it, **record, "step": step, "kind": kind})
