@@ -16,6 +16,7 @@ the model hooks it calls. Everything here works on raw arrays for speed.
 import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
+from .kernels import EXP_CAP
 from .surface import pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
@@ -96,26 +97,28 @@ def newton_solve(work, x1, x2, tol, max_iter):
     Methods for Unconstrained Optimization and Nonlinear Equations, SIAM
     1996, sec. 6.3). Converged means sup < tol and mean defect <= MEAN_TOL;
     with only the sup below tol, the polish step is taken. Every
-    DivergedIterate is raised here: at the second iterate with clamped
-    exponent arguments (refused trials do not count), at a non-finite merit
-    or sup, and when the line search finds no descent. Returns (x1, x2,
-    iterations, sup, merit, trace). The hooks call `pcg_pair` and the
-    kernels by their names on the model modules, where a traced run wraps
-    them.
+    DivergedIterate is raised here, before the iterate's trace record: at a
+    non-finite merit or sup, at the first iterate with clamped exponent
+    arguments (the start, a polished point or an accepted trial; refused
+    trials do not count), and when the line search finds no descent.
+    Returns (x1, x2, iterations, sup, merit, trace). The hooks call
+    `pcg_pair` and the kernels by their names on the model modules, where a
+    traced run wraps them.
     """
     trace = []
     it = 0
     step = 0.0
     kind = "init"
-    clamped = 0
     point = work.point(x1, x2)
     while True:
         merit, sup, mean_defect, n_clip, record, state = point
-        clamped += bool(n_clip)
-        if clamped >= 2:
-            raise DivergedIterate("overflow guard tripped twice; iterates diverging", trace)
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
+        if n_clip:
+            raise DivergedIterate(
+                f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
+                trace,
+            )
         trace.append({"iter": it, **record, "step": step, "kind": kind})
         if sup < tol and mean_defect <= MEAN_TOL:
             return x1, x2, it, sup, merit, trace

@@ -109,6 +109,8 @@ class _Work:
         self.geom = problem.geometry
         self.u01 = problem.u01.values
         self.v01 = problem.v01.values
+        self.a1 = problem.a1
+        self.a2 = problem.a2
         N1, _, N2, _ = problem.config.counts()
         self.cf = FOUR_PI * N1 / self.geom.area
         self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
@@ -165,20 +167,22 @@ class _Work:
         return i_val, g_sup, m_abs, n_clip, record, (f, h, e1, e2, g1, g2)
 
     def polish(self, state):
-        """Newton step on the two field means; drives the integrated
-        gradients to rounding level so the count-quantized integrals hold
-        exactly."""
-        f, h, e1, e2, g1, g2 = state
+        """Fold the exact constraint shifts into the means: f += s1 and
+        h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so that with
+        s1 = log(a1/quad(e1)) and s2 = log(a2/quad(e2)) the integrals of e^u
+        and e^v take the values a1, a2 the counts force, and both integrated
+        gradients vanish to rounding."""
+        f, h, e1, e2, _, _ = state
         quad = self.geom.quad
-        q1 = quad(4.0 * e1 + e2)
-        q2 = quad(e2)
-        jac = np.array([[q1, -q2], [-q2, q2]])
-        delta = np.linalg.solve(jac, -np.array([quad(g1), quad(g2)]))
-        return f + delta[0], h + delta[1]
+        # a zero integral (every exponential underflowed) gives an infinite
+        # shift, and the driver stops at the non-finite iterate
+        s1, s2 = np.log(np.divide((self.a1, self.a2), (quad(e1), quad(e2))))
+        return f + s1, h + (s1 + 2.0 * s2)
 
     def direction(self, state, i_val, eta):
-        """Newton direction, or the preconditioned gradient when the Newton
-        direction is not a descent one; Armijo bound on the functional."""
+        """Newton direction, or the gradient preconditioned with CG's own
+        preconditioner when the Newton direction is not a descent one; Armijo
+        bound on the functional."""
         _, _, e1, e2, g1, g2 = state
         quad = self.geom.quad
         # CG is preconditioned with the exact inverse of the Hessian's
@@ -189,7 +193,7 @@ class _Work:
         slope = quad(g1 * d1 + g2 * d2)
         kind = "newton"
         if slope >= 0.0:
-            d1, d2 = self.geom.helmholtz_pair(-g1, -g2, 1.0)
+            d1, d2 = unpack_pair(prec(pack_pair(-g1, -g2)))
             slope = quad(g1 * d1 + g2 * d2)
             kind = "gradient"
         # Near the minimum the predicted decrease falls below the rounding

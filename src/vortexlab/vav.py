@@ -24,10 +24,10 @@ previous iterate, so it takes two or three grid-wide tanh evaluations.
 
 The fixed-point loop transforms only for its two inverse Laplacians, one
 real transform pair each. It carries Lap(U) and Lap(V) through the damped
-update, l <- (1 - omega)*l + omega*(rhs - mean rhs), which is exact since
+update, l <- (l + rhs - mean rhs)/2, which is exact since
 Lap(inv_lap_projected(r)) = r - mean r mode by mode, and reads its residual
-from them; an error in a carried l shrinks by (1 - omega) per iteration, so
-rounding cannot build up. One lap_pair starts the carry. Convergence is
+from them; an error in a carried l halves every iteration, so rounding
+cannot build up. One lap_pair starts the carry. Convergence is
 decided only on the residual of the governing system at the fields
 returned, from a true lap_pair; when that misses tol, the loop goes on from
 the true Laplacians.
@@ -59,7 +59,6 @@ from .surface import (
     TorusGeometry,
     _same_geometry,
     bounded_means,
-    check_relaxation,
     check_solver_settings,
     pack_pair,
     start_pair,
@@ -352,7 +351,7 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
     )
 
 
-def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
+def _solve_fixed_point(problem, work, tol, max_iter, x0):
     geom = work.geom
     Up, Vp = start_pair(geom, x0)
     Up -= Up.mean()
@@ -398,19 +397,20 @@ def _solve_fixed_point(problem, work, tol, max_iter, omega, x0):
                 f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
                 trace,
             )
-        # Damped update applied componentwise: the second component sees the
-        # first component's fresh value. The simultaneous variant loses
-        # contraction at noticeably smaller areas. Lap(inv_lap_projected(r))
-        # is r - mean(r), so each carried Laplacian takes the same damped step.
+        # Update damped by 1/2 and applied componentwise: the second
+        # component sees the first component's fresh value. The simultaneous
+        # variant loses contraction at noticeably smaller areas.
+        # Lap(inv_lap_projected(r)) is r - mean(r), so each carried Laplacian
+        # takes the same damped step.
         t1 = geom.inv_lap_projected(rhs1)
-        Up = (1.0 - omega) * Up + omega * t1
-        l1 = (1.0 - omega) * l1 + omega * (rhs1 - rhs1.mean())
+        Up = 0.5 * (Up + t1)
+        l1 = 0.5 * (l1 + (rhs1 - rhs1.mean()))
         c1 = _shift(work.du + Up, problem.a * geom.area, geom, c1)
         fu = f_half(work.du + Up + c1)
         rhs2_new = -4.0 * (fu - work.a) + 4.0 * (fv - work.b)
         t2 = geom.inv_lap_projected(rhs2_new)
-        Vp = (1.0 - omega) * Vp + omega * t2
-        l2 = (1.0 - omega) * l2 + omega * (rhs2_new - rhs2_new.mean())
+        Vp = 0.5 * (Vp + t2)
+        l2 = 0.5 * (l2 + (rhs2_new - rhs2_new.mean()))
         it += 1
 
 
@@ -420,34 +420,30 @@ def solve_vav(
     tol=1e-8,
     max_iter=None,
     method="newton",
-    omega=0.5,
     x0=None,
 ) -> VAVSolution:
     """Solve the vortex/anti-vortex system.
 
     method="newton" (default): damped Newton over the full fields with the
     symmetrized inner system solved by preconditioned CG and a line search
-    on the squared residual norm. method="fixed_point": damped Picard on the
-    constrained map applied componentwise (each component's update sees the
-    fresh values of the ones before it), relaxation factor `omega` in (0, 1]
-    (anything else raises ConfigurationError before any work); raises
-    Stagnation if the residual stops decreasing (reduction below 1e-3 over
-    50 iterations). The map is not a contraction on large tori, so stagnation
+    on the squared residual norm. method="fixed_point": Picard on the
+    constrained map damped by 1/2, x <- (x + T(x))/2, and applied
+    componentwise (each component's update sees the fresh values of the
+    ones before it); raises Stagnation if the residual stops decreasing
+    (reduction below 1e-3 over 50 iterations). The map is not a contraction on large tori, so stagnation
     is an expected reportable outcome there, not a bug.
     Both methods return sup-norm residual of the governing system below `tol`.
     """
     if method not in ("newton", "fixed_point"):
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
-    if method == "fixed_point":
-        check_relaxation(omega)
     work = _Work(problem)
     if method == "newton":
         max_iter = 50 if max_iter is None else max_iter
         U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
         return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
     return _solve_fixed_point(
-        problem, work, tol, 2000 if max_iter is None else max_iter, omega, x0
+        problem, work, tol, 2000 if max_iter is None else max_iter, x0
     )
 
 

@@ -255,14 +255,32 @@ def test_malformed_section_exit1(tmp_path, capsys):
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "sources": {"zeros_q": [[float("nan"), 1.1, 1]]},
         },
+        # a root that is not an object is written as the whole config
+        ["torus", "sources", "solver"],
+        {"torus": {"L1": 6.0, "L2": 6.0, "n1": 32}},
+        {"solver": {"method": "newton"}},
+        {"solver": {"model": "bogus"}},
+        {"solver": {"model": "tw", "method": "fixed_point"}},
+        {"outputs": {"format": "npy"}},
     ]
     for k, overrides in enumerate(bad):
         out = tmp_path / f"bad{k}"
-        cfg = write_config(tmp_path / f"bad{k}.json", **overrides)
+        if isinstance(overrides, dict):
+            cfg = write_config(tmp_path / f"bad{k}.json", **overrides)
+        else:
+            cfg = tmp_path / f"bad{k}.json"
+            cfg.write_text(json.dumps(overrides))
         capsys.readouterr()
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1, overrides
         assert capsys.readouterr().err.startswith("vortexlab: error: "), overrides
         assert not out.exists(), overrides
+    # a --lengths list with no length in it
+    out = tmp_path / "sweep"
+    good = write_config(tmp_path / "good.json")
+    argv = ["sweep", "--config", str(good), "--lengths", ",", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("vortexlab: error: ")
+    assert not out.exists()
 
 
 def test_sweep_vacuum(tmp_path):
@@ -471,7 +489,8 @@ def _refused(tmp_path, dump, capsys):
     capsys.readouterr()
     plot = tmp_path / "plot.dat"
     code = main(["plotdata", "--fields", str(dump), "--out", str(plot)])
-    return code == 1 and capsys.readouterr().err.startswith("vortexlab: error: ")
+    err = capsys.readouterr().err
+    return code == 1 and err.startswith("vortexlab: error: ") and not plot.exists()
 
 
 def test_plotdata_refuses_csv_out_of_grid_order(tmp_path, capsys):
@@ -487,6 +506,15 @@ def test_plotdata_refuses_csv_out_of_grid_order(tmp_path, capsys):
 
     # one node missing and another one twice
     csv.write_text(header + "".join(rows[:10] + [rows[9]] + rows[11:]))
+    assert _refused(tmp_path, csv, capsys)
+
+    # a header other than the writer's, one column short, and a row count
+    # that no n1 x n2 grid of the dump's coordinates has
+    csv.write_text(header.replace("Fhat", "F") + "".join(rows))
+    assert _refused(tmp_path, csv, capsys)
+    csv.write_text(header + "".join(",".join(row.split(",")[:7]) + "\n" for row in rows))
+    assert _refused(tmp_path, csv, capsys)
+    csv.write_text(header + "".join(rows[:-1]))
     assert _refused(tmp_path, csv, capsys)
 
 
@@ -506,6 +534,18 @@ def test_plotdata_refuses_sidecar_other_layout(tmp_path, capsys, key, value):
     sidecar = json.loads(sidecar_path.read_text())
     sidecar[key] = value
     sidecar_path.write_text(json.dumps(sidecar))
+    assert _refused(tmp_path, binary, capsys)
+
+
+def test_plotdata_refuses_binary_dump_short_or_without_sidecar(tmp_path, capsys):
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, _grid_planes(8, 8), "f64bin")
+    values = binary.read_bytes()
+    # one value fewer than the 8 * n1 * n2 the sidecar asks for
+    binary.write_bytes(values[:-8])
+    assert _refused(tmp_path, binary, capsys)
+    binary.write_bytes(values)
+    (tmp_path / "fields.bin.json").unlink()
     assert _refused(tmp_path, binary, capsys)
 
 

@@ -15,6 +15,7 @@ from vortexlab import (
     BracketFailure,
     ConfigurationError,
     DivergedIterate,
+    MaxIterExceeded,
     NonZeroMean,
     SolverError,
     TorusGeometry,
@@ -29,7 +30,9 @@ from vortexlab import (
     tw_problem,
     vav_problem,
 )
-from vortexlab.surface import check_relaxation, check_solver_settings, pack_pair, unpack_pair
+from vortexlab._linalg import pcg_pair
+from vortexlab.kernels import EXP_CAP
+from vortexlab.surface import check_solver_settings, pack_pair, unpack_pair
 
 
 @pytest.fixture(scope="module")
@@ -352,7 +355,6 @@ _BLAS_CALLS = {"vdot", "dot", "inner", "matmul", "tensordot"}
 
 
 def test_no_blas_in_the_solve_path():
-    # the 2x2 np.linalg.solve of the tw polish is the one LAPACK call
     found = []
     for path in sorted(Path(vortexlab.surface.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -366,7 +368,7 @@ def test_no_blas_in_the_solve_path():
                 and node.value.attr == "linalg"
             ):
                 found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
-    assert [f for f in found if not (f.startswith("tw.py") and f.endswith("linalg.solve"))] == []
+    assert found == []
 
 
 _THREAD_PROBE = """
@@ -560,16 +562,6 @@ def test_unknown_vav_method_rejected_before_work(monkeypatch):
         solve(problem, method="bogus")
 
 
-# A relaxation factor outside (0, 1] used to run: 0 ended in Stagnation
-# after 50 iterations, and -1, 3 and NaN in BracketFailure from the shifts.
-@pytest.mark.parametrize("omega", [0.0, -1.0, 3.0, float("nan"), float("inf")])
-def test_fixed_point_relaxation_outside_unit_interval_rejected(omega, monkeypatch):
-    problem, solve = _problem_and_solver("vav")
-    monkeypatch.setattr(vortexlab.vav, "_Work", _no_work)
-    with pytest.raises(ConfigurationError, match="omega"):
-        solve(problem, method="fixed_point", omega=omega)
-
-
 def test_bracket_failure_is_a_solver_error():
     # one class means "the solve failed": the CLI reports it as exit 3
     assert issubclass(BracketFailure, SolverError)
@@ -599,6 +591,71 @@ def test_degenerate_start_fails_as_a_solver_error(model, start):
         solve(problem, x0=x0)
 
 
+def _huge_start(problem):
+    rng = np.random.default_rng(0)
+    return tuple(1e200 * rng.standard_normal((32, 32)) for _ in range(2))
+
+
+def _constant_510_start(problem):
+    return np.full((32, 32), 510.0), np.full((32, 32), 510.0)
+
+
+def _one_505_entry_start(problem):
+    f = np.zeros((32, 32))
+    f[5, 7] = 505.0
+    return f, np.zeros((32, 32))
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
+# The start itself is the diverging iterate: the driver stops before its
+# trace record and before any direction. A start of 1e200 gives an infinite
+# merit in both models; a tw start whose exponent arguments pass EXP_CAP
+# stops at once, naming how many were clamped.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "model, start",
+    [
+        ("tw", _huge_start),
+        ("vav", _huge_start),
+        ("tw", _constant_510_start),
+        ("tw", _one_505_entry_start),
+    ],
+    ids=["tw-huge", "vav-huge", "tw-510", "tw-one-505"],
+)
+def test_divergence_at_the_start_is_named(model, start, monkeypatch):
+    problem, solve = _problem_and_solver(model)
+    monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _not_called)
+    f, h = start(problem)
+    if start is _huge_start:
+        message = "non-finite iterate"
+    else:
+        n_clip = np.count_nonzero(problem.u01.values + f > EXP_CAP)
+        n_clip += np.count_nonzero(problem.v01.values + 0.5 * (h - f) > EXP_CAP)
+        assert n_clip == 1 if start is _one_505_entry_start else n_clip > 1
+        message = f"^{n_clip} exponent argument\\(s\\) clamped at 500"
+    with pytest.raises(DivergedIterate, match=message) as exc:
+        solve(problem, x0=(f, h))
+    assert exc.value.trace == []
+
+
+@pytest.mark.parametrize("model, method", SOLVE_PATHS)
+def test_max_iter_exceeded_keeps_every_iterate(model, method):
+    # the start and each of the three iterations leave one trace record
+    problem, solve = _problem_and_solver(model)
+    with pytest.raises(MaxIterExceeded, match="no convergence in 3 iterations") as exc:
+        solve(problem, method=method, max_iter=3)
+    assert [e["iter"] for e in exc.value.trace] == [0, 1, 2, 3]
+
+
+def test_pcg_of_a_zero_right_hand_side_is_zero():
+    zero = np.zeros((8, 8))
+    x1, x2, iterations = pcg_pair(_not_called, _not_called, zero, zero, rtol=0.1)
+    assert iterations == 0 and not x1.any() and not x2.any()
+
+
 def _nan_direction(apply_op, apply_prec, b1, b2, rtol):
     return np.full_like(b1, np.nan), np.full_like(b2, np.nan), 1
 
@@ -617,5 +674,3 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
 def test_solver_settings_accepted():
     for tol, max_iter in [(1e-8, None), (np.float64(1e-3), np.int64(1)), (1, 50)]:
         check_solver_settings(tol, max_iter)
-    for omega in (1, 1.0, 0.5, np.float64(1e-3)):
-        check_relaxation(omega)
