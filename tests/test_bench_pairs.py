@@ -150,3 +150,7 @@ def test_each_set_keeps_its_own_machine_block(tool, tmp_path):
     fresh = tmp_path / "new.json"
     tool.append_set(fresh, {"workload": "c", "machine": {"cpus": 1}})
     assert json.loads(fresh.read_text()) == {"sets": [{"workload": "c", "machine": {"cpus": 1}}]}
+
+
+def test_commit_is_null_outside_a_git_work_tree(tool, tmp_path):
+    assert tool.head_commit(tmp_path) is None

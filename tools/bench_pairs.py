@@ -16,8 +16,8 @@ no result (non-zero exit or no metrics) and the runs whose results were
 not correct.
 
 Every run (side, pair, order, exit code, wall time, operation counts and
-metrics) goes to the --out JSON file together with its summary and the
-machine it ran on. An existing file gains one more set, so that several
+metrics) goes to the --out JSON file together with its summary, the
+machine it ran on and each checkout's directory name and commit. An existing file gains one more set, so that several
 workloads and seeds can share one file; each set keeps its own machine
 block. Standard library only.
 """
@@ -182,6 +182,17 @@ def machine():
     }
 
 
+def head_commit(checkout):
+    """`git rev-parse HEAD` in `checkout`, or None outside a git work tree."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
+        )
+    except OSError:  # no git
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def append_set(path, entry):
     """Add one set to the JSON file at `path`, creating the file if needed."""
     data = {"sets": []}
@@ -249,8 +260,11 @@ def main(argv=None):
             "seconds": seconds,
             "pairs": args.pairs,
             "machine": machine(),
-            # directory names only: name the checkouts after their commits
-            "checkouts": {side: os.path.basename(path) for side, path in checkouts.items()},
+            # directory names only, each with the commit checked out there
+            "checkouts": {
+                side: {"dir": os.path.basename(path), "commit": head_commit(path)}
+                for side, path in checkouts.items()
+            },
             "summary": summary,
             "runs": runs,
         },
