@@ -115,10 +115,7 @@ def newton_solve(work, x1, x2, tol, max_iter):
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
         if n_clip:
-            raise DivergedIterate(
-                f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
-                trace,
-            )
+            raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
         trace.append({"iter": it, **record, "step": step, "kind": kind})
         if sup < tol and mean_defect <= MEAN_TOL:
             return x1, x2, it, sup, merit, trace

@@ -209,9 +209,8 @@ class TorusGeometry:
         return unpack_pair(self._inv_sym * pack_pair(a, b))
 
     def helmholtz_pair(self, a, b, gamma):
-        """Solve (-Lap + gamma) x = rhs for two arrays at once, gamma > 0.
-
-        No solver calls it; the benchmark times it as the pair transform."""
+        """Solve (-Lap + gamma) x = rhs for two arrays at once, gamma > 0;
+        no solver calls it, and the benchmark times it as a transform pair."""
         return unpack_pair(pack_pair(a, b) / (gamma - self._lap_sym))
 
     def quad(self, a):

@@ -109,8 +109,7 @@ class _Work:
         self.geom = problem.geometry
         self.u01 = problem.u01.values
         self.v01 = problem.v01.values
-        self.a1 = problem.a1
-        self.a2 = problem.a2
+        self.a = (problem.a1, problem.a2)
         N1, _, N2, _ = problem.config.counts()
         self.cf = FOUR_PI * N1 / self.geom.area
         self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
@@ -168,15 +167,12 @@ class _Work:
 
     def polish(self, state):
         """Fold the exact constraint shifts into the means: f += s1 and
-        h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so that with
-        s1 = log(a1/quad(e1)) and s2 = log(a2/quad(e2)) the integrals of e^u
-        and e^v take the values a1, a2 the counts force, and both integrated
-        gradients vanish to rounding."""
+        h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so s1 = log(a1/quad(e1))
+        and s2 = log(a2/quad(e2)) zero both integrated gradients. A zero
+        integral gives an infinite shift, and a non-finite iterate."""
         f, h, e1, e2, _, _ = state
         quad = self.geom.quad
-        # a zero integral (every exponential underflowed) gives an infinite
-        # shift, and the driver stops at the non-finite iterate
-        s1, s2 = np.log(np.divide((self.a1, self.a2), (quad(e1), quad(e2))))
+        s1, s2 = np.log(np.divide(self.a, (quad(e1), quad(e2))))
         return f + s1, h + (s1 + 2.0 * s2)
 
     def direction(self, state, i_val, eta):

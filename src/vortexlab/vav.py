@@ -397,11 +397,10 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
                 f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
                 trace,
             )
-        # Update damped by 1/2 and applied componentwise: the second
-        # component sees the first component's fresh value. The simultaneous
-        # variant loses contraction at noticeably smaller areas.
-        # Lap(inv_lap_projected(r)) is r - mean(r), so each carried Laplacian
-        # takes the same damped step.
+        # Update damped by 1/2, componentwise: the second component sees the
+        # first component's fresh value. The simultaneous variant loses
+        # contraction at noticeably smaller areas. Lap(inv_lap_projected(r))
+        # is r - mean(r), so each carried Laplacian takes the same step.
         t1 = geom.inv_lap_projected(rhs1)
         Up = 0.5 * (Up + t1)
         l1 = 0.5 * (l1 + (rhs1 - rhs1.mean()))
@@ -430,8 +429,8 @@ def solve_vav(
     constrained map damped by 1/2, x <- (x + T(x))/2, and applied
     componentwise (each component's update sees the fresh values of the
     ones before it); raises Stagnation if the residual stops decreasing
-    (reduction below 1e-3 over 50 iterations). The map is not a contraction on large tori, so stagnation
-    is an expected reportable outcome there, not a bug.
+    (reduction below 1e-3 over 50 iterations). The map is not a contraction
+    on large tori, so stagnation is an expected reportable outcome there.
     Both methods return sup-norm residual of the governing system below `tol`.
     """
     if method not in ("newton", "fixed_point"):
@@ -442,9 +441,7 @@ def solve_vav(
         max_iter = 50 if max_iter is None else max_iter
         U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
         return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
-    return _solve_fixed_point(
-        problem, work, tol, 2000 if max_iter is None else max_iter, x0
-    )
+    return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
 
 
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):

@@ -17,9 +17,10 @@ not correct.
 
 Every run (side, pair, order, exit code, wall time, operation counts and
 metrics) goes to the --out JSON file together with its summary, the
-machine it ran on and each checkout's directory name and commit. An existing file gains one more set, so that several
-workloads and seeds can share one file; each set keeps its own machine
-block. Standard library only.
+machine it ran on and each checkout's directory name and commit. An
+existing file gains one more set, so that several workloads and seeds can
+share one file; each set keeps its own machine block. Standard library
+only.
 """
 
 import argparse
