@@ -5,6 +5,7 @@ import vortexlab.tw
 from vortexlab import (
     BradlowViolation,
     ConfigurationError,
+    DivergedIterate,
     MaxIterExceeded,
     TorusGeometry,
     VortexConfiguration,
@@ -189,8 +190,8 @@ def test_minimum_near_vortex_center(one_vortex):
 
 def test_polish_restores_the_integrals_exactly(mixed):
     # The polish folds the exact shifts into the means. From a converged
-    # state with both means moved by 1e-3, the linearised 2x2 step it
-    # replaced left a mean defect of 4.7e-5.
+    # state with both means moved by 1e-3, a linearised 2x2 step on the
+    # means leaves a mean defect of 4.7e-5.
     problem, sol = mixed
     work = vortexlab.tw._Work(problem)
     f = sol.U.values + 1e-3
@@ -198,6 +199,19 @@ def test_polish_restores_the_integrals_exactly(mixed):
     assert work.point(f, h)[2] > 1e-2
     f, h = work.polish(work.point(f, h)[5])
     assert work.point(f, h)[2] <= MEAN_TOL
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_polish_where_every_exponential_underflowed_diverges():
+    # Under a loose tol the start is polished although e^u and e^v underflow
+    # everywhere: the shifts are infinite and the solve stops at the
+    # non-finite iterate, as a solver error.
+    geom = TorusGeometry(6.0, 6.0, 32, 32)
+    problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
+    x0 = (np.full((32, 32), -800.0), np.full((32, 32), -2400.0))
+    with pytest.raises(DivergedIterate, match="non-finite iterate") as exc:
+        solve_tw(problem, x0=x0, tol=10.0)
+    assert [e["kind"] for e in exc.value.trace] == ["init"]
 
 
 def test_residual_below_tolerance(mixed):
