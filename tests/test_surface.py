@@ -591,16 +591,16 @@ def test_degenerate_start_fails_as_a_solver_error(model, start):
         solve(problem, x0=x0)
 
 
-def _huge_start(problem):
+def _huge_start():
     rng = np.random.default_rng(0)
     return tuple(1e200 * rng.standard_normal((32, 32)) for _ in range(2))
 
 
-def _constant_510_start(problem):
+def _constant_510_start():
     return np.full((32, 32), 510.0), np.full((32, 32), 510.0)
 
 
-def _one_505_entry_start(problem):
+def _one_505_entry_start():
     f = np.zeros((32, 32))
     f[5, 7] = 505.0
     return f, np.zeros((32, 32))
@@ -628,7 +628,7 @@ def _not_called(*args, **kwargs):
 def test_divergence_at_the_start_is_named(model, start, monkeypatch):
     problem, solve = _problem_and_solver(model)
     monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _not_called)
-    f, h = start(problem)
+    f, h = start()
     if start is _huge_start:
         message = "non-finite iterate"
     else:

@@ -291,12 +291,9 @@ def test_anisotropic_grid_quantization():
     assert qi["Iv"] == pytest.approx(3 * TWO_PI, rel=1e-2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverged_iterate_is_diagnosed(geom):
-    # transient inf/nan inside the inner algebra is how the guard detects
-    # the blow-up, hence the filtered overflow warnings
-    from vortexlab import DivergedIterate
-
+    # the start's exponent arguments are clamped, and the driver stops there
     problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
     absurd = np.full((geom.n1, geom.n2), 700.0)
     with pytest.raises(DivergedIterate):
