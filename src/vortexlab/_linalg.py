@@ -90,21 +90,24 @@ def newton_solve(work, x1, x2, tol, max_iter):
     """Damped inexact Newton from (x1, x2) with the model hooks on `work`.
 
     `work.point(y1, y2)` returns (merit, sup, mean defect, clamp count,
-    trace record, state) at y, `work.direction(state, merit, eta)` returns
-    (d1, d2, kind, bound) and `work.polish(state)` the next iterate. The
-    first trial y = x + t*d, t = 1, 1/2, ..., whose merit is at most
-    bound(t) is the next iterate as it stands (Dennis & Schnabel, Numerical
-    Methods for Unconstrained Optimization and Nonlinear Equations, SIAM
-    1996, sec. 6.3). Converged means sup < tol and mean defect <= MEAN_TOL;
-    with only the sup below tol, the polish step is taken. Every
-    DivergedIterate is raised here, before the iterate's trace record: at a
-    non-finite merit or sup, at the first iterate with clamped exponent
-    arguments (the start, a polished point or an accepted trial; refused
-    trials do not count), and when the line search finds no descent.
-    Returns (x1, x2, iterations, sup, merit, trace). The hooks call
-    `pcg_pair` and the kernels by their names on the model modules, where a
-    traced run wraps them.
+    trace record, state) at y, the merit being the model's convex
+    functional; `work.direction(state, eta)` returns CG's Newton direction
+    (d1, d2), the gradient (g1, g2) and CG's preconditioner; and
+    `work.polish(state)` the next iterate. A direction whose slope quad(g.d)
+    is not a finite negative number gives way to the preconditioned
+    gradient, kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ...,
+    whose merit is at most merit + ARMIJO_C*t*slope is the next iterate as
+    it stands (Nocedal & Wright, Numerical Optimization, 2006, ch. 3).
+    Converged means sup < tol and mean defect <= MEAN_TOL; with only the sup
+    below tol, the polish step is taken. Every DivergedIterate is raised
+    here, before the iterate's trace record: at a non-finite merit or sup,
+    at the first iterate with clamped exponent arguments (the start, a
+    polished point or an accepted trial; refused trials do not count), and
+    when the line search finds no descent. Returns (x1, x2, iterations,
+    sup, merit, trace). The hooks call `pcg_pair` and the kernels by their
+    names on the model modules, where a traced run wraps them.
     """
+    quad = work.geom.quad
     trace = []
     it = 0
     step = 0.0
@@ -132,13 +135,23 @@ def newton_solve(work, x1, x2, tol, max_iter):
             kind = "polish"
             point = work.point(x1, x2)
             continue
-        d1, d2, kind, bound = work.direction(state, merit, min(0.1, np.sqrt(sup)))
+        d1, d2, g1, g2, prec = work.direction(state, min(0.1, np.sqrt(sup)))
+        slope = quad(g1 * d1 + g2 * d2)
+        kind = "newton"
+        if not -np.inf < slope < 0.0:
+            d1, d2 = unpack_pair(prec(pack_pair(-g1, -g2)))
+            slope = quad(g1 * d1 + g2 * d2)
+            kind = "gradient"
+        # Near the minimum the predicted decrease falls below the merit's
+        # rounding, and every trial step would be refused on noise: allow an
+        # eps*|merit| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).
+        slack = 1e-12 * (1.0 + abs(merit)) if -slope < 1e-9 * (1.0 + abs(merit)) else 0.0
         t = 1.0
         for _ in range(40):
             y1 = x1 + t * d1
             y2 = x2 + t * d2
             point = work.point(y1, y2)
-            if point[0] <= bound(t):
+            if point[0] <= merit + ARMIJO_C * t * slope + slack:
                 break
             # a refused trial's arrays go before the next trial's are made
             del point, y1, y2

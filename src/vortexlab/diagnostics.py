@@ -227,6 +227,6 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
 # flux_report_* are public names. report_* exist because the traced benchmark
 # run wraps `cli.report_tw` and `cli.report_vav` by name; they go when it
-# stops wrapping names (ROADMAP item 2).
+# stops wrapping names (ROADMAP item 4).
 flux_report_tw = flux_report_vav = flux_report
 report_tw = report_vav = build_report

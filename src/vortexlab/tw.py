@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ARMIJO_C, newton_solve, pcg_pair
+from ._linalg import newton_solve, pcg_pair
 from .errors import BradlowViolation, ConfigurationError
-from .kernels import clipped_exp
+from .kernels import EXP_CAP, clipped_exp
 from .sources import (
     FOUR_PI,
     TWO_PI,
@@ -175,28 +175,15 @@ class _Work:
         s1, s2 = np.log(np.divide(self.a, (quad(e1), quad(e2))))
         return f + s1, h + (s1 + 2.0 * s2)
 
-    def direction(self, state, i_val, eta):
-        """Newton direction, or the gradient preconditioned with CG's own
-        preconditioner when the Newton direction is not a descent one; Armijo
-        bound on the functional."""
+    def direction(self, state, eta):
+        """Newton direction from CG, the gradient and CG's preconditioner."""
         _, _, e1, e2, g1, g2 = state
-        quad = self.geom.quad
         # CG is preconditioned with the exact inverse of the Hessian's
         # constant part: -Lap plus the grid mean of the coupling matrix
         m1, m2 = bounded_means(e1, e2)
         prec = self.geom.elliptic_inverse_packed(_IDENTITY, ((4.0 * m1 + m2, -m2), (-m2, m2)))
         d1, d2, _ = pcg_pair(self.hessian_apply(e1, e2), prec, -g1, -g2, rtol=eta)
-        slope = quad(g1 * d1 + g2 * d2)
-        kind = "newton"
-        if slope >= 0.0:
-            d1, d2 = unpack_pair(prec(pack_pair(-g1, -g2)))
-            slope = quad(g1 * d1 + g2 * d2)
-            kind = "gradient"
-        # Near the minimum the predicted decrease falls below the rounding
-        # of I (about 1e2), and every trial step would be refused on noise:
-        # allow an eps*|I| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).
-        slack = 1e-12 * (1.0 + abs(i_val)) if -slope < 1e-9 * (1.0 + abs(i_val)) else 0.0
-        return d1, d2, kind, lambda t: i_val + ARMIJO_C * t * slope + slack
+        return d1, d2, g1, g2, prec
 
 
 def tw_residual(sol, problem: TWProblem):
@@ -250,7 +237,7 @@ def _warned_exps(f, h, problem):
     e1, e2, n_clip = work.exps(f.values, h.values)
     if n_clip:
         warnings.warn(
-            f"{n_clip} exponent argument(s) clamped at 500; iterate diverging",
+            f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
             RuntimeWarning,
             stacklevel=3,
         )

@@ -12,7 +12,9 @@ Solutions exist iff |a| < 1 and |b| < 1 for the normalized count differences
 a, b; integrating the equations pins the integrals of f to a|S| and b|S|.
 
 Two methods are provided. The default is damped Newton on the full fields
-(means included; the nonlinearity fixes them). The alternative iterates the
+(means included; the nonlinearity fixes them), with a line search on the
+convex functional J whose Euler-Lagrange equations these are; J is coercive
+exactly when |a|, |b| < 1 (see `_Work.point`). The alternative iterates the
 constrained fixed-point map T: the means are carried by explicit shifts
 c1, c2 chosen so the integral constraints hold at every iterate, and the
 mean-zero parts are updated through inverse Laplacians. Damped Picard on T
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import ARMIJO_C, newton_solve, pcg_pair
+from ._linalg import newton_solve, pcg_pair
 from .errors import (
     BracketFailure,
     ConfigurationError,
@@ -224,8 +226,8 @@ class _Work:
     def f_pair(self, U, V):
         return f_half(self.du + U), f_half(self.dv + V)
 
-    def residual(self, U, V, fu, fv):
-        l1, l2 = self.geom.lap_pair(U, V)
+    def residual(self, l1, l2, fu, fv):
+        """The governing equations' residuals from Lap(U), Lap(V) and f."""
         r1 = l1 - (8.0 * fu - 4.0 * fv + self.c1)
         r2 = l2 - (-4.0 * fu + 4.0 * fv + self.c2)
         return r1, r2
@@ -249,22 +251,31 @@ class _Work:
 
         return apply_op
 
-    # hooks of the Newton driver (_linalg.newton_solve); the merit is phi
+    # hooks of the Newton driver (_linalg.newton_solve)
     sup_label = "residual sup"
 
     def point(self, U, V):
-        """phi at (U, V), the residual's sup and integrated defect, no
-        clamps, the trace record and the state (U, V, r1, r2)."""
+        """J at (U, V), the residual's sup and integrated defect, no clamps,
+        the trace record and the state (U, V, r1, r2). J integrates
+        -X.AINV.Lap(X)/2 + 2 log cosh(s/2) - a*U - b*V, s = d + X, with
+        2 log cosh(s/2) = |s| - 2 log1p(|tanh(s/2)|), which cannot overflow."""
         geom = self.geom
         fu, fv = self.f_pair(U, V)
-        r1, r2 = self.residual(U, V, fu, fv)
-        phi = geom.quad(r1 * r1 + r2 * r2)
+        l1, l2 = geom.lap_pair(U, V)
+        r1, r2 = self.residual(l1, l2, fu, fv)
+        (i11, i12), (i21, i22) = _AINV
+        j_val = geom.quad(
+            np.abs(self.du + U) - 2.0 * np.log1p(np.abs(fu))
+            + np.abs(self.dv + V) - 2.0 * np.log1p(np.abs(fv))
+            - U * (0.5 * (i11 * l1 + i12 * l2) + self.a)
+            - V * (0.5 * (i21 * l1 + i22 * l2) + self.b)
+        )
         r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         m_abs = max(
             abs(geom.quad(fu) - self.a * geom.area),
             abs(geom.quad(fv) - self.b * geom.area),
         )
-        return phi, r_sup, m_abs, 0, {"resid_sup": r_sup, "phi": phi}, (U, V, r1, r2)
+        return j_val, r_sup, m_abs, 0, {"resid_sup": r_sup, "J": j_val}, (U, V, r1, r2)
 
     def polish(self, state):
         """Fold the exact constraint shifts into the means."""
@@ -273,27 +284,28 @@ class _Work:
         V = V + _shift(self.dv + V, self.b * self.geom.area, self.geom)
         return U, V
 
-    def direction(self, state, phi, eta):
-        """Newton direction of the symmetrized system; Armijo bound on phi."""
+    def direction(self, state, eta):
+        """Newton direction of the symmetrized system from CG, J's gradient
+        -AINV*r and CG's preconditioner."""
         U, V, r1, r2 = state
         d1_diag = df_half(self.du + U)
         d2_diag = df_half(self.dv + V)
         (i11, i12), (i21, i22) = _AINV
-        b1 = i11 * r1 + i12 * r2
-        b2 = i21 * r1 + i22 * r2
+        g1 = -(i11 * r1 + i12 * r2)
+        g2 = -(i21 * r1 + i22 * r2)
         # CG is preconditioned with the exact inverse of the constant part,
         # -_AINV*Lap + diag(mean d1, mean d2)
         m1, m2 = bounded_means(d1_diag, d2_diag)
         prec = self.geom.elliptic_inverse_packed(_AINV, ((m1, 0.0), (0.0, m2)))
-        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
-        return dU, dV, "newton", lambda t: (1.0 - 2.0 * ARMIJO_C * t) * phi
+        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, -g1, -g2, rtol=eta)
+        return dU, dV, g1, g2, prec
 
 
 def vav_residual(sol, problem: VAVProblem):
     """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
     work = _Work(problem)
-    fu, fv = work.f_pair(sol.U.values, sol.V.values)
-    return work.residual(sol.U.values, sol.V.values, fu, fv)
+    U, V = sol.U.values, sol.V.values
+    return work.residual(*problem.geometry.lap_pair(U, V), *work.f_pair(U, V))
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
@@ -376,7 +388,7 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
             # the fields returned, from true Laplacians; on a miss the
             # iteration goes on from those.
             U, V = Up + c1, Vp + c2
-            r1, r2 = work.residual(U, V, *work.f_pair(U, V))
+            r1, r2 = work.residual(*geom.lap_pair(U, V), *work.f_pair(U, V))
             r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(Up, Vp)
@@ -425,7 +437,7 @@ def solve_vav(
 
     method="newton" (default): damped Newton over the full fields with the
     symmetrized inner system solved by preconditioned CG and a line search
-    on the squared residual norm. method="fixed_point": Picard on the
+    on the convex functional J. method="fixed_point": Picard on the
     constrained map damped by 1/2, x <- (x + T(x))/2, and applied
     componentwise (each component's update sees the fresh values of the
     ones before it); raises Stagnation if the residual stops decreasing

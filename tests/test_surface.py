@@ -481,8 +481,8 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
 
 # Constant starts far from the solution, where the full Newton step is
 # refused: tw from (8, -8) takes 16 iterations with a first step of 2**-8,
-# and vav from (2, -2) 7 iterations with a first step of 0.5.
-BACKTRACKING = {"tw": (8.0, -8.0), "vav": (2.0, -2.0)}
+# and vav from (4, -4) 9 iterations with a first step of 1/4.
+BACKTRACKING = {"tw": (8.0, -8.0), "vav": (4.0, -4.0)}
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
@@ -579,16 +579,60 @@ def test_non_finite_start_rejected(model, method, bad):
         solve(problem, method=method, x0=x0)
 
 
+def _assert_default_solution(problem, solve, sol):
+    reference = solve(problem)
+    assert np.abs(sol.U.values - reference.U.values).max() < 1e-9
+    assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
+
+
 # Starts where every exponential underflows (tw) or every tanh saturates
 # (vav): the Newton operator is singular on constants. The inner CG used to
-# take an infinite step there, and the solve ran on NaN trials.
+# take an infinite step there, and the solve ran on NaN trials. tw fails as
+# a solver error; vav's functional is coercive in the means, and its line
+# search reaches the default solution.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model, start", [("tw", (-800.0, -2400.0)), ("vav", (50.0, -50.0))])
 def test_degenerate_start_fails_as_a_solver_error(model, start):
     problem, solve = _problem_and_solver(model)
     x0 = tuple(np.full((32, 32), c) for c in start)
+    if model == "vav":
+        _assert_default_solution(problem, solve, solve(problem, x0=x0))
+        return
     with pytest.raises(SolverError):
         solve(problem, x0=x0)
+
+
+def _noise_100_start():
+    rng = np.random.default_rng(0)
+    return tuple(100.0 * rng.standard_normal((32, 32)) for _ in range(2))
+
+
+# Far vav starts. With the squared residual norm as the merit, each ended in
+# "line search failed": the merit fell while V's mean ran away, until an
+# inner CG returned a direction of sup about 1e302. On the functional J the
+# means cannot run away.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "start",
+    [(4.0, -4.0), (6.0, -6.0), (-4.0, 4.0), _noise_100_start],
+    ids=["4,-4", "6,-6", "-4,4", "noise-100"],
+)
+def test_vav_converges_from_far_starts(start):
+    problem, solve = _problem_and_solver("vav")
+    x0 = start() if callable(start) else tuple(np.full((32, 32), c) for c in start)
+    _assert_default_solution(problem, solve, solve(problem, x0=x0))
+
+
+# From (30, -30) the second inner CG overflows and returns a direction of
+# sup about 6e153, whose slope is -inf. No trial can pass an Armijo bound of
+# -inf, so that step falls back to the preconditioned gradient.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("c", [30.0, -30.0])
+def test_vav_non_finite_slope_falls_back_to_the_gradient(c):
+    problem, solve = _problem_and_solver("vav")
+    sol = solve(problem, x0=(np.full((32, 32), c), np.full((32, 32), -c)))
+    assert "gradient" in [e["kind"] for e in sol.trace]
+    _assert_default_solution(problem, solve, sol)
 
 
 def _huge_start():
@@ -661,14 +705,35 @@ def _nan_direction(apply_op, apply_prec, b1, b2, rtol):
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
-def test_line_search_failure_is_one_class(model, monkeypatch):
-    # both Newton solvers go through one driver, so a direction that no step
-    # length can accept ends the same way in each model
+def test_nan_direction_falls_back_to_the_gradient(model, monkeypatch):
+    # a slope that is not a finite negative number, NaN included, takes the
+    # preconditioned gradient in both models
     problem, solve = _problem_and_solver(model)
     monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _nan_direction)
+    sol = solve(problem)
+    assert sol.trace[1]["kind"] == "gradient"
+    assert {e["kind"] for e in sol.trace[1:]} <= {"gradient", "polish"}
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_line_search_failure_is_one_class(model, monkeypatch):
+    # both Newton solvers go through one driver, so trials that no step
+    # length can accept end the same way in each model
+    problem, solve = _problem_and_solver(model)
+    work = getattr(vortexlab, model)._Work
+    point = work.point
+    calls = []
+
+    def infinite_after_the_start(self, y1, y2):
+        result = point(self, y1, y2)
+        calls.append(None)
+        return result if len(calls) == 1 else (np.inf, *result[1:])
+
+    monkeypatch.setattr(work, "point", infinite_after_the_start)
     with pytest.raises(DivergedIterate, match="line search failed") as exc:
         solve(problem)
     assert [e["kind"] for e in exc.value.trace] == ["init"]
+    assert len(calls) == 41
 
 
 def test_solver_settings_accepted():

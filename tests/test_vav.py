@@ -461,6 +461,34 @@ def test_newton_residual_certified(balanced):
     assert sol.final_residual < 1e-8
 
 
+def test_newton_descends_the_functional_of_its_gradient(balanced):
+    # Newton's merit J has the gradient -AINV*r: at a smooth non-solution the
+    # central difference of J along D matches quad(g.D). Along each accepted
+    # trace J rises by no more than the line search's rounding slack.
+    problem, sol = balanced
+    geom = problem.geometry
+    work = vortexlab.vav._Work(problem)
+    x1, x2 = geom.nodes()
+    U = 0.5 * four_mode_field(geom) + 0.3
+    V = -0.4 * np.cos(2 * PI * (x1 - 2 * x2) / geom.L1) - 0.1
+    D1 = four_mode_field(geom) - 0.2
+    D2 = np.sin(2 * PI * x1 / geom.L1) + 0.5
+    _, _, r1, r2 = work.point(U, V)[5]
+    (i11, i12), (i21, i22) = vortexlab.vav._AINV
+    slope = geom.quad(-(i11 * r1 + i12 * r2) * D1 - (i21 * r1 + i22 * r2) * D2)
+    eps = 1e-4
+    J_plus = work.point(U + eps * D1, V + eps * D2)[0]
+    J_minus = work.point(U - eps * D1, V - eps * D2)[0]
+    assert (J_plus - J_minus) / (2 * eps) == pytest.approx(slope, rel=1e-6)
+    traces = [sol.trace]
+    for c in (4.0, -600.0):
+        x0 = (np.full(U.shape, c), np.full(U.shape, -c))
+        traces.append(solve_vav(problem, x0=x0).trace)
+    for trace in traces:
+        J = [e["J"] for e in trace]
+        assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(J, J[1:]))
+
+
 def test_fixed_point_agrees_with_newton_small_torus():
     geom = TorusGeometry(4.0, 4.0, 64, 64)
     cfg = VortexConfiguration(zeros_q=[(1.1, 1.5, 1)], poles_q=[(2.9, 2.6, 1)])
