@@ -107,7 +107,6 @@ def newton_solve(work, x1, x2, tol, max_iter):
     sup, merit, trace). The hooks call `pcg_pair` and the kernels by their
     names on the model modules, where a traced run wraps them.
     """
-    quad = work.geom.quad
     trace = []
     it = 0
     step = 0.0
@@ -136,12 +135,13 @@ def newton_solve(work, x1, x2, tol, max_iter):
             point = work.point(x1, x2)
             continue
         d1, d2, g1, g2, prec = work.direction(state, min(0.1, np.sqrt(sup)))
-        slope = quad(g1 * d1 + g2 * d2)
+        slope = work.geom.quad(g1 * d1 + g2 * d2)
         kind = "newton"
         if not -np.inf < slope < 0.0:
             d1, d2 = unpack_pair(prec(pack_pair(-g1, -g2)))
-            slope = quad(g1 * d1 + g2 * d2)
+            slope = work.geom.quad(g1 * d1 + g2 * d2)
             kind = "gradient"
+        del g1, g2, prec
         # Near the minimum the predicted decrease falls below the merit's
         # rounding, and every trial step would be refused on noise: allow an
         # eps*|merit| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).

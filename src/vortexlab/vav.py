@@ -262,7 +262,6 @@ class _Work:
         geom = self.geom
         fu, fv = self.f_pair(U, V)
         l1, l2 = geom.lap_pair(U, V)
-        r1, r2 = self.residual(l1, l2, fu, fv)
         (i11, i12), (i21, i22) = _AINV
         j_val = geom.quad(
             np.abs(self.du + U) - 2.0 * np.log1p(np.abs(fu))
@@ -270,6 +269,7 @@ class _Work:
             - U * (0.5 * (i11 * l1 + i12 * l2) + self.a)
             - V * (0.5 * (i21 * l1 + i22 * l2) + self.b)
         )
+        r1, r2 = self.residual(l1, l2, fu, fv)
         r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         m_abs = max(
             abs(geom.quad(fu) - self.a * geom.area),
@@ -291,14 +291,14 @@ class _Work:
         d1_diag = df_half(self.du + U)
         d2_diag = df_half(self.dv + V)
         (i11, i12), (i21, i22) = _AINV
-        g1 = -(i11 * r1 + i12 * r2)
-        g2 = -(i21 * r1 + i22 * r2)
+        b1 = i11 * r1 + i12 * r2
+        b2 = i21 * r1 + i22 * r2
         # CG is preconditioned with the exact inverse of the constant part,
         # -_AINV*Lap + diag(mean d1, mean d2)
         m1, m2 = bounded_means(d1_diag, d2_diag)
         prec = self.geom.elliptic_inverse_packed(_AINV, ((m1, 0.0), (0.0, m2)))
-        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, -g1, -g2, rtol=eta)
-        return dU, dV, g1, g2, prec
+        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
+        return dU, dV, -b1, -b2, prec
 
 
 def vav_residual(sol, problem: VAVProblem):
