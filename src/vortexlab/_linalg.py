@@ -141,7 +141,7 @@ def newton_solve(work, x1, x2, tol, max_iter):
             d1, d2 = unpack_pair(prec(pack_pair(-g1, -g2)))
             slope = work.geom.quad(g1 * d1 + g2 * d2)
             kind = "gradient"
-        del g1, g2, prec
+        del g1, g2, prec  # not held through the trials
         # Near the minimum the predicted decrease falls below the merit's
         # rounding, and every trial step would be refused on noise: allow an
         # eps*|merit| rise there (Hager & Zhang, SIAM J. Optim. 16, 2005).
