@@ -72,10 +72,13 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
             # curvature above rounding along P (a degenerate operator, or
             # rz/pq overflows or is NaN); return the best iterate
             return (*unpack_pair(X), it)
-        X += alpha * P
         R -= alpha * Q
         del Q
-        if np.sqrt(_dot(R, R)) <= rtol * norm0:
+        norm = np.sqrt(_dot(R, R))
+        if not np.isfinite(norm):  # breakdown: X is the last iterate of finite residual
+            return (*unpack_pair(X), it)
+        X += alpha * P
+        if norm <= rtol * norm0:
             return (*unpack_pair(X), it)
         Z = apply_prec(R)
         rz_new = _dot(R, Z)
@@ -87,30 +90,31 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
 
 
 def newton_solve(work, x1, x2, tol, max_iter):
-    """Damped inexact Newton from (x1, x2) with the model hooks on `work`.
+    """Damped inexact Newton from the polish of (x1, x2), by the hooks on `work`.
 
     `work.point(y1, y2)` returns (merit, sup, mean defect, clamp count,
     trace record, state) at y, the merit being the model's convex
     functional; `work.direction(state, eta)` returns CG's Newton direction
     (d1, d2), the gradient (g1, g2) and CG's preconditioner; and
-    `work.polish(state)` the next iterate. A direction whose slope quad(g.d)
-    is not a finite negative number gives way to the preconditioned
-    gradient, kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ...,
-    whose merit is at most merit + ARMIJO_C*t*slope is the next iterate as
-    it stands (Nocedal & Wright, Numerical Optimization, 2006, ch. 3).
-    Converged means sup < tol and mean defect <= MEAN_TOL; with only the sup
-    below tol, the polish step is taken. Every DivergedIterate is raised
-    here, before the iterate's trace record: at a non-finite merit or sup,
-    at the first iterate with clamped exponent arguments (the start, a
-    polished point or an accepted trial; refused trials do not count), and
-    when the line search finds no descent. Returns (x1, x2, iterations,
-    sup, merit, trace). The hooks call `pcg_pair` and the kernels by their
-    names on the model modules, where a traced run wraps them.
+    `work.polish(state)` the merit's minimiser over the constant modes: at
+    the start, the "init" point, which is not counted as an iteration. A
+    slope quad(g.d) that is not a finite negative number gives way to the
+    preconditioned gradient, kind "gradient". The first trial y = x + t*d,
+    t = 1, 1/2, ..., whose merit is at most merit + ARMIJO_C*t*slope is the
+    next iterate as it stands (Nocedal & Wright, Numerical Optimization,
+    2006, ch. 3). Converged means sup < tol and mean defect <= MEAN_TOL;
+    with only the sup below tol, the polish step is taken. DivergedIterate
+    is raised here, before the iterate's trace record: at a non-finite merit
+    or sup, at the first point with clamped exponent arguments (the raw or
+    polished start, a polish or an accepted trial; not a refused trial), and
+    when the line search finds no descent. Returns (x1, x2, iterations, sup,
+    merit, trace). The hooks call `pcg_pair` and the kernels by their names
+    on the model modules, where a traced run wraps them.
     """
     trace = []
     it = 0
     step = 0.0
-    kind = "init"
+    kind = "start"
     point = work.point(x1, x2)
     while True:
         merit, sup, mean_defect, n_clip, record, state = point
@@ -118,6 +122,11 @@ def newton_solve(work, x1, x2, tol, max_iter):
             raise DivergedIterate("non-finite iterate", trace)
         if n_clip:
             raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
+        if kind == "start":
+            x1, x2 = work.polish(state)
+            kind = "init"
+            point = work.point(x1, x2)
+            continue
         trace.append({"iter": it, **record, "step": step, "kind": kind})
         if sup < tol and mean_defect <= MEAN_TOL:
             return x1, x2, it, sup, merit, trace

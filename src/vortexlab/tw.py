@@ -156,10 +156,11 @@ class _Work:
     def point(self, f, h):
         """I at (f, h), the gradient's sup and integrated defect, the clamp
         count, the trace record and the state (f, h, e1, e2, g1, g2)."""
-        e1, e2, n_clip = self.exps(f, h)
-        Z = pack_pair(f, h)
-        i_val = self.functional(f, h, e1, e2, Z)
-        g1, g2 = self.gradient(Z, e1, e2)
+        with np.errstate(invalid="ignore"):
+            e1, e2, n_clip = self.exps(f, h)
+            Z = pack_pair(f, h)
+            i_val = self.functional(f, h, e1, e2, Z)
+            g1, g2 = self.gradient(Z, e1, e2)
         g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
         m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
         record = {"I": i_val, "grad_sup": g_sup}
@@ -169,10 +170,10 @@ class _Work:
         """Fold the exact constraint shifts into the means: f += s1 and
         h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so s1 = log(a1/quad(e1))
         and s2 = log(a2/quad(e2)) zero both integrated gradients. A zero
-        integral gives an infinite shift, and a non-finite iterate."""
+        integral quietly gives an infinite shift, and a NaN point to raise."""
         f, h, e1, e2, _, _ = state
-        quad = self.geom.quad
-        s1, s2 = np.log(np.divide(self.a, (quad(e1), quad(e2))))
+        with np.errstate(divide="ignore"):
+            s1, s2 = np.log(np.divide(self.a, (self.geom.quad(e1), self.geom.quad(e2))))
         return f + s1, h + (s1 + 2.0 * s2)
 
     def direction(self, state, eta):
@@ -277,8 +278,8 @@ def solve_tw(
     back to the preconditioned gradient direction, logged as kind "gradient",
     when the Newton direction is not a descent one.
     Convergence is sup-norm of the gradient below `tol` with the integrated
-    gradients at rounding level. `x0` may hold a pair of start arrays (used
-    by the uniqueness check).
+    gradients at rounding level. `x0` may hold a pair of start arrays; Newton
+    runs from their polish, so their means cost no iterations.
     """
     if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")

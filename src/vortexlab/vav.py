@@ -435,15 +435,15 @@ def solve_vav(
 ) -> VAVSolution:
     """Solve the vortex/anti-vortex system.
 
-    method="newton" (default): damped Newton over the full fields with the
-    symmetrized inner system solved by preconditioned CG and a line search
-    on the convex functional J. method="fixed_point": Picard on the
-    constrained map damped by 1/2, x <- (x + T(x))/2, and applied
-    componentwise (each component's update sees the fresh values of the
-    ones before it); raises Stagnation if the residual stops decreasing
-    (reduction below 1e-3 over 50 iterations). The map is not a contraction
-    on large tori, so stagnation is an expected reportable outcome there.
-    Both methods return sup-norm residual of the governing system below `tol`.
+    method="newton" (default): damped Newton over the full fields from the
+    polish of the start `x0` (zeros by default), with the symmetrized inner
+    system solved by preconditioned CG and a line search on the convex
+    functional J. method="fixed_point": Picard on the constrained map damped
+    by 1/2, x <- (x + T(x))/2, applied componentwise (each update sees the
+    fresh values of the components before it); raises Stagnation if the
+    residual stops decreasing (reduction below 1e-3 over 50 iterations). The
+    map is not a contraction on large tori, so stagnation is an expected
+    outcome there. Both methods return a residual sup below `tol`.
     """
     if method not in ("newton", "fixed_point"):
         raise ConfigurationError(f"unknown method {method!r}")

@@ -30,7 +30,7 @@ from vortexlab import (
     tw_problem,
     vav_problem,
 )
-from vortexlab._linalg import pcg_pair
+from vortexlab._linalg import _CG_MAX_ITER, _dot, pcg_pair
 from vortexlab.kernels import EXP_CAP
 from vortexlab.surface import check_solver_settings, pack_pair, unpack_pair
 
@@ -406,8 +406,9 @@ def test_newton_solves_do_not_depend_on_the_blas_thread_count():
 
 def _point_calls(trace):
     """For each `point` call of a converged Newton solve, whether it built an
-    iterate: a step 0.5**k was accepted after k refused trials."""
-    accepted = [True]
+    iterate: the raw start does not, the polished start does, and a step
+    0.5**k was accepted after k refused trials."""
+    accepted = [False, True]
     for e in trace[1:]:
         if e["kind"] != "polish":
             accepted += [False] * round(-math.log2(e["step"]))
@@ -426,9 +427,10 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     # right-hand side and one to unpack the solution. A point packs (f, h)
     # once, for both Dirichlet energies and the gradient's Laplacians, and
     # unpacks those (tw), or makes the residual's lap_pair (vav): 2
-    # transforms wherever it is built. A fixed-point iteration
-    # makes two real pairs (its inverse Laplacians); one complex pair starts
-    # the carried Laplacians and one checks the residual at convergence.
+    # transforms wherever it is built, the raw start included. A fixed-point
+    # iteration makes two real pairs (its inverse Laplacians); one complex
+    # pair starts the carried Laplacians and one checks the residual at
+    # convergence.
     problem, solve = _problem_and_solver(model)
     count = dict.fromkeys(("fft2", "ifft2", "rfft2", "irfft2"), 0)
 
@@ -479,18 +481,23 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     assert len(points) == len(_point_calls(sol.trace)) and set(points) == {2}
 
 
-# Constant starts far from the solution, where the full Newton step is
-# refused: tw from (8, -8) takes 16 iterations with a first step of 2**-8,
-# and vav from (4, -4) 9 iterations with a first step of 1/4.
-BACKTRACKING = {"tw": (8.0, -8.0), "vav": (4.0, -4.0)}
+def _backtracking_start(model):
+    """Starts whose shape, not their means, is far from the solution, so that
+    the polished start still refuses full Newton steps: tw from a bump of
+    height 400 in h takes 34 iterations, with steps down to 2**-18; vav from
+    a sine and a cosine of amplitude 8 takes a step of 1/2 at iteration 2."""
+    i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+    if model == "tw":
+        return np.zeros((32, 32)), 400.0 * np.exp(-((i - 8) ** 2 + (j - 8) ** 2) / 8.0)
+    return 8.0 * np.sin(2 * np.pi * i / 32), -8.0 * np.cos(2 * np.pi * j / 32)
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
     # The accepted trial is the next iterate as it stands: its point gives
-    # the trace record. The overflow guard counts iterates only; three of
-    # the refused tw trials clamp an exponent, so a guard that counted
-    # trials would stop this solve, which converges.
+    # the trace record. The overflow guard counts iterates only; 28 of the
+    # refused tw trials clamp an exponent, so a guard that counted trials
+    # would stop this solve, which converges.
     problem, solve = _problem_and_solver(model)
     work = getattr(vortexlab, model)._Work
     point = work.point
@@ -502,11 +509,10 @@ def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
         return result
 
     monkeypatch.setattr(work, "point", recorded)
-    x0 = tuple(np.full((32, 32), c) for c in BACKTRACKING[model])
-    sol = solve(problem, x0=x0)
-    assert sol.trace[1]["kind"] != "polish" and sol.trace[1]["step"] < 1.0
+    sol = solve(problem, x0=_backtracking_start(model))
+    assert min(e["step"] for e in sol.trace[1:] if e["kind"] != "polish") < 1.0
     accepted = _point_calls(sol.trace)
-    assert len(calls) == len(accepted) and not all(accepted)
+    assert len(calls) == len(accepted) and not all(accepted[1:])
     driver_keys = ("iter", "step", "kind")
     records = [{k: v for k, v in e.items() if k not in driver_keys} for e in sol.trace]
     assert [c[4] for c, ok in zip(calls, accepted) if ok] == records
@@ -623,15 +629,66 @@ def test_vav_converges_from_far_starts(start):
     _assert_default_solution(problem, solve, solve(problem, x0=x0))
 
 
-# From (30, -30) the second inner CG overflows and returns a direction of
-# sup about 6e153, whose slope is -inf. No trial can pass an Armijo bound of
-# -inf, so that step falls back to the preconditioned gradient.
+def _vav_ripple_start():
+    i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+    return 10.0 + np.sin(2 * np.pi * i / 32), -10.0 + np.cos(2 * np.pi * j / 32)
+
+
+# Newton starts from the polished start, whose means minimise the functional
+# exactly, so starts whose means are far off cost no extra iteration. Cold,
+# tw took 12 iterations from (4, -4) and 16 from (8, -8), raised
+# MaxIterExceeded from (-100, 100) and found no descent from (-300, -300);
+# vav took 11 from the ripple on means (10, -10).
+@pytest.mark.parametrize(
+    "model, start",
+    [
+        ("tw", (4.0, -4.0)),
+        ("tw", (8.0, -8.0)),
+        ("tw", (10.0, -10.0)),
+        ("tw", (-10.0, 10.0)),
+        ("tw", (-100.0, 100.0)),
+        ("tw", (-300.0, -300.0)),
+        ("vav", _vav_ripple_start),
+    ],
+    ids=["tw(4,-4)", "tw(8,-8)", "tw(10,-10)", "tw(-10,10)", "tw(-100,100)", "tw(-300,-300)",
+         "vav-ripple"],
+)
+def test_far_means_take_the_default_iterations(model, start):
+    problem, solve = _problem_and_solver(model)
+    x0 = start() if callable(start) else tuple(np.full((32, 32), c) for c in start)
+    sol = solve(problem, x0=x0)
+    reference = solve(problem)
+    assert sol.iterations == reference.iterations
+    assert np.abs(sol.U.values - reference.U.values).max() < 1e-9
+    assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
+
+
+# A descent direction so long that its slope overflows to -inf. From a cold
+# (30, -30) start the second inner CG once returned one, of sup about 6e153;
+# from the polished start CG no longer does, so the first inner solve here
+# returns the CG right-hand side times nearly the largest float. No trial can
+# pass an Armijo bound of -inf, so that step falls back to the preconditioned
+# gradient.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("c", [30.0, -30.0])
-def test_vav_non_finite_slope_falls_back_to_the_gradient(c):
+def test_vav_non_finite_slope_falls_back_to_the_gradient(c, monkeypatch):
     problem, solve = _problem_and_solver("vav")
+    geom = problem.geometry
+    pcg = vortexlab.vav.pcg_pair
+    slopes = []
+
+    def overflowing_once(apply_op, apply_prec, b1, b2, rtol):
+        if slopes:
+            return pcg(apply_op, apply_prec, b1, b2, rtol)
+        d1, d2 = 1e308 * np.sign(b1), 1e308 * np.sign(b2)
+        # the gradient is -b
+        slopes.append(geom.quad(-b1 * d1 - b2 * d2))
+        return d1, d2, 1
+
+    monkeypatch.setattr(vortexlab.vav, "pcg_pair", overflowing_once)
     sol = solve(problem, x0=(np.full((32, 32), c), np.full((32, 32), -c)))
-    assert "gradient" in [e["kind"] for e in sol.trace]
+    assert slopes == [-np.inf]
+    assert [e["kind"] for e in sol.trace[:2]] == ["init", "gradient"]
     _assert_default_solution(problem, solve, sol)
 
 
@@ -700,6 +757,41 @@ def test_pcg_of_a_zero_right_hand_side_is_zero():
     assert iterations == 0 and not x1.any() and not x2.any()
 
 
+def test_pcg_stops_where_the_residual_norm_overflows():
+    # A diagonal SPD operator on the packed spectrum, with eigenvalues spread
+    # over 16 decades, and a right-hand side near the top of the float range:
+    # CG's residual grows until its squared norm overflows. CG used to run on
+    # with an infinite norm to its iteration cap; it now stops at that step
+    # and returns the iterate before it.
+    n = 8
+    weights = np.logspace(0, 16, n * n).reshape(n, n)
+    spectrum = np.full((n, n), 1e146, dtype=complex)
+    spectrum[0, 0] = 1e150
+    b = np.fft.ifft2(spectrum)
+
+    def run(scale):
+        handed = []
+
+        def prec(R):
+            handed.append(_dot(R, R))
+            return 1e-12 * R
+
+        return (*pcg_pair(lambda P: weights * P, prec, scale * b.real, scale * b.imag, 1e-3),
+                handed)
+
+    x1, x2, iterations, handed = run(1.0)
+    assert np.isfinite(x1).all() and np.isfinite(x2).all() and x1.any()
+    # every residual CG went on from had a finite norm, and the stop is the
+    # iteration after the last of them
+    assert np.isfinite(handed).all() and 1 < iterations == len(handed) < _CG_MAX_ITER
+    # Scaled by 2**-200 the same iteration runs exactly scaled, without the
+    # overflow: there the residual of the step CG stopped at has a squared
+    # norm beyond the float range once scaled back.
+    *_, scaled = run(2.0**-200)
+    assert [v * 2.0**400 for v in scaled[:iterations]] == handed
+    assert scaled[iterations] * 2.0**400 == np.inf
+
+
 def _nan_direction(apply_op, apply_prec, b1, b2, rtol):
     return np.full_like(b1, np.nan), np.full_like(b2, np.nan), 1
 
@@ -724,16 +816,17 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
     point = work.point
     calls = []
 
-    def infinite_after_the_start(self, y1, y2):
+    def infinite_after_the_polished_start(self, y1, y2):
         result = point(self, y1, y2)
         calls.append(None)
-        return result if len(calls) == 1 else (np.inf, *result[1:])
+        return result if len(calls) <= 2 else (np.inf, *result[1:])
 
-    monkeypatch.setattr(work, "point", infinite_after_the_start)
+    monkeypatch.setattr(work, "point", infinite_after_the_polished_start)
     with pytest.raises(DivergedIterate, match="line search failed") as exc:
         solve(problem)
     assert [e["kind"] for e in exc.value.trace] == ["init"]
-    assert len(calls) == 41
+    # the raw start, the polished start and 40 trials
+    assert len(calls) == 42
 
 
 def test_solver_settings_accepted():

@@ -201,17 +201,17 @@ def test_polish_restores_the_integrals_exactly(mixed):
     assert work.point(f, h)[2] <= MEAN_TOL
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_polish_where_every_exponential_underflowed_diverges():
-    # Under a loose tol the start is polished although e^u and e^v underflow
-    # everywhere: the shifts are infinite and the solve stops at the
-    # non-finite iterate, as a solver error.
+    # Every start is polished, here where e^u and e^v underflow everywhere:
+    # the shifts are infinite, and the solve stops at the polished start, a
+    # non-finite iterate, as a solver error and before any trace record.
     geom = TorusGeometry(6.0, 6.0, 32, 32)
     problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
     x0 = (np.full((32, 32), -800.0), np.full((32, 32), -2400.0))
     with pytest.raises(DivergedIterate, match="non-finite iterate") as exc:
-        solve_tw(problem, x0=x0, tol=10.0)
-    assert [e["kind"] for e in exc.value.trace] == ["init"]
+        solve_tw(problem, x0=x0)
+    assert exc.value.trace == []
 
 
 def test_residual_below_tolerance(mixed):
