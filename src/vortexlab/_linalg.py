@@ -105,11 +105,10 @@ def newton_solve(work, x1, x2, tol, max_iter):
     2006, ch. 3). Converged means sup < tol and mean defect <= MEAN_TOL;
     with only the sup below tol, the polish step is taken. DivergedIterate
     is raised here, before the iterate's trace record: at a non-finite merit
-    or sup, at the first point with clamped exponent arguments (the raw or
-    polished start, a polish or an accepted trial; not a refused trial), and
-    when the line search finds no descent. Returns (x1, x2, iterations, sup,
-    merit, trace). The hooks call `pcg_pair` and the kernels by their names
-    on the model modules, where a traced run wraps them.
+    or sup, at the first point but a refused trial with clamped exponent
+    arguments, and when the line search finds no descent. It returns (x1,
+    x2, iterations, sup, merit, trace). The hooks call `pcg_pair` and the
+    kernels by their names on the model modules, where a traced run wraps them.
     """
     trace = []
     it = 0

@@ -278,8 +278,9 @@ class _Work:
         return j_val, r_sup, m_abs, 0, {"resid_sup": r_sup, "J": j_val}, (U, V, r1, r2)
 
     def polish(self, state):
-        """Fold the exact constraint shifts into the means."""
-        U, V, _, _ = state
+        """Fold the exact constraint shifts into the means, solving for the
+        mean-free fields: so the shifts lie in _shift's bracket, +-700."""
+        U, V = (X - X.mean() for X in state[:2])
         U = U + _shift(self.du + U, self.a * self.geom.area, self.geom)
         V = V + _shift(self.dv + V, self.b * self.geom.area, self.geom)
         return U, V

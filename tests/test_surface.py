@@ -638,7 +638,9 @@ def _vav_ripple_start():
 # exactly, so starts whose means are far off cost no extra iteration. Cold,
 # tw took 12 iterations from (4, -4) and 16 from (8, -8), raised
 # MaxIterExceeded from (-100, 100) and found no descent from (-300, -300);
-# vav took 11 from the ripple on means (10, -10).
+# vav took 11 from the ripple on means (10, -10), and 16 from (1000, -1000),
+# whose polish solves for the mean-free fields: the shifts of the fields
+# themselves lie outside _shift's bracket.
 @pytest.mark.parametrize(
     "model, start",
     [
@@ -649,9 +651,10 @@ def _vav_ripple_start():
         ("tw", (-100.0, 100.0)),
         ("tw", (-300.0, -300.0)),
         ("vav", _vav_ripple_start),
+        ("vav", (1000.0, -1000.0)),
     ],
     ids=["tw(4,-4)", "tw(8,-8)", "tw(10,-10)", "tw(-10,10)", "tw(-100,100)", "tw(-300,-300)",
-         "vav-ripple"],
+         "vav-ripple", "vav(1000,-1000)"],
 )
 def test_far_means_take_the_default_iterations(model, start):
     problem, solve = _problem_and_solver(model)
@@ -663,12 +666,11 @@ def test_far_means_take_the_default_iterations(model, start):
     assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
 
 
-# A descent direction so long that its slope overflows to -inf. From a cold
-# (30, -30) start the second inner CG once returned one, of sup about 6e153;
-# from the polished start CG no longer does, so the first inner solve here
-# returns the CG right-hand side times nearly the largest float. No trial can
-# pass an Armijo bound of -inf, so that step falls back to the preconditioned
-# gradient.
+# A descent direction so long that its slope overflows to -inf, like the
+# one of sup 6e153 an overflowing inner CG returned from a cold (30, -30)
+# start. Here the first inner solve returns the CG right-hand side's signs
+# times 1e308. No trial can pass an Armijo bound of -inf, so that step falls
+# back to the preconditioned gradient.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("c", [30.0, -30.0])
 def test_vav_non_finite_slope_falls_back_to_the_gradient(c, monkeypatch):

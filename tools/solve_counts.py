@@ -26,6 +26,7 @@ between the two. numpy and the standard library only.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -82,34 +83,31 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
         module.pcg_pair = counted_pcg(module.pcg_pair)
         module._Work.point = counted_point(module._Work.point)
     digest = hashlib.sha256()
-    out = open(fields, "wb") if fields else None
     other = np.memmap(against, dtype=np.float64, mode="r") if against else None
     offset = 0
     deltas = []
-    for item in workloads.make_inputs(workload, seed, grid):
-        for problem, solve, kwargs in _solves(program, item):
-            counts["solves"] += 1
-            key = "fp_iters" if kwargs.get("method") == "fixed_point" else "newton_iters"
-            try:
-                sol = solve(problem, **kwargs)
-            except program.errors.SolverError as exc:
-                counts["failures"] += 1
-                counts[key] += exc.trace[-1]["iter"] if exc.trace else 0
-                digest.update(b"failed")
-                planes = np.full((2, item.n, item.n), np.nan)
-            else:
-                counts[key] += sol.iterations
-                planes = np.stack((sol.U.values, sol.V.values))
-                digest.update(planes[0].tobytes())
-                digest.update(planes[1].tobytes())
-            if out:
-                out.write(planes.tobytes())
-            if other is not None and offset + planes.size <= other.size:
-                theirs = other[offset : offset + planes.size].reshape(planes.shape)
-                deltas.append(np.abs(planes - theirs).max())
-                offset += planes.size
-    if out:
-        out.close()
+    with open(fields, "wb") if fields else contextlib.nullcontext() as out:
+        for item in workloads.make_inputs(workload, seed, grid):
+            for problem, solve, kwargs in _solves(program, item):
+                counts["solves"] += 1
+                key = "fp_iters" if kwargs.get("method") == "fixed_point" else "newton_iters"
+                try:
+                    sol = solve(problem, **kwargs)
+                except program.errors.SolverError as exc:
+                    counts["failures"] += 1
+                    counts[key] += exc.trace[-1]["iter"] if exc.trace else 0
+                    digest.update(b"failed")
+                    planes = np.full((2, item.n, item.n), np.nan)
+                else:
+                    counts[key] += sol.iterations
+                    planes = np.stack((sol.U.values, sol.V.values))
+                    digest.update(planes.tobytes())
+                if out:
+                    out.write(planes.tobytes())
+                if other is not None and offset + planes.size <= other.size:
+                    theirs = other[offset : offset + planes.size].reshape(planes.shape)
+                    deltas.append(np.abs(planes - theirs).max())
+                    offset += planes.size
     result = {"workload": workload, "seed": seed, "grid": grid, **counts}
     result["fields_sha256"] = digest.hexdigest()
     if other is not None:
