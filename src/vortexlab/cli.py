@@ -14,6 +14,7 @@ entry point are looked up per model here (`_entry_points`).
 """
 
 import argparse
+import ctypes
 import json
 import sys
 import time
@@ -512,6 +513,16 @@ def _build_parser():
     return parser
 
 
+# A command frees its grid arrays into glibc's heap, whose free pages stay
+# resident below any live block; where small blocks land differs from run
+# to run, and so did the memory a host process kept after a command (a 256^2
+# `cli-io` run's peak varied by 10 MB). Each command hands those pages back.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc only
+except (OSError, TypeError, AttributeError):
+    _malloc_trim = None
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -529,6 +540,9 @@ def main(argv=None):
     except (VortexLabError, OSError, ValueError) as exc:
         print(f"vortexlab: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 def entry():

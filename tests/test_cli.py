@@ -328,6 +328,15 @@ def test_plotdata_missing_dump_exit1(tmp_path):
     assert main(["plotdata", "--fields", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p.dat")]) == 1
 
 
+def test_every_command_returns_the_free_heap_pages(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(vortexlab.cli, "_malloc_trim", calls.append)
+    cfg = write_config(tmp_path / "run.json", sources={})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert main(["plotdata", "--fields", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "p.dat")]) == 1
+    assert calls == [0, 0]
+
+
 def test_binary_dump_roundtrip(tmp_path):
     cfg = write_config(
         tmp_path / "run.json",
