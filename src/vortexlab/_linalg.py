@@ -1,23 +1,28 @@
 """Preconditioned conjugate gradients and the damped-Newton driver, on
 pairs of grid arrays.
 
-Both Newton solvers reduce their inner linear systems to a symmetric
-positive definite operator acting on a two-component field: a constant
-elliptic part -L*Lap plus pointwise coefficients. CG preconditioned with
-the exact inverse of the operator with those coefficients replaced by
-their grid means (Concus & Golub, SIAM J. Numer. Anal. 10, 1973) is the
-matching iterative solver. It runs on the pair's packed spectrum (see
-`surface`), where the preconditioner is pointwise and the operator needs
-one transform pair.
-Both solvers run the same outer loop, `newton_solve`, and differ only in
-the model hooks it calls. Everything here works on raw arrays for speed.
+Both models are solved as the minimisation of one form of convex
+functional of a pair (f, h),
+
+    I(f, h) = 1/2 int |grad f|^2 + 1/2 int |grad h|^2 + bulk + alpha int f + beta int h,
+
+whose gradient is -Lap(f, h) + (q1 - q2 + alpha, q2 + beta) and whose
+Hessian is -Lap + [[w1 + w2, -w2], [-w2, w2]]; a model supplies only its
+bulk integral, the pointwise terms q and the weights w (`newton_point`).
+The Newton system is built here once for both: the operator acts on the
+pair's packed spectrum (see `surface`), where -Lap is mode by mode and the
+weights need one transform pair, and CG is preconditioned with its exact
+inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973), which is pointwise there (`newton_operator`). Both solvers run
+the same outer loop, `newton_solve`. Everything here works on raw arrays
+for speed.
 """
 
 import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
 from .kernels import EXP_CAP
-from .surface import pack_pair, unpack_pair
+from .surface import bounded_means, pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO_C = 1e-4
@@ -89,26 +94,59 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
     return (*unpack_pair(X), _CG_MAX_ITER)
 
 
-def newton_solve(work, x1, x2, tol, max_iter):
-    """Damped inexact Newton from the polish of (x1, x2), by the hooks on `work`.
+def newton_point(geom, f, h, bulk, q1, q2, alpha, beta):
+    """I at (f, h) and its gradient (g1, g2), from the model's bulk integral
+    and the pointwise terms q1, q2 of the bulk's derivative: two FFT2s, one
+    to pack (f, h) for both Dirichlet energies and Laplacians, one to unpack
+    the Laplacians."""
+    Z = pack_pair(f, h)
+    i_val = 0.5 * geom.grad_sq_packed(Z) + bulk + alpha * geom.quad(f) + beta * geom.quad(h)
+    lf, lh = unpack_pair(geom.lap_packed(Z))
+    return i_val, -lf + q1 - q2 + alpha, -lh + q2 + beta
 
-    `work.point(y1, y2)` returns (merit, sup, mean defect, clamp count,
-    trace record, state) at y, the merit being the model's convex
-    functional; `work.direction(state, eta)` returns CG's Newton direction
-    (d1, d2), the gradient (g1, g2) and CG's preconditioner; and
-    `work.polish(state)` the merit's minimiser over the constant modes: at
-    the start, the "init" point, which is not counted as an iteration. A
-    slope quad(g.d) that is not a finite negative number gives way to the
+
+def newton_operator(geom, w1, w2):
+    """I's Hessian -Lap + [[w1 + w2, -w2], [-w2, w2]] on packed spectra, and
+    CG's preconditioner for it: the exact inverse (|k|^2 + M)^-1 of the
+    operator with the weights replaced by their bounded grid means. The
+    operator applies -Lap mode by mode and the weights on the grid."""
+    lap_packed = geom.lap_packed
+
+    def apply_op(D):
+        d1, d2 = unpack_pair(D)
+        mix = w2 * (d1 - d2)
+        Q = pack_pair(w1 * d1 + mix, -mix)
+        Q -= lap_packed(D)
+        return Q
+
+    m1, m2 = bounded_means(w1, w2)
+    return apply_op, geom.elliptic_inverse_packed(((m1 + m2, -m2), (-m2, m2)))
+
+
+def newton_solve(work, x1, x2, tol, max_iter, pcg):
+    """Damped inexact Newton on I from the polish of (x1, x2), by the hooks
+    on `work`.
+
+    `work.point(y1, y2)` returns (I, sup, mean defect, clamp count, trace
+    record, state) at y, the state being (y1, y2, k1, k2, g1, g2) with the
+    model's pointwise kernel values k and I's gradient g;
+    `work.weights(state)` the Hessian's weights (w1, w2); and
+    `work.polish(state)` I's minimiser over the constant modes: at the
+    start, the "init" point, which is not counted as an iteration. The
+    Newton direction d solves the `newton_operator` system with right-hand
+    side -g by `pcg`, with relative tolerance min(0.1, sqrt(sup)). A slope
+    quad(g.d) that is not a finite negative number gives way to the
     preconditioned gradient, kind "gradient". The first trial y = x + t*d,
-    t = 1, 1/2, ..., whose merit is at most merit + ARMIJO_C*t*slope is the
+    t = 1, 1/2, ..., whose I is at most I(x) + ARMIJO_C*t*slope is the
     next iterate as it stands (Nocedal & Wright, Numerical Optimization,
     2006, ch. 3). Converged means sup < tol and mean defect <= MEAN_TOL;
     with only the sup below tol, the polish step is taken. DivergedIterate
-    is raised here, before the iterate's trace record: at a non-finite merit
-    or sup, at the first point but a refused trial with clamped exponent
+    is raised here, before the iterate's trace record: at a non-finite I or
+    sup, at the first point but a refused trial with clamped exponent
     arguments, and when the line search finds no descent. It returns (x1,
-    x2, iterations, sup, merit, trace). The hooks call `pcg_pair` and the
-    kernels by their names on the model modules, where a traced run wraps them.
+    x2, iterations, sup, I, trace). The models pass `pcg_pair`, and call
+    the kernels, by their names on the model modules, where a traced run
+    wraps them.
     """
     trace = []
     it = 0
@@ -142,7 +180,12 @@ def newton_solve(work, x1, x2, tol, max_iter):
             kind = "polish"
             point = work.point(x1, x2)
             continue
-        d1, d2, g1, g2, prec = work.direction(state, min(0.1, np.sqrt(sup)))
+        *_, g1, g2 = state
+        w1, w2 = work.weights(state)
+        del point, state  # the kernel values are not held through CG
+        apply_op, prec = newton_operator(work.geom, w1, w2)
+        d1, d2, _ = pcg(apply_op, prec, -g1, -g2, rtol=min(0.1, np.sqrt(sup)))
+        del apply_op, w1, w2
         slope = work.geom.quad(g1 * d1 + g2 * d2)
         kind = "newton"
         if not -np.inf < slope < 0.0:

@@ -92,6 +92,7 @@ class RunConfig:
         self.L2 = _real(_require(torus, "L2", "torus"), "torus.L2")
         self.n1 = _integer(_require(torus, "n1", "torus"), "torus.n1")
         self.n2 = _integer(_require(torus, "n2", "torus"), "torus.n2")
+        self.geometry = TorusGeometry(self.L1, self.L2, self.n1, self.n2)
 
         self.sources = _parse_sources(data.get("sources", {}), self.L1, self.L2)
 
@@ -121,6 +122,14 @@ class RunConfig:
             # the sources' width is kappa grid cells, and the grid resolves
             # no width under one cell (SigmaTooSmall)
             raise ConfigurationError(f"solver.kappa must be at least 1, got {self.kappa!r}")
+        sigma = mollifier_width(self.geometry, self.kappa)
+        if sigma > min(self.L1, self.L2):
+            # mollified_delta refuses it too, but on an inadmissible torus
+            # the solve exits 2 before any source is built
+            raise ConfigurationError(
+                f"solver.kappa {self.kappa!r} makes the source width {sigma:.3e} "
+                f"exceed the torus side {min(self.L1, self.L2):.3e}"
+            )
         self.seed = solver.get("seed", None)
         if self.seed is not None:
             self.seed = _integer(self.seed, "solver.seed", minimum=0)
@@ -144,9 +153,6 @@ class RunConfig:
                 f"outputs.fields {self.fields_path!r} must end in .csv exactly when "
                 f"outputs.format is 'csv' (format is {self.format!r})"
             )
-
-    def geometry(self):
-        return TorusGeometry(self.L1, self.L2, self.n1, self.n2)
 
     def configuration(self):
         return VortexConfiguration(**self.sources)
@@ -425,7 +431,7 @@ def _solve_once(cfg: RunConfig, geom, config):
 
 def cmd_solve(config_path, out_dir):
     cfg = _load_config(config_path)
-    geom = cfg.geometry()
+    geom = cfg.geometry
     config = cfg.configuration()
     out = Path(out_dir)
     status, _, report, sol = _solve_once(cfg, geom, config)

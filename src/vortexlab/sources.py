@@ -137,12 +137,18 @@ def mollified_delta(geom: TorusGeometry, point, sigma) -> ScalarField:
     The periodized Gaussian sum exp(-|x - z - image|^2 / (2 sigma^2)) /
     (2 pi sigma^2) is evaluated analytically at the nodes and then rescaled
     so that integrate(result) = 1 exactly. Widths under one grid cell are
-    rejected (SigmaTooSmall): the grid cannot resolve them.
+    rejected (SigmaTooSmall): the grid cannot resolve them. Widths over the
+    shorter side are a ConfigurationError: the image sum would take about
+    12*sigma/L terms per node along a side of length L.
     """
     sigma = float(sigma)
     h_max = max(geom.h1, geom.h2)
     if sigma < h_max:
         raise SigmaTooSmall(sigma, h_max)
+    if sigma > min(geom.L1, geom.L2):
+        raise ConfigurationError(
+            f"mollifier width {sigma:.3e} over the torus side {min(geom.L1, geom.L2):.3e}"
+        )
     zx, zy = float(point[0]), float(point[1])
     gx = _image_profile(geom.x1, zx, geom.L1, sigma)
     gy = _image_profile(geom.x2, zy, geom.L2, sigma)

@@ -13,13 +13,13 @@ spectrum P = fft2(a + i*b) (`pack_pair`; `unpack_pair` inverts it), on
 which the -Lap symbol acts mode by mode, and the pair inner product is
 Re vdot(A, B) = N*(<a1,b1> + <a2,b2>) by Parseval, N = n1*n2, summed
 without BLAS so that it wakes no BLAS thread and its bits do not depend on
-the thread count (see `_linalg._dot`). A constant
-2x2 mix of the pair is pointwise on the packed spectrum too, through the
--k mode (`mix_packed`), and so is the inverse of a constant-coefficient
-operator -L*Lap + M (`elliptic_inverse_packed`), the CG preconditioner of
-both solvers. Only the pointwise (variable-coefficient) part of an
-operator needs a transform back to the grid and forward again, so one CG
-iteration costs two FFT2s. The Dirichlet energies
+the thread count (see `_linalg._dot`). The inverse of
+a constant-coefficient operator -Lap + M, M a symmetric 2x2 matrix, is
+pointwise on the packed spectrum too, through the -k mode
+(`elliptic_inverse_packed`): it is the CG preconditioner of both solvers.
+Only the pointwise (variable-coefficient) part of an operator needs a
+transform back to the grid and forward again, so one CG iteration costs
+two FFT2s. The Dirichlet energies
 of both arrays come from one packed spectrum (`grad_sq_packed`), because
 the symbol |k|^2 is even in k.
 
@@ -151,7 +151,7 @@ class TorusGeometry:
 
     @cached_property
     def _neg(self):
-        """Flat index of the mode -k for each mode k (see mix_packed); built
+        """Flat index of the mode -k for each mode k (see _conj_mix); built
         on first use, so that geometries no Newton solve uses stay small."""
         neg1 = -np.arange(self.n1) % self.n1
         neg2 = -np.arange(self.n2) % self.n2
@@ -227,44 +227,34 @@ class TorusGeometry:
         """Packed spectrum of the pair's Laplacians."""
         return self._lap_sym * P
 
-    def mix_packed(self, P, m):
-        """Packed spectrum of the constant mix (m11*a + m12*b, m21*a + m22*b).
-
-        With C(k) = conj(P(-k)), the spectra of a and b are (P + C)/2 and
-        (P - C)/(2i), so the mix is alpha*P + beta*C with
-        alpha = (m11 + m22 + i*(m21 - m12))/2, beta = (m11 - m22 + i*(m21 + m12))/2.
-        """
-        (m11, m12), (m21, m22) = m
-        return self._conj_mix(
-            P, 0.5 * complex(m11 + m22, m21 - m12), 0.5 * complex(m11 - m22, m21 + m12)
-        )
-
     def _conj_mix(self, P, alpha, beta):
-        """alpha*P + beta*conj(P(-k)); alpha, beta are numbers or mode arrays."""
+        """alpha*P + beta*conj(P(-k)), alpha and beta mode arrays.
+
+        With C(k) = conj(P(-k)), the spectra of the pair (a, b) packed in P
+        are (P + C)/2 and (P - C)/(2i); so a real symmetric 2x2 matrix G(k)
+        even in k maps the pair to the packed spectrum alpha*P + beta*C with
+        alpha = (g11 + g22)/2 and beta = (g11 - g22)/2 + i*g12.
+        """
         C = P.take(self._neg)
         np.conjugate(C, out=C)
         C *= beta
         C += alpha * P
         return C
 
-    def elliptic_inverse_packed(self, L, M):
+    def elliptic_inverse_packed(self, M):
         """The map from the packed spectrum of a pair to that of the solution
-        x of (-L*Lap + M) x = pair, for constant symmetric 2x2 L and M.
+        x of (-Lap + M) x = pair, for a constant symmetric 2x2 M.
 
-        Mode by mode this is the inverse G(k) of K(k) = |k|^2 L + M, a real
-        symmetric 2x2 matrix even in k, so by the algebra of `mix_packed` it
-        acts as alpha*P + beta*conj(P(-k)) with alpha = (g11 + g22)/2 and
-        beta = (g11 - g22)/2 + i*g12. Both arrays are built here once; the
-        map makes no transform. K(k) must be positive definite with positive
-        diagonal; its determinant is kept at least COEFF_FLOOR*k11*k22, so
-        that rounding in a nearly singular block cannot divide by zero.
+        Mode by mode this is the inverse G(k) of K(k) = |k|^2 I + M, a real
+        symmetric 2x2 matrix even in k, applied by `_conj_mix`. Its two mode
+        arrays are built here once; the map makes no transform. K(k) must be positive definite with positive diagonal;
+        its determinant is kept at least COEFF_FLOOR*k11*k22, so that
+        rounding in a nearly singular block cannot divide by zero.
         """
-        (l11, l12), (_, l22) = L
-        (m11, m12), (_, m22) = M
+        (m11, k12), (_, m22) = M
         s = self._lap_sym
-        k11 = m11 - l11 * s
-        k22 = m22 - l22 * s
-        k12 = m12 - l12 * s
+        k11 = m11 - s
+        k22 = m22 - s
         det = k11 * k22 - k12 * k12
         np.maximum(det, COEFF_FLOOR * k11 * k22, out=det)
         alpha = 0.5 * (k11 + k22) / det

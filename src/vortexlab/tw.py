@@ -7,9 +7,16 @@ smooth remainders (U, V) are
     Lap(V) = -2(e^{u01+U} - 1) + 2(e^{v01+V} - 1) + 4*pi*N2/|S|.
 
 The change of variables f = U, h = U + 2V decouples the Laplacians and
-turns the system into the Euler-Lagrange equations of a strictly convex
-functional, so a damped Newton iteration with a spectral preconditioner
-converges globally and the minimizer is unique. Existence requires the area
+turns the system into the Euler-Lagrange equations of the strictly convex
+functional
+
+    I(f, h) = 1/2 int |grad f|^2 + 1/2 int |grad h|^2
+              + 4 int (e^u - f + e^v - (h - f)/2) + cf int f + ch int h,
+
+cf = 4*pi*N1/|S| and ch = 4*pi*(N1 + 2*N2)/|S|, whose Hessian is -Lap plus
+[[w1 + w2, -w2], [-w2, w2]] with w1 = 4e^u and w2 = e^v. So the damped
+Newton iteration of `_linalg`, which both models share, converges globally
+and the minimizer is unique. Existence requires the area
 bound N1 + 2*N2 < |S|/(2*pi); `tw_admissibility` tests it and gives the two
 constants a1, a2 that the integrated equations force.
 """
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import newton_solve, pcg_pair
+from ._linalg import newton_point, newton_solve, pcg_pair
 from .errors import BradlowViolation, ConfigurationError
 from .kernels import EXP_CAP, clipped_exp
 from .sources import (
@@ -34,14 +41,9 @@ from .surface import (
     ScalarField,
     TorusGeometry,
     _same_geometry,
-    bounded_means,
     check_solver_settings,
-    pack_pair,
     start_pair,
-    unpack_pair,
 )
-
-_IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
@@ -103,7 +105,10 @@ def tw_problem(geom: TorusGeometry, config: VortexConfiguration, kappa=2.0) -> T
 
 
 class _Work:
-    """Precomputed arrays and array-level operations for one problem."""
+    """Precomputed arrays and the hooks of the Newton driver
+    (`_linalg.newton_solve`) for one problem."""
+
+    sup_label = "grad sup"
 
     def __init__(self, problem: TWProblem):
         self.geom = problem.geometry
@@ -114,57 +119,27 @@ class _Work:
         self.cf = FOUR_PI * N1 / self.geom.area
         self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
 
-    def exps(self, f, h):
-        e1, c1 = clipped_exp(self.u01 + f)
-        e2, c2 = clipped_exp(self.v01 + 0.5 * (h - f))
-        return e1, e2, c1 + c2
-
-    def functional(self, f, h, e1, e2, Z):
-        """The objective at (f, h); Z is the packed spectrum of (f, h)."""
-        geom = self.geom
-        bulk = geom.quad(e1 - f + e2 - 0.5 * (h - f))
-        return (
-            0.5 * geom.grad_sq_packed(Z)
-            + 4.0 * bulk
-            + self.cf * geom.quad(f)
-            + self.ch * geom.quad(h)
-        )
-
-    def gradient(self, Z, e1, e2):
-        lf, lh = unpack_pair(self.geom.lap_packed(Z))
-        g1 = -lf + 4.0 * (e1 - 1.0) - 2.0 * (e2 - 1.0) + self.cf
-        g2 = -lh + 2.0 * (e2 - 1.0) + self.ch
-        return g1, g2
-
-    def hessian_apply(self, e1, e2):
-        """The Hessian on packed spectra: -Lap mode by mode, the pointwise
-        coupling on the grid."""
-        lap_packed = self.geom.lap_packed
-
-        def apply_op(D):
-            d1, d2 = unpack_pair(D)
-            mix = e2 * (d1 - d2)
-            Q = pack_pair(4.0 * e1 * d1 + mix, -mix)
-            Q -= lap_packed(D)
-            return Q
-
-        return apply_op
-
-    # hooks of the Newton driver (_linalg.newton_solve)
-    sup_label = "grad sup"
-
     def point(self, f, h):
         """I at (f, h), the gradient's sup and integrated defect, the clamp
-        count, the trace record and the state (f, h, e1, e2, g1, g2)."""
+        count, the trace record and the state (f, h, e1, e2, g1, g2). The
+        bulk is 4*int(e1 - f + e2 - (h - f)/2), e1 = e^u and e2 = e^v."""
+        geom = self.geom
         with np.errstate(invalid="ignore"):
-            e1, e2, n_clip = self.exps(f, h)
-            Z = pack_pair(f, h)
-            i_val = self.functional(f, h, e1, e2, Z)
-            g1, g2 = self.gradient(Z, e1, e2)
+            e1, c1 = clipped_exp(self.u01 + f)
+            e2, c2 = clipped_exp(self.v01 + 0.5 * (h - f))
+            bulk = 4.0 * geom.quad(e1 - f + e2 - 0.5 * (h - f))
+            i_val, g1, g2 = newton_point(
+                geom, f, h, bulk, 4.0 * (e1 - 1.0), 2.0 * (e2 - 1.0), self.cf, self.ch
+            )
         g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-        m_abs = max(abs(self.geom.quad(g1)), abs(self.geom.quad(g2)))
+        m_abs = max(abs(geom.quad(g1)), abs(geom.quad(g2)))
         record = {"I": i_val, "grad_sup": g_sup}
-        return i_val, g_sup, m_abs, n_clip, record, (f, h, e1, e2, g1, g2)
+        return i_val, g_sup, m_abs, c1 + c2, record, (f, h, e1, e2, g1, g2)
+
+    def weights(self, state):
+        """The Hessian's weights w1 = 4*e1 and w2 = e2."""
+        _, _, e1, e2, _, _ = state
+        return 4.0 * e1, e2
 
     def polish(self, state):
         """Fold the exact constraint shifts into the means: f += s1 and
@@ -175,16 +150,6 @@ class _Work:
         with np.errstate(divide="ignore"):
             s1, s2 = np.log(np.divide(self.a, (self.geom.quad(e1), self.geom.quad(e2))))
         return f + s1, h + (s1 + 2.0 * s2)
-
-    def direction(self, state, eta):
-        """Newton direction from CG, the gradient and CG's preconditioner."""
-        _, _, e1, e2, g1, g2 = state
-        # CG is preconditioned with the exact inverse of the Hessian's
-        # constant part: -Lap plus the grid mean of the coupling matrix
-        m1, m2 = bounded_means(e1, e2)
-        prec = self.geom.elliptic_inverse_packed(_IDENTITY, ((4.0 * m1 + m2, -m2), (-m2, m2)))
-        d1, d2, _ = pcg_pair(self.hessian_apply(e1, e2), prec, -g1, -g2, rtol=eta)
-        return d1, d2, g1, g2, prec
 
 
 def tw_residual(sol, problem: TWProblem):
@@ -230,19 +195,18 @@ class TWSolution:
     method: str
 
 
-def _warned_exps(f, h, problem):
-    """_Work and exponentials at (f, h); clamped exponent arguments are
-    flagged with a RuntimeWarning at the public caller's caller."""
+def _warned_point(f, h, problem):
+    """The driver's point at (f, h); clamped exponent arguments are flagged
+    with a RuntimeWarning at the public caller's caller."""
     _same_geometry(f, h, problem.u01)
-    work = _Work(problem)
-    e1, e2, n_clip = work.exps(f.values, h.values)
-    if n_clip:
+    point = _Work(problem).point(f.values, h.values)
+    if point[3]:
         warnings.warn(
-            f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
+            f"{point[3]} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
             RuntimeWarning,
             stacklevel=3,
         )
-    return work, e1, e2
+    return point
 
 
 def functional_value(f: ScalarField, h: ScalarField, problem: TWProblem) -> float:
@@ -251,14 +215,12 @@ def functional_value(f: ScalarField, h: ScalarField, problem: TWProblem) -> floa
     Exponent arguments above 500 are clamped and flagged with a
     RuntimeWarning: a clamp means the iterate is diverging.
     """
-    work, e1, e2 = _warned_exps(f, h, problem)
-    return work.functional(f.values, h.values, e1, e2, pack_pair(f.values, h.values))
+    return _warned_point(f, h, problem)[0]
 
 
 def functional_gradient(f: ScalarField, h: ScalarField, problem: TWProblem):
     """L2-gradient of the objective; its zeros solve the transformed system."""
-    work, e1, e2 = _warned_exps(f, h, problem)
-    g1, g2 = work.gradient(pack_pair(f.values, h.values), e1, e2)
+    *_, g1, g2 = _warned_point(f, h, problem)[5]
     geom = problem.geometry
     return geom.field(g1), geom.field(g2)
 
@@ -286,7 +248,9 @@ def solve_tw(
     check_solver_settings(tol, max_iter)
     geom = problem.geometry
     work = _Work(problem)
-    f, h, it, g_sup, i_val, trace = newton_solve(work, *start_pair(geom, x0), tol, max_iter)
+    f, h, it, g_sup, i_val, trace = newton_solve(
+        work, *start_pair(geom, x0), tol, max_iter, pcg_pair
+    )
     return TWSolution(
         U=geom.field(f),
         V=geom.field(0.5 * (h - f)),

@@ -14,10 +14,17 @@ a, b; integrating the equations pins the integrals of f to a|S| and b|S|.
 Two methods are provided. The default is damped Newton on the full fields
 (means included; the nonlinearity fixes them), with a line search on the
 convex functional J whose Euler-Lagrange equations these are; J is coercive
-exactly when |a|, |b| < 1 (see `_Work.point`). The alternative iterates the
-constrained fixed-point map T: the means are carried by explicit shifts
-c1, c2 chosen so the integral constraints hold at every iterate, and the
-mean-zero parts are updated through inverse Laplacians. Damped Picard on T
+exactly when |a|, |b| < 1. The coupling matrix ((8, -4), (-4, 4)) is twice
+that of the "tw" model, so Newton runs in tw's variables f = U, h = U + 2V,
+on I = 8J, which has the form that `_linalg` solves for both models: its
+Hessian is -Lap + [[w1 + w2, -w2], [-w2, w2]] with w1 = 4(1 - F1^2),
+w2 = 1 - F2^2 and F = tanh(s/2) at s = u, v (see `_Work.point`). Newton
+is affine covariant, so the change of variables changes rounding only.
+
+The alternative iterates the constrained fixed-point map T in (U, V): the
+means are carried by explicit shifts c1, c2 chosen so the integral
+constraints hold at every iterate, and the mean-zero parts are updated
+through inverse Laplacians. Damped Picard on T
 is not guaranteed to converge; stagnation is detected and reported. Each
 iteration solves for two shifts: c2 at the current iterate, and c1 after
 the U update, which the next iteration reuses. Each shift root find is a
@@ -39,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import newton_solve, pcg_pair
+from ._linalg import newton_point, newton_solve, pcg_pair
 from .errors import (
     BracketFailure,
     ConfigurationError,
@@ -60,11 +67,8 @@ from .surface import (
     ScalarField,
     TorusGeometry,
     _same_geometry,
-    bounded_means,
     check_solver_settings,
-    pack_pair,
     start_pair,
-    unpack_pair,
 )
 
 _SHIFT_TOL = 1e-12
@@ -77,9 +81,6 @@ _QUAD_ROUNDING = 4.0 * np.finfo(float).eps
 _SHIFT_BRACKET = 700.0
 # caps the shift loop; bisection alone narrows (-700, 700) below 1e-12 in 51 steps
 _SHIFT_STEPS = 100
-# The inverse of the coupling matrix ((8, -4), (-4, 4)); it symmetrizes the
-# Newton systems, which then read -_AINV*Lap + diag(d1, d2).
-_AINV = ((0.25, 0.25), (0.25, 0.5))
 
 
 def f_fun(s1, s2, t):
@@ -238,68 +239,49 @@ class _Work:
         r2 = -4.0 * (fu - self.a) + 4.0 * (fv - self.b)
         return r1, r2
 
-    def jacobian_apply(self, d1_diag, d2_diag):
-        """The symmetrized Jacobian -AINV*Lap + diag(d1, d2) on packed
-        spectra: the mix and -Lap mode by mode, the diagonal on the grid."""
-        geom = self.geom
-
-        def apply_op(P):
-            p1, p2 = unpack_pair(P)
-            Q = pack_pair(d1_diag * p1, d2_diag * p2)
-            Q -= geom.lap_packed(geom.mix_packed(P, _AINV))
-            return Q
-
-        return apply_op
-
-    # hooks of the Newton driver (_linalg.newton_solve)
+    # hooks of the Newton driver (_linalg.newton_solve), in f = U, h = U + 2V
     sup_label = "residual sup"
 
-    def point(self, U, V):
-        """J at (U, V), the residual's sup and integrated defect, no clamps,
-        the trace record and the state (U, V, r1, r2). J integrates
-        -X.AINV.Lap(X)/2 + 2 log cosh(s/2) - a*U - b*V, s = d + X, with
-        2 log cosh(s/2) = |s| - 2 log1p(|tanh(s/2)|), which cannot overflow."""
+    def point(self, f, h):
+        """I at (f, h), the residual's sup and integrated defect, no clamps,
+        the trace record and the state (f, h, F1, F2, g1, g2). I is 8*J for
+        the convex J whose Euler-Lagrange equations the system is: the bulk
+        is 8*int(2 log cosh(s1/2) + 2 log cosh(s2/2)), s1 = u and s2 = v,
+        with 2 log cosh(s/2) = |s| - 2 log1p(|F|), F = tanh(s/2), which
+        cannot overflow. The residuals are r1 = -g1 and r2 = (g1 - g2)/2."""
         geom = self.geom
-        fu, fv = self.f_pair(U, V)
-        l1, l2 = geom.lap_pair(U, V)
-        (i11, i12), (i21, i22) = _AINV
-        j_val = geom.quad(
-            np.abs(self.du + U) - 2.0 * np.log1p(np.abs(fu))
-            + np.abs(self.dv + V) - 2.0 * np.log1p(np.abs(fv))
-            - U * (0.5 * (i11 * l1 + i12 * l2) + self.a)
-            - V * (0.5 * (i21 * l1 + i22 * l2) + self.b)
+        s1 = self.du + f
+        s2 = self.dv + 0.5 * (h - f)
+        F1, F2 = f_half(s1), f_half(s2)
+        bulk = 8.0 * geom.quad(
+            np.abs(s1) - 2.0 * np.log1p(np.abs(F1)) + np.abs(s2) - 2.0 * np.log1p(np.abs(F2))
         )
-        r1, r2 = self.residual(l1, l2, fu, fv)
-        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+        i_val, g1, g2 = newton_point(
+            geom, f, h, bulk, 8.0 * F1, 4.0 * F2, self.c1, self.c1 + 2.0 * self.c2
+        )
+        r_sup = max(float(np.abs(g1).max()), float(np.abs(0.5 * (g1 - g2)).max()))
         m_abs = max(
-            abs(geom.quad(fu) - self.a * geom.area),
-            abs(geom.quad(fv) - self.b * geom.area),
+            abs(geom.quad(F1) - self.a * geom.area),
+            abs(geom.quad(F2) - self.b * geom.area),
         )
-        return j_val, r_sup, m_abs, 0, {"resid_sup": r_sup, "J": j_val}, (U, V, r1, r2)
+        record = {"resid_sup": r_sup, "J": i_val / 8.0}
+        return i_val, r_sup, m_abs, 0, record, (f, h, F1, F2, g1, g2)
+
+    def weights(self, state):
+        """The Hessian's weights w1 = 4(1 - F1^2) and w2 = 1 - F2^2."""
+        _, _, F1, F2, _, _ = state
+        return 4.0 * (1.0 - F1 * F1), 1.0 - F2 * F2
 
     def polish(self, state):
         """Fold the exact constraint shifts into the means, solving for the
-        mean-free fields: so the shifts lie in _shift's bracket, +-700."""
-        U, V = (X - X.mean() for X in state[:2])
-        U = U + _shift(self.du + U, self.a * self.geom.area, self.geom)
-        V = V + _shift(self.dv + V, self.b * self.geom.area, self.geom)
-        return U, V
-
-    def direction(self, state, eta):
-        """Newton direction of the symmetrized system from CG, J's gradient
-        -AINV*r and CG's preconditioner."""
-        U, V, r1, r2 = state
-        d1_diag = df_half(self.du + U)
-        d2_diag = df_half(self.dv + V)
-        (i11, i12), (i21, i22) = _AINV
-        b1 = i11 * r1 + i12 * r2
-        b2 = i21 * r1 + i22 * r2
-        # CG is preconditioned with the exact inverse of the constant part,
-        # -_AINV*Lap + diag(mean d1, mean d2)
-        m1, m2 = bounded_means(d1_diag, d2_diag)
-        prec = self.geom.elliptic_inverse_packed(_AINV, ((m1, 0.0), (0.0, m2)))
-        dU, dV, _ = pcg_pair(self.jacobian_apply(d1_diag, d2_diag), prec, b1, b2, rtol=eta)
-        return dU, dV, -b1, -b2, prec
+        mean-free fields U and V: so the shifts lie in _shift's bracket, +-700."""
+        f, h = state[:2]
+        U = f - f.mean()
+        V = 0.5 * (h - f)
+        V -= V.mean()
+        U += _shift(self.du + U, self.a * self.geom.area, self.geom)
+        V += _shift(self.dv + V, self.b * self.geom.area, self.geom)
+        return U, U + 2.0 * V
 
 
 def vav_residual(sol, problem: VAVProblem):
@@ -437,9 +419,9 @@ def solve_vav(
     """Solve the vortex/anti-vortex system.
 
     method="newton" (default): damped Newton over the full fields from the
-    polish of the start `x0` (zeros by default), with the symmetrized inner
-    system solved by preconditioned CG and a line search on the convex
-    functional J. method="fixed_point": Picard on the constrained map damped
+    polish of the start `x0` = (U, V) (zeros by default), in the variables
+    (U, U + 2V), with the inner system solved by preconditioned CG and a
+    line search on the convex functional 8J. method="fixed_point": Picard on the constrained map damped
     by 1/2, x <- (x + T(x))/2, applied componentwise (each update sees the
     fresh values of the components before it); raises Stagnation if the
     residual stops decreasing (reduction below 1e-3 over 50 iterations). The
@@ -452,8 +434,9 @@ def solve_vav(
     work = _Work(problem)
     if method == "newton":
         max_iter = 50 if max_iter is None else max_iter
-        U, V, it, r_sup, _, trace = newton_solve(work, *start_pair(work.geom, x0), tol, max_iter)
-        return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
+        U, V = start_pair(work.geom, x0)
+        f, h, it, r_sup, _, trace = newton_solve(work, U, U + 2.0 * V, tol, max_iter, pcg_pair)
+        return _package(problem, work, f, 0.5 * (h - f), 0.0, 0.0, it, r_sup, trace, "newton")
     return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
 
 

@@ -243,6 +243,13 @@ def test_malformed_section_exit1(tmp_path, capsys):
         {"solver": {"model": "tw", "seed": -1}},
         {"solver": {"model": "tw", "kappa": 0.5}},
         {"solver": {"model": "tw", "kappa": 0}},
+        # a source wider than the torus (sigma 12 > 6 at 32^2): its Gaussian
+        # image sums grow with kappa until a large one exhausts the memory
+        {"solver": {"model": "tw", "kappa": 64}},
+        {
+            "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
+            "solver": {"model": "tw", "kappa": 64},
+        },
         {
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "solver": {"model": "tw", "seed": -1},

@@ -85,6 +85,17 @@ def test_mollified_delta_rejects_small_sigma(geom):
         mollified_delta(geom, (1.0, 1.0), 0.5 * geom.h1)
 
 
+def test_mollified_delta_rejects_a_width_over_the_torus_side(geom):
+    # the image sums take about 12*sigma/L terms per node: at sigma = 1e7 on
+    # this torus, arrays of about 1 GB each
+    assert integrate(mollified_delta(geom, (1.0, 1.0), geom.L1)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ConfigurationError, match="over the torus side"):
+        mollified_delta(geom, (1.0, 1.0), 1.5 * geom.L1)
+    narrow = TorusGeometry(8.0, 2.0, 32, 32)
+    with pytest.raises(ConfigurationError, match="over the torus side"):
+        mollified_delta(narrow, (1.0, 1.0), 3.0)
+
+
 def test_background_empty_is_zero(geom):
     bg = background(geom, [], 2 * geom.h1)
     assert np.abs(bg.values).max() == 0.0

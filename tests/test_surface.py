@@ -30,7 +30,7 @@ from vortexlab import (
     tw_problem,
     vav_problem,
 )
-from vortexlab._linalg import _CG_MAX_ITER, _dot, pcg_pair
+from vortexlab._linalg import _CG_MAX_ITER, _dot, newton_operator, pcg_pair
 from vortexlab.kernels import EXP_CAP
 from vortexlab.surface import check_solver_settings, pack_pair, unpack_pair
 
@@ -212,13 +212,9 @@ def test_packed_spectrum_operations():
     P = pack_pair(a, b)
     a2, b2 = unpack_pair(P)
     assert np.abs(a2 - a).max() < 1e-13 and np.abs(b2 - b).max() < 1e-13
-    m = ((8.0, -4.0), (-3.0, 0.5))
-    mixed = unpack_pair(geom.mix_packed(P, m))
-    assert np.abs(mixed[0] - (8.0 * a - 4.0 * b)).max() < 1e-12
-    assert np.abs(mixed[1] - (-3.0 * a + 0.5 * b)).max() < 1e-12
     for got, want in zip(unpack_pair(geom.lap_packed(P)), geom.lap_pair(a, b)):
         assert np.abs(got - want).max() < 1e-12
-    helmholtz = geom.elliptic_inverse_packed(((1.0, 0.0), (0.0, 1.0)), ((0.25, 0.0), (0.0, 0.25)))
+    helmholtz = geom.elliptic_inverse_packed(((0.25, 0.0), (0.0, 0.25)))
     for got, want in zip(unpack_pair(helmholtz(P)), geom.helmholtz_pair(a, b, 0.25)):
         assert np.abs(got - want).max() < 1e-12
     assert geom.grad_sq_packed(P) == pytest.approx(
@@ -227,33 +223,32 @@ def test_packed_spectrum_operations():
 
 
 @pytest.mark.parametrize(
-    "L, M",
+    "M",
     [
-        # tw: -Lap plus a mean coupling matrix [[4e1 + e2, -e2], [-e2, e2]]
-        (((1.0, 0.0), (0.0, 1.0)), ((4 * 0.7 + 0.05, -0.05), (-0.05, 0.05))),
-        # vav: -AINV*Lap plus diag(mean d1, mean d2)
-        (vortexlab.vav._AINV, ((0.3, 0.0), (0.0, 0.1))),
+        # -Lap plus the mean of [[w1 + w2, -w2], [-w2, w2]]: tw's weights
+        # w1 = 4e^u, w2 = e^v, and vav's w1 = 4(1 - F1^2), w2 = 1 - F2^2
+        ((4 * 0.7 + 0.05, -0.05), (-0.05, 0.05)),
+        ((1.2 + 0.4, -0.4), (-0.4, 0.4)),
     ],
-    ids=["identity", "ainv"],
+    ids=["tw", "vav"],
 )
-def test_elliptic_inverse_packed_is_the_per_mode_solve(L, M):
+def test_elliptic_inverse_packed_is_the_per_mode_solve(M):
     geom = TorusGeometry(5.0, 7.5, 16, 24)
     a = random_field(geom, 13).values
     b = random_field(geom, 14).values
-    x1, x2 = unpack_pair(geom.elliptic_inverse_packed(L, M)(pack_pair(a, b)))
+    x1, x2 = unpack_pair(geom.elliptic_inverse_packed(M)(pack_pair(a, b)))
     # a direct 2x2 solve per mode on the spectra of a and b
     ksq = -geom._lap_sym
-    K = ksq[..., None, None] * np.array(L) + np.array(M)
+    K = ksq[..., None, None] * np.eye(2) + np.array(M)
     rhs = np.stack([np.fft.fft2(a), np.fft.fft2(b)], axis=-1)[..., None]
     X = np.linalg.solve(K, rhs)[..., 0]
     want1, want2 = np.fft.ifft2(X[..., 0]).real, np.fft.ifft2(X[..., 1]).real
     assert np.abs(x1 - want1).max() < 1e-12 and np.abs(x2 - want2).max() < 1e-12
-    # and the residual of (-L*Lap + M) x = (a, b) on the grid
+    # and the residual of (-Lap + M) x = (a, b) on the grid
     l1, l2 = geom.lap_pair(x1, x2)
-    (l11, l12), (_, l22) = L
     (m11, m12), (_, m22) = M
-    r1 = -(l11 * l1 + l12 * l2) + m11 * x1 + m12 * x2 - a
-    r2 = -(l12 * l1 + l22 * l2) + m12 * x1 + m22 * x2 - b
+    r1 = -l1 + m11 * x1 + m12 * x2 - a
+    r2 = -l2 + m12 * x1 + m22 * x2 - b
     assert np.abs(r1).max() <= 1e-12 and np.abs(r2).max() <= 1e-12
 
 
@@ -263,7 +258,7 @@ def test_elliptic_inverse_packed_finite_on_degenerate_means():
     geom = TorusGeometry(5.0, 7.5, 16, 24)
     m1, m2 = vortexlab.surface.bounded_means(np.zeros((2, 2)), np.full((2, 2), 1e300))
     assert (m1, m2) == (1e-12, 1e12)
-    prec = geom.elliptic_inverse_packed(((1.0, 0.0), (0.0, 1.0)), ((4 * m1 + m2, -m2), (-m2, m2)))
+    prec = geom.elliptic_inverse_packed(((m1 + m2, -m2), (-m2, m2)))
     with np.errstate(all="raise"):
         out = prec(pack_pair(random_field(geom, 15).values, random_field(geom, 16).values))
     assert np.isfinite(out).all()
@@ -692,6 +687,32 @@ def test_vav_non_finite_slope_falls_back_to_the_gradient(c, monkeypatch):
     assert slopes == [-np.inf]
     assert [e["kind"] for e in sol.trace[:2]] == ["init", "gradient"]
     _assert_default_solution(problem, solve, sol)
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_newton_operator_is_the_gradients_derivative(model):
+    # At a smooth non-solution (f, h), the CG operator built from the
+    # model's weights, applied to a direction D, is the central difference
+    # of the gradient along D.
+    problem, _ = _problem_and_solver(model)
+    geom = problem.geometry
+    work = getattr(vortexlab, model)._Work(problem)
+    x1, x2 = geom.nodes()
+    wave = 2 * np.pi / geom.L1
+    f = 0.6 * np.sin(wave * x1) * np.cos(2 * wave * x2) - 0.2
+    h = 0.5 * np.cos(wave * (x1 + x2)) + 0.3
+    D1 = np.cos(3 * wave * x1) + 0.4 * np.sin(wave * x2)
+    D2 = np.sin(2 * wave * (x1 - x2)) - 0.7
+    state = work.point(f, h)[5]
+    assert max(np.abs(g).max() for g in state[4:]) > 0.1  # not a solution
+    apply_op, _ = newton_operator(geom, *work.weights(state))
+    q1, q2 = unpack_pair(apply_op(pack_pair(D1, D2)))
+    eps = 1e-4
+    *_, p1, p2 = work.point(f + eps * D1, h + eps * D2)[5]
+    *_, m1, m2 = work.point(f - eps * D1, h - eps * D2)[5]
+    for q, p, m in ((q1, p1, m1), (q2, p2, m2)):
+        fd = (p - m) / (2 * eps)
+        assert np.abs(q - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 def _huge_start():

@@ -462,9 +462,10 @@ def test_newton_residual_certified(balanced):
 
 
 def test_newton_descends_the_functional_of_its_gradient(balanced):
-    # Newton's merit J has the gradient -AINV*r: at a smooth non-solution the
-    # central difference of J along D matches quad(g.D). Along each accepted
-    # trace J rises by no more than the line search's rounding slack.
+    # Newton minimises I = 8J over (f, h) = (U, U + 2V), with the gradient
+    # (-r1, -r1 - 2*r2): at a smooth non-solution the central difference of
+    # I along D matches quad(g.D). Along each accepted trace J rises by no
+    # more than the line search's rounding slack.
     problem, sol = balanced
     geom = problem.geometry
     work = vortexlab.vav._Work(problem)
@@ -473,13 +474,15 @@ def test_newton_descends_the_functional_of_its_gradient(balanced):
     V = -0.4 * np.cos(2 * PI * (x1 - 2 * x2) / geom.L1) - 0.1
     D1 = four_mode_field(geom) - 0.2
     D2 = np.sin(2 * PI * x1 / geom.L1) + 0.5
-    _, _, r1, r2 = work.point(U, V)[5]
-    (i11, i12), (i21, i22) = vortexlab.vav._AINV
-    slope = geom.quad(-(i11 * r1 + i12 * r2) * D1 - (i21 * r1 + i22 * r2) * D2)
+    f, h = U, U + 2.0 * V
+    *_, g1, g2 = work.point(f, h)[5]
+    r1, r2 = work.residual(*geom.lap_pair(U, V), *work.f_pair(U, V))
+    assert np.abs(g1 + r1).max() < 1e-12 and np.abs(g2 + r1 + 2.0 * r2).max() < 1e-12
+    slope = geom.quad(g1 * D1 + g2 * D2)
     eps = 1e-4
-    J_plus = work.point(U + eps * D1, V + eps * D2)[0]
-    J_minus = work.point(U - eps * D1, V - eps * D2)[0]
-    assert (J_plus - J_minus) / (2 * eps) == pytest.approx(slope, rel=1e-6)
+    I_plus = work.point(f + eps * D1, h + eps * D2)[0]
+    I_minus = work.point(f - eps * D1, h - eps * D2)[0]
+    assert (I_plus - I_minus) / (2 * eps) == pytest.approx(slope, rel=1e-6)
     traces = [sol.trace]
     for c in (4.0, -600.0):
         x0 = (np.full(U.shape, c), np.full(U.shape, -c))

@@ -11,9 +11,13 @@ machine's speed:
   solves, failed ones included (the last trace record's iteration);
 * `cg_iters`: inner CG iterations, counted by wrapping `pcg_pair` on the
   `tw` and `vav` modules, the names the solvers call it by;
-* `point_calls`: calls of the Newton driver's `point` hook of either model;
+* `point_calls`: calls of the Newton driver's `point` hook of either model,
+  wrapped once on each class that defines it, so that a `point` both
+  models' `_Work` inherit from one class is counted once a call;
 * `fields_sha256`: SHA-256 of the U and V bytes of every solution, in
-  input order; a failed solve adds the bytes b"failed".
+  input order; a failed solve adds the bytes b"failed";
+* `tw` and `vav`: `newton_iters`, `cg_iters`, `point_calls` and
+  `fields_sha256` of that model's solves alone.
 
 A `sweep-128` input is one solve per admissible length, with the sources
 keeping their fractional positions as the torus scales (as `vortexlab
@@ -58,58 +62,94 @@ def _solves(program, item):
             yield program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
 
 
+_SPLIT = ("newton_iters", "cg_iters", "point_calls")
+
+
+def _point_owners(program):
+    """The classes defining the `point` hook that the models' `_Work`
+    resolve to, each once."""
+    owners = (
+        next(c for c in module._Work.__mro__ if "point" in vars(c))
+        for module in (program.tw, program.vav)
+    )
+    return list(dict.fromkeys(owners))
+
+
 def count(src, workload, seed, grid=None, fields=None, against=None):
+    """The counters of one workload and seed; the wrapped names are put back
+    on return."""
     program = workloads.Program(src)
     counts = dict.fromkeys(
         ("solves", "failures", "newton_iters", "fp_iters", "cg_iters", "point_calls"), 0
     )
+    split = {model: dict.fromkeys(_SPLIT, 0) for model in ("tw", "vav")}
+    digests = {model: hashlib.sha256() for model in ("all", "tw", "vav")}
+    model = None  # the model of the solve under way
+
+    def tally(key, n):
+        counts[key] += n
+        split[model][key] += n
 
     def counted_pcg(pcg):
         def wrapped(*args, **kwargs):
             result = pcg(*args, **kwargs)
-            counts["cg_iters"] += result[2]
+            tally("cg_iters", result[2])
             return result
 
         return wrapped
 
     def counted_point(point):
         def wrapped(*args, **kwargs):
-            counts["point_calls"] += 1
+            tally("point_calls", 1)
             return point(*args, **kwargs)
 
         return wrapped
 
-    for module in (program.tw, program.vav):
-        module.pcg_pair = counted_pcg(module.pcg_pair)
-        module._Work.point = counted_point(module._Work.point)
-    digest = hashlib.sha256()
+    wrappers = [(module, "pcg_pair", counted_pcg) for module in (program.tw, program.vav)]
+    wrappers += [(owner, "point", counted_point) for owner in _point_owners(program)]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
+    for owner, name, wrap in wrappers:
+        setattr(owner, name, wrap(vars(owner)[name]))
     other = np.memmap(against, dtype=np.float64, mode="r") if against else None
     offset = 0
     deltas = []
-    with open(fields, "wb") if fields else contextlib.nullcontext() as out:
-        for item in workloads.make_inputs(workload, seed, grid):
-            for problem, solve, kwargs in _solves(program, item):
-                counts["solves"] += 1
-                key = "fp_iters" if kwargs.get("method") == "fixed_point" else "newton_iters"
-                try:
-                    sol = solve(problem, **kwargs)
-                except program.errors.SolverError as exc:
-                    counts["failures"] += 1
-                    counts[key] += exc.trace[-1]["iter"] if exc.trace else 0
-                    digest.update(b"failed")
-                    planes = np.full((2, item.n, item.n), np.nan)
-                else:
-                    counts[key] += sol.iterations
-                    planes = np.stack((sol.U.values, sol.V.values))
-                    digest.update(planes.tobytes())
-                if out:
-                    out.write(planes.tobytes())
-                if other is not None and offset + planes.size <= other.size:
-                    theirs = other[offset : offset + planes.size].reshape(planes.shape)
-                    deltas.append(np.abs(planes - theirs).max())
-                    offset += planes.size
+    try:
+        with open(fields, "wb") if fields else contextlib.nullcontext() as out:
+            for item in workloads.make_inputs(workload, seed, grid):
+                model = item.model
+                for problem, solve, kwargs in _solves(program, item):
+                    counts["solves"] += 1
+                    fixed_point = kwargs.get("method") == "fixed_point"
+                    try:
+                        sol = solve(problem, **kwargs)
+                    except program.errors.SolverError as exc:
+                        counts["failures"] += 1
+                        iters = exc.trace[-1]["iter"] if exc.trace else 0
+                        record = b"failed"
+                        planes = np.full((2, item.n, item.n), np.nan)
+                    else:
+                        iters = sol.iterations
+                        planes = np.stack((sol.U.values, sol.V.values))
+                        record = planes.tobytes()
+                    if fixed_point:
+                        counts["fp_iters"] += iters
+                    else:
+                        tally("newton_iters", iters)
+                    for key in ("all", model):
+                        digests[key].update(record)
+                    if out:
+                        out.write(planes.tobytes())
+                    if other is not None and offset + planes.size <= other.size:
+                        theirs = other[offset : offset + planes.size].reshape(planes.shape)
+                        deltas.append(np.abs(planes - theirs).max())
+                        offset += planes.size
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
     result = {"workload": workload, "seed": seed, "grid": grid, **counts}
-    result["fields_sha256"] = digest.hexdigest()
+    result["fields_sha256"] = digests["all"].hexdigest()
+    for key in ("tw", "vav"):
+        result[key] = {**split[key], "fields_sha256": digests[key].hexdigest()}
     if other is not None:
         # None where either side failed a solve (NaN) or the layouts differ
         worst = float(np.max(deltas)) if deltas else 0.0
