@@ -180,7 +180,7 @@ def newton_solve(work, x1, x2, tol, max_iter, pcg):
             kind = "polish"
             point = work.point(x1, x2)
             continue
-        *_, g1, g2 = state
+        g1, g2 = state[4:]
         w1, w2 = work.weights(state)
         del point, state  # the kernel values are not held through CG
         apply_op, prec = newton_operator(work.geom, w1, w2)
