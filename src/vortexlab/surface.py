@@ -247,9 +247,10 @@ class TorusGeometry:
 
         Mode by mode this is the inverse G(k) of K(k) = |k|^2 I + M, a real
         symmetric 2x2 matrix even in k, applied by `_conj_mix`. Its two mode
-        arrays are built here once; the map makes no transform. K(k) must be positive definite with positive diagonal;
-        its determinant is kept at least COEFF_FLOOR*k11*k22, so that
-        rounding in a nearly singular block cannot divide by zero.
+        arrays are built here once; the map makes no transform. K(k) must
+        be positive definite with positive diagonal; its determinant is kept
+        at least COEFF_FLOOR*k11*k22, so that rounding in a nearly singular
+        block cannot divide by zero.
         """
         (m11, k12), (_, m22) = M
         s = self._lap_sym

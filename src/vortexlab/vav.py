@@ -19,7 +19,9 @@ that of the "tw" model, so Newton runs in tw's variables f = U, h = U + 2V,
 on I = 8J, which has the form that `_linalg` solves for both models: its
 Hessian is -Lap + [[w1 + w2, -w2], [-w2, w2]] with w1 = 4(1 - F1^2),
 w2 = 1 - F2^2 and F = tanh(s/2) at s = u, v (see `_Work.point`). Newton
-is affine covariant, so the change of variables changes rounding only.
+is affine covariant: in exact arithmetic its iterates are those of Newton
+on J in (U, V), but for the line search's near-minimum slack, which is
+relative to I.
 
 The alternative iterates the constrained fixed-point map T in (U, V): the
 means are carried by explicit shifts c1, c2 chosen so the integral
@@ -421,7 +423,8 @@ def solve_vav(
     method="newton" (default): damped Newton over the full fields from the
     polish of the start `x0` = (U, V) (zeros by default), in the variables
     (U, U + 2V), with the inner system solved by preconditioned CG and a
-    line search on the convex functional 8J. method="fixed_point": Picard on the constrained map damped
+    line search on the convex functional 8J. method="fixed_point": Picard
+    on the constrained map damped
     by 1/2, x <- (x + T(x))/2, applied componentwise (each update sees the
     fresh values of the components before it); raises Stagnation if the
     residual stops decreasing (reduction below 1e-3 over 50 iterations). The

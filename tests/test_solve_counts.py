@@ -67,7 +67,8 @@ def test_a_point_both_models_share_is_counted_once(monkeypatch):
     # A tool that wrapped `point` once per module would wrap this one
     # function twice and count each of its calls twice.
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool adds to it
-    spec = importlib.util.spec_from_file_location("solve_counts", ROOT / "tools" / "solve_counts.py")
+    path = ROOT / "tools" / "solve_counts.py"
+    spec = importlib.util.spec_from_file_location("solve_counts", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     point = _SharedWork.point

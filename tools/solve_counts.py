@@ -62,9 +62,6 @@ def _solves(program, item):
             yield program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
 
 
-_SPLIT = ("newton_iters", "cg_iters", "point_calls")
-
-
 def _point_owners(program):
     """The classes defining the `point` hook that the models' `_Work`
     resolve to, each once."""
@@ -82,8 +79,9 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
     counts = dict.fromkeys(
         ("solves", "failures", "newton_iters", "fp_iters", "cg_iters", "point_calls"), 0
     )
-    split = {model: dict.fromkeys(_SPLIT, 0) for model in ("tw", "vav")}
-    digests = {model: hashlib.sha256() for model in ("all", "tw", "vav")}
+    keys = ("newton_iters", "cg_iters", "point_calls")
+    split = {m: dict.fromkeys(keys, 0) for m in ("tw", "vav")}
+    digests = {m: hashlib.sha256() for m in ("all", "tw", "vav")}
     model = None  # the model of the solve under way
 
     def tally(key, n):
