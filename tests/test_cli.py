@@ -250,6 +250,9 @@ def test_malformed_section_exit1(tmp_path, capsys):
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "solver": {"model": "tw", "kappa": 64},
         },
+        # a zero side used to reach the sources' wrap, x % L1, and end in a
+        # ZeroDivisionError traceback
+        {"torus": {"L1": 0.0, "L2": 6.0, "n1": 32, "n2": 32}},
         {
             "torus": {"L1": 2.0, "L2": 2.0, "n1": 32, "n2": 32},
             "solver": {"model": "tw", "seed": -1},
