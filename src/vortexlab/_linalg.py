@@ -115,7 +115,9 @@ def newton_operator(geom, w1, w2):
     def apply_op(D):
         d1, d2 = unpack_pair(D)
         mix = w2 * (d1 - d2)
-        Q = pack_pair(w1 * d1 + mix, -mix)
+        q1 = w1 * d1 + mix
+        del d1, d2  # the unpacked pair is not held through the pack
+        Q = pack_pair(q1, -mix)
         Q -= lap_packed(D)
         return Q
 
