@@ -7,9 +7,9 @@ distinguishes: 0 solved, 2 inadmissible (no solution exists for these
 sources on this area), 3 solver nonconvergence; 1 is reserved for I/O and
 configuration errors.
 
-What a run needs of a model (its methods, admissibility and curvatures) is
-read from the model's record in `diagnostics.MODELS`; the solved report is
-built from the same record. Only the problem builder, solver and report
+What a run needs of a model (its methods and admissibility) is read from
+the model's record in `diagnostics.MODELS`; the solved report and the
+curvatures of the field dump come from the same record's kernel. Only the problem builder, solver and report
 entry point are looked up per model here (`_entry_points`).
 """
 
@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import MODELS, SolveReport, report_tw, report_vav
+from .diagnostics import MODELS, SolveReport, curvatures, report_tw, report_vav
 from .errors import ConfigurationError, SolverError, VortexLabError
 from .sources import VortexConfiguration, _normalize_points, mollifier_width
 from .surface import TorusGeometry, _integer, _real, check_solver_settings
@@ -297,7 +297,7 @@ def _field_planes(geom, sol, model):
     x1, x2 = geom.nodes()
     u = sol.u.values
     v = sol.v.values
-    fhat, ftilde = MODELS[model].curvatures(sol)
+    fhat, ftilde = curvatures(sol)
     return np.stack(
         [x1, x2, u, v, np.exp(u), np.exp(v), fhat.values, ftilde.values]
     )

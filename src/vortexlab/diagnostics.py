@@ -1,15 +1,22 @@
 """Reconstructed curvature fields, quantized fluxes, and topological energies.
 
-The magnetic fields of a solved configuration are algebraic in e^u and e^v,
-so they are reconstructed pointwise from the solution; their integrals are
-pinned by the source counts. Energies are reported from the exact count
-formulas (the flux integrals serve as the numerical cross-check); pointwise
-energy-density quadrature would need the gauge potentials and is out of
-scope. Every "expected" entry is computed from counts, never from fields.
+In their curvatures both models obey one Maxwell-form system,
 
-Both models state one theorem shape, so each has one `Model` record in
-`MODELS`. The one report builder (`build_report`), the one Chern computation
-(`flux_report`) and the CLI read a model's facts from its record alone.
+    Lap(U) = 2(Ftilde - Fhat) + 4*pi*(N1 - P1)/|S|,  Lap(V) = -2 Ftilde + 4*pi*(N2 - P2)/|S|,
+
+with Fhat = phi(u) and Fhat + Ftilde = phi(v) (Tong & Wong, Vortices and
+impurities, JHEP 2014). Only the kernel `phi` of the model module differs:
+1 - e^x for "tw" and -2 tanh(x/2) for "vav". Integrated, the system pins the
+integrals of phi(u) and phi(v) to s times 2*pi*(N1 - P1 + N2 - P2) and
+2*pi*(N1 - P1 + 2(N2 - P2)), s being the model's `PHI_SCALE`; both must lie
+in |S| times the range of phi, so (-inf, 1) gives the Bradlow bound and
+(-2, 2) the two difference bounds. The curvatures, the system's residual,
+the quantized integrals, the Chern fluxes and the count formulas they are
+checked against come from phi alone, in one form for both models. Energies
+are reported from the exact count formulas (the flux integrals serve as the
+numerical cross-check). Every "expected" entry is computed from counts,
+never from fields. Each model has one `Model` record in `MODELS`, from
+which the report builder (`build_report`) and the CLI read its facts.
 """
 
 import math
@@ -19,42 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import f_half
+from . import tw, vav
 from .sources import FOUR_PI, TWO_PI, VortexConfiguration
-from .tw import TWProblem, TWSolution, tw_admissibility, tw_quantized_integrals, tw_residual
-from .vav import (
-    VAVProblem,
-    VAVSolution,
-    vav_admissibility,
-    vav_quantized_integrals,
-    vav_residual,
-)
-
-
-def curvatures_tw(sol: TWSolution):
-    """Magnetic fields (Fhat, Ftilde) of a vortex-only solution.
-
-    Fhat = 1 - e^u; Ftilde = -[(1 - e^u) + (e^v - 1)] (self-dual sign).
-    """
-    geom = sol.u.geometry
-    eu = np.exp(sol.u.values)
-    ev = np.exp(sol.v.values)
-    fhat = 1.0 - eu
-    ftilde = -(fhat + (ev - 1.0))
-    return geom.field(fhat), geom.field(ftilde)
-
-
-def curvatures_vav(sol: VAVSolution):
-    """Magnetic fields of a vortex/anti-vortex solution.
-
-    Fhat = 2(1 - e^u)/(1 + e^u) = -2 tanh(u/2) and
-    Ftilde = -2[(1 - e^u)/(1 + e^u) + (e^v - 1)/(1 + e^v)], both evaluated
-    in the saturation-safe tanh form.
-    """
-    geom = sol.u.geometry
-    tu = f_half(sol.u.values)
-    tv = f_half(sol.v.values)
-    return geom.field(-2.0 * tu), geom.field(2.0 * (tu - tv))
+from .tw import TWProblem, TWSolution, tw_admissibility, tw_quantized_integrals  # noqa: F401
+from .vav import VAVProblem, VAVSolution, vav_admissibility
 
 
 def energy_tw(config: VortexConfiguration) -> float:
@@ -86,27 +61,20 @@ def energy_vav(config: VortexConfiguration) -> EnergyBreakdown:
     )
 
 
-# One model's facts, as the CLI and the reports use them. `pinned` and
-# `fluxes` take the counts (N1, P1, N2, P2) and give, by report key, the values
-# the counts pin the quantized integrals and the Chern fluxes to. `energy` is
-# the report's energy entry for a configuration, and `trace` the model's own
-# solver_trace fields.
-Model = namedtuple(
-    "Model",
-    "tag methods admissibility residual curvatures quantized_integrals pinned fluxes energy trace",
-)
+# One model's facts, as the CLI and the reports use them. `phi` is the kernel
+# and `scale` the s of the quantized integrals (see above); `flux_keys` names
+# the Chern fluxes the report gives. `energy` is the report's energy entry for
+# a configuration, and `trace` the model's own solver_trace fields.
+Model = namedtuple("Model", "tag methods admissibility phi scale flux_keys energy trace")
 
 
 TW = Model(
     tag="tw",
     methods=("newton",),
     admissibility=tw_admissibility,
-    residual=tw_residual,
-    curvatures=curvatures_tw,
-    quantized_integrals=tw_quantized_integrals,
-    # the model admits no poles, so P1 = P2 = 0 here
-    pinned=lambda N1, P1, N2, P2: {"Iu": TWO_PI * (N1 + N2), "Iv": TWO_PI * (N1 + 2 * N2)},
-    fluxes=lambda N1, P1, N2, P2: {"chern1": N1, "chern2": N2},
+    phi=tw.phi,
+    scale=tw.PHI_SCALE,
+    flux_keys=("chern1", "chern2"),
     energy=lambda config: {"value": energy_tw(config)},
     trace=lambda sol: {
         "final_gradient_norm": sol.final_gradient_norm,
@@ -118,18 +86,9 @@ VAV = Model(
     tag="vav",
     methods=("newton", "fixed_point"),
     admissibility=vav_admissibility,
-    residual=vav_residual,
-    curvatures=curvatures_vav,
-    quantized_integrals=vav_quantized_integrals,
-    pinned=lambda N1, P1, N2, P2: {
-        "Iu": math.pi * (N1 - P1 + N2 - P2),
-        "Iv": math.pi * (N1 - P1 + 2 * (N2 - P2)),
-    },
-    fluxes=lambda N1, P1, N2, P2: {
-        "chern1": N1 - P1,
-        "chern2": N2 - P2,
-        "total": N1 - P1 + N2 - P2,
-    },
+    phi=vav.phi,
+    scale=vav.PHI_SCALE,
+    flux_keys=("chern1", "chern2", "total"),
     energy=lambda config: dict(
         zip(("value", "chern_flux", "thom_q", "thom_p"), energy_vav(config))
     ),
@@ -140,16 +99,47 @@ VAV = Model(
 )
 
 MODELS = {m.tag: m for m in (TW, VAV)}
-_MODEL_OF = {TWProblem: TW, VAVProblem: VAV}  # by the class of a problem
+# by the class of a problem or of a solution
+_MODEL_OF = {TWProblem: TW, TWSolution: TW, VAVProblem: VAV, VAVSolution: VAV}
+
+
+def curvatures(sol):
+    """Magnetic fields (Fhat, Ftilde) = (phi(u), phi(v) - phi(u)) of a
+    solution of either model; Ftilde carries the self-dual sign."""
+    geom = sol.u.geometry
+    phi = _MODEL_OF[type(sol)].phi
+    fhat = phi(sol.u.values)
+    return geom.field(fhat), geom.field(-(fhat - phi(sol.v.values)))
+
+
+# the public names of one function, from when each model had its own
+curvatures_tw = curvatures_vav = curvatures
+
+
+def _expected(model, config):
+    """The count formulas, by report key: the values the counts pin the
+    quantized integrals and the Chern fluxes to."""
+    N1, P1, N2, P2 = config.counts()
+    n1, n2 = N1 - P1, N2 - P2
+    pinned = {"Iu": TWO_PI * (n1 + n2) / model.scale, "Iv": TWO_PI * (n1 + 2 * n2) / model.scale}
+    fluxes = {"chern1": n1, "chern2": n2, "total": n1 + n2}
+    return pinned, {key: fluxes[key] for key in model.flux_keys}
+
+
+def _residual_norms(sol, problem, fhat, ftilde):
+    """Sup and L2 norms of the residuals of the curvature-form system."""
+    geom = problem.geometry
+    N1, P1, N2, P2 = problem.config.counts()
+    l1, l2 = geom.lap_pair(sol.U.values, sol.V.values)
+    r1 = l1 - (2.0 * (ftilde - fhat) + FOUR_PI * (N1 - P1) / geom.area)
+    r2 = l2 - (FOUR_PI * (N2 - P2) / geom.area - 2.0 * ftilde)
+    sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+    return {"sup": sup, "l2": math.sqrt(geom.quad(r1 * r1 + r2 * r2))}
 
 
 def residual_report(sol, problem):
     """Sup and L2 norms of the discrete residuals of the governing system."""
-    geom = problem.geometry
-    r1, r2 = _MODEL_OF[type(problem)].residual(sol, problem)
-    sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-    l2 = math.sqrt(geom.quad(r1 * r1 + r2 * r2))
-    return {"sup": sup, "l2": l2}
+    return _residual_norms(sol, problem, *(f.values for f in curvatures(sol)))
 
 
 def _entry(value, expected):
@@ -162,6 +152,15 @@ def _entry(value, expected):
     }
 
 
+def _flux_entries(problem, fhat, ftilde, expected):
+    integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
+    quad = problem.geometry.quad
+    return {
+        name: _entry(quad(integrands[name]) / TWO_PI, float(value))
+        for name, value in expected.items()
+    }
+
+
 def flux_report(sol, problem):
     """Chern numbers from the curvature integrals, against the counts.
 
@@ -169,14 +168,8 @@ def flux_report(sol, problem):
     integrates Fhat, each over 2*pi; the model's record names which it
     reports.
     """
-    model = _MODEL_OF[type(problem)]
-    fhat, ftilde = (f.values for f in model.curvatures(sol))
-    integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
-    quad = problem.geometry.quad
-    return {
-        name: _entry(quad(integrands[name]) / TWO_PI, float(expected))
-        for name, expected in model.fluxes(*problem.config.counts()).items()
-    }
+    _, expected = _expected(_MODEL_OF[type(problem)], problem.config)
+    return _flux_entries(problem, *(f.values for f in curvatures(sol)), expected)
 
 
 @dataclass
@@ -198,10 +191,18 @@ class SolveReport:
 
 
 def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
-    """The report of a solved run, from the record of the problem's model."""
+    """The report of a solved run, from the record of the problem's model.
+
+    phi(u) and phi(v) are evaluated once, and give the quantized integrals,
+    the curvatures, the flux integrals and the residual."""
     model = _MODEL_OF[type(problem)]
     config = problem.config
-    qi = model.quantized_integrals(sol, problem)
+    quad = problem.geometry.quad
+    pinned, fluxes = _expected(model, config)
+    fhat, phi_v = model.phi(sol.u.values), model.phi(sol.v.values)
+    qi = {"Iu": quad(fhat) / model.scale, "Iv": quad(phi_v) / model.scale}
+    ftilde = -(fhat - phi_v)
+    del phi_v
     return SolveReport(
         model=model.tag,
         status="solved",
@@ -212,14 +213,11 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "iterations": sol.iterations,
             "converged": True,
             **model.trace(sol),
-            "residuals": residual_report(sol, problem),
+            "residuals": _residual_norms(sol, problem, fhat, ftilde),
             "history": sol.trace,
         },
-        quantized_integrals={
-            key: _entry(qi[key], expected)
-            for key, expected in model.pinned(*config.counts()).items()
-        },
-        fluxes=flux_report(sol, problem),
+        quantized_integrals={key: _entry(qi[key], value) for key, value in pinned.items()},
+        fluxes=_flux_entries(problem, fhat, ftilde, fluxes),
         energy=model.energy(config),
         timings={"wall_seconds": wall_seconds},
     )
@@ -227,6 +225,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
 # flux_report_* are public names. report_* exist because the traced benchmark
 # run wraps `cli.report_tw` and `cli.report_vav` by name; they go when it
-# stops wrapping names (ROADMAP item 4).
+# stops wrapping names (ROADMAP item 4). The benchmark's check also reads
+# `tw_quantized_integrals` here.
 flux_report_tw = flux_report_vav = flux_report
 report_tw = report_vav = build_report

@@ -152,27 +152,23 @@ class _Work:
         return f + s1, h + (s1 + 2.0 * s2)
 
 
-def tw_residual(sol, problem: TWProblem):
-    """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
-    geom = problem.geometry
-    U = sol.U.values
-    V = sol.V.values
-    e1 = np.exp(problem.u01.values + U)
-    e2 = np.exp(problem.v01.values + V)
-    l1, l2 = geom.lap_pair(U, V)
-    N1, _, N2, _ = problem.config.counts()
-    r1 = l1 - (4.0 * (e1 - 1.0) - 2.0 * (e2 - 1.0) + FOUR_PI * N1 / geom.area)
-    r2 = l2 - (-2.0 * (e1 - 1.0) + 2.0 * (e2 - 1.0) + FOUR_PI * N2 / geom.area)
-    return r1, r2
+# s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
+PHI_SCALE = 1.0
+
+
+def phi(x):
+    """1 - e^x, valued in (-inf, 1): the Bradlow bound's range."""
+    return 1.0 - np.exp(x)
 
 
 def tw_quantized_integrals(sol, problem: TWProblem):
     """Integrals of 1 - e^u and 1 - e^v, pinned to 2*pi*(N1+N2) and
     2*pi*(N1+2*N2) by the counts."""
-    geom = problem.geometry
-    iu = geom.quad(1.0 - np.exp(sol.u.values))
-    iv = geom.quad(1.0 - np.exp(sol.v.values))
-    return {"Iu": iu, "Iv": iv}
+    quad = problem.geometry.quad
+    return {
+        "Iu": quad(phi(sol.u.values)) / PHI_SCALE,
+        "Iv": quad(phi(sol.v.values)) / PHI_SCALE,
+    }
 
 
 @dataclass

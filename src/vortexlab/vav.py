@@ -286,13 +286,6 @@ class _Work:
         return U, U + 2.0 * V
 
 
-def vav_residual(sol, problem: VAVProblem):
-    """Residuals (r1, r2) of the governing equations at the solution's (U, V)."""
-    work = _Work(problem)
-    U, V = sol.U.values, sol.V.values
-    return work.residual(*problem.geometry.lap_pair(U, V), *work.f_pair(U, V))
-
-
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     """One application of the constrained fixed-point map.
 
@@ -443,14 +436,21 @@ def solve_vav(
     return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
 
 
-def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
-    """The two count-quantized integrals of the solved fields.
+# s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
+PHI_SCALE = 2.0
 
-    Iu = integral of (1 - e^u)/(1 + e^u) = pi*(N1 - P1 + N2 - P2) and
-    Iv analogously with pi*(N1 - P1 + 2*(N2 - P2)); both evaluated in the
-    tanh form and pinned by the counts alone.
-    """
-    geom = problem.geometry
-    iu = -geom.quad(f_half(sol.u.values))
-    iv = -geom.quad(f_half(sol.v.values))
-    return {"Iu": iu, "Iv": iv}
+
+def phi(x):
+    """-2 tanh(x/2) = 2(1 - e^x)/(1 + e^x), valued in (-2, 2): the range
+    that gives the two difference bounds."""
+    return -2.0 * f_half(x)
+
+
+def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
+    """Integrals of -tanh(u/2) and -tanh(v/2), pinned to pi*(N1 - P1 + N2 - P2)
+    and pi*(N1 - P1 + 2*(N2 - P2)) by the counts."""
+    quad = problem.geometry.quad
+    return {
+        "Iu": quad(phi(sol.u.values)) / PHI_SCALE,
+        "Iv": quad(phi(sol.v.values)) / PHI_SCALE,
+    }
