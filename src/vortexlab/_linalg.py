@@ -14,8 +14,9 @@ pair's packed spectrum (see `surface`), where -Lap is mode by mode and the
 weights need one transform pair, and CG is preconditioned with its exact
 inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973), which is pointwise there (`newton_operator`). Both solvers run
-the same outer loop, `newton_solve`. Everything here works on raw arrays
-for speed.
+the same outer loop, `newton_solve`, which takes the start and returns the
+solution as (U, V) = (f, (h - f)/2), as the solutions hold them. Everything
+here works on raw arrays for speed.
 """
 
 import numpy as np
@@ -125,9 +126,9 @@ def newton_operator(geom, w1, w2):
     return apply_op, geom.elliptic_inverse_packed(((m1 + m2, -m2), (-m2, m2)))
 
 
-def newton_solve(work, x1, x2, tol, max_iter, pcg):
-    """Damped inexact Newton on I from the polish of (x1, x2), by the hooks
-    on `work`.
+def newton_solve(work, U, V, tol, max_iter, pcg):
+    """Damped inexact Newton on I, by the hooks on `work`, from the polish
+    of the start (U, V) in the variables (x1, x2) = (f, h) = (U, U + 2V).
 
     `work.point(y1, y2)` returns (I, sup, mean defect, clamp count, trace
     record, state) at y, the state being (y1, y2, k1, k2, g1, g2) with the
@@ -145,15 +146,16 @@ def newton_solve(work, x1, x2, tol, max_iter, pcg):
     with only the sup below tol, the polish step is taken. DivergedIterate
     is raised here, before the iterate's trace record: at a non-finite I or
     sup, at the first point but a refused trial with clamped exponent
-    arguments, and when the line search finds no descent. It returns (x1,
-    x2, iterations, sup, I, trace). The models pass `pcg_pair`, and call
-    the kernels, by their names on the model modules, where a traced run
-    wraps them.
+    arguments, and when the line search finds no descent. It returns (U,
+    V, iterations, sup, I, trace), V = (h - f)/2. The models pass
+    `pcg_pair`, and call the kernels, by their names on the model modules,
+    where a traced run wraps them.
     """
     trace = []
     it = 0
     step = 0.0
     kind = "start"
+    x1, x2 = U, U + 2.0 * V
     point = work.point(x1, x2)
     while True:
         merit, sup, mean_defect, n_clip, record, state = point
@@ -168,7 +170,7 @@ def newton_solve(work, x1, x2, tol, max_iter, pcg):
             continue
         trace.append({"iter": it, **record, "step": step, "kind": kind})
         if sup < tol and mean_defect <= MEAN_TOL:
-            return x1, x2, it, sup, merit, trace
+            return x1, 0.5 * (x2 - x1), it, sup, merit, trace
         if it >= max_iter:
             raise MaxIterExceeded(
                 f"no convergence in {max_iter} iterations "

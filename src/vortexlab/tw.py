@@ -236,22 +236,22 @@ def solve_tw(
     back to the preconditioned gradient direction, logged as kind "gradient",
     when the Newton direction is not a descent one.
     Convergence is sup-norm of the gradient below `tol` with the integrated
-    gradients at rounding level. `x0` may hold a pair of start arrays; Newton
-    runs from their polish, so their means cost no iterations.
+    gradients at rounding level. `x0` may hold a start (U, V), as a solution
+    holds it; Newton runs from its polish, so its means cost no iterations.
     """
     if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
     geom = problem.geometry
     work = _Work(problem)
-    f, h, it, g_sup, i_val, trace = newton_solve(
+    U, V, it, g_sup, i_val, trace = newton_solve(
         work, *start_pair(geom, x0), tol, max_iter, pcg_pair
     )
     return TWSolution(
-        U=geom.field(f),
-        V=geom.field(0.5 * (h - f)),
-        u=geom.field(work.u01 + f),
-        v=geom.field(work.v01 + 0.5 * (h - f)),
+        U=geom.field(U),
+        V=geom.field(V),
+        u=geom.field(work.u01 + U),
+        v=geom.field(work.v01 + V),
         iterations=it,
         final_gradient_norm=g_sup,
         functional_value=i_val,

@@ -430,9 +430,10 @@ def solve_vav(
     work = _Work(problem)
     if method == "newton":
         max_iter = 50 if max_iter is None else max_iter
-        U, V = start_pair(work.geom, x0)
-        f, h, it, r_sup, _, trace = newton_solve(work, U, U + 2.0 * V, tol, max_iter, pcg_pair)
-        return _package(problem, work, f, 0.5 * (h - f), 0.0, 0.0, it, r_sup, trace, "newton")
+        U, V, it, r_sup, _, trace = newton_solve(
+            work, *start_pair(work.geom, x0), tol, max_iter, pcg_pair
+        )
+        return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
     return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
 
 

@@ -477,13 +477,14 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
 
 
 def _backtracking_start(model):
-    """Starts whose shape, not their means, is far from the solution, so that
-    the polished start still refuses full Newton steps: tw from a bump of
-    height 400 in h takes 34 iterations, with steps down to 2**-18; vav from
-    a sine and a cosine of amplitude 8 takes a step of 1/2 at iteration 2."""
+    """Starts (U, V) whose shape, not their means, is far from the solution,
+    so that the polished start still refuses full Newton steps: tw from a
+    bump of height 400 in h = U + 2V takes 34 iterations, with steps down to
+    2**-18; vav from a sine and a cosine of amplitude 8 takes a step of 1/2
+    at iteration 2."""
     i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
     if model == "tw":
-        return np.zeros((32, 32)), 400.0 * np.exp(-((i - 8) ** 2 + (j - 8) ** 2) / 8.0)
+        return np.zeros((32, 32)), 200.0 * np.exp(-((i - 8) ** 2 + (j - 8) ** 2) / 8.0)
     return 8.0 * np.sin(2 * np.pi * i / 32), -8.0 * np.cos(2 * np.pi * j / 32)
 
 
@@ -592,7 +593,7 @@ def _assert_default_solution(problem, solve, sol):
 # a solver error; vav's functional is coercive in the means, and its line
 # search reaches the default solution.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("model, start", [("tw", (-800.0, -2400.0)), ("vav", (50.0, -50.0))])
+@pytest.mark.parametrize("model, start", [("tw", (-800.0, -800.0)), ("vav", (50.0, -50.0))])
 def test_degenerate_start_fails_as_a_solver_error(model, start):
     problem, solve = _problem_and_solver(model)
     x0 = tuple(np.full((32, 32), c) for c in start)
@@ -632,7 +633,7 @@ def _vav_ripple_start():
 # Newton starts from the polished start, whose means minimise the functional
 # exactly, so starts whose means are far off cost no extra iteration. Cold,
 # tw took 12 iterations from (4, -4) and 16 from (8, -8), raised
-# MaxIterExceeded from (-100, 100) and found no descent from (-300, -300);
+# MaxIterExceeded from (-100, 100) and found no descent from (-300, 0);
 # vav took 11 from the ripple on means (10, -10), and 16 from (1000, -1000),
 # whose polish solves for the mean-free fields: the shifts of the fields
 # themselves lie outside _shift's bracket.
@@ -644,11 +645,11 @@ def _vav_ripple_start():
         ("tw", (10.0, -10.0)),
         ("tw", (-10.0, 10.0)),
         ("tw", (-100.0, 100.0)),
-        ("tw", (-300.0, -300.0)),
+        ("tw", (-300.0, 0.0)),
         ("vav", _vav_ripple_start),
         ("vav", (1000.0, -1000.0)),
     ],
-    ids=["tw(4,-4)", "tw(8,-8)", "tw(10,-10)", "tw(-10,10)", "tw(-100,100)", "tw(-300,-300)",
+    ids=["tw(4,-4)", "tw(8,-8)", "tw(10,-10)", "tw(-10,10)", "tw(-100,100)", "tw(-300,0)",
          "vav-ripple", "vav(1000,-1000)"],
 )
 def test_far_means_take_the_default_iterations(model, start):
@@ -659,6 +660,20 @@ def test_far_means_take_the_default_iterations(model, start):
     assert sol.iterations == reference.iterations
     assert np.abs(sol.U.values - reference.U.values).max() < 1e-9
     assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
+
+
+# Both solvers read a start as (U, V), the pair a solution holds, so a
+# solution's own fields are a start at the solution: the solve stops at the
+# polished start. Read as Newton's (f, h), the tw start took 6 iterations.
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_warm_start_from_the_solution_stops_at_init(model):
+    problem, solve = _problem_and_solver(model)
+    sol = solve(problem)
+    warm = solve(problem, x0=(sol.U.values, sol.V.values))
+    assert warm.iterations == 0
+    assert [e["kind"] for e in warm.trace] == ["init"]
+    assert np.abs(warm.U.values - sol.U.values).max() < 1e-12
+    assert np.abs(warm.V.values - sol.V.values).max() < 1e-12
 
 
 # A descent direction so long that its slope overflows to -inf, like the
@@ -721,13 +736,13 @@ def _huge_start():
 
 
 def _constant_510_start():
-    return np.full((32, 32), 510.0), np.full((32, 32), 510.0)
+    return np.full((32, 32), 510.0), np.zeros((32, 32))
 
 
 def _one_505_entry_start():
-    f = np.zeros((32, 32))
-    f[5, 7] = 505.0
-    return f, np.zeros((32, 32))
+    U = np.zeros((32, 32))
+    U[5, 7] = 505.0
+    return U, -0.5 * U
 
 
 def _not_called(*args, **kwargs):
@@ -752,16 +767,16 @@ def _not_called(*args, **kwargs):
 def test_divergence_at_the_start_is_named(model, start, monkeypatch):
     problem, solve = _problem_and_solver(model)
     monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _not_called)
-    f, h = start()
+    U, V = start()
     if start is _huge_start:
         message = "non-finite iterate"
     else:
-        n_clip = np.count_nonzero(problem.u01.values + f > EXP_CAP)
-        n_clip += np.count_nonzero(problem.v01.values + 0.5 * (h - f) > EXP_CAP)
+        n_clip = np.count_nonzero(problem.u01.values + U > EXP_CAP)
+        n_clip += np.count_nonzero(problem.v01.values + V > EXP_CAP)
         assert n_clip == 1 if start is _one_505_entry_start else n_clip > 1
         message = f"^{n_clip} exponent argument\\(s\\) clamped at 500"
     with pytest.raises(DivergedIterate, match=message) as exc:
-        solve(problem, x0=(f, h))
+        solve(problem, x0=(U, V))
     assert exc.value.trace == []
 
 
