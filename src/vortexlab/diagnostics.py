@@ -126,20 +126,23 @@ def _expected(model, config):
     return pinned, {key: fluxes[key] for key in model.flux_keys}
 
 
-def _residual_norms(sol, problem, fhat, ftilde):
-    """Sup and L2 norms of the residuals of the curvature-form system."""
+def _residuals(sol, problem, fhat, ftilde):
+    """Residuals (r1, r2) of the curvature-form system at the solution's (U, V)."""
     geom = problem.geometry
     N1, P1, N2, P2 = problem.config.counts()
     l1, l2 = geom.lap_pair(sol.U.values, sol.V.values)
     r1 = l1 - (2.0 * (ftilde - fhat) + FOUR_PI * (N1 - P1) / geom.area)
     r2 = l2 - (FOUR_PI * (N2 - P2) / geom.area - 2.0 * ftilde)
+    return r1, r2
+
+
+def residual_report(sol, problem, curvature=None):
+    """Sup and L2 norms of the residuals of the curvature-form system;
+    `curvature` holds the arrays (Fhat, Ftilde) where they are at hand."""
+    fhat, ftilde = curvature or (f.values for f in curvatures(sol))
+    r1, r2 = _residuals(sol, problem, fhat, ftilde)
     sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-    return {"sup": sup, "l2": math.sqrt(geom.quad(r1 * r1 + r2 * r2))}
-
-
-def residual_report(sol, problem):
-    """Sup and L2 norms of the discrete residuals of the governing system."""
-    return _residual_norms(sol, problem, *(f.values for f in curvatures(sol)))
+    return {"sup": sup, "l2": math.sqrt(problem.geometry.quad(r1 * r1 + r2 * r2))}
 
 
 def _entry(value, expected):
@@ -152,24 +155,21 @@ def _entry(value, expected):
     }
 
 
-def _flux_entries(problem, fhat, ftilde, expected):
+def flux_report(sol, problem, curvature=None):
+    """Chern numbers from the curvature integrals, against the counts.
+
+    chern1 and chern2 integrate Fhat - Ftilde and Ftilde, and total
+    integrates Fhat, each over 2*pi; the model's record names which it
+    reports. `curvature` is as in `residual_report`.
+    """
+    fhat, ftilde = curvature or (f.values for f in curvatures(sol))
     integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
+    _, expected = _expected(_MODEL_OF[type(problem)], problem.config)
     quad = problem.geometry.quad
     return {
         name: _entry(quad(integrands[name]) / TWO_PI, float(value))
         for name, value in expected.items()
     }
-
-
-def flux_report(sol, problem):
-    """Chern numbers from the curvature integrals, against the counts.
-
-    chern1 and chern2 integrate Fhat - Ftilde and Ftilde, and total
-    integrates Fhat, each over 2*pi; the model's record names which it
-    reports.
-    """
-    _, expected = _expected(_MODEL_OF[type(problem)], problem.config)
-    return _flux_entries(problem, *(f.values for f in curvatures(sol)), expected)
 
 
 @dataclass
@@ -198,10 +198,10 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     model = _MODEL_OF[type(problem)]
     config = problem.config
     quad = problem.geometry.quad
-    pinned, fluxes = _expected(model, config)
+    pinned, _ = _expected(model, config)
     fhat, phi_v = model.phi(sol.u.values), model.phi(sol.v.values)
     qi = {"Iu": quad(fhat) / model.scale, "Iv": quad(phi_v) / model.scale}
-    ftilde = -(fhat - phi_v)
+    curvature = fhat, -(fhat - phi_v)
     del phi_v
     return SolveReport(
         model=model.tag,
@@ -213,11 +213,11 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "iterations": sol.iterations,
             "converged": True,
             **model.trace(sol),
-            "residuals": _residual_norms(sol, problem, fhat, ftilde),
+            "residuals": residual_report(sol, problem, curvature),
             "history": sol.trace,
         },
         quantized_integrals={key: _entry(qi[key], value) for key, value in pinned.items()},
-        fluxes=_flux_entries(problem, fhat, ftilde, fluxes),
+        fluxes=flux_report(sol, problem, curvature),
         energy=model.energy(config),
         timings={"wall_seconds": wall_seconds},
     )

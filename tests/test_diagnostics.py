@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+import vortexlab
 from vortexlab import (
     TorusGeometry,
     VortexConfiguration,
@@ -19,6 +23,7 @@ from vortexlab import (
     vav_problem,
     vav_quantized_integrals,
 )
+from vortexlab.diagnostics import MODELS, _expected, _residuals, curvatures
 
 PI = np.pi
 
@@ -178,3 +183,55 @@ def test_report_expected_entries_from_counts(vav_case):
     assert rep.quantized_integrals["Iv"]["expected"] == PI * (N1 - P1 + 2 * (N2 - P2))
     assert rep.fluxes["chern1"]["expected"] == float(N1 - P1)
     assert rep.energy["value"] == 4.0 * PI * (N1 + P1 + N2 + P2)
+
+
+# ------------------------------------------- both models, one system ----
+# Both models are the curvature-form system with their own kernel phi.
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_report_residual_is_the_newton_gradient(model, request):
+    # At a smooth non-solution (U, V), the residual the report takes of the
+    # curvature-form system is the Newton gradient at (f, h) = (U, U + 2V):
+    # r1 = -g1 and r2 = (g1 - g2)/2.
+    problem, solved = request.getfixturevalue(f"{model}_case")
+    geom = problem.geometry
+    work = getattr(vortexlab, model)._Work(problem)
+    bu, bv = (work.u01, work.v01) if model == "tw" else (work.du, work.dv)
+    x1, x2 = geom.nodes()
+    wave = 2 * PI / geom.L1
+    U = 0.6 * np.sin(wave * x1) * np.cos(2 * wave * x2) - 0.2
+    V = 0.5 * np.cos(wave * (x1 + x2)) + 0.3
+    fields = {"U": U, "V": V, "u": bu + U, "v": bv + V}
+    sol = dataclasses.replace(solved, **{k: geom.field(a) for k, a in fields.items()})
+    r1, r2 = _residuals(sol, problem, *(f.values for f in curvatures(sol)))
+    *_, g1, g2 = work.point(U, U + 2.0 * V)[5]
+    assert np.abs(g1).max() > 0.1  # not a solution
+    assert np.abs(r1 + g1).max() < 1e-12
+    assert np.abs(r2 - 0.5 * (g1 - g2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_admissible_exactly_when_the_pinned_integrals_fit_the_kernel(model):
+    # The integrals of phi(u) and phi(v) are s times the pinned values, and
+    # phi is decreasing, so they lie in |S| times (phi(inf), phi(-inf)):
+    # (-inf, 1) for tw, (-2, 2) for vav. That is each model's existence bound.
+    record = MODELS[model]
+    lo, hi = record.phi(np.inf), record.phi(-np.inf)
+    assert (lo, hi) == {"tw": (-np.inf, 1.0), "vav": (-2.0, 2.0)}[model]
+    poles = range(3) if model == "vav" else (0,)
+    seen = set()
+    for L in np.linspace(1.5, 7.5, 13):
+        geom = TorusGeometry(L, L, 8, 8)
+        for N1, P1, N2, P2 in itertools.product(range(4), poles, range(4), poles):
+            sets = zip(("zeros_q", "poles_q", "zeros_p", "poles_p"), (N1, P1, N2, P2))
+            config = VortexConfiguration(
+                **{name: [(0.3 * k + 0.2, 0.2, m)] for k, (name, m) in enumerate(sets) if m}
+            )
+            pinned, _ = _expected(record, config)
+            inside = all(
+                lo * geom.area < record.scale * v < hi * geom.area for v in pinned.values()
+            )
+            assert record.admissibility(config, geom).satisfied == inside
+            seen.add(inside)
+    assert seen == {True, False}
