@@ -154,3 +154,31 @@ def test_each_set_keeps_its_own_machine_block(tool, tmp_path):
 
 def test_commit_is_null_outside_a_git_work_tree(tool, tmp_path):
     assert tool.head_commit(tmp_path) is None
+
+
+def _src_tree(root):
+    (root / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (root / "src" / "pkg" / "a.py").write_bytes(b"x = 1\n")
+    (root / "src" / "pkg" / "b.py").write_bytes(b"y = 2\n")
+    (root / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"cache")
+    return root
+
+
+def test_src_hash_names_the_code_outside_git(tool, tmp_path):
+    # a tree that is not a git work tree has no commit but a hash of its src/
+    tree = _src_tree(tmp_path / "tree")
+    assert tool.head_commit(tree) is None
+    digest = tool.src_sha256(tree)
+    assert isinstance(digest, str) and len(digest) == 64
+    # a copy hashes the same; bytecode caches do not count
+    copy = _src_tree(tmp_path / "copy")
+    (copy / "src" / "pkg" / "__pycache__" / "b.cpython-311.pyc").write_bytes(b"other")
+    assert tool.src_sha256(copy) == digest
+    # one changed byte, or a renamed file, changes it
+    (copy / "src" / "pkg" / "b.py").write_bytes(b"y = 3\n")
+    assert tool.src_sha256(copy) != digest
+    (copy / "src" / "pkg" / "b.py").write_bytes(b"y = 2\n")
+    assert tool.src_sha256(copy) == digest
+    (copy / "src" / "pkg" / "b.py").rename(copy / "src" / "pkg" / "c.py")
+    assert tool.src_sha256(copy) != digest
+    assert tool.src_sha256(tmp_path) is None

@@ -17,13 +17,15 @@ not correct.
 
 Every run (side, pair, order, exit code, wall time, operation counts and
 metrics) goes to the --out JSON file together with its summary, the
-machine it ran on and each checkout's directory name and commit. An
+machine it ran on and each checkout's directory name, commit and
+`src_sha256`, a hash of its src/ that names the code also outside git. An
 existing file gains one more set, so that several workloads and seeds can
 share one file; each set keeps its own machine block. Standard library
 only.
 """
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -194,6 +196,31 @@ def head_commit(checkout):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def src_sha256(checkout):
+    """SHA-256 over the files of `checkout`'s src/, in sorted relative-path
+    order: each file adds its path, its size and its bytes. Bytecode caches
+    (`__pycache__`, *.pyc) are left out, since running the tree writes them.
+    None when there is no src/. It names the code of a checkout that is not
+    a git work tree."""
+    root = os.path.join(checkout, "src")
+    if not os.path.isdir(root):
+        return None
+    files = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for name in filenames:
+            if not name.endswith(".pyc"):
+                path = os.path.join(dirpath, name)
+                files.append((os.path.relpath(path, root).replace(os.sep, "/"), path))
+    digest = hashlib.sha256()
+    for rel, path in sorted(files):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 def append_set(path, entry):
     """Add one set to the JSON file at `path`, creating the file if needed."""
     data = {"sets": []}
@@ -262,8 +289,13 @@ def main(argv=None):
             "pairs": args.pairs,
             "machine": machine(),
             # directory names only, each with the commit checked out there
+            # and the hash of its src/
             "checkouts": {
-                side: {"dir": os.path.basename(path), "commit": head_commit(path)}
+                side: {
+                    "dir": os.path.basename(path),
+                    "commit": head_commit(path),
+                    "src_sha256": src_sha256(path),
+                }
                 for side, path in checkouts.items()
             },
             "summary": summary,
