@@ -7,16 +7,15 @@ In their curvatures both models obey one Maxwell-form system,
 with Fhat = phi(u) and Fhat + Ftilde = phi(v) (Tong & Wong, Vortices and
 impurities, JHEP 2014). Only the kernel `phi` of the model module differs:
 1 - e^x for "tw" and -2 tanh(x/2) for "vav". Integrated, the system pins the
-integrals of phi(u) and phi(v) to s times 2*pi*(N1 - P1 + N2 - P2) and
-2*pi*(N1 - P1 + 2(N2 - P2)), s being the model's `PHI_SCALE`; both must lie
-in |S| times the range of phi, so (-inf, 1) gives the Bradlow bound and
-(-2, 2) the two difference bounds. The curvatures, the system's residual,
-the quantized integrals, the Chern fluxes and the count formulas they are
-checked against come from phi alone, in one form for both models. Energies
-are reported from the exact count formulas (the flux integrals serve as the
-numerical cross-check). Every "expected" entry is computed from counts,
-never from fields. Each model has one `Model` record in `MODELS`, from
-which the report builder (`build_report`) and the CLI read its facts.
+integrals of phi(u) and phi(v) to 2*pi*(N1 - P1 + N2 - P2) and
+2*pi*(N1 - P1 + 2(N2 - P2)), which must lie in |S| times the range of phi:
+(-inf, 1) gives the Bradlow bound and (-2, 2) the two difference bounds.
+The reported quantized integrals are these over the model's `PHI_SCALE` s.
+The curvatures, the system's residual, the quantized integrals, the Chern
+fluxes and the count formulas they are checked against come from phi, in
+one form for both models. Energies, like every "expected" entry, come from
+the counts, never from fields. Each model has one `Model` record in
+`MODELS`, from which `build_report` and the CLI read its facts.
 """
 
 import math
@@ -99,26 +98,28 @@ VAV = Model(
 )
 
 MODELS = {m.tag: m for m in (TW, VAV)}
-# by the class of a problem or of a solution
 _MODEL_OF = {TWProblem: TW, TWSolution: TW, VAVProblem: VAV, VAVSolution: VAV}
+
+
+def _curvature_arrays(sol):
+    """Fhat = phi(u), Ftilde = -(Fhat - phi(v)) and phi(v), as arrays."""
+    phi = _MODEL_OF[type(sol)].phi
+    fhat, phi_v = phi(sol.u.values), phi(sol.v.values)
+    return fhat, -(fhat - phi_v), phi_v
 
 
 def curvatures(sol):
     """Magnetic fields (Fhat, Ftilde) = (phi(u), phi(v) - phi(u)) of a
     solution of either model; Ftilde carries the self-dual sign."""
-    geom = sol.u.geometry
-    phi = _MODEL_OF[type(sol)].phi
-    fhat = phi(sol.u.values)
-    return geom.field(fhat), geom.field(-(fhat - phi(sol.v.values)))
+    fhat, ftilde, _ = _curvature_arrays(sol)
+    return sol.u.geometry.field(fhat), sol.u.geometry.field(ftilde)
 
 
-# the public names of one function, from when each model had its own
 curvatures_tw = curvatures_vav = curvatures
 
 
 def _expected(model, config):
-    """The count formulas, by report key: the values the counts pin the
-    quantized integrals and the Chern fluxes to."""
+    """The count formulas: the pinned quantized integrals and Chern fluxes."""
     N1, P1, N2, P2 = config.counts()
     n1, n2 = N1 - P1, N2 - P2
     pinned = {"Iu": TWO_PI * (n1 + n2) / model.scale, "Iv": TWO_PI * (n1 + 2 * n2) / model.scale}
@@ -136,13 +137,15 @@ def _residuals(sol, problem, fhat, ftilde):
     return r1, r2
 
 
-def residual_report(sol, problem, curvature=None):
-    """Sup and L2 norms of the residuals of the curvature-form system;
-    `curvature` holds the arrays (Fhat, Ftilde) where they are at hand."""
-    fhat, ftilde = curvature or (f.values for f in curvatures(sol))
+def _residual_norms(sol, problem, fhat, ftilde):
     r1, r2 = _residuals(sol, problem, fhat, ftilde)
     sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
     return {"sup": sup, "l2": math.sqrt(problem.geometry.quad(r1 * r1 + r2 * r2))}
+
+
+def residual_report(sol, problem):
+    """Sup and L2 norms of the residuals of the curvature-form system."""
+    return _residual_norms(sol, problem, *_curvature_arrays(sol)[:2])
 
 
 def _entry(value, expected):
@@ -155,21 +158,20 @@ def _entry(value, expected):
     }
 
 
-def flux_report(sol, problem, curvature=None):
-    """Chern numbers from the curvature integrals, against the counts.
-
-    chern1 and chern2 integrate Fhat - Ftilde and Ftilde, and total
-    integrates Fhat, each over 2*pi; the model's record names which it
-    reports. `curvature` is as in `residual_report`.
-    """
-    fhat, ftilde = curvature or (f.values for f in curvatures(sol))
+def _flux_entries(problem, fhat, ftilde):
     integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
     _, expected = _expected(_MODEL_OF[type(problem)], problem.config)
-    quad = problem.geometry.quad
     return {
-        name: _entry(quad(integrands[name]) / TWO_PI, float(value))
+        name: _entry(problem.geometry.quad(integrands[name]) / TWO_PI, float(value))
         for name, value in expected.items()
     }
+
+
+def flux_report(sol, problem):
+    """Chern numbers against the counts: chern1, chern2 and total integrate
+    Fhat - Ftilde, Ftilde and Fhat over 2*pi; the model's record names which
+    it reports."""
+    return _flux_entries(problem, *_curvature_arrays(sol)[:2])
 
 
 @dataclass
@@ -199,9 +201,8 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     config = problem.config
     quad = problem.geometry.quad
     pinned, _ = _expected(model, config)
-    fhat, phi_v = model.phi(sol.u.values), model.phi(sol.v.values)
+    fhat, ftilde, phi_v = _curvature_arrays(sol)
     qi = {"Iu": quad(fhat) / model.scale, "Iv": quad(phi_v) / model.scale}
-    curvature = fhat, -(fhat - phi_v)
     del phi_v
     return SolveReport(
         model=model.tag,
@@ -213,11 +214,11 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "iterations": sol.iterations,
             "converged": True,
             **model.trace(sol),
-            "residuals": residual_report(sol, problem, curvature),
+            "residuals": _residual_norms(sol, problem, fhat, ftilde),
             "history": sol.trace,
         },
         quantized_integrals={key: _entry(qi[key], value) for key, value in pinned.items()},
-        fluxes=flux_report(sol, problem, curvature),
+        fluxes=_flux_entries(problem, fhat, ftilde),
         energy=model.energy(config),
         timings={"wall_seconds": wall_seconds},
     )
