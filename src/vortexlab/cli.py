@@ -7,10 +7,10 @@ distinguishes: 0 solved, 2 inadmissible (no solution exists for these
 sources on this area), 3 solver nonconvergence; 1 is reserved for I/O and
 configuration errors.
 
-What a run needs of a model (its methods and admissibility) is read from
-the model's record in `diagnostics.MODELS`; the solved report and the
-curvatures of the field dump come from the same record's kernel. Only the problem builder, solver and report
-entry point are looked up per model here (`_entry_points`).
+A run reads a model's methods and admissibility from its record in
+`diagnostics.MODELS`; the report and the dump's curvatures come from the
+record's kernel. Only the problem builder, solver and report entry point
+are looked up per model here (`_entry_points`).
 """
 
 import argparse
