@@ -16,9 +16,9 @@ functional
 cf = 4*pi*N1/|S| and ch = 4*pi*(N1 + 2*N2)/|S|, whose Hessian is -Lap plus
 [[w1 + w2, -w2], [-w2, w2]] with w1 = 4e^u and w2 = e^v. So the damped
 Newton iteration of `_linalg`, which both models share, converges globally
-and the minimizer is unique. Existence requires the area
-bound N1 + 2*N2 < |S|/(2*pi); `tw_admissibility` tests it and gives the two
-constants a1, a2 that the integrated equations force.
+and the minimizer is unique. Existence requires the area bound
+N1 + 2*N2 < |S|/(2*pi), the range (-inf, 1) of the reports' kernel `phi`;
+`tw_admissibility` tests it and gives the constants a1, a2 it forces.
 """
 
 import warnings

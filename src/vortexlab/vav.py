@@ -9,7 +9,7 @@ With backgrounds subtracted for all four source sets, the smooth remainders
 where f(s1, s2, t) = (e^{s1+t} - e^{s2})/(e^{s1+t} + e^{s2}), evaluated in
 the algebraically identical overflow-proof form tanh((s1 - s2 + t)/2).
 Solutions exist iff |a| < 1 and |b| < 1 for the normalized count differences
-a, b; integrating the equations pins the integrals of f to a|S| and b|S|.
+a, b (the range (-2, 2) of `phi`); integrating pins the integrals of f to a|S|, b|S|.
 
 Two methods are provided. The default is damped Newton on the full fields
 (means included; the nonlinearity fixes them), with a line search on the
