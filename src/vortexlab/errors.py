@@ -79,7 +79,7 @@ class DivergedIterate(SolverError):
 
 class Stagnation(SolverError):
     """Fixed-point residual stopped decreasing; existence does not imply
-    convergence of the damped iteration, so this is a reportable outcome."""
+    convergence of the fixed-point iteration, so this is a reportable outcome."""
 
 
 class BracketFailure(SolverError):

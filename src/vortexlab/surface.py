@@ -196,12 +196,20 @@ class TorusGeometry:
             raise NonZeroMean(m, tol)
         return self._apply_real(self._inv_sym, a)
 
-    def inv_lap_projected(self, a):
-        """inv_lap without the mean check; for right-hand sides that are
-        zero-mean by construction up to rounding. Mode by mode,
-        lap(inv_lap_projected(a)) is a - mean(a): the symbol is 0 on the
-        zero mode, so the mean needs no subtracting first."""
-        return self._apply_real(self._inv_sym, a)
+    def inv_lap_projected(self, a, mu=0.0):
+        """The mean-zero solution d of (Lap - mu) d = a - mean(a), mu >= 0.
+
+        At mu = 0 this is inv_lap without the mean check, for right-hand
+        sides that are zero-mean by construction up to rounding. Mode by
+        mode, (lap - mu)(inv_lap_projected(a, mu)) is a - mean(a): the
+        symbol -1/(|k|^2 + mu) is 0 on the zero mode, so the mean needs no
+        subtracting first. For mu > 0 the symbol is built on the half
+        spectrum for the call."""
+        if mu == 0.0:
+            return self._apply_real(self._inv_sym, a)
+        sym = 1.0 / (self._lap_sym[:, : self.n2 // 2 + 1] - mu)
+        sym[0, 0] = 0.0
+        return self._apply_real(sym, a)
 
     def inv_lap_pair_projected(self, a, b):
         """inv_lap_projected of two arrays via one transform pair. The symbol

@@ -23,25 +23,30 @@ is affine covariant: in exact arithmetic its iterates are those of Newton
 on J in (U, V), but for the line search's near-minimum slack, which is
 relative to I.
 
-The alternative iterates the constrained fixed-point map T in (U, V): the
-means are carried by explicit shifts c1, c2 chosen so the integral
-constraints hold at every iterate, and the mean-zero parts are updated
-through inverse Laplacians. Damped Picard on T
-is not guaranteed to converge; stagnation is detected and reported. Each
-iteration solves for two shifts: c2 at the current iterate, and c1 after
-the U update, which the next iteration reuses. Each shift root find is a
+The alternative is a fixed-point iteration in (U, V): the means are carried
+by explicit shifts c1, c2 chosen so the integral constraints hold at every
+iterate, and the mean-zero parts are updated one after the other
+(Gauss-Seidel) by a frozen mean-coefficient step: with r = rhs - Lap the
+residual of one equation, d solves (Lap - mu) d = r - mean(r), where mu is
+the grid mean of that equation's linearised weight, 4(1 - fu^2) for U and
+2(1 - fv^2) for V (the constant-coefficient idea of Concus & Golub, SIAM J.
+Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). It is not
+proved to converge; stagnation is detected and reported. Each iteration
+solves for two shifts: c2 at the current iterate, and c1 after the U
+update, which the next iteration reuses. Each shift root find is a
 safeguarded Newton iteration started from that shift's value at the
-previous iterate, so it takes two or three grid-wide tanh evaluations.
+previous iterate, so it takes two or three grid-wide tanh evaluations, and
+hands back its last one, the fu or fv of the iterate.
 
-The fixed-point loop transforms only for its two inverse Laplacians, one
-real transform pair each. It carries Lap(U) and Lap(V) through the damped
-update, l <- (l + rhs - mean rhs)/2, which is exact since
-Lap(inv_lap_projected(r)) = r - mean r mode by mode, and reads its residual
-from them; an error in a carried l halves every iteration, so rounding
-cannot build up. One lap_pair starts the carry. Convergence is
+The fixed-point loop transforms only for its two steps, one real transform
+pair each (`inv_lap_projected` with mu). It carries Lap(U) and Lap(V)
+through the updates, l <- rhs - mean(r) + mu*d, which is exact since
+(Lap - mu) d = r - mean(r) mode by mode, and reads its residual from them.
+An error in a carried l stays as it is, neither halved nor grown; the
+final check catches it. One lap_pair starts the carry. Convergence is
 decided only on the residual of the governing system at the fields
-returned, from a true lap_pair; when that misses tol, the loop goes on from
-the true Laplacians.
+returned, from a true lap_pair; when that misses tol, the loop goes on
+from the true Laplacians.
 """
 
 from dataclasses import dataclass
@@ -168,8 +173,9 @@ def _shift(base, target, geom, guess=0.0):
     g' <= 0, is replaced by bisection. Returns once |g| <= 1e-12, or with
     |g| <= 1e-9 once the bracket has collapsed. Both tolerances are scaled
     up by the rounding estimate 4*eps*area of g where that exceeds 1e-12,
-    which is on tori of area above about 1100. BracketFailure signals
-    saturated or inadmissible data.
+    which is on tori of area above about 1100. Returns (c, t) with
+    t = tanh((base + c)/2), the last evaluation, so that callers need not
+    take it again. BracketFailure signals saturated or inadmissible data.
     """
     scale = max(1.0, _QUAD_ROUNDING * geom.area / _SHIFT_TOL)
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
@@ -178,7 +184,7 @@ def _shift(base, target, geom, guess=0.0):
         t = f_half(base + c)
         g_c = geom.quad(t) - target
         if abs(g_c) <= _SHIFT_TOL * scale:
-            return c
+            return c, t
         if g_c > 0.0:
             hi = c
         else:
@@ -191,8 +197,10 @@ def _shift(base, target, geom, guess=0.0):
             if not lo < c_new < hi:  # no float left inside: the bracket has collapsed
                 break
         c = c_new
+    else:  # c has moved past the last evaluated point
+        t = f_half(base + c)
     if abs(g_c) <= _SHIFT_ACCEPT * scale:
-        return c
+        return c, t
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
     g_lo = geom.quad(f_half(base + lo)) - target
     g_hi = geom.quad(f_half(base + hi)) - target
@@ -209,7 +217,7 @@ def constraint_shift(
 ) -> float:
     """The unique c with integrate(f_fun(s1, s2, W + c)) = target."""
     _same_geometry(W, s1, s2)
-    return _shift(s1.values - s2.values + W.values, float(target), geom)
+    return _shift(s1.values - s2.values + W.values, float(target), geom)[0]
 
 
 class _Work:
@@ -281,8 +289,8 @@ class _Work:
         U = f - f.mean()
         V = 0.5 * (h - f)
         V -= V.mean()
-        U += _shift(self.du + U, self.a * self.geom.area, self.geom)
-        V += _shift(self.dv + V, self.b * self.geom.area, self.geom)
+        U += _shift(self.du + U, self.a * self.geom.area, self.geom)[0]
+        V += _shift(self.dv + V, self.b * self.geom.area, self.geom)[0]
         return U, U + 2.0 * V
 
 
@@ -298,8 +306,8 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     geom = problem.geometry
     u = work.du + U.values
     v = work.dv + V.values
-    fu = f_half(u + _shift(u, problem.a * geom.area, geom))
-    fv = f_half(v + _shift(v, problem.b * geom.area, geom))
+    _, fu = _shift(u, problem.a * geom.area, geom)
+    _, fv = _shift(v, problem.b * geom.area, geom)
     t1, t2 = geom.inv_lap_pair_projected(*work.rhs_shifted(fu, fv))
     return geom.field(t1), geom.field(t2)
 
@@ -343,20 +351,20 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
 
 def _solve_fixed_point(problem, work, tol, max_iter, x0):
     geom = work.geom
+    target1, target2 = problem.a * geom.area, problem.b * geom.area
     Up, Vp = start_pair(geom, x0)
     Up -= Up.mean()
     Vp -= Vp.mean()
     trace = []
     it = 0
-    # each shift starts from its value at the previous iterate
-    c1 = _shift(work.du + Up, problem.a * geom.area, geom)
-    fu = f_half(work.du + Up + c1)
+    # each shift starts from its value at the previous iterate, and hands
+    # back the tanh it took there: fu, fv
+    c1, fu = _shift(work.du + Up, target1, geom)
     c2 = 0.0
-    # Lap(Up) and Lap(Vp), carried through the damped updates below
+    # Lap(Up) and Lap(Vp), carried through the updates below
     l1, l2 = geom.lap_pair(Up, Vp)
     while True:
-        c2 = _shift(work.dv + Vp, problem.b * geom.area, geom, c2)
-        fv = f_half(work.dv + Vp + c2)
+        c2, fv = _shift(work.dv + Vp, target2, geom, c2)
         rhs1, rhs2 = work.rhs_shifted(fu, fv)
         r_sup = max(
             float(np.abs(l1 - rhs1).max()), float(np.abs(l2 - rhs2).max())
@@ -378,7 +386,7 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
         if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
             raise Stagnation(
                 f"fixed-point residual stuck near {r_sup:.3e} after {it} "
-                "iterations; the damped iteration is not contracting here",
+                "iterations; the iteration is not contracting here",
                 trace,
             )
         if it >= max_iter:
@@ -387,19 +395,24 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
                 f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
                 trace,
             )
-        # Update damped by 1/2, componentwise: the second component sees the
-        # first component's fresh value. The simultaneous variant loses
-        # contraction at noticeably smaller areas. Lap(inv_lap_projected(r))
-        # is r - mean(r), so each carried Laplacian takes the same step.
-        t1 = geom.inv_lap_projected(rhs1)
-        Up = 0.5 * (Up + t1)
-        l1 = 0.5 * (l1 + (rhs1 - rhs1.mean()))
-        c1 = _shift(work.du + Up, problem.a * geom.area, geom, c1)
-        fu = f_half(work.du + Up + c1)
-        rhs2_new = -4.0 * (fu - work.a) + 4.0 * (fv - work.b)
-        t2 = geom.inv_lap_projected(rhs2_new)
-        Vp = 0.5 * (Vp + t2)
-        l2 = 0.5 * (l2 + (rhs2_new - rhs2_new.mean()))
+        # Each component takes a frozen mean-coefficient step, solving
+        # (Lap - mu) d = r - mean(r) for the carried residual r = rhs - l,
+        # with mu the grid mean of that equation's own linearised weight:
+        # 8 f'(u) = 4(1 - fu^2) and 4 f'(v) = 2(1 - fv^2). The second
+        # component sees the first's fresh value. (Lap - mu) d = r - mean(r)
+        # holds mode by mode, so the carried Laplacian takes the exact step.
+        r1 = rhs1 - l1
+        mu1 = 4.0 * float(np.mean(1.0 - fu * fu))
+        d1 = geom.inv_lap_projected(r1, mu1)
+        Up += d1
+        l1 = rhs1 - r1.mean() + mu1 * d1
+        c1, fu = _shift(work.du + Up, target1, geom, c1)
+        rhs2 = -4.0 * (fu - work.a) + 4.0 * (fv - work.b)
+        r2 = rhs2 - l2
+        mu2 = 2.0 * float(np.mean(1.0 - fv * fv))
+        d2 = geom.inv_lap_projected(r2, mu2)
+        Vp += d2
+        l2 = rhs2 - r2.mean() + mu2 * d2
         it += 1
 
 
@@ -416,13 +429,13 @@ def solve_vav(
     method="newton" (default): damped Newton over the full fields from the
     polish of the start `x0` = (U, V) (zeros by default), in the variables
     (U, U + 2V), with the inner system solved by preconditioned CG and a
-    line search on the convex functional 8J. method="fixed_point": Picard
-    on the constrained map damped
-    by 1/2, x <- (x + T(x))/2, applied componentwise (each update sees the
-    fresh values of the components before it); raises Stagnation if the
-    residual stops decreasing (reduction below 1e-3 over 50 iterations). The
-    map is not a contraction on large tori, so stagnation is an expected
-    outcome there. Both methods return a residual sup below `tol`.
+    line search on the convex functional 8J. method="fixed_point": the
+    constrained iteration, each component in turn (each sees the fresh
+    values of the components before it) taking the mean-coefficient step
+    d = (Lap - mu)^-1 (r - mean(r)) on its residual r, with mu the grid mean
+    of that equation's linearised weight; raises Stagnation if the residual
+    stops decreasing (reduction below 1e-3 over 50 iterations). Both
+    methods return a residual sup below `tol`.
     """
     if method not in ("newton", "fixed_point"):
         raise ConfigurationError(f"unknown method {method!r}")

@@ -157,23 +157,23 @@ def test_constraint_shift_log3(geom):
 
 def test_constraint_shift_fine_quadrature_oracle(geom):
     W = four_mode_field(geom)
-    c = _shift(W, 0.0, geom)
+    c = _shift(W, 0.0, geom)[0]
     assert c == pytest.approx(C_ORACLE, abs=1e-9)
 
 
 def test_constraint_shift_reflection_identities(geom):
     W = four_mode_field(geom)
-    c = _shift(W, 0.0, geom)
+    c = _shift(W, 0.0, geom)[0]
     # x -> -x on the node set: reverse both axes and roll the origin back
     refl = np.roll(W[::-1, ::-1], (1, 1), axis=(0, 1))
-    assert _shift(refl, 0.0, geom) == pytest.approx(c, abs=1e-12)
-    assert _shift(-refl, 0.0, geom) == pytest.approx(-c, abs=1e-12)
+    assert _shift(refl, 0.0, geom)[0] == pytest.approx(c, abs=1e-12)
+    assert _shift(-refl, 0.0, geom)[0] == pytest.approx(-c, abs=1e-12)
 
 
 def test_constraint_shift_residual_tolerance(geom):
     W = four_mode_field(geom)
     target = 0.3 * geom.area
-    c = _shift(W, target, geom)
+    c = _shift(W, target, geom)[0]
     assert abs(geom.quad(f_half(W + c)) - target) <= 1e-12
 
 
@@ -266,7 +266,7 @@ def test_shift_matches_cold_bisection_root(geom):
             target = frac * geom.area
             root = _shift_reference(base, target, geom)
             for guess in _warm_guesses(root):
-                c = _shift(base, target, geom, guess)
+                c = _shift(base, target, geom, guess)[0]
                 _assert_root(c, base, target, geom, root, (frac, guess))
 
 
@@ -278,7 +278,7 @@ def test_shift_closed_forms_match_cold_bisection(geom):
         c = constraint_shift(zero, zero, zero, target, geom)
         _assert_root(c, zero.values, target, geom, root, a)
         for guess in _warm_guesses(2 * np.arctanh(a)):
-            c = _shift(zero.values, target, geom, guess)
+            c = _shift(zero.values, target, geom, guess)[0]
             _assert_root(c, zero.values, target, geom, root, (a, guess))
 
 
@@ -321,7 +321,7 @@ def test_shift_accepts_a_rounding_level_residual_on_a_large_torus():
             def g(c):
                 return geom.quad(f_half(base + c)) - target
 
-            c = _shift(base, target, geom)
+            c = _shift(base, target, geom)[0]
             assert abs(g(c)) <= max(1e-9, 1e-15 * geom.area), L
             # g changes sign within 1e-12 of c, far above its rounding here
             assert g(c - 1e-12) < 0.0 < g(c + 1e-12), L
@@ -342,6 +342,26 @@ def test_shift_bracket_failure_message_unchanged(geom):
             with pytest.raises(BracketFailure) as exc:
                 _shift(W, target, geom, guess)
             assert str(exc.value) == str(ref.value), (frac, guess)
+
+
+def test_shift_returns_the_tanh_at_the_shift_it_returns(geom, monkeypatch):
+    # t is f_half(base + c) to the byte: the fixed-point loop uses it as fu
+    # and fv in place of taking the tanh again
+    rng = np.random.default_rng(13)
+    for base in [_smooth_field(geom, rng, amp) for amp in (0.5, 2.0, 6.0)]:
+        for frac in (-0.9, 0.0, 0.95):
+            for guess in (0.0, 5.0, -650.0):
+                c, t = _shift(base, frac * geom.area, geom, guess)
+                assert t.tobytes() == f_half(base + c).tobytes(), (frac, guess)
+    # a loop cut after one step returns the Newton step past its one
+    # evaluated point, accepted at the 1e-9 level: t is taken there afresh
+    base = _smooth_field(geom, rng, 2.0)
+    target = 0.3 * geom.area
+    root = _shift_reference(base, target, geom)
+    monkeypatch.setattr(vortexlab.vav, "_SHIFT_STEPS", 1)
+    c, t = _shift(base, target, geom, root + 1e-11)
+    assert c != root + 1e-11
+    assert t.tobytes() == f_half(base + c).tobytes()
 
 
 # ---------------------------------------------------------------- apply_T ----
@@ -387,8 +407,8 @@ def test_apply_T_bound_structure(balanced):
     rng = np.random.default_rng(4)
     U = rng.standard_normal((geom.n1, geom.n2))
     V = rng.standard_normal((geom.n1, geom.n2))
-    c1 = _shift(work_du + U, 0.0, geom)
-    c2 = _shift(work_dv + V, 0.0, geom)
+    c1 = _shift(work_du + U, 0.0, geom)[0]
+    c2 = _shift(work_dv + V, 0.0, geom)[0]
     fu = np.tanh(0.5 * (work_du + U + c1))
     fv = np.tanh(0.5 * (work_dv + V + c2))
     r1 = 8 * fu - 4 * fv
@@ -525,10 +545,31 @@ def test_wrong_shape_start_rejected(geom, method):
         solve_vav(problem, method=method, x0=x0)
 
 
-def test_fixed_point_stagnation_on_large_torus():
-    geom = TorusGeometry(8.0, 8.0, 64, 64)
-    cfg = VortexConfiguration(zeros_q=[(2.2, 3.0, 1)], poles_q=[(5.8, 5.2, 1)])
+@pytest.mark.parametrize("L", [8.0, 16.0, 24.0])
+def test_fixed_point_converges_on_large_tori(L):
+    # the sources keep their fractional positions as the torus scales
+    s = L / 8.0
+    geom = TorusGeometry(L, L, 64, 64)
+    cfg = VortexConfiguration(
+        zeros_q=[(2.2 * s, 3.0 * s, 1)], poles_q=[(5.8 * s, 5.2 * s, 1)]
+    )
     problem = vav_problem(geom, cfg)
+    newton = solve_vav(problem)
+    picard = solve_vav(problem, method="fixed_point")
+    assert picard.final_residual < 1e-8
+    diff = max(
+        np.abs(newton.U.values - picard.U.values).max(),
+        np.abs(newton.V.values - picard.V.values).max(),
+    )
+    assert diff < 1e-5
+
+
+def test_fixed_point_stagnation_is_detected(monkeypatch):
+    # a step that does not move the fields leaves the residual where it is
+    problem = _fp_problem("balanced")
+    monkeypatch.setattr(
+        TorusGeometry, "inv_lap_projected", lambda self, a, mu=0.0: np.zeros_like(a)
+    )
     with pytest.raises(Stagnation) as exc:
         solve_vav(problem, method="fixed_point")
     assert len(exc.value.trace) > 50
@@ -560,6 +601,44 @@ def test_shifted_and_unshifted_residuals_match(balanced):
     r2_shift = l2 - (-4 * (fu - problem.a) + 4 * (fv - problem.b))
     assert np.abs(r1_direct - r1_shift).max() < 1e-12
     assert np.abs(r2_direct - r2_shift).max() < 1e-12
+
+
+def _manufactured_problem(n):
+    """A VAVProblem on the L = 6 torus at n^2 whose discrete solution is the
+    smooth (U*, V*): with A = Lap U* and B = Lap V* (a = b = 0, no sources),
+    the system asks fu = (A + B)/4 and fv = (A + 2B)/4, which the
+    backgrounds u01 = 2 atanh(fu) - U*, v01 = 2 atanh(fv) - V* produce."""
+    geom = TorusGeometry(6.0, 6.0, n, n)
+    x1, x2 = geom.nodes()
+    k = 2 * PI / 6.0
+    U_star = 0.05 * np.exp(np.cos(k * x1)) * np.sin(k * x2)
+    V_star = 0.05 * np.cos(k * x1) * np.exp(np.sin(k * x2))
+    A, B = geom.lap_pair(U_star, V_star)
+    zero = geom.zeros()
+    bset = BackgroundSet(
+        u01=geom.field(2.0 * np.arctanh((A + B) / 4.0) - U_star),
+        u02=zero,
+        v01=geom.field(2.0 * np.arctanh((A + 2.0 * B) / 4.0) - V_star),
+        v02=zero,
+    )
+    problem = VAVProblem(
+        geometry=geom,
+        config=VortexConfiguration(),
+        backgrounds=bset,
+        a=0.0,
+        b=0.0,
+        sigma=geom.h1,
+    )
+    return problem, U_star, V_star
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+@pytest.mark.parametrize("method, err", [("newton", 1e-12), ("fixed_point", 1e-8)])
+def test_manufactured_solution_is_recovered(n, method, err):
+    problem, U_star, V_star = _manufactured_problem(n)
+    sol = solve_vav(problem, method=method)
+    assert np.abs(sol.U.values - U_star).max() <= err
+    assert np.abs(sol.V.values - V_star).max() <= err
 
 
 # ------------------------------------------------- the carried Laplacian ----
@@ -642,8 +721,8 @@ def test_fixed_point_iterates_on_after_a_missed_check(monkeypatch):
     bg = problem.backgrounds
     du = bg.u01.values - bg.u02.values
     dv = bg.v01.values - bg.v02.values
-    fu = f_half(du + _shift(du, problem.a * geom.area, geom))
-    fv = f_half(dv + _shift(dv, problem.b * geom.area, geom))
+    fu = f_half(du + _shift(du, problem.a * geom.area, geom)[0])
+    fv = f_half(dv + _shift(dv, problem.b * geom.area, geom)[0])
     rhs1 = 8.0 * (fu - problem.a) - 4.0 * (fv - problem.b)
     rhs2 = -4.0 * (fu - problem.a) + 4.0 * (fv - problem.b)
     calls = _wrong_first_laplacians(monkeypatch, lambda l1, l2: (rhs1, rhs2))
