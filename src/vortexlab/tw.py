@@ -104,6 +104,13 @@ def tw_problem(geom: TorusGeometry, config: VortexConfiguration, kappa=2.0) -> T
     )
 
 
+def _log_quad(geom, x):
+    """log quad(e^x) as m + log quad(e^(x - m)), m = max(x): finite where
+    e^x underflows or overflows on the whole grid."""
+    m = x.max()
+    return m + np.log(geom.quad(np.exp(x - m)))
+
+
 class _Work:
     """Precomputed arrays and the hooks of the Newton driver
     (`_linalg.newton_solve`) for one problem."""
@@ -144,11 +151,16 @@ class _Work:
     def polish(self, state):
         """Fold the exact constraint shifts into the means: f += s1 and
         h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so s1 = log(a1/quad(e1))
-        and s2 = log(a2/quad(e2)) zero both integrated gradients. A zero
-        integral quietly gives an infinite shift, and a NaN point to raise."""
+        and s2 = log(a2/quad(e2)) zero both integrated gradients. Where an
+        integral is 0 or not finite, as when e^u or e^v underflows on the
+        whole grid, both shifts are taken in log form, log(a) - _log_quad."""
         f, h, e1, e2, _, _ = state
-        with np.errstate(divide="ignore"):
-            s1, s2 = np.log(np.divide(self.a, (self.geom.quad(e1), self.geom.quad(e2))))
+        quads = (self.geom.quad(e1), self.geom.quad(e2))
+        if all(0.0 < q < np.inf for q in quads):
+            s1, s2 = np.log(np.divide(self.a, quads))
+        else:
+            s1 = np.log(self.a[0]) - _log_quad(self.geom, self.u01 + f)
+            s2 = np.log(self.a[1]) - _log_quad(self.geom, self.v01 + 0.5 * (h - f))
         return f + s1, h + (s1 + 2.0 * s2)
 
 

@@ -201,17 +201,23 @@ def test_polish_restores_the_integrals_exactly(mixed):
     assert work.point(f, h)[2] <= MEAN_TOL
 
 
+# Starts where e^u or e^v underflows on the whole grid: quad(e) is 0 there,
+# so the polish takes its shifts in log form. With log(a/quad(e)) each of
+# these ended at the polished start as "non-finite iterate".
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_polish_where_every_exponential_underflowed_diverges():
-    # Every start is polished, here where e^u and e^v underflow everywhere:
-    # the shifts are infinite, and the solve stops at the polished start, a
-    # non-finite iterate, as a solver error and before any trace record.
+@pytest.mark.parametrize(
+    "start",
+    [(-750, -1500), (-740, -1480), (-800, -800), (-1000, -2000), (-2000, -1000), (-746, 0)],
+    ids=lambda s: f"{s[0]},{s[1]}",
+)
+def test_underflowed_start_reaches_the_default_solution(start):
     geom = TorusGeometry(6.0, 6.0, 32, 32)
     problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
-    x0 = (np.full((32, 32), -800.0), np.full((32, 32), -800.0))
-    with pytest.raises(DivergedIterate, match="non-finite iterate") as exc:
-        solve_tw(problem, x0=x0)
-    assert exc.value.trace == []
+    reference = solve_tw(problem)
+    x0 = tuple(np.full((32, 32), float(c)) for c in start)
+    sol = solve_tw(problem, x0=x0)
+    assert np.abs(sol.U.values - reference.U.values).max() < 1e-9
+    assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
 
 
 def test_residual_below_tolerance(mixed):
