@@ -293,7 +293,7 @@ def _format_rows(rows, sep):
     return out.tobytes().translate(None, b"\0")
 
 
-def _field_planes(geom, sol, model):
+def _field_planes(geom, sol):
     x1, x2 = geom.nodes()
     u = sol.u.values
     v = sol.v.values
@@ -437,7 +437,7 @@ def cmd_solve(config_path, out_dir):
     status, _, report, sol = _solve_once(cfg, geom, config)
     _write_report(report, out / cfg.report_path)
     if status == 0:
-        planes = _field_planes(geom, sol, cfg.model)
+        planes = _field_planes(geom, sol)
         _write_fields(out / cfg.fields_path, planes, cfg.format)
     return status
 
