@@ -135,6 +135,17 @@ def test_inverse_of_laplacian_is_identity(geom):
     assert np.abs(back.values - w.values).max() < 1e-10
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.3, 7.0])
+def test_projected_helmholtz_inverse(geom, mu):
+    # (Lap - mu) d = a - mean(a) with d mean-free, on a square and an
+    # anisotropic grid, for a right-hand side that is not mean-free
+    for g in (geom, TorusGeometry(5.0, 7.5, 24, 16)):
+        a = random_field(g, 4).values + 0.7
+        d = g.inv_lap_projected(a, mu)
+        assert abs(d.mean()) < 1e-14
+        assert np.abs(g.lap(d) - mu * d - (a - a.mean())).max() < 1e-10
+
+
 def test_spectral_roundtrip(geom):
     w = random_field(geom, 3)
     back = np.fft.ifft2(np.fft.fft2(w.values)).real
