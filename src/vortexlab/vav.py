@@ -197,8 +197,9 @@ def _shift(base, target, geom, guess=0.0):
             if not lo < c_new < hi:  # no float left inside: the bracket has collapsed
                 break
         c = c_new
-    else:  # c has moved past the last evaluated point
+    else:  # c has moved past the last evaluated point: judge g where c is now
         t = f_half(base + c)
+        g_c = geom.quad(t) - target
     if abs(g_c) <= _SHIFT_ACCEPT * scale:
         return c, t
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET

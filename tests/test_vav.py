@@ -359,9 +359,21 @@ def test_shift_returns_the_tanh_at_the_shift_it_returns(geom, monkeypatch):
     target = 0.3 * geom.area
     root = _shift_reference(base, target, geom)
     monkeypatch.setattr(vortexlab.vav, "_SHIFT_STEPS", 1)
+    accept = vortexlab.vav._SHIFT_ACCEPT * max(
+        1.0, vortexlab.vav._QUAD_ROUNDING * geom.area / vortexlab.vav._SHIFT_TOL
+    )
     c, t = _shift(base, target, geom, root + 1e-11)
     assert c != root + 1e-11
     assert t.tobytes() == f_half(base + c).tobytes()
+    # and an accepted shift meets the acceptance at the c it returns
+    assert abs(geom.quad(t) - target) <= accept
+    # On a saturated base g' is 0, so the one step bisects from a start
+    # within the acceptance to c = -350, where g is about -2 area. The loop
+    # must judge that c, not its start, and so refuse it.
+    base = np.full((geom.n1, geom.n2), 100.0)
+    target = geom.quad(f_half(base)) - 0.5 * accept
+    with pytest.raises(BracketFailure, match="stalled"):
+        _shift(base, target, geom, 0.0)
 
 
 # ---------------------------------------------------------------- apply_T ----
