@@ -383,11 +383,13 @@ def _read_fields(path):
 # -------------------------------------------------------------- commands ----
 
 
-def _solve_once(cfg: RunConfig, geom, config):
+def _solve_once(cfg: RunConfig, geom, config, x0=None):
     """Admissibility check plus one solve; returns (status, admissibility
     record, report, solution).
 
     The admissibility record decides exit 2 before any problem is built.
+    The solve starts from `x0` = (U, V) when it is given, else from the
+    config's seeded start or zeros.
     """
     t0 = time.perf_counter()
     build_problem, solve, report = _entry_points(cfg.model)
@@ -410,7 +412,9 @@ def _solve_once(cfg: RunConfig, geom, config):
     kwargs = {"tol": cfg.tol, "method": cfg.method}
     if cfg.max_iter is not None:
         kwargs["max_iter"] = cfg.max_iter
-    if cfg.seed is not None:
+    if x0 is not None:
+        kwargs["x0"] = x0
+    elif cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
         kwargs["x0"] = (
             rng.standard_normal((geom.n1, geom.n2)),
@@ -447,6 +451,7 @@ def cmd_sweep(config_path, lengths, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
+    x0 = None  # the (U, V) of the last solved row, where the next solve starts
     for L in lengths:
         geom = TorusGeometry(L, L, cfg.n1, cfg.n2)
         # keep fractional source coordinates fixed while the torus scales
@@ -454,11 +459,12 @@ def cmd_sweep(config_path, lengths, out_dir):
             name: [(x * L / cfg.L1, y * L / cfg.L2, m) for x, y, m in entries]
             for name, entries in cfg.sources.items()
         }
-        status, adm, report, sol = _solve_once(cfg, geom, VortexConfiguration(**scaled))
+        status, adm, report, sol = _solve_once(cfg, geom, VortexConfiguration(**scaled), x0)
         row = (geom.area, int(adm.satisfied), *adm.margins)
         if status != 0:
             rows.append(row + ("", "", "", "", ""))
             continue
+        x0 = (sol.U.values, sol.V.values)
         qi = report.quantized_integrals
         rows.append(
             row

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vortexlab.cli
-from vortexlab import TorusGeometry
+from vortexlab import TorusGeometry, VortexConfiguration, solve_tw, tw_problem
 from vortexlab.cli import _FMT, _format_rows, _write_fields, cmd_plotdata, main
 
 PI = np.pi
@@ -189,6 +189,75 @@ def test_sweep_continues_past_failing_rows(tmp_path):
         parts = line.split(",")
         assert parts[1] == "1"
         assert parts[4] == ""
+
+
+def _recorded_sweep(tmp_path, monkeypatch, lengths, nonconverged=(), **overrides):
+    """Run a tw sweep with the solver in cli's globals recording each call's
+    area, start x0 and solution (None when it raised); a row whose area is in
+    `nonconverged` is solved with max_iter=1 and so fails."""
+    calls = []
+    solve_tw = vortexlab.cli.solve_tw
+
+    def recorded(problem, **kwargs):
+        area = problem.geometry.area
+        if area in nonconverged:
+            kwargs["max_iter"] = 1
+        calls.append([area, kwargs.get("x0"), None])
+        calls[-1][2] = solve_tw(problem, **kwargs)
+        return calls[-1][2]
+
+    monkeypatch.setattr(vortexlab.cli, "solve_tw", recorded)
+    cfg = write_config(tmp_path / "run.json", **overrides)
+    argv = ["sweep", "--config", str(cfg), "--lengths", lengths, "--out", str(tmp_path / "sw")]
+    assert main(argv) == 0
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()[1:]
+    return calls, [line.split(",") for line in lines]
+
+
+def _starts_from(x0, sol):
+    return x0[0] is sol.U.values and x0[1] is sol.V.values
+
+
+def test_sweep_rows_continue_from_the_last_solved_row(tmp_path, monkeypatch):
+    # one q-vortex: sizes with |S| <= 2 pi are refused before any solve
+    calls, rows = _recorded_sweep(
+        tmp_path, monkeypatch, "2,5,2.2,5.5,6,6.5", nonconverged=(36.0,)
+    )
+    assert [r[1] for r in rows] == ["0", "1", "0", "1", "1", "1"]
+    assert [r[4] == "" for r in rows] == [True, False, True, False, True, False]
+    assert [area for area, _, _ in calls] == [25.0, 30.25, 36.0, 42.25]
+    (_, first, s5), (_, x55, s55), (_, x6, s6), (_, x65, _) = calls
+    assert first is None and s6 is None
+    assert _starts_from(x55, s5)
+    # neither the refused 2.2 row nor the failed 6 row breaks the chain
+    assert _starts_from(x6, s55) and _starts_from(x65, s55)
+
+
+def test_seed_sets_only_the_first_solved_rows_start(tmp_path, monkeypatch):
+    solver = {"model": "tw", "seed": 3}
+    calls, _ = _recorded_sweep(tmp_path, monkeypatch, "2,5,5.5", solver=solver)
+    (_, seeded, s5), (_, x55, _) = calls
+    rng = np.random.default_rng(3)
+    for got in seeded:
+        assert np.array_equal(got, rng.standard_normal((32, 32)))
+    assert _starts_from(x55, s5)
+
+
+def test_continued_sweep_rows_match_cold_solves(tmp_path):
+    sources = {"zeros_q": [[1.0, 1.5, 1]], "zeros_p": [[2.0, 2.5, 1]]}
+    cfg = write_config(tmp_path / "run.json", sources=sources)
+    lengths = (5.0, 5.5, 6.0, 6.5)
+    argv = ["sweep", "--config", str(cfg), "--lengths", ",".join(map(str, lengths))]
+    assert main([*argv, "--out", str(tmp_path / "sw")]) == 0
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().strip().splitlines()[1:]
+    for L, line in zip(lengths, lines, strict=True):
+        geom = TorusGeometry(L, L, 32, 32)
+        scaled = {k: [(x * L / 6.0, y * L / 6.0, m) for x, y, m in v] for k, v in sources.items()}
+        sol = solve_tw(tw_problem(geom, VortexConfiguration(**scaled)))
+        row = line.split(",")
+        for cell, field in ((row[4], sol.u), (row[5], sol.v)):
+            cold = np.exp(field.values).max()
+            assert abs(float(cell) - cold) <= 1e-9 * cold, (L, cell, cold)
 
 
 def test_bad_multiplicity_exit1(tmp_path):

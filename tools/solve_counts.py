@@ -20,13 +20,15 @@ machine's speed:
   `fields_sha256` of that model's solves alone.
 
 A `sweep-128` input is one solve per admissible length, with the sources
-keeping their fractional positions as the torus scales (as `vortexlab
-sweep` does); every other input is one solve. The inputs come from
-`perfbench/workloads.py` next to this file, which is imported and not
-changed. --fields FILE writes the U and V of every solution as raw float64,
-in input order, with NaN for a failed solve; --against FILE, a file written
-so by another checkout, adds `max_field_delta`, the largest |difference|
-between the two. numpy and the standard library only.
+keeping their fractional positions as the torus scales, and each solve
+starting from the U and V of the input's last length that solved (zeros for
+the first), as `vortexlab sweep` does; every other input is one solve, from
+zeros. The inputs come from `perfbench/workloads.py` next to this file,
+which is imported and not changed. --fields FILE writes the U and V of every
+solution as raw float64, in input order, with NaN for a failed solve;
+--against FILE, a file written so by another checkout, adds
+`max_field_delta`, the largest |difference| between the two. numpy and the
+standard library only.
 """
 
 import argparse
@@ -115,11 +117,12 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
         with open(fields, "wb") if fields else contextlib.nullcontext() as out:
             for item in workloads.make_inputs(workload, seed, grid):
                 model = item.model
+                x0 = None  # the (U, V) of the input's last solved length
                 for problem, solve, kwargs in _solves(program, item):
                     counts["solves"] += 1
                     fixed_point = kwargs.get("method") == "fixed_point"
                     try:
-                        sol = solve(problem, **kwargs)
+                        sol = solve(problem, x0=x0, **kwargs)
                     except program.errors.SolverError as exc:
                         counts["failures"] += 1
                         iters = exc.trace[-1]["iter"] if exc.trace else 0
@@ -127,7 +130,8 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
                         planes = np.full((2, item.n, item.n), np.nan)
                     else:
                         iters = sol.iterations
-                        planes = np.stack((sol.U.values, sol.V.values))
+                        x0 = (sol.U.values, sol.V.values)
+                        planes = np.stack(x0)
                         record = planes.tobytes()
                     if fixed_point:
                         counts["fp_iters"] += iters
