@@ -151,13 +151,15 @@ class _Work:
     def polish(self, state):
         """Fold the exact constraint shifts into the means: f += s1 and
         h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so s1 = log(a1/quad(e1))
-        and s2 = log(a2/quad(e2)) zero both integrated gradients. Where an
-        integral is 0 or not finite, as when e^u or e^v underflows on the
-        whole grid, both shifts are taken in log form, log(a) - _log_quad."""
+        and s2 = log(a2/quad(e2)) zero both integrated gradients. Where a
+        ratio a/quad is not a finite positive number, as when e^u or e^v
+        underflows on the whole grid or to a subnormal integral, both shifts
+        are taken in log form, log(a) - _log_quad."""
         f, h, e1, e2, _, _ = state
-        quads = (self.geom.quad(e1), self.geom.quad(e2))
-        if all(0.0 < q < np.inf for q in quads):
-            s1, s2 = np.log(np.divide(self.a, quads))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = np.divide(self.a, (self.geom.quad(e1), self.geom.quad(e2)))
+        if all(0.0 < r < np.inf for r in ratios):
+            s1, s2 = np.log(ratios)
         else:
             s1 = np.log(self.a[0]) - _log_quad(self.geom, self.u01 + f)
             s2 = np.log(self.a[1]) - _log_quad(self.geom, self.v01 + 0.5 * (h - f))

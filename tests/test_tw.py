@@ -19,6 +19,7 @@ from vortexlab import (
     tw_quantized_integrals,
 )
 from vortexlab._linalg import MEAN_TOL
+from vortexlab.tw import TWProblem
 
 TWO_PI = 2 * np.pi
 
@@ -203,11 +204,23 @@ def test_polish_restores_the_integrals_exactly(mixed):
 
 # Starts where e^u or e^v underflows on the whole grid: quad(e) is 0 there,
 # so the polish takes its shifts in log form. With log(a/quad(e)) each of
-# these ended at the polished start as "non-finite iterate".
+# these ended at the polished start as "non-finite iterate". From (-720, 0),
+# (-740, 0) and (-745, 0) quad(e^u) is subnormal and a/quad(e^u) overflows,
+# which ended the same way while the polish tested only the integrals.
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "start",
-    [(-750, -1500), (-740, -1480), (-800, -800), (-1000, -2000), (-2000, -1000), (-746, 0)],
+    [
+        (-750, -1500),
+        (-740, -1480),
+        (-800, -800),
+        (-1000, -2000),
+        (-2000, -1000),
+        (-746, 0),
+        (-720, 0),
+        (-740, 0),
+        (-745, 0),
+    ],
     ids=lambda s: f"{s[0]},{s[1]}",
 )
 def test_underflowed_start_reaches_the_default_solution(start):
@@ -326,3 +339,61 @@ def test_gradient_fallback_is_labelled(one_vortex, monkeypatch):
     assert set(kinds[2:]) <= {"newton", "polish"} and "gradient" not in kinds[2:]
     assert sol.final_gradient_norm < 1e-8
     assert np.abs(sol.U.values - reference.U.values).max() < 1e-6
+
+
+def _manufactured_problem(n, analytic):
+    """A TWProblem on the L = 6 torus at n^2 whose solution is the smooth
+    (U*, V*): with A = Lap U* and B = Lap V* (no sources), the system asks
+    e^u = 1 + (A + B)/2 and e^v = 1 + A/2 + B, which the backgrounds
+    u01 = log(1 + (A + B)/2) - U* and v01 = log(1 + A/2 + B) - V* produce;
+    a1 = a2 = |S|. With A, B taken on the grid the discrete solution is
+    (U*, V*) itself; taken analytically, the grid's error in them remains."""
+    geom = TorusGeometry(6.0, 6.0, n, n)
+    x1, x2 = geom.nodes()
+    k = 2 * np.pi / 6.0
+    U_star = 0.05 * np.exp(np.cos(k * x1)) * np.sin(k * x2)
+    V_star = 0.05 * np.cos(k * x1) * np.exp(np.sin(k * x2))
+    if analytic:
+        A = k * k * U_star * (np.sin(k * x1) ** 2 - np.cos(k * x1) - 1.0)
+        B = k * k * V_star * (np.cos(k * x2) ** 2 - np.sin(k * x2) - 1.0)
+    else:
+        A, B = geom.lap_pair(U_star, V_star)
+    problem = TWProblem(
+        geometry=geom,
+        config=VortexConfiguration(),
+        u01=geom.field(np.log(1.0 + 0.5 * A + 0.5 * B) - U_star),
+        v01=geom.field(np.log(1.0 + 0.5 * A + B) - V_star),
+        a1=geom.area,
+        a2=geom.area,
+        sigma=geom.h1,
+    )
+    return problem, U_star, V_star
+
+
+def _manufactured_error(n, analytic):
+    problem, U_star, V_star = _manufactured_problem(n, analytic)
+    sol = solve_tw(problem)
+    return max(np.abs(sol.U.values - U_star).max(), np.abs(sol.V.values - V_star).max())
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_manufactured_solution_is_recovered(n):
+    # 1.4e-13 seen on every grid
+    assert _manufactured_error(n, analytic=False) <= 1e-12
+
+
+def test_manufactured_solution_converges_spectrally():
+    # With the analytic Laplacian the error is the grid's: 6.4e-5, 1.8e-7,
+    # 4.1e-10 and 1.4e-13 at 8^2, 12^2, 16^2 and 24^2. It falls by more
+    # than 100 per 4 more points, and the observed algebraic order
+    # log(e1/e2)/log(n2/n1) grows with n, as a geometric decay's does, until
+    # rounding is reached.
+    ns = (8, 12, 16, 24)
+    errors = [_manufactured_error(n, analytic=True) for n in ns]
+    assert errors[-1] <= 1e-12
+    assert all(e1 > 100.0 * e2 for e1, e2 in zip(errors[:3], errors[1:3]))
+    orders = [
+        np.log(e1 / e2) / np.log(n2 / n1)
+        for e1, e2, n1, n2 in zip(errors, errors[1:3], ns, ns[1:3])
+    ]
+    assert 10.0 < orders[0] < orders[1]
