@@ -1,28 +1,30 @@
 """Preconditioned conjugate gradients and the damped-Newton driver, on
 pairs of grid arrays.
 
-Both models are solved as the minimisation of one form of convex
-functional of a pair (f, h),
+Both models are solved as the minimisation of one convex functional of a
+pair (f, h), with u = b1 + f and v = b2 + (h - f)/2 over the model's
+backgrounds,
 
-    I(f, h) = 1/2 int |grad f|^2 + 1/2 int |grad h|^2 + bulk + alpha int f + beta int h,
+    I(f, h) = 1/2 int |grad f|^2 + 1/2 int |grad h|^2
+              + 4 int Phi(u) + 4 int Phi(v) + alpha int f + beta int h,
 
-whose gradient is -Lap(f, h) + (q1 - q2 + alpha, q2 + beta) and whose
-Hessian is -Lap + [[w1 + w2, -w2], [-w2, w2]]; a model supplies only its
-bulk integral, the pointwise terms q and the weights w (`newton_point`).
-The Newton system is built here once for both: the operator acts on the
+where Phi' = -phi for the model's kernel phi. Its Hessian is
+-Lap + [[w1 + w2, -w2], [-w2, w2]] with w = (-4 phi'(u), -phi'(v)). The
+driver's hooks are written here once, from the kernel a model supplies
+(`NewtonWork`), and so is the Newton system: the operator acts on the
 pair's packed spectrum (see `surface`), where -Lap is mode by mode and the
 weights need one transform pair, and CG is preconditioned with its exact
 inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973), which is pointwise there (`newton_operator`). Both solvers run
 the same outer loop, `newton_solve`, which takes the start and returns the
-solution as (U, V) = (f, (h - f)/2), as the solutions hold them. Everything
-here works on raw arrays for speed.
+solution as (U, V) = (f, (h - f)/2). Everything here works on raw arrays.
 """
 
 import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
 from .kernels import EXP_CAP
+from .sources import FOUR_PI, TWO_PI
 from .surface import bounded_means, pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
@@ -95,15 +97,81 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
     return (*unpack_pair(X), _CG_MAX_ITER)
 
 
-def newton_point(geom, f, h, bulk, q1, q2, alpha, beta):
-    """I at (f, h) and its gradient (g1, g2), from the model's bulk integral
-    and the pointwise terms q1, q2 of the bulk's derivative: two FFT2s, one
-    to pack (f, h) for both Dirichlet energies and Laplacians, one to unpack
-    the Laplacians."""
-    Z = pack_pair(f, h)
-    i_val = 0.5 * geom.grad_sq_packed(Z) + bulk + alpha * geom.quad(f) + beta * geom.quad(h)
-    lf, lh = unpack_pair(geom.lap_packed(Z))
-    return i_val, -lf + q1 - q2 + alpha, -lh + q2 + beta
+def curvature_rhs(fhat, ftilde, k1, k2):
+    """Right-hand sides (2(Ftilde - Fhat) + k1, k2 - 2 Ftilde) of the
+    curvature-form system Lap(U), Lap(V) = ..., from Fhat = phi(u) and
+    Ftilde = phi(v) - phi(u), with k = 4*pi*(N1 - P1, N2 - P2)/|S|."""
+    return 2.0 * (ftilde - fhat) + k1, k2 - 2.0 * ftilde
+
+
+class NewtonWork:
+    """The hooks of `newton_solve` for one problem with backgrounds (b1, b2),
+    from the kernel of the model that subclasses it: `kernel(x)`, its grid
+    values t at x and their clamp count; `phi(t)`, as a new array;
+    `weight(t)` = -phi'(x); `bulk(x, t)` = Phi(x); `shift(x, t, target)`,
+    the c with quad(phi(x + c)) = target; and `scale`, the s of the
+    quantized integrals. `pinned` holds the integrals of phi(u) and phi(v)
+    that the counts fix, and k = 4*pi*(N1 - P1, N2 - P2)/|S|; alpha = k1 and
+    beta = 4*pi*(N1 - P1 + 2(N2 - P2))/|S| are I's linear coefficients."""
+
+    def __init__(self, problem, b1, b2):
+        geom = self.geom = problem.geometry
+        self.b1, self.b2 = b1, b2
+        N1, P1, N2, P2 = problem.config.counts()
+        n1, n2 = N1 - P1, N2 - P2
+        self.k = (FOUR_PI * n1 / geom.area, FOUR_PI * n2 / geom.area)
+        self.beta = FOUR_PI * (n1 + 2 * n2) / geom.area
+        self.pinned = (TWO_PI * (n1 + n2), TWO_PI * (n1 + 2 * n2))
+
+    def point(self, f, h):
+        """I at (f, h), the sup of the curvature-form residual
+        r = (-g1, (g1 - g2)/2) for I's gradient g, the larger defect
+        |quad(phi) - pinned|/s, the clamp count, the trace record and the
+        state (f, h, t1, t2, g1, g2). The gradient is -Lap(f, h) +
+        (q1 - q2 + alpha, q2 + beta), q = (-4 phi(u), -2 phi(v)). Two FFT2s:
+        one packs (f, h) for the Dirichlet energies and the Laplacians, one
+        unpacks the Laplacians."""
+        geom, (p1, p2) = self.geom, self.pinned
+        with np.errstate(invalid="ignore"):
+            x = self.b1 + f
+            t1, n_clip = self.kernel(x)
+            bulk = geom.quad(self.bulk(x, t1))
+            x = h - f
+            x *= 0.5
+            x += self.b2
+            t2, n = self.kernel(x)
+            bulk += geom.quad(self.bulk(x, t2))
+            del x  # the fields go before the gradient's arrays are made
+            q1, q2 = self.phi(t1), self.phi(t2)
+            defect = max(abs(geom.quad(q1) - p1), abs(geom.quad(q2) - p2)) / self.scale
+            Z = pack_pair(f, h)
+            alpha = self.k[0]
+            i_val = 0.5 * geom.grad_sq_packed(Z) + 4.0 * bulk
+            i_val += alpha * geom.quad(f) + self.beta * geom.quad(h)
+            lf, lh = unpack_pair(geom.lap_packed(Z))
+            q1 *= -4.0
+            q2 *= -2.0
+            g1 = q1 - q2
+            g1 -= lf
+            g1 += alpha
+            g2 = q2 - lh
+            g2 += self.beta
+        r_sup = max(float(np.abs(g1).max()), 0.5 * float(np.abs(g1 - g2).max()))
+        record = {"I": i_val, "resid_sup": r_sup}
+        return i_val, r_sup, defect, n_clip + n, record, (f, h, t1, t2, g1, g2)
+
+    def weights(self, state):
+        """The Hessian's weights w1 = -4 phi'(u) and w2 = -phi'(v)."""
+        return 4.0 * self.weight(state[2]), self.weight(state[3])
+
+    def polish(self, state):
+        """I's minimiser over the constant modes: f + c1 and h + c1 + 2*c2,
+        with the model's shifts c1 for U = f and c2 for V = (h - f)/2, which
+        bring quad(phi(u)) and quad(phi(v)) to their pinned values."""
+        f, h, t1, t2 = state[:4]
+        c1 = self.shift(self.b1 + f, t1, self.pinned[0])
+        c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.pinned[1])
+        return f + c1, h + (c1 + 2.0 * c2)
 
 
 def newton_operator(geom, w1, w2):
@@ -127,24 +195,21 @@ def newton_operator(geom, w1, w2):
 
 
 def newton_solve(work, U, V, tol, max_iter, pcg):
-    """Damped inexact Newton on I, by the hooks on `work`, from the polish
-    of the start (U, V) in the variables (x1, x2) = (f, h) = (U, U + 2V).
+    """Damped inexact Newton on I, by the hooks on `work` (a `NewtonWork`),
+    from the polish of the start (U, V) in the variables
+    (x1, x2) = (f, h) = (U, U + 2V).
 
-    `work.point(y1, y2)` returns (I, sup, mean defect, clamp count, trace
-    record, state) at y, the state being (y1, y2, k1, k2, g1, g2) with the
-    model's pointwise kernel values k and I's gradient g;
-    `work.weights(state)` the Hessian's weights (w1, w2); and
-    `work.polish(state)` I's minimiser over the constant modes: at the
-    start, the "init" point, which is not counted as an iteration. The
-    Newton direction d solves the `newton_operator` system with right-hand
-    side -g by `pcg`, with relative tolerance min(0.1, sqrt(sup)). A slope
-    quad(g.d) that is not a finite negative number gives way to the
-    preconditioned gradient, kind "gradient". The first trial y = x + t*d,
-    t = 1, 1/2, ..., whose I is at most I(x) + ARMIJO_C*t*slope is the
-    next iterate as it stands (Nocedal & Wright, Numerical Optimization,
-    2006, ch. 3). Converged means sup < tol and mean defect <= MEAN_TOL;
-    with only the sup below tol, the polish step is taken. DivergedIterate
-    is raised here, before the iterate's trace record: at a non-finite I or
+    The polished start is the "init" point, which is not counted as an
+    iteration. The Newton direction d solves the `newton_operator` system
+    with right-hand side -g by `pcg`, with relative tolerance
+    min(0.1, sqrt(sup)). A slope quad(g.d) that is not a finite negative
+    number gives way to the preconditioned gradient, kind "gradient". The
+    first trial y = x + t*d, t = 1, 1/2, ..., whose I is at most
+    I(x) + ARMIJO_C*t*slope is the next iterate as it stands (Nocedal &
+    Wright, Numerical Optimization, 2006, ch. 3). Converged means that the
+    residual's sup is below tol and the mean defect at most MEAN_TOL; with
+    only the sup below tol, the polish step is taken. DivergedIterate is
+    raised here, before the iterate's trace record: at a non-finite I or
     sup, at the first point but a refused trial with clamped exponent
     arguments, and when the line search finds no descent. It returns (U,
     V, iterations, sup, I, trace), V = (h - f)/2. The models pass
@@ -174,7 +239,7 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         if it >= max_iter:
             raise MaxIterExceeded(
                 f"no convergence in {max_iter} iterations "
-                f"({work.sup_label} {sup:.3e}, tol {tol:.1e})",
+                f"(residual sup {sup:.3e}, tol {tol:.1e})",
                 trace,
             )
         it += 1

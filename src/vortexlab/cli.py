@@ -40,7 +40,7 @@ def _entry_points(tag):
     """The model's problem builder, solver and report builder. They are read
     from this module's globals at each call because a traced benchmark run
     wraps these names here; this lookup and the `report_*` aliases go when it
-    stops wrapping names (ROADMAP item 4)."""
+    stops wrapping names (ROADMAP item 2)."""
     return {
         "tw": (tw_problem, solve_tw, report_tw),
         "vav": (vav_problem, solve_vav, report_vav),

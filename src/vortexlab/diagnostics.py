@@ -10,7 +10,7 @@ impurities, JHEP 2014). Only the kernel `phi` of the model module differs:
 integrals of phi(u) and phi(v) to 2*pi*(N1 - P1 + N2 - P2) and
 2*pi*(N1 - P1 + 2(N2 - P2)), which must lie in |S| times the range of phi:
 (-inf, 1) gives the Bradlow bound and (-2, 2) the two difference bounds.
-The reported quantized integrals are these over the model's `PHI_SCALE` s.
+The reported quantized integrals are these over the model's scale s.
 The curvatures, the system's residual, the quantized integrals, the Chern
 fluxes and the count formulas they are checked against come from phi, in
 one form for both models. Energies, like every "expected" entry, come from
@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tw, vav
+from ._linalg import curvature_rhs
 from .sources import FOUR_PI, TWO_PI, VortexConfiguration
 from .tw import TWProblem, TWSolution, tw_admissibility, tw_quantized_integrals  # noqa: F401
 from .vav import VAVProblem, VAVSolution, vav_admissibility
@@ -72,11 +73,11 @@ TW = Model(
     methods=("newton",),
     admissibility=tw_admissibility,
     phi=tw.phi,
-    scale=tw.PHI_SCALE,
+    scale=tw._Work.scale,
     flux_keys=("chern1", "chern2"),
     energy=lambda config: {"value": energy_tw(config)},
     trace=lambda sol: {
-        "final_gradient_norm": sol.final_gradient_norm,
+        "final_residual": sol.final_residual,
         "functional_value": sol.functional_value,
     },
 )
@@ -86,7 +87,7 @@ VAV = Model(
     methods=("newton", "fixed_point"),
     admissibility=vav_admissibility,
     phi=vav.phi,
-    scale=vav.PHI_SCALE,
+    scale=vav._Work.scale,
     flux_keys=("chern1", "chern2", "total"),
     energy=lambda config: dict(
         zip(("value", "chern_flux", "thom_q", "thom_p"), energy_vav(config))
@@ -132,9 +133,10 @@ def _residuals(sol, problem, fhat, ftilde):
     geom = problem.geometry
     N1, P1, N2, P2 = problem.config.counts()
     l1, l2 = geom.lap_pair(sol.U.values, sol.V.values)
-    r1 = l1 - (2.0 * (ftilde - fhat) + FOUR_PI * (N1 - P1) / geom.area)
-    r2 = l2 - (FOUR_PI * (N2 - P2) / geom.area - 2.0 * ftilde)
-    return r1, r2
+    rhs1, rhs2 = curvature_rhs(
+        fhat, ftilde, FOUR_PI * (N1 - P1) / geom.area, FOUR_PI * (N2 - P2) / geom.area
+    )
+    return l1 - rhs1, l2 - rhs2
 
 
 def _residual_norms(sol, problem, fhat, ftilde):
@@ -226,7 +228,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
 # flux_report_* are public names. report_* exist because the traced benchmark
 # run wraps `cli.report_tw` and `cli.report_vav` by name; they go when it
-# stops wrapping names (ROADMAP item 4). The benchmark's check also reads
+# stops wrapping names (ROADMAP item 2). The benchmark's check also reads
 # `tw_quantized_integrals` here.
 flux_report_tw = flux_report_vav = flux_report
 report_tw = report_vav = build_report

@@ -8,17 +8,12 @@ smooth remainders (U, V) are
 
 The change of variables f = U, h = U + 2V decouples the Laplacians and
 turns the system into the Euler-Lagrange equations of the strictly convex
-functional
-
-    I(f, h) = 1/2 int |grad f|^2 + 1/2 int |grad h|^2
-              + 4 int (e^u - f + e^v - (h - f)/2) + cf int f + ch int h,
-
-cf = 4*pi*N1/|S| and ch = 4*pi*(N1 + 2*N2)/|S|, whose Hessian is -Lap plus
-[[w1 + w2, -w2], [-w2, w2]] with w1 = 4e^u and w2 = e^v. So the damped
-Newton iteration of `_linalg`, which both models share, converges globally
-and the minimizer is unique. Existence requires the area bound
-N1 + 2*N2 < |S|/(2*pi), the range (-inf, 1) of the reports' kernel `phi`;
-`tw_admissibility` tests it and gives the constants a1, a2 it forces.
+functional I of `_linalg`, for the kernel phi(x) = 1 - e^x: its bulk is
+4 int (e^u - u) + 4 int (e^v - v), and its Hessian weights are w1 = 4e^u
+and w2 = e^v. So the damped Newton iteration of `_linalg`, which both
+models share, converges globally and the minimizer is unique. Existence
+requires the area bound N1 + 2*N2 < |S|/(2*pi), the range (-inf, 1) of
+`phi`; `tw_admissibility` tests it and gives the constants a1, a2 it forces.
 """
 
 import warnings
@@ -26,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import newton_point, newton_solve, pcg_pair
+from ._linalg import NewtonWork, newton_solve, pcg_pair
 from .errors import BradlowViolation, ConfigurationError
 from .kernels import EXP_CAP, clipped_exp
 from .sources import (
-    FOUR_PI,
     TWO_PI,
     Admissibility,
     VortexConfiguration,
@@ -104,75 +98,49 @@ def tw_problem(geom: TorusGeometry, config: VortexConfiguration, kappa=2.0) -> T
     )
 
 
-def _log_quad(geom, x):
-    """log quad(e^x) as m + log quad(e^(x - m)), m = max(x): finite where
-    e^x underflows or overflows on the whole grid."""
-    m = x.max()
-    return m + np.log(geom.quad(np.exp(x - m)))
+class _Work(NewtonWork):
+    """The Newton driver's hooks for one problem, from the kernel's grid
+    value t = e^x, clamped at EXP_CAP: phi = 1 - t, -phi' = t and
+    Phi = e^x - x."""
 
-
-class _Work:
-    """Precomputed arrays and the hooks of the Newton driver
-    (`_linalg.newton_solve`) for one problem."""
-
-    sup_label = "grad sup"
+    scale = 1.0  # the s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
 
     def __init__(self, problem: TWProblem):
-        self.geom = problem.geometry
-        self.u01 = problem.u01.values
-        self.v01 = problem.v01.values
-        self.a = (problem.a1, problem.a2)
-        N1, _, N2, _ = problem.config.counts()
-        self.cf = FOUR_PI * N1 / self.geom.area
-        self.ch = FOUR_PI * (N1 + 2 * N2) / self.geom.area
+        super().__init__(problem, problem.u01.values, problem.v01.values)
 
-    def point(self, f, h):
-        """I at (f, h), the gradient's sup and integrated defect, the clamp
-        count, the trace record and the state (f, h, e1, e2, g1, g2). The
-        bulk is 4*int(e1 - f + e2 - (h - f)/2), e1 = e^u and e2 = e^v."""
-        geom = self.geom
-        with np.errstate(invalid="ignore"):
-            e1, c1 = clipped_exp(self.u01 + f)
-            e2, c2 = clipped_exp(self.v01 + 0.5 * (h - f))
-            bulk = 4.0 * geom.quad(e1 - f + e2 - 0.5 * (h - f))
-            i_val, g1, g2 = newton_point(
-                geom, f, h, bulk, 4.0 * (e1 - 1.0), 2.0 * (e2 - 1.0), self.cf, self.ch
-            )
-        g_sup = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-        m_abs = max(abs(geom.quad(g1)), abs(geom.quad(g2)))
-        record = {"I": i_val, "grad_sup": g_sup}
-        return i_val, g_sup, m_abs, c1 + c2, record, (f, h, e1, e2, g1, g2)
+    @staticmethod
+    def kernel(x):
+        return clipped_exp(x)
 
-    def weights(self, state):
-        """The Hessian's weights w1 = 4*e1 and w2 = e2."""
-        _, _, e1, e2, _, _ = state
-        return 4.0 * e1, e2
+    @staticmethod
+    def phi(t):
+        return 1.0 - t
 
-    def polish(self, state):
-        """Fold the exact constraint shifts into the means: f += s1 and
-        h += s1 + 2*s2 scale e1 by e^s1 and e2 by e^s2, so s1 = log(a1/quad(e1))
-        and s2 = log(a2/quad(e2)) zero both integrated gradients. Where a
-        ratio a/quad is not a finite positive number, as when e^u or e^v
-        underflows on the whole grid or to a subnormal integral, both shifts
-        are taken in log form, log(a) - _log_quad."""
-        f, h, e1, e2, _, _ = state
+    @staticmethod
+    def weight(t):
+        return t
+
+    @staticmethod
+    def bulk(x, t):
+        return t - x
+
+    def shift(self, x, t, target):
+        """log(a/quad(t)), a = |S| - target, which scales e^x by a/quad(t).
+        Where that ratio is not a finite positive number, as when e^x
+        underflows on the whole grid or to a subnormal integral, it is
+        taken in log form, log(a) - m - log quad(e^(x - m)) with m = max(x)."""
+        a = self.geom.area - target
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = np.divide(self.a, (self.geom.quad(e1), self.geom.quad(e2)))
-        if all(0.0 < r < np.inf for r in ratios):
-            s1, s2 = np.log(ratios)
-        else:
-            s1 = np.log(self.a[0]) - _log_quad(self.geom, self.u01 + f)
-            s2 = np.log(self.a[1]) - _log_quad(self.geom, self.v01 + 0.5 * (h - f))
-        return f + s1, h + (s1 + 2.0 * s2)
-
-
-# s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
-PHI_SCALE = 1.0
+            ratio = np.divide(a, self.geom.quad(t))
+        if 0.0 < ratio < np.inf:
+            return np.log(ratio)
+        m = x.max()
+        return np.log(a) - m - np.log(self.geom.quad(np.exp(x - m)))
 
 
 def phi(x):
     """1 - e^x, valued in (-inf, 1): the Bradlow bound's range."""
-    return 1.0 - np.exp(x)
+    return _Work.phi(np.exp(x))
 
 
 def tw_quantized_integrals(sol, problem: TWProblem):
@@ -180,8 +148,8 @@ def tw_quantized_integrals(sol, problem: TWProblem):
     2*pi*(N1+2*N2) by the counts."""
     quad = problem.geometry.quad
     return {
-        "Iu": quad(phi(sol.u.values)) / PHI_SCALE,
-        "Iv": quad(phi(sol.v.values)) / PHI_SCALE,
+        "Iu": quad(phi(sol.u.values)) / _Work.scale,
+        "Iv": quad(phi(sol.v.values)) / _Work.scale,
     }
 
 
@@ -191,7 +159,7 @@ class TWSolution:
 
     U, V are the smooth remainders; u = u01 + U and v = v01 + V are the full
     log-fields. The trace holds one entry per accepted iterate with the
-    functional value and the sup-norm of the gradient.
+    functional value and the sup of the curvature-form residual.
     """
 
     U: ScalarField
@@ -199,7 +167,7 @@ class TWSolution:
     u: ScalarField
     v: ScalarField
     iterations: int
-    final_gradient_norm: float
+    final_residual: float
     functional_value: float
     trace: list
     method: str
@@ -248,26 +216,27 @@ def solve_tw(
     method="newton" is the only method: damped Newton with preconditioned-CG
     inner solves and Armijo backtracking (`_linalg.newton_solve`), falling
     back to the preconditioned gradient direction, logged as kind "gradient",
-    when the Newton direction is not a descent one.
-    Convergence is sup-norm of the gradient below `tol` with the integrated
-    gradients at rounding level. `x0` may hold a start (U, V), as a solution
-    holds it; Newton runs from its polish, so its means cost no iterations.
+    when the Newton direction is not a descent one. Convergence is the sup
+    of the curvature-form residual below `tol`, with the integrals of
+    1 - e^u and 1 - e^v at their pinned values to MEAN_TOL. `x0` may hold a
+    start (U, V), as a solution holds it; Newton runs from its polish, so
+    its means cost no iterations.
     """
     if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
     geom = problem.geometry
     work = _Work(problem)
-    U, V, it, g_sup, i_val, trace = newton_solve(
+    U, V, it, r_sup, i_val, trace = newton_solve(
         work, *start_pair(geom, x0), tol, max_iter, pcg_pair
     )
     return TWSolution(
         U=geom.field(U),
         V=geom.field(V),
-        u=geom.field(work.u01 + U),
-        v=geom.field(work.v01 + V),
+        u=geom.field(work.b1 + U),
+        v=geom.field(work.b2 + V),
         iterations=it,
-        final_gradient_norm=g_sup,
+        final_residual=r_sup,
         functional_value=i_val,
         trace=trace,
         method=method,

@@ -16,12 +16,12 @@ Two methods are provided. The default is damped Newton on the full fields
 convex functional J whose Euler-Lagrange equations these are; J is coercive
 exactly when |a|, |b| < 1. The coupling matrix ((8, -4), (-4, 4)) is twice
 that of the "tw" model, so Newton runs in tw's variables f = U, h = U + 2V,
-on I = 8J, which has the form that `_linalg` solves for both models: its
-Hessian is -Lap + [[w1 + w2, -w2], [-w2, w2]] with w1 = 4(1 - F1^2),
-w2 = 1 - F2^2 and F = tanh(s/2) at s = u, v (see `_Work.point`). Newton
-is affine covariant: in exact arithmetic its iterates are those of Newton
-on J in (U, V), but for the line search's near-minimum slack, which is
-relative to I.
+on I = 8J, which is the functional of `_linalg` for the kernel
+phi(x) = -2 tanh(x/2): its bulk is 4 int Phi(u) + 4 int Phi(v) with
+Phi(x) = 4 log cosh(x/2), and its Hessian weights are w1 = 4(1 - F1^2) and
+w2 = 1 - F2^2, F = tanh(s/2) at s = u, v. Newton is affine covariant: in
+exact arithmetic its iterates are those of Newton on J in (U, V), but for
+the line search's near-minimum slack, which is relative to I.
 
 The alternative is a fixed-point iteration in (U, V): the means are carried
 by explicit shifts c1, c2 chosen so the integral constraints hold at every
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import newton_point, newton_solve, pcg_pair
+from ._linalg import NewtonWork, curvature_rhs, newton_solve, pcg_pair
 from .errors import (
     BracketFailure,
     ConfigurationError,
@@ -63,7 +63,6 @@ from .errors import (
 )
 from .kernels import df_half, f_half
 from .sources import (
-    FOUR_PI,
     Admissibility,
     BackgroundSet,
     VortexConfiguration,
@@ -221,78 +220,43 @@ def constraint_shift(
     return _shift(s1.values - s2.values + W.values, float(target), geom)[0]
 
 
-class _Work:
-    """Precomputed arrays and array-level operations for one problem."""
+class _Work(NewtonWork):
+    """The Newton driver's hooks for one problem, from the kernel's grid
+    value t = tanh(x/2): phi = -2t, -phi' = 1 - t^2 and
+    Phi = 4 log cosh(x/2) = 2|x| - 4 log1p(|t|), which cannot overflow."""
+
+    scale = 2.0  # the s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
 
     def __init__(self, problem: VAVProblem):
-        self.geom = problem.geometry
         bg = problem.backgrounds
-        self.du = bg.u01.values - bg.u02.values
-        self.dv = bg.v01.values - bg.v02.values
-        self.a = problem.a
-        self.b = problem.b
-        N1, P1, N2, P2 = problem.config.counts()
-        self.c1 = FOUR_PI * (N1 - P1) / self.geom.area
-        self.c2 = FOUR_PI * (N2 - P2) / self.geom.area
+        super().__init__(problem, bg.u01.values - bg.u02.values, bg.v01.values - bg.v02.values)
 
-    def f_pair(self, U, V):
-        return f_half(self.du + U), f_half(self.dv + V)
+    @staticmethod
+    def kernel(x):
+        return f_half(x), 0
 
-    def residual(self, l1, l2, fu, fv):
-        """The governing equations' residuals from Lap(U), Lap(V) and f."""
-        r1 = l1 - (8.0 * fu - 4.0 * fv + self.c1)
-        r2 = l2 - (-4.0 * fu + 4.0 * fv + self.c2)
-        return r1, r2
+    @staticmethod
+    def phi(t):
+        return -2.0 * t
 
-    def rhs_shifted(self, fu, fv):
-        """Right-hand sides of the constrained map; zero-mean by the shifts."""
-        r1 = 8.0 * (fu - self.a) - 4.0 * (fv - self.b)
-        r2 = -4.0 * (fu - self.a) + 4.0 * (fv - self.b)
-        return r1, r2
+    @staticmethod
+    def weight(t):
+        return 1.0 - t * t
 
-    # hooks of the Newton driver (_linalg.newton_solve), in f = U, h = U + 2V
-    sup_label = "residual sup"
+    @staticmethod
+    def bulk(x, t):
+        return 2.0 * np.abs(x) - 4.0 * np.log1p(np.abs(t))
 
-    def point(self, f, h):
-        """I at (f, h), the residual's sup and integrated defect, no clamps,
-        the trace record and the state (f, h, F1, F2, g1, g2). I is 8*J for
-        the convex J whose Euler-Lagrange equations the system is: the bulk
-        is 8*int(2 log cosh(s1/2) + 2 log cosh(s2/2)), s1 = u and s2 = v,
-        with 2 log cosh(s/2) = |s| - 2 log1p(|F|), F = tanh(s/2), which
-        cannot overflow. The residuals are r1 = -g1 and r2 = (g1 - g2)/2."""
-        geom = self.geom
-        s1 = self.du + f
-        s2 = self.dv + 0.5 * (h - f)
-        F1, F2 = f_half(s1), f_half(s2)
-        bulk = 8.0 * geom.quad(
-            np.abs(s1) - 2.0 * np.log1p(np.abs(F1)) + np.abs(s2) - 2.0 * np.log1p(np.abs(F2))
-        )
-        i_val, g1, g2 = newton_point(
-            geom, f, h, bulk, 8.0 * F1, 4.0 * F2, self.c1, self.c1 + 2.0 * self.c2
-        )
-        r_sup = max(float(np.abs(g1).max()), float(np.abs(0.5 * (g1 - g2)).max()))
-        m_abs = max(
-            abs(geom.quad(F1) - self.a * geom.area),
-            abs(geom.quad(F2) - self.b * geom.area),
-        )
-        record = {"resid_sup": r_sup, "J": i_val / 8.0}
-        return i_val, r_sup, m_abs, 0, record, (f, h, F1, F2, g1, g2)
+    def shift(self, x, t, target):
+        """`_shift` of the mean-free x, so that the shift lies in its
+        bracket, +-700, however far off the mean of x is."""
+        m = x.mean()
+        return _shift(x - m, -0.5 * target, self.geom)[0] - m
 
-    def weights(self, state):
-        """The Hessian's weights w1 = 4(1 - F1^2) and w2 = 1 - F2^2."""
-        _, _, F1, F2, _, _ = state
-        return 4.0 * (1.0 - F1 * F1), 1.0 - F2 * F2
-
-    def polish(self, state):
-        """Fold the exact constraint shifts into the means, solving for the
-        mean-free fields U and V: so the shifts lie in _shift's bracket, +-700."""
-        f, h = state[:2]
-        U = f - f.mean()
-        V = 0.5 * (h - f)
-        V -= V.mean()
-        U += _shift(self.du + U, self.a * self.geom.area, self.geom)[0]
-        V += _shift(self.dv + V, self.b * self.geom.area, self.geom)[0]
-        return U, U + 2.0 * V
+    def rhs(self, t1, t2):
+        """The curvature-form right-hand sides from the kernel's values."""
+        p1 = self.phi(t1)
+        return curvature_rhs(p1, self.phi(t2) - p1, *self.k)
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
@@ -305,11 +269,9 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
     geom = problem.geometry
-    u = work.du + U.values
-    v = work.dv + V.values
-    _, fu = _shift(u, problem.a * geom.area, geom)
-    _, fv = _shift(v, problem.b * geom.area, geom)
-    t1, t2 = geom.inv_lap_pair_projected(*work.rhs_shifted(fu, fv))
+    _, fu = _shift(work.b1 + U.values, problem.a * geom.area, geom)
+    _, fv = _shift(work.b2 + V.values, problem.b * geom.area, geom)
+    t1, t2 = geom.inv_lap_pair_projected(*work.rhs(fu, fv))
     return geom.field(t1), geom.field(t2)
 
 
@@ -339,8 +301,8 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
     return VAVSolution(
         U=geom.field(U),
         V=geom.field(V),
-        u=geom.field(work.du + U),
-        v=geom.field(work.dv + V),
+        u=geom.field(work.b1 + U),
+        v=geom.field(work.b2 + V),
         c1=c1,
         c2=c2,
         iterations=it,
@@ -360,23 +322,21 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
     it = 0
     # each shift starts from its value at the previous iterate, and hands
     # back the tanh it took there: fu, fv
-    c1, fu = _shift(work.du + Up, target1, geom)
+    c1, fu = _shift(work.b1 + Up, target1, geom)
     c2 = 0.0
     # Lap(Up) and Lap(Vp), carried through the updates below
     l1, l2 = geom.lap_pair(Up, Vp)
     while True:
-        c2, fv = _shift(work.dv + Vp, target2, geom, c2)
-        rhs1, rhs2 = work.rhs_shifted(fu, fv)
-        r_sup = max(
-            float(np.abs(l1 - rhs1).max()), float(np.abs(l2 - rhs2).max())
-        )
+        c2, fv = _shift(work.b2 + Vp, target2, geom, c2)
+        rhs1, rhs2 = work.rhs(fu, fv)
+        r_sup = max(float(np.abs(l - r).max()) for l, r in ((l1, rhs1), (l2, rhs2)))
         if r_sup < tol:
             # Convergence is decided on the governing system's residual at
             # the fields returned, from true Laplacians; on a miss the
             # iteration goes on from those.
             U, V = Up + c1, Vp + c2
-            r1, r2 = work.residual(*geom.lap_pair(U, V), *work.f_pair(U, V))
-            r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+            true = zip(geom.lap_pair(U, V), work.rhs(f_half(work.b1 + U), f_half(work.b2 + V)))
+            r_sup = max(float(np.abs(l - r).max()) for l, r in true)
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(Up, Vp)
         trace.append({"iter": it, "resid_sup": r_sup, "c1": c1, "c2": c2})
@@ -399,18 +359,19 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
         # Each component takes a frozen mean-coefficient step, solving
         # (Lap - mu) d = r - mean(r) for the carried residual r = rhs - l,
         # with mu the grid mean of that equation's own linearised weight:
-        # 8 f'(u) = 4(1 - fu^2) and 4 f'(v) = 2(1 - fv^2). The second
-        # component sees the first's fresh value. (Lap - mu) d = r - mean(r)
-        # holds mode by mode, so the carried Laplacian takes the exact step.
+        # -4 phi'(u) = w1 and -2 phi'(v) = 2 w2 in the Newton weights. The
+        # second component sees the first's fresh value. (Lap - mu) d =
+        # r - mean(r) holds mode by mode, so the carried Laplacian takes the
+        # exact step.
         r1 = rhs1 - l1
-        mu1 = 4.0 * float(np.mean(1.0 - fu * fu))
+        mu1 = 4.0 * float(np.mean(work.weight(fu)))
         d1 = geom.inv_lap_projected(r1, mu1)
         Up += d1
         l1 = rhs1 - r1.mean() + mu1 * d1
-        c1, fu = _shift(work.du + Up, target1, geom, c1)
-        rhs2 = -4.0 * (fu - work.a) + 4.0 * (fv - work.b)
+        c1, fu = _shift(work.b1 + Up, target1, geom, c1)
+        rhs2 = work.rhs(fu, fv)[1]
         r2 = rhs2 - l2
-        mu2 = 2.0 * float(np.mean(1.0 - fv * fv))
+        mu2 = 2.0 * float(np.mean(work.weight(fv)))
         d2 = geom.inv_lap_projected(r2, mu2)
         Vp += d2
         l2 = rhs2 - r2.mean() + mu2 * d2
@@ -451,14 +412,10 @@ def solve_vav(
     return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
 
 
-# s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
-PHI_SCALE = 2.0
-
-
 def phi(x):
     """-2 tanh(x/2) = 2(1 - e^x)/(1 + e^x), valued in (-2, 2): the range
     that gives the two difference bounds."""
-    return -2.0 * f_half(x)
+    return _Work.phi(f_half(x))
 
 
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
@@ -466,6 +423,6 @@ def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
     and pi*(N1 - P1 + 2*(N2 - P2)) by the counts."""
     quad = problem.geometry.quad
     return {
-        "Iu": quad(phi(sol.u.values)) / PHI_SCALE,
-        "Iv": quad(phi(sol.v.values)) / PHI_SCALE,
+        "Iu": quad(phi(sol.u.values)) / _Work.scale,
+        "Iv": quad(phi(sol.v.values)) / _Work.scale,
     }

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import vortexlab.tw
+import vortexlab.vav
+from vortexlab.diagnostics import MODELS
 from vortexlab.kernels import EXP_CAP, clipped_exp, df_half, f_half
 
 rng = np.random.default_rng(42)
@@ -42,3 +45,34 @@ def test_df_half_matches_finite_differences():
     eps = 1e-6
     fd = (f_half(SAMPLE + eps) - f_half(SAMPLE - eps)) / (2 * eps)
     np.testing.assert_allclose(df_half(SAMPLE), fd, atol=1e-9)
+
+
+# ------------------------------------------- the kernel each model gives ----
+# The Newton driver builds I, its gradient and its Hessian from these pieces;
+# a wrong weight would only slow Newton down, so they are checked here.
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_model_kernel_pieces_are_consistent(model):
+    # On x spanning [-30, 30], by central differences: the bulk is an
+    # antiderivative of -phi, and the weight is -phi'. The solver's phi is
+    # the one the reports use.
+    module = getattr(vortexlab, model)
+    work = module._Work
+    x = np.linspace(-30.0, 30.0, 1201)
+    eps = 1e-5
+
+    def kernel(y):
+        return work.kernel(y)[0]
+
+    def central_difference(fn):
+        return (fn(x + eps) - fn(x - eps)) / (2 * eps)
+
+    t = kernel(x)
+    phi = work.phi(t)
+    d_bulk = central_difference(lambda y: work.bulk(y, kernel(y)))
+    np.testing.assert_allclose(d_bulk, -phi, rtol=1e-7, atol=1e-8)
+    d_phi = central_difference(lambda y: work.phi(kernel(y)))
+    np.testing.assert_allclose(work.weight(t), -d_phi, rtol=1e-7, atol=1e-8)
+    assert MODELS[model].phi is module.phi and MODELS[model].scale == work.scale
+    assert np.array_equal(module.phi(x), phi)

@@ -2,10 +2,13 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import vortexlab._linalg
 import vortexlab.tw
 import vortexlab.vav
 
@@ -82,32 +85,36 @@ def test_sweep_counts_are_deterministic_and_consistent(monkeypatch):
         assert x0 is None or (x0[0] is before.U.values and x0[1] is before.V.values)
 
 
-_OWN = {"tw": vortexlab.tw._Work, "vav": vortexlab.vav._Work}
-
-
-class _SharedWork:
-    """One `_Work` class for both models: its `point` hook is one function,
-    which hands the call on to the model's own `_Work`."""
-
-    def __init__(self, problem):
-        model = "tw" if isinstance(problem, vortexlab.tw.TWProblem) else "vav"
-        self.impl = _OWN[model](problem)
-
-    def point(self, y1, y2):
-        return self.impl.point(y1, y2)
-
-    def __getattr__(self, name):
-        return getattr(self.impl, name)
+def _point_calls(trace):
+    """The `point` calls of a converged Newton solve: the raw and the
+    polished start, one for a polish and 1 + k for a step of 0.5**k."""
+    return 2 + sum(
+        1 if e["kind"] == "polish" else 1 + round(-math.log2(e["step"])) for e in trace[1:]
+    )
 
 
 def test_a_point_both_models_share_is_counted_once(monkeypatch):
-    # A tool that wrapped `point` once per module would wrap this one
-    # function twice and count each of its calls twice.
+    # Both models' `_Work` inherit one `point`: a tool that wrapped it once
+    # per model would count each of its calls twice. The point calls the
+    # solves' own traces imply are the counted ones.
     tool = _tool(monkeypatch)
-    point = _SharedWork.point
-    for model in _OWN:
-        monkeypatch.setattr(getattr(vortexlab, model), "_Work", _SharedWork)
-    shared = tool.count(str(ROOT / "src"), "cli-io-256", 1, grid=16)
-    assert shared == _counts()
+    point = vortexlab._linalg.NewtonWork.point
+    owners = tool._point_owners(SimpleNamespace(tw=vortexlab.tw, vav=vortexlab.vav))
+    assert owners == [vortexlab._linalg.NewtonWork]
+    solves = []
+    for module, name in ((vortexlab.tw, "solve_tw"), (vortexlab.vav, "solve_vav")):
+        solve = getattr(module, name)
+
+        def recorded(problem, *, _solve=solve, **kwargs):
+            sol = _solve(problem, **kwargs)
+            solves.append(sol)
+            return sol
+
+        monkeypatch.setattr(module, name, recorded)
+    counts = tool.count(str(ROOT / "src"), "cli-io-256", 1, grid=16)
+    assert counts == _counts()
+    assert len(solves) == counts["solves"]
+    assert counts["point_calls"] == sum(_point_calls(sol.trace) for sol in solves)
     # and the wrapped names are put back
-    assert _SharedWork.point is point and vortexlab.vav.pcg_pair is vortexlab._linalg.pcg_pair
+    assert vortexlab._linalg.NewtonWork.point is point
+    assert vortexlab.vav.pcg_pair is vortexlab._linalg.pcg_pair
