@@ -98,9 +98,9 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
 
 
 def curvature_rhs(fhat, ftilde, k1, k2):
-    """Right-hand sides (2(Ftilde - Fhat) + k1, k2 - 2 Ftilde) of the
-    curvature-form system Lap(U), Lap(V) = ..., from Fhat = phi(u) and
-    Ftilde = phi(v) - phi(u), with k = 4*pi*(N1 - P1, N2 - P2)/|S|."""
+    """The right-hand sides of the curvature-form system
+    Lap(U) = 2(Ftilde - Fhat) + k1, Lap(V) = k2 - 2 Ftilde, from Fhat = phi(u)
+    and Ftilde = phi(v) - phi(u), k = 4*pi*(N1 - P1, N2 - P2)/|S|."""
     return 2.0 * (ftilde - fhat) + k1, k2 - 2.0 * ftilde
 
 

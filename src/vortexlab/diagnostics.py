@@ -76,10 +76,7 @@ TW = Model(
     scale=tw._Work.scale,
     flux_keys=("chern1", "chern2"),
     energy=lambda config: {"value": energy_tw(config)},
-    trace=lambda sol: {
-        "final_residual": sol.final_residual,
-        "functional_value": sol.functional_value,
-    },
+    trace=lambda sol: {"functional_value": sol.functional_value},
 )
 
 VAV = Model(
@@ -92,10 +89,7 @@ VAV = Model(
     energy=lambda config: dict(
         zip(("value", "chern_flux", "thom_q", "thom_p"), energy_vav(config))
     ),
-    trace=lambda sol: {
-        "final_residual": sol.final_residual,
-        "shifts": {"c1": sol.c1, "c2": sol.c2},
-    },
+    trace=lambda sol: {"shifts": {"c1": sol.c1, "c2": sol.c2}},
 )
 
 MODELS = {m.tag: m for m in (TW, VAV)}
@@ -215,6 +209,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "method": sol.method,
             "iterations": sol.iterations,
             "converged": True,
+            "final_residual": sol.final_residual,
             **model.trace(sol),
             "residuals": _residual_norms(sol, problem, fhat, ftilde),
             "history": sol.trace,
