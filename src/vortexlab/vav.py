@@ -269,8 +269,8 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
     geom = problem.geometry
-    _, fu = _shift(work.b1 + U.values, problem.a * geom.area, geom)
-    _, fv = _shift(work.b2 + V.values, problem.b * geom.area, geom)
+    _, fu = _shift(work.b1 + U.values, -0.5 * work.pinned[0], geom)
+    _, fv = _shift(work.b2 + V.values, -0.5 * work.pinned[1], geom)
     t1, t2 = geom.inv_lap_pair_projected(*work.rhs(fu, fv))
     return geom.field(t1), geom.field(t2)
 
@@ -314,7 +314,8 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
 
 def _solve_fixed_point(problem, work, tol, max_iter, x0):
     geom = work.geom
-    target1, target2 = problem.a * geom.area, problem.b * geom.area
+    # quad(tanh(u/2)) and quad(tanh(v/2)) are -1/2 of the pinned integrals
+    target1, target2 = -0.5 * work.pinned[0], -0.5 * work.pinned[1]
     Up, Vp = start_pair(geom, x0)
     Up -= Up.mean()
     Vp -= Vp.mean()
