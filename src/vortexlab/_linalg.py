@@ -100,8 +100,15 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
 def curvature_rhs(fhat, ftilde, k1, k2):
     """The right-hand sides of the curvature-form system
     Lap(U) = 2(Ftilde - Fhat) + k1, Lap(V) = k2 - 2 Ftilde, from Fhat = phi(u)
-    and Ftilde = phi(v) - phi(u), k = 4*pi*(N1 - P1, N2 - P2)/|S|."""
-    return 2.0 * (ftilde - fhat) + k1, k2 - 2.0 * ftilde
+    and Ftilde = phi(v) - phi(u), k = 4*pi*(N1 - P1, N2 - P2)/|S|. In place,
+    because numpy reuses no temporary below 256 KB (a 128^2 grid array is
+    128 KB) and the `vav` fixed point takes these twice per iteration."""
+    rhs1 = ftilde - fhat
+    rhs1 *= 2.0
+    rhs1 += k1
+    rhs2 = ftilde * -2.0
+    rhs2 += k2
+    return rhs1, rhs2
 
 
 class NewtonWork:

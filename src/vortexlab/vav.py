@@ -255,8 +255,9 @@ class _Work(NewtonWork):
 
     def rhs(self, t1, t2):
         """The curvature-form right-hand sides from the kernel's values."""
-        p1 = self.phi(t1)
-        return curvature_rhs(p1, self.phi(t2) - p1, *self.k)
+        p1, ftilde = self.phi(t1), self.phi(t2)
+        ftilde -= p1
+        return curvature_rhs(p1, ftilde, *self.k)
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
