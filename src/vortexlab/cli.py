@@ -15,7 +15,9 @@ are looked up per model here (`_entry_points`).
 
 import argparse
 import ctypes
+import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -195,10 +197,10 @@ def _write_report(report: SolveReport, path):
 
 # ----------------------------------------------------------- field dumps ----
 #
-# Text dumps (the CSV dump and plotdata's gnuplot blocks) print every value
-# as `_FMT % float(v)`, 12 significant digits, and _format_rows makes those
-# exact bytes for a whole block of rows at once. For a finite value with
-# 1e-11 <= |v| < 1e34 and decimal exponent e, y = |v| * 10**(11 - e) is one
+# The CSV dump prints every value as `_FMT % float(v)`, 12 significant
+# digits, and _format_rows makes those exact bytes for a whole block of rows
+# at once; plotdata formats a binary dump's values so too, and copies a CSV
+# dump's own rows. For a finite value with 1e-11 <= |v| < 1e34 and decimal exponent e, y = |v| * 10**(11 - e) is one
 # correctly rounded multiply or divide by an exact power of ten
 # (|11 - e| <= 22). When 1e11 <= y < 1e12 and the fraction of y is more
 # than 2 ulps away from one half, rint(y) is the 12-digit significand
@@ -211,7 +213,9 @@ def _write_report(report: SolveReport, path):
 #
 # A dump must be in the writer's layout: the grid in C order, x1 constant
 # over each block of n2 rows and increasing from block to block, and x2 the
-# same increasing sequence in every block. A binary dump's sidecar must name
+# same increasing sequence in every block. Every line of a CSV dump after
+# its header is a row (np.loadtxt would skip a blank or comment line, and
+# the copy would then misplace its blocks). A binary dump's sidecar must name
 # the writer's columns, dtype and order. Anything else is refused.
 
 _CSV_CHUNK_ROWS = 1024
@@ -344,6 +348,17 @@ def _check_grid_order(path, planes):
     return planes
 
 
+def _count_lines(path):
+    """Lines after the first, counting a last line that lacks its newline."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        count, end = 0, b"\n"
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            end = chunk[-1:]
+    return count + (end != b"\n")
+
+
 def _read_fields(path):
     path = Path(path)
     if not path.exists():
@@ -360,6 +375,8 @@ def _read_fields(path):
         n2 = len(np.unique(flat[:, 1]))
         if n1 * n2 != flat.shape[0]:
             raise ConfigurationError(f"{path}: row count does not form a grid")
+        if _count_lines(path) != flat.shape[0]:
+            raise ConfigurationError(f"{path}: a line after the header is not a data row")
         return _check_grid_order(path, flat.T.reshape(len(_FIELD_COLUMNS), n1, n2))
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
@@ -488,13 +505,27 @@ def cmd_sweep(config_path, lengths, out_dir):
 
 
 def cmd_plotdata(fields_path, out_path):
+    """Write one gnuplot block of n2 lines per grid row, then a blank line.
+
+    A CSV dump's rows are copied with ',' turned into ' ', so each value
+    keeps the dump's own text; a binary dump's values are formatted.
+    """
     planes = _read_fields(fields_path)
     out_path = Path(out_path)
+    if out_path.exists() and os.path.samefile(out_path, fields_path):
+        raise ConfigurationError(f"--out {out_path} is the field dump itself")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "wb") as fh:
-        # one gnuplot block of n2 lines per grid row, then a blank line
-        for block in planes.transpose(1, 2, 0):
-            fh.write(_format_rows(block, b" ") + b"\n")
+        if Path(fields_path).suffix != ".csv":
+            for block in planes.transpose(1, 2, 0):
+                fh.write(_format_rows(block, b" ") + b"\n")
+            return 0
+        with open(fields_path, "rb") as dump:
+            dump.readline()
+            while block := list(itertools.islice(dump, planes.shape[2])):
+                if not block[-1].endswith(b"\n"):
+                    block[-1] += b"\n"
+                fh.write(b"".join(block).replace(b",", b" ") + b"\n")
     return 0
 
 

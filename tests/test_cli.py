@@ -544,6 +544,10 @@ def test_dump_and_plotdata_layout_non_square(tmp_path):
         for i in range(n1)
     ]
     assert plot.read_text() == "".join(blocks)
+    # a last line without its newline gets it back
+    csv.write_text(csv.read_text()[:-1])
+    assert main(["plotdata", "--fields", str(csv), "--out", str(plot)]) == 0
+    assert plot.read_text() == "".join(blocks)
 
     binary = tmp_path / "fields.bin"
     _write_fields(binary, planes, "f64bin")
@@ -604,6 +608,53 @@ def test_plotdata_refuses_csv_out_of_grid_order(tmp_path, capsys):
     assert _refused(tmp_path, csv, capsys)
     csv.write_text(header + "".join(rows[:-1]))
     assert _refused(tmp_path, csv, capsys)
+
+    # lines np.loadtxt skips: a copy of the rows would misplace its blocks
+    csv.write_text(header + "".join(rows[:20] + ["# a note\n"] + rows[20:]))
+    assert _refused(tmp_path, csv, capsys)
+    csv.write_text(header + "".join(rows[:20] + ["\n"] + rows[20:]))
+    assert _refused(tmp_path, csv, capsys)
+    csv.write_text(header + "".join(rows) + "\n")
+    assert _refused(tmp_path, csv, capsys)
+
+
+@pytest.mark.parametrize("fmt, name", [("csv", "fields.csv"), ("f64bin", "fields.bin")])
+def test_plotdata_refuses_out_naming_the_dump(tmp_path, capsys, fmt, name):
+    dump = tmp_path / name
+    _write_fields(dump, _grid_planes(8, 12), fmt)
+    before = dump.read_bytes()
+    for out in (dump, tmp_path / "." / name):
+        assert main(["plotdata", "--fields", str(dump), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("vortexlab: error: ")
+        assert dump.read_bytes() == before
+
+
+def test_plotdata_copy_of_a_csv_dump_equals_formatting(tmp_path):
+    # every text the writer makes, including the fallback's: the CSV dump's
+    # copied rows and a binary dump's formatted values give the same bytes
+    planes = _grid_planes(8, 12)
+    values = _oracle_values()
+    cells = planes[2:].size
+    values = np.concatenate([values, values[: -values.size % cells]])
+    csv, binary = tmp_path / "fields.csv", tmp_path / "fields.bin"
+    for start in range(0, values.size, cells):
+        planes[2:] = values[start : start + cells].reshape(planes[2:].shape)
+        _write_fields(csv, planes, "csv")
+        _write_fields(binary, planes, "f64bin")
+        cmd_plotdata(csv, tmp_path / "csv.dat")
+        cmd_plotdata(binary, tmp_path / "bin.dat")
+        assert (tmp_path / "csv.dat").read_bytes() == (tmp_path / "bin.dat").read_bytes()
+
+
+def test_plotdata_does_not_format_a_csv_dump(tmp_path, monkeypatch):
+    csv = tmp_path / "fields.csv"
+    _write_fields(csv, _grid_planes(8, 12), "csv")
+
+    def refuse(rows, sep):
+        raise AssertionError("a CSV dump's values were formatted again")
+
+    monkeypatch.setattr(vortexlab.cli, "_format_rows", refuse)
+    assert main(["plotdata", "--fields", str(csv), "--out", str(tmp_path / "plot.dat")]) == 0
 
 
 @pytest.mark.parametrize(
