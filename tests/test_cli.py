@@ -635,7 +635,7 @@ def test_plotdata_copy_of_a_csv_dump_equals_formatting(tmp_path):
     planes = _grid_planes(8, 12)
     values = _oracle_values()
     cells = planes[2:].size
-    values = np.concatenate([values, values[: -values.size % cells]])
+    values = np.concatenate([values, values[: -values.size % cells]])  # whole dumps
     csv, binary = tmp_path / "fields.csv", tmp_path / "fields.bin"
     for start in range(0, values.size, cells):
         planes[2:] = values[start : start + cells].reshape(planes[2:].shape)
