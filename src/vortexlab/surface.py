@@ -87,7 +87,7 @@ def irfft2(X, n2):
 
 
 class TorusGeometry:
-    """Periodic rectangle with its grid and cached spectral symbols.
+    """Periodic rectangle with its grid and the Laplacian's spectral symbol.
 
     Parameters
     ----------
@@ -122,13 +122,8 @@ class TorusGeometry:
         self.x2 = np.arange(self.n2) * self.h2
         k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.h1)
         k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.h2)
-        # -|k|^2, the symbol of the Laplacian; the only |k|^2 array kept
+        # -|k|^2, the Laplacian's symbol: the one grid-sized array kept
         self._lap_sym = -(k1[:, None] ** 2 + k2[None, :] ** 2)
-        # -1/|k|^2 with the zero mode removed: the spectral inverse Laplacian.
-        inv = np.zeros_like(self._lap_sym)
-        nz = self._lap_sym < 0.0
-        inv[nz] = 1.0 / self._lap_sym[nz]
-        self._inv_sym = inv
 
     def __eq__(self, other):
         if not isinstance(other, TorusGeometry):
@@ -171,6 +166,15 @@ class TorusGeometry:
         X *= sym[:, : X.shape[1]]
         return irfft2(X, self.n2)
 
+    def _inv_lap_sym(self, mu, width):
+        """-1/(|k|^2 + mu), mu >= 0, on the first `width` columns, as a new
+        array with the zero mode 0: the mean-zero inverse of Lap - mu."""
+        sym = self._lap_sym[:, :width] - mu
+        sym[0, 0] = -1.0
+        np.divide(1.0, sym, out=sym)
+        sym[0, 0] = 0.0
+        return sym
+
     def lap(self, a):
         """Laplacian of a sample array; the result has zero mean to rounding."""
         return self._apply_real(self._lap_sym, a)
@@ -194,7 +198,7 @@ class TorusGeometry:
         tol = SOLVABILITY_TOL * float(np.abs(a).max())
         if abs(m) > tol:
             raise NonZeroMean(m, tol)
-        return self._apply_real(self._inv_sym, a)
+        return self._apply_real(self._inv_lap_sym(0.0, self.n2 // 2 + 1), a)
 
     def inv_lap_projected(self, a, mu=0.0):
         """The mean-zero solution d of (Lap - mu) d = a - mean(a), mu >= 0.
@@ -203,18 +207,13 @@ class TorusGeometry:
         sides that are zero-mean by construction up to rounding. Mode by
         mode, (lap - mu)(inv_lap_projected(a, mu)) is a - mean(a): the
         symbol -1/(|k|^2 + mu) is 0 on the zero mode, so the mean needs no
-        subtracting first. For mu > 0 the symbol is built on the half
-        spectrum for the call."""
-        if mu == 0.0:
-            return self._apply_real(self._inv_sym, a)
-        sym = 1.0 / (self._lap_sym[:, : self.n2 // 2 + 1] - mu)
-        sym[0, 0] = 0.0
-        return self._apply_real(sym, a)
+        subtracting first."""
+        return self._apply_real(self._inv_lap_sym(mu, self.n2 // 2 + 1), a)
 
     def inv_lap_pair_projected(self, a, b):
-        """inv_lap_projected of two arrays via one transform pair. The symbol
-        is 0 on the zero mode, so the means need no subtracting first."""
-        return unpack_pair(self._inv_sym * pack_pair(a, b))
+        """inv_lap_projected(., 0) of two arrays via one transform pair. The
+        symbol is 0 on the zero mode, so the means need no subtracting first."""
+        return unpack_pair(self._inv_lap_sym(0.0, self.n2) * pack_pair(a, b))
 
     def helmholtz_pair(self, a, b, gamma):
         """Solve (-Lap + gamma) x = rhs for two arrays at once, gamma > 0;
