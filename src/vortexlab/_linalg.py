@@ -56,11 +56,11 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
     """Solve op(x) = b for a two-component field with preconditioned CG.
 
     The iteration runs on packed spectra P = fft2(p1 + i*p2): `apply_op`
-    and `apply_prec` map one packed array to another; `apply_op` must be
-    symmetric positive definite and `apply_prec` an SPD approximation of
-    its inverse. b1, b2 are grid arrays; returns the grid arrays (x1, x2)
-    and the iteration count. Besides the operator's own transforms, the
-    solve makes two FFT2s: one to pack b and one to unpack x.
+    maps one packed array to another and must be symmetric positive
+    definite; `apply_prec`, an SPD approximation of its inverse, must return
+    a new array, since R is updated in place after P = apply_prec(R). b1, b2
+    are grid arrays; returns (x1, x2) and the iteration count. Besides the
+    operator's own transforms, the solve makes two FFT2s (pack b, unpack x).
     """
     R = pack_pair(b1, b2)
     X = np.zeros_like(R)

@@ -175,13 +175,12 @@ class RunConfig:
         }
 
 
-def _load_config(path):
+def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return RunConfig(data)
 
 
 # --------------------------------------------------------------- reports ----
@@ -381,8 +380,7 @@ def _read_fields(path):
     sidecar_path = Path(str(path) + ".json")
     if not sidecar_path.exists():
         raise ConfigurationError(f"missing sidecar {sidecar_path}")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
+    sidecar = _load_json(sidecar_path)
     layout = {"columns": list(_FIELD_COLUMNS), "dtype": "<f8", "order": "C"}
     if not isinstance(sidecar, dict) or any(sidecar.get(k) != v for k, v in layout.items()):
         raise ConfigurationError(f"{sidecar_path}: the dump's layout must be {layout}")
@@ -451,7 +449,7 @@ def _solve_once(cfg: RunConfig, geom, config, x0=None):
 
 
 def cmd_solve(config_path, out_dir):
-    cfg = _load_config(config_path)
+    cfg = RunConfig(_load_json(config_path))
     geom = cfg.geometry
     config = cfg.configuration()
     out = Path(out_dir)
@@ -464,7 +462,7 @@ def cmd_solve(config_path, out_dir):
 
 
 def cmd_sweep(config_path, lengths, out_dir):
-    cfg = _load_config(config_path)
+    cfg = RunConfig(_load_json(config_path))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -512,11 +510,13 @@ def cmd_plotdata(fields_path, out_path):
     """
     planes = _read_fields(fields_path)
     out_path = Path(out_path)
-    if out_path.exists() and os.path.samefile(out_path, fields_path):
-        raise ConfigurationError(f"--out {out_path} is the field dump itself")
+    binary = Path(fields_path).suffix != ".csv"
+    reads = [fields_path, str(fields_path) + ".json"] if binary else [fields_path]
+    if out_path.exists() and any(os.path.samefile(out_path, r) for r in reads):
+        raise ConfigurationError(f"--out {out_path} is the field dump or its sidecar")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "wb") as fh:
-        if Path(fields_path).suffix != ".csv":
+        if binary:
             for block in planes.transpose(1, 2, 0):
                 fh.write(_format_rows(block, b" ") + b"\n")
             return 0

@@ -629,6 +629,32 @@ def test_plotdata_refuses_out_naming_the_dump(tmp_path, capsys, fmt, name):
         assert dump.read_bytes() == before
 
 
+def test_plotdata_refuses_out_naming_the_sidecar(tmp_path, capsys):
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, _grid_planes(8, 12), "f64bin")
+    sidecar = tmp_path / "fields.bin.json"
+    before = sidecar.read_bytes()
+    for out in (sidecar, tmp_path / "." / "fields.bin.json"):
+        assert main(["plotdata", "--fields", str(binary), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("vortexlab: error: ")
+        assert sidecar.read_bytes() == before
+    assert main(["plotdata", "--fields", str(binary), "--out", str(tmp_path / "p.dat")]) == 0
+
+
+@pytest.mark.parametrize("damage", ["append", "truncate"])
+def test_plotdata_names_a_sidecar_that_is_not_json(tmp_path, capsys, damage):
+    binary = tmp_path / "fields.bin"
+    _write_fields(binary, _grid_planes(8, 12), "f64bin")
+    sidecar = tmp_path / "fields.bin.json"
+    text = sidecar.read_text()
+    sidecar.write_text(text + "0 0 0\n" if damage == "append" else text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["plotdata", "--fields", str(binary), "--out", str(tmp_path / "p.dat")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vortexlab: error: {sidecar}: invalid JSON")
+    assert not (tmp_path / "p.dat").exists()
+
+
 def test_plotdata_copy_of_a_csv_dump_equals_formatting(tmp_path):
     # every text the writer makes, including the fallback's: the CSV dump's
     # copied rows and a binary dump's formatted values give the same bytes

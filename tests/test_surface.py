@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +145,60 @@ def test_projected_helmholtz_inverse(geom, mu):
         d = g.inv_lap_projected(a, mu)
         assert abs(d.mean()) < 1e-14
         assert np.abs(g.lap(d) - mu * d - (a - a.mean())).max() < 1e-10
+
+
+def _grid_arrays(g):
+    """Names of the geometry's attributes that are arrays of the grid's size."""
+    return sorted(
+        k for k, v in vars(g).items() if isinstance(v, np.ndarray) and v.size >= g.n1 * g.n2
+    )
+
+
+def test_geometry_keeps_one_grid_sized_array():
+    g = TorusGeometry(5.0, 7.5, 24, 16)
+    assert _grid_arrays(g) == ["_lap_sym"]
+    a, b = random_field(g, 6, mean_zero=True).values, random_field(g, 7).values
+    g.inv_lap(a)
+    g.inv_lap_projected(b, 0.3)
+    g.inv_lap_pair_projected(a, b)
+    assert _grid_arrays(g) == ["_lap_sym"]
+    # the fixed point builds its inverse symbols per call, and needs no -k index
+    problem = vav_problem(
+        TorusGeometry(6.0, 6.0, 32, 32),
+        VortexConfiguration(zeros_q=[(1.7, 2.2, 1)], poles_q=[(4.3, 3.9, 1)]),
+    )
+    solve_vav(problem, method="fixed_point")
+    assert _grid_arrays(problem.geometry) == ["_lap_sym"]
+
+
+def test_geometries_hold_one_symbol_each():
+    # 48 geometries at 128^2, as the fixed-point benchmark builds: each holds
+    # its 128 KiB symbol, and no second copy (about 258 KiB each with one)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [TorusGeometry(4.0 + 0.1 * i, 5.0, 128, 128) for i in range(48)]
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 48 and grown < 48 * 136 * 1024
+
+
+def test_inverse_symbols_are_the_reciprocal_laplacian_symbol():
+    # inv_lap, inv_lap_projected at mu = 0 and inv_lap_pair_projected give the
+    # bits of -1/|k|^2 with the zero mode removed, applied through the same
+    # transforms
+    for g in (TorusGeometry(2 * np.pi, 2 * np.pi, 64, 64), TorusGeometry(5.0, 7.5, 24, 16)):
+        lap = g._lap_sym
+        inv = np.zeros_like(lap)
+        nz = lap < 0.0
+        inv[nz] = 1.0 / lap[nz]
+        a, b = random_field(g, 8, mean_zero=True).values, random_field(g, 9).values
+        assert g.inv_lap(a).tobytes() == g._apply_real(inv, a).tobytes()
+        assert g.inv_lap_projected(b, 0.0).tobytes() == g._apply_real(inv, b).tobytes()
+        got = g.inv_lap_pair_projected(a, b)
+        want = unpack_pair(inv * pack_pair(a, b))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))
 
 
 def test_spectral_roundtrip(geom):
@@ -835,6 +890,23 @@ def test_pcg_stops_where_the_residual_norm_overflows():
     *_, scaled = run(2.0**-200)
     assert [v * 2.0**400 for v in scaled[:iterations]] == handed
     assert scaled[iterations] * 2.0**400 == np.inf
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pcg_stops_at_a_step_without_curvature():
+    # pcg_pair updates R in place after P = apply_prec(R), so a
+    # preconditioner must return a new array; one that returns its input
+    # aliases P to R
+    rng = np.random.default_rng(5)
+    b1, b2 = rng.standard_normal((2, 8, 8))
+    x1, x2, _ = pcg_pair(lambda P: 2.0 * P, lambda P: P.copy(), b1, b2, 1e-12)
+    assert np.abs(x1 - b1 / 2).max() < 1e-15 and np.abs(x2 - b2 / 2).max() < 1e-15
+    # an indefinite operator, a step beyond 1/eps and a NaN curvature: each
+    # stops at the first iteration with the zero iterate
+    for op in (lambda P: -P, lambda P: 1e-300 * P, lambda P: np.full_like(P, np.nan)):
+        x1, x2, iterations = pcg_pair(op, lambda P: P.copy(), b1, b2, 1e-12)
+        assert iterations == 1 and not x1.any() and not x2.any()
+        assert np.isfinite(x1).all() and np.isfinite(x2).all()
 
 
 def _nan_direction(apply_op, apply_prec, b1, b2, rtol):
