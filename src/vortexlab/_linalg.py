@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
 from .kernels import EXP_CAP
-from .sources import FOUR_PI, TWO_PI
+from .sources import forced
 from .surface import bounded_means, pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
@@ -116,19 +116,16 @@ class NewtonWork:
     from the kernel of the model that subclasses it: `kernel(x)`, its grid
     values t at x and their clamp count; `phi(t)`, as a new array;
     `weight(t)` = -phi'(x); `bulk(x, t)` = Phi(x); `shift(x, t, target)`,
-    the c with quad(phi(x + c)) = target; and `scale`, the s of the
-    quantized integrals. `pinned` holds the integrals of phi(u) and phi(v)
-    that the counts fix, and k = 4*pi*(N1 - P1, N2 - P2)/|S|; alpha = k1 and
-    beta = 4*pi*(N1 - P1 + 2(N2 - P2))/|S| are I's linear coefficients."""
+    the c whose kernel values at x + c integrate to target; and `scale`, the
+    s of the quantized integrals. `pinned`, `k` and `targets` are the p, k
+    and t of what the counts force (`sources.forced`); alpha = k1 and
+    beta = 2*p2/|S| are I's linear coefficients."""
 
     def __init__(self, problem, b1, b2):
         geom = self.geom = problem.geometry
         self.b1, self.b2 = b1, b2
-        N1, P1, N2, P2 = problem.config.counts()
-        n1, n2 = N1 - P1, N2 - P2
-        self.k = (FOUR_PI * n1 / geom.area, FOUR_PI * n2 / geom.area)
-        self.beta = FOUR_PI * (n1 + 2 * n2) / geom.area
-        self.pinned = (TWO_PI * (n1 + n2), TWO_PI * (n1 + 2 * n2))
+        _, self.pinned, self.k, self.targets = forced(problem.config, geom.area, self)
+        self.beta = 2.0 * self.pinned[1] / geom.area
 
     def point(self, f, h):
         """I at (f, h), the sup of the curvature-form residual
@@ -176,8 +173,8 @@ class NewtonWork:
         with the model's shifts c1 for U = f and c2 for V = (h - f)/2, which
         bring quad(phi(u)) and quad(phi(v)) to their pinned values."""
         f, h, t1, t2 = state[:4]
-        c1 = self.shift(self.b1 + f, t1, self.pinned[0])
-        c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.pinned[1])
+        c1 = self.shift(self.b1 + f, t1, self.targets[0])
+        c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.targets[1])
         return f + c1, h + (c1 + 2.0 * c2)
 
 

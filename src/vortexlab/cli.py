@@ -424,19 +424,11 @@ def _solve_once(cfg: RunConfig, geom, config, x0=None):
     if not adm.satisfied:
         return 2, adm, unsolved("inadmissible", {"iterations": 0, "converged": False}), None
     problem = build_problem(geom, config, kappa=cfg.kappa)
-    kwargs = {"tol": cfg.tol, "method": cfg.method}
-    if cfg.max_iter is not None:
-        kwargs["max_iter"] = cfg.max_iter
-    if x0 is not None:
-        kwargs["x0"] = x0
-    elif cfg.seed is not None:
+    if x0 is None and cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
-        kwargs["x0"] = (
-            rng.standard_normal((geom.n1, geom.n2)),
-            rng.standard_normal((geom.n1, geom.n2)),
-        )
+        x0 = rng.standard_normal((geom.n1, geom.n2)), rng.standard_normal((geom.n1, geom.n2))
     try:
-        sol = solve(problem, **kwargs)
+        sol = solve(problem, tol=cfg.tol, max_iter=cfg.max_iter, method=cfg.method, x0=x0)
     except SolverError as exc:
         solver_trace = {
             "converged": False,

@@ -7,10 +7,9 @@ In their curvatures both models obey one Maxwell-form system,
 with Fhat = phi(u) and Fhat + Ftilde = phi(v) (Tong & Wong, Vortices and
 impurities, JHEP 2014). Only the kernel `phi` of the model module differs:
 1 - e^x for "tw" and -2 tanh(x/2) for "vav". Integrated, the system pins the
-integrals of phi(u) and phi(v) to 2*pi*(N1 - P1 + N2 - P2) and
-2*pi*(N1 - P1 + 2(N2 - P2)), which must lie in |S| times the range of phi:
-(-inf, 1) gives the Bradlow bound and (-2, 2) the two difference bounds.
-The reported quantized integrals are these over the model's scale s.
+integrals of phi(u) and phi(v) to the p of `sources.forced`, which must lie
+in |S| times the range of phi: (-inf, 1) gives the Bradlow bound and (-2, 2)
+the two difference bounds. The reported quantized integrals are p/s.
 The curvatures, the system's residual, the quantized integrals, the Chern
 fluxes and the count formulas they are checked against come from phi, in
 one form for both models. Energies, like every "expected" entry, come from
@@ -113,23 +112,21 @@ def curvatures(sol):
 curvatures_tw = curvatures_vav = curvatures
 
 
-def _expected(model, config):
-    """The count formulas: the pinned quantized integrals and Chern fluxes."""
-    N1, P1, N2, P2 = config.counts()
-    n1, n2 = N1 - P1, N2 - P2
-    pinned = {"Iu": TWO_PI * (n1 + n2) / model.scale, "Iv": TWO_PI * (n1 + 2 * n2) / model.scale}
+def _expected(problem):
+    """The count formulas of the problem's model: what the counts force
+    (`sources.forced`), the pinned quantized integrals and the Chern fluxes."""
+    model = _MODEL_OF[type(problem)]
+    forced = model.admissibility(problem.config, problem.geometry).forced
+    (n1, n2), (p1, p2) = forced.n, forced.p
+    pinned = {"Iu": p1 / model.scale, "Iv": p2 / model.scale}
     fluxes = {"chern1": n1, "chern2": n2, "total": n1 + n2}
-    return pinned, {key: fluxes[key] for key in model.flux_keys}
+    return forced, pinned, {key: fluxes[key] for key in model.flux_keys}
 
 
 def _residuals(sol, problem, fhat, ftilde):
     """Residuals (r1, r2) of the curvature-form system at the solution's (U, V)."""
-    geom = problem.geometry
-    N1, P1, N2, P2 = problem.config.counts()
-    l1, l2 = geom.lap_pair(sol.U.values, sol.V.values)
-    rhs1, rhs2 = curvature_rhs(
-        fhat, ftilde, FOUR_PI * (N1 - P1) / geom.area, FOUR_PI * (N2 - P2) / geom.area
-    )
+    l1, l2 = problem.geometry.lap_pair(sol.U.values, sol.V.values)
+    rhs1, rhs2 = curvature_rhs(fhat, ftilde, *_expected(problem)[0].k)
     return l1 - rhs1, l2 - rhs2
 
 
@@ -156,7 +153,7 @@ def _entry(value, expected):
 
 def _flux_entries(problem, fhat, ftilde):
     integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
-    _, expected = _expected(_MODEL_OF[type(problem)], problem.config)
+    *_, expected = _expected(problem)
     return {
         name: _entry(problem.geometry.quad(integrands[name]) / TWO_PI, float(value))
         for name, value in expected.items()
@@ -196,7 +193,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     model = _MODEL_OF[type(problem)]
     config = problem.config
     quad = problem.geometry.quad
-    pinned, _ = _expected(model, config)
+    _, pinned, _ = _expected(problem)
     fhat, ftilde, phi_v = _curvature_arrays(sol)
     qi = {"Iu": quad(fhat) / model.scale, "Iv": quad(phi_v) / model.scale}
     del phi_v

@@ -11,6 +11,7 @@ weighted point set is the mean-zero solution of
 whose right-hand side has exactly zero discrete mean by construction.
 """
 
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -97,18 +98,42 @@ class VortexConfiguration:
         return self.N1, self.P1, self.N2, self.P2
 
 
+# What the counts force on one torus, for one model's kernel (see `forced`).
+Forced = namedtuple("Forced", "n p k t")
+
+
+def forced(config: VortexConfiguration, area, kernel) -> Forced:
+    """What the counts force on a torus of area |S| for a `kernel` affine in
+    its grid value t, phi(t) = phi0 - s*t with s its `scale`: n = (N1 - P1,
+    N2 - P2), the pinned integrals p = 2*pi*(n1 + n2, n1 + 2*n2) of phi(u) and
+    phi(v), k = 4*pi*n/|S| and the integrals t = (phi0*|S| - p)/s of the kernel
+    values. phi0 = phi(0.0) is -0.0 for "vav"'s -2t: balanced counts force -0.0."""
+    N1, P1, N2, P2 = config.counts()
+    n1, n2 = N1 - P1, N2 - P2
+    p = (TWO_PI * (n1 + n2), TWO_PI * (n1 + 2 * n2))
+    t = tuple((kernel.phi(0.0) * area - x) / kernel.scale for x in p)
+    return Forced((n1, n2), p, (FOUR_PI * n1 / area, FOUR_PI * n2 / area), t)
+
+
 class Admissibility(NamedTuple):
     """A model's existence test for one configuration on one torus.
 
-    `constants` are the values the integrated equations force, `margins`
-    the slack of the two bounds (a solution exists iff both are positive),
-    and `report` the "admissibility" entry of a run report.
+    `forced` is what the counts force, `constants` the model's values of it,
+    `margins` the slack of the two bounds (a solution exists iff both are
+    positive), and `report` the "admissibility" entry of a run report.
     """
 
     constants: tuple
     margins: tuple
     satisfied: bool
     report: dict
+    forced: Forced
+
+    def admitted(self, refusal):
+        """The constants, or refusal(*margins) raised when the test fails."""
+        if not self.satisfied:
+            raise refusal(*self.margins)
+        return self.constants
 
 
 def mollifier_width(geom: TorusGeometry, kappa) -> float:

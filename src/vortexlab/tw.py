@@ -25,10 +25,10 @@ from ._linalg import NewtonWork, newton_solve, pcg_pair
 from .errors import BradlowViolation, ConfigurationError
 from .kernels import EXP_CAP, clipped_exp
 from .sources import (
-    TWO_PI,
     Admissibility,
     VortexConfiguration,
     background,
+    forced,
     mollifier_width,
 )
 from .surface import (
@@ -41,30 +41,24 @@ from .surface import (
 
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
-    """The Bradlow bound: constants (a1, a2), margins (a1, a2) and the report.
-
-    a1 = |S| - 2*pi*(N1 + N2) and a2 = |S| - 2*pi*(N1 + 2*N2) are the values
-    the integrals of e^u and e^v must take; the bound is exactly a2 > 0.
+    """The Bradlow bound: constants and margins (a1, a2), the integrals of
+    e^u and e^v that the counts force, and the report; the bound is a2 > 0.
     Poles raise ConfigurationError: the model admits zeros only.
     """
     if config.P1 != 0 or config.P2 != 0:
         raise ConfigurationError("tw model admits zeros only; pole lists must be empty")
-    N1, _, N2, _ = config.counts()
-    a1 = geom.area - TWO_PI * (N1 + N2)
-    a2 = geom.area - TWO_PI * (N1 + 2 * N2)
+    counted = forced(config, geom.area, _Work)
+    a1, a2 = counted.t
     satisfied = a2 > 0.0
     report = {"satisfied": satisfied, "a1": a1, "a2": a2}
     if not satisfied:
         report.update(violated="Bradlow bound", margin=a2)
-    return Admissibility((a1, a2), (a1, a2), satisfied, report)
+    return Admissibility((a1, a2), (a1, a2), satisfied, report, counted)
 
 
 def check_bradlow(config: VortexConfiguration, geom: TorusGeometry):
     """Area-bound check; returns (a1, a2) or raises BradlowViolation."""
-    adm = tw_admissibility(config, geom)
-    if not adm.satisfied:
-        raise BradlowViolation(adm.margins[1])
-    return adm.constants
+    return tw_admissibility(config, geom).admitted(lambda _, a2: BradlowViolation(a2))
 
 
 @dataclass(frozen=True)
@@ -125,17 +119,16 @@ class _Work(NewtonWork):
         return t - x
 
     def shift(self, x, t, target):
-        """log(a/quad(t)), a = |S| - target, which scales e^x by a/quad(t).
-        Where that ratio is not a finite positive number, as when e^x
-        underflows on the whole grid or to a subnormal integral, it is
-        taken in log form, log(a) - m - log quad(e^(x - m)) with m = max(x)."""
-        a = self.geom.area - target
+        """log(target/quad(t)), which scales e^x by target/quad(t). Where
+        that ratio is not a finite positive number, as when e^x underflows
+        on the whole grid or to a subnormal integral, it is taken in log
+        form, log(target) - m - log quad(e^(x - m)) with m = max(x)."""
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.divide(a, self.geom.quad(t))
+            ratio = np.divide(target, self.geom.quad(t))
         if 0.0 < ratio < np.inf:
             return np.log(ratio)
         m = x.max()
-        return np.log(a) - m - np.log(self.geom.quad(np.exp(x - m)))
+        return np.log(target) - m - np.log(self.geom.quad(np.exp(x - m)))
 
 
 def phi(x):
@@ -144,8 +137,7 @@ def phi(x):
 
 
 def tw_quantized_integrals(sol, problem: TWProblem):
-    """Integrals of 1 - e^u and 1 - e^v, pinned to 2*pi*(N1+N2) and
-    2*pi*(N1+2*N2) by the counts."""
+    """Integrals of 1 - e^u and 1 - e^v, which the counts pin to p (`sources.forced`)."""
     quad = problem.geometry.quad
     return {
         "Iu": quad(phi(sol.u.values)) / _Work.scale,
@@ -220,7 +212,7 @@ def solve_tw(
     of the curvature-form residual below `tol`, with the integrals of
     1 - e^u and 1 - e^v at their pinned values to MEAN_TOL. `x0` may hold a
     start (U, V), as a solution holds it; Newton runs from its polish, so
-    its means cost no iterations.
+    its means cost no iterations. `max_iter` None is the default, 50.
     """
     if method != "newton":
         raise ConfigurationError(f"unknown method {method!r}")
@@ -228,7 +220,7 @@ def solve_tw(
     geom = problem.geometry
     work = _Work(problem)
     U, V, it, r_sup, i_val, trace = newton_solve(
-        work, *start_pair(geom, x0), tol, max_iter, pcg_pair
+        work, *start_pair(geom, x0), tol, 50 if max_iter is None else max_iter, pcg_pair
     )
     return TWSolution(
         U=geom.field(U),

@@ -67,6 +67,7 @@ from .sources import (
     BackgroundSet,
     VortexConfiguration,
     build_backgrounds,
+    forced,
     mollifier_width,
 )
 from .surface import (
@@ -104,14 +105,12 @@ def f_fun_t(s1, s2, t):
 
 
 def vav_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
-    """The difference bounds: constants (a, b), margins and the report.
-
-    a = -pi*(N1 - P1 + N2 - P2)/|S| and b = -pi*(N1 - P1 + 2(N2 - P2))/|S|;
+    """The difference bounds: constants (a, b), the integrals of tanh(u/2)
+    and tanh(v/2) that the counts force over |S|, margins and the report;
     a solution exists iff the margins 1 - |a| and 1 - |b| are positive.
     """
-    N1, P1, N2, P2 = config.counts()
-    a = -np.pi * (N1 - P1 + N2 - P2) / geom.area
-    b = -np.pi * (N1 - P1 + 2 * (N2 - P2)) / geom.area
+    counted = forced(config, geom.area, _Work)
+    a, b = (x / geom.area for x in counted.t)
     margin_a = 1.0 - abs(a)
     margin_b = 1.0 - abs(b)
     satisfied = abs(a) < 1.0 and abs(b) < 1.0
@@ -122,15 +121,12 @@ def vav_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admis
             for name, c in (("difference bound (total)", a), ("difference bound (weighted)", b))
             if abs(c) >= 1.0
         ]
-    return Admissibility((a, b), (margin_a, margin_b), satisfied, report)
+    return Admissibility((a, b), (margin_a, margin_b), satisfied, report, counted)
 
 
 def check_admissibility(config: VortexConfiguration, geom: TorusGeometry):
     """Existence check; returns (a, b) or raises Inadmissible with margins."""
-    adm = vav_admissibility(config, geom)
-    if not adm.satisfied:
-        raise Inadmissible(*adm.margins)
-    return adm.constants
+    return vav_admissibility(config, geom).admitted(Inadmissible)
 
 
 @dataclass(frozen=True)
@@ -251,7 +247,7 @@ class _Work(NewtonWork):
         """`_shift` of the mean-free x, so that the shift lies in its
         bracket, +-700, however far off the mean of x is."""
         m = x.mean()
-        return _shift(x - m, -0.5 * target, self.geom)[0] - m
+        return _shift(x - m, target, self.geom)[0] - m
 
     def rhs(self, t1, t2):
         """The curvature-form right-hand sides from the kernel's values."""
@@ -270,8 +266,8 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
     geom = problem.geometry
-    _, fu = _shift(work.b1 + U.values, -0.5 * work.pinned[0], geom)
-    _, fv = _shift(work.b2 + V.values, -0.5 * work.pinned[1], geom)
+    _, fu = _shift(work.b1 + U.values, work.targets[0], geom)
+    _, fv = _shift(work.b2 + V.values, work.targets[1], geom)
     t1, t2 = geom.inv_lap_pair_projected(*work.rhs(fu, fv))
     return geom.field(t1), geom.field(t2)
 
@@ -315,8 +311,7 @@ def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
 
 def _solve_fixed_point(problem, work, tol, max_iter, x0):
     geom = work.geom
-    # quad(tanh(u/2)) and quad(tanh(v/2)) are -1/2 of the pinned integrals
-    target1, target2 = -0.5 * work.pinned[0], -0.5 * work.pinned[1]
+    target1, target2 = work.targets
     Up, Vp = start_pair(geom, x0)
     Up -= Up.mean()
     Vp -= Vp.mean()
@@ -421,8 +416,8 @@ def phi(x):
 
 
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
-    """Integrals of -tanh(u/2) and -tanh(v/2), pinned to pi*(N1 - P1 + N2 - P2)
-    and pi*(N1 - P1 + 2*(N2 - P2)) by the counts."""
+    """Integrals of -tanh(u/2) and -tanh(v/2), which the counts pin to p/2
+    (`sources.forced`)."""
     quad = problem.geometry.quad
     return {
         "Iu": quad(phi(sol.u.values)) / _Work.scale,

@@ -23,7 +23,7 @@ from vortexlab import (
     vav_problem,
     vav_quantized_integrals,
 )
-from vortexlab.diagnostics import MODELS, _curvature_arrays, _expected, _residuals
+from vortexlab.diagnostics import MODELS, _curvature_arrays, _residuals
 
 PI = np.pi
 
@@ -217,25 +217,46 @@ def test_report_residual_is_the_newton_gradient(model, request):
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_admissible_exactly_when_the_pinned_integrals_fit_the_kernel(model):
-    # The integrals of phi(u) and phi(v) are s times the pinned values, and
-    # phi is decreasing, so they lie in |S| times (phi(inf), phi(-inf)):
+    # The integrals of phi(u) and phi(v) are the pinned values p, and phi is
+    # decreasing, so they lie in |S| times (phi(inf), phi(-inf)):
     # (-inf, 1) for tw, (-2, 2) for vav. That is each model's existence bound.
     record = MODELS[model]
     lo, hi = record.phi(np.inf), record.phi(-np.inf)
     assert (lo, hi) == {"tw": (-np.inf, 1.0), "vav": (-2.0, 2.0)}[model]
     poles = range(3) if model == "vav" else (0,)
     seen = set()
+
+    def bits(values):
+        return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
     for L in np.linspace(1.5, 7.5, 13):
         geom = TorusGeometry(L, L, 8, 8)
+        area = geom.area
         for N1, P1, N2, P2 in itertools.product(range(4), poles, range(4), poles):
             sets = zip(("zeros_q", "poles_q", "zeros_p", "poles_p"), (N1, P1, N2, P2))
             config = VortexConfiguration(
                 **{name: [(0.3 * k + 0.2, 0.2, m)] for k, (name, m) in enumerate(sets) if m}
             )
-            pinned, _ = _expected(record, config)
-            inside = all(
-                lo * geom.area < record.scale * v < hi * geom.area for v in pinned.values()
-            )
-            assert record.admissibility(config, geom).satisfied == inside
+            adm = record.admissibility(config, geom)
+            forced = adm.forced
+            # the record is the count formulas written out, bit for bit
+            n1, n2 = N1 - P1, N2 - P2
+            assert forced.n == (n1, n2)
+            assert bits(forced.p) == bits((2 * PI * (n1 + n2), 2 * PI * (n1 + 2 * n2)))
+            assert bits(forced.k) == bits((4 * PI * n1 / area, 4 * PI * n2 / area))
+            # the integrals of e^x and tanh(x/2) that the counts force
+            t = {
+                "tw": (area - 2 * PI * (N1 + N2), area - 2 * PI * (N1 + 2 * N2)),
+                "vav": (-PI * (n1 + n2), -PI * (n1 + 2 * n2)),
+            }[model]
+            assert bits(forced.t) == bits(t)
+            # the model's constants are those integrals: (a1, a2) for tw, and
+            # (a, b) = t/|S| for vav, which balanced counts make -0.0
+            per_area = {"tw": 1.0, "vav": area}[model]
+            assert bits(adm.constants) == bits(x / per_area for x in forced.t)
+            if model == "vav" and n1 + n2 == 0:
+                assert bits((adm.constants[0], adm.report["a"])) == ["-0x0.0p+0"] * 2
+            inside = all(lo * area < p < hi * area for p in forced.p)
+            assert adm.satisfied == inside
             seen.add(inside)
     assert seen == {True, False}

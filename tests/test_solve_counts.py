@@ -15,6 +15,7 @@ import vortexlab.vav
 ROOT = Path(__file__).resolve().parent.parent
 ARGS = ("--workload", "cli-io-256", "--seed", "1", "--grid", "16")
 SWEEP_ARGS = ("--workload", "sweep-128", "--seed", "1", "--grid", "16")
+FIXED_POINT_ARGS = ("--workload", "fixedpoint-128", "--seed", "1", "--grid", "16")
 SPLIT = ("newton_iters", "cg_iters", "point_calls")
 
 
@@ -45,6 +46,17 @@ def test_counts_are_deterministic_and_consistent(tmp_path):
         assert first["tw"][key] + first["vav"][key] == first[key] and first["vav"][key] > 0
     assert first["tw"]["point_calls"] >= first["tw"]["newton_iters"] + 2 * 12
     second = _counts("--against", str(fields))
+    assert second.pop("max_field_delta") == 0.0
+    assert second == first
+
+
+def test_fixed_point_counts_are_deterministic(tmp_path):
+    # the fixed point's shift targets come from the counts too; a second run
+    # of the inputs gives the same fields to the bit
+    fields = tmp_path / "fields.f64"
+    first = _counts("--fields", str(fields), inputs=FIXED_POINT_ARGS)
+    assert first["solves"] > 0 and first["failures"] == 0 and first["fp_iters"] > 0
+    second = _counts("--against", str(fields), inputs=FIXED_POINT_ARGS)
     assert second.pop("max_field_delta") == 0.0
     assert second == first
 

@@ -69,8 +69,18 @@ def test_geometry_validation():
 
 
 def test_geometry_equality():
-    assert TorusGeometry(1.0, 2.0, 16, 32) == TorusGeometry(1.0, 2.0, 16, 32)
-    assert TorusGeometry(1.0, 2.0, 16, 32) != TorusGeometry(1.0, 2.0, 16, 16)
+    geom, same = TorusGeometry(1.0, 2.0, 16, 32), TorusGeometry(1.0, 2.0, 16, 32)
+    other = TorusGeometry(1.0, 2.0, 16, 16)
+    assert geom == same and geom is not same
+    assert geom != other
+    # equal geometries hash alike, so a set keeps one of them
+    assert hash(geom) == hash(same)
+    assert {geom, same, other} == {geom, other} and len({geom, same, other}) == 2
+    # a non-geometry is not compared field by field: __eq__ hands it back
+    assert geom.__eq__((1.0, 2.0, 16, 32)) is NotImplemented
+    assert geom != (1.0, 2.0, 16, 32) and not geom == "TorusGeometry"
+    assert repr(geom) == "TorusGeometry(L1=1.0, L2=2.0, n1=16, n2=32)"
+    assert eval(repr(geom)) == geom
 
 
 def test_field_validation(geom):

@@ -278,6 +278,25 @@ def test_max_iter_exceeded(geom):
     assert len(exc.value.trace) >= 1
 
 
+def test_max_iter_none_is_the_default_budget(one_vortex, monkeypatch):
+    # check_solver_settings documents max_iter=None as the method's default,
+    # as solve_vav takes it: the Newton budget of 50
+    problem, default = one_vortex
+    newton_solve = vortexlab.tw.newton_solve
+    budgets = []
+
+    def recorded(work, U, V, tol, max_iter, pcg):
+        budgets.append(max_iter)
+        return newton_solve(work, U, V, tol, max_iter, pcg)
+
+    monkeypatch.setattr(vortexlab.tw, "newton_solve", recorded)
+    sol = solve_tw(problem, max_iter=None)
+    assert budgets == [50]
+    assert sol.iterations == default.iterations
+    assert np.array_equal(sol.U.values, default.U.values)
+    assert np.array_equal(sol.V.values, default.V.values)
+
+
 def test_no_stall_near_the_minimum():
     # Once grad sup is near 1e-7, the functional's Armijo decrease is below
     # the rounding of I ~ 1e2; without a rounding allowance in the bound the
