@@ -17,15 +17,19 @@ weights need one transform pair, and CG is preconditioned with its exact
 inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973), which is pointwise there (`newton_operator`). Both solvers run
 the same outer loop, `newton_solve`, which takes the start and returns the
-solution as (U, V) = (f, (h - f)/2). Everything here works on raw arrays.
+solution as (U, V) = (f, (h - f)/2). Everything here works on raw arrays,
+but for the record a solve of either model returns, `Solution`, which
+`NewtonWork.solution` builds from them.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergedIterate, MaxIterExceeded
 from .kernels import EXP_CAP
 from .sources import forced
-from .surface import bounded_means, pack_pair, unpack_pair
+from .surface import ScalarField, bounded_means, pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO_C = 1e-4
@@ -111,6 +115,23 @@ def curvature_rhs(fhat, ftilde, k1, k2):
     return rhs1, rhs2
 
 
+@dataclass
+class Solution:
+    """A converged solve of either model: the smooth remainders (U, V), the
+    full log-fields u = b1 + U and v = b2 + V over the model's backgrounds,
+    and the solve's record. The trace holds one entry per accepted iterate
+    with its residual sup. Each model's record adds only its own fields."""
+
+    U: ScalarField
+    V: ScalarField
+    u: ScalarField
+    v: ScalarField
+    iterations: int
+    final_residual: float
+    trace: list
+    method: str
+
+
 class NewtonWork:
     """The hooks of `newton_solve` for one problem with backgrounds (b1, b2),
     from the kernel of the model that subclasses it: `kernel(x)`, its grid
@@ -176,6 +197,13 @@ class NewtonWork:
         c1 = self.shift(self.b1 + f, t1, self.targets[0])
         c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.targets[1])
         return f + c1, h + (c1 + 2.0 * c2)
+
+    def solution(self, cls, U, V, iterations, final_residual, trace, method, **own):
+        """The record `cls`, a `Solution`, of the remainders (U, V) with
+        u = b1 + U and v = b2 + V; `own` holds the model's own fields."""
+        field = self.geom.field
+        fields = field(U), field(V), field(self.b1 + U), field(self.b2 + V)
+        return cls(*fields, iterations, final_residual, trace, method, **own)
 
 
 def newton_operator(geom, w1, w2):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NewtonWork, newton_solve, pcg_pair
+from ._linalg import NewtonWork, Solution, newton_solve, pcg_pair
 from .errors import BradlowViolation, ConfigurationError
 from .kernels import EXP_CAP, clipped_exp
 from .sources import (
@@ -146,23 +146,10 @@ def tw_quantized_integrals(sol, problem: TWProblem):
 
 
 @dataclass
-class TWSolution:
-    """Converged fields and the solve record.
+class TWSolution(Solution):
+    """A `tw` solve (`_linalg.Solution`) and I's value at its fields."""
 
-    U, V are the smooth remainders; u = u01 + U and v = v01 + V are the full
-    log-fields. The trace holds one entry per accepted iterate with the
-    functional value and the sup of the curvature-form residual.
-    """
-
-    U: ScalarField
-    V: ScalarField
-    u: ScalarField
-    v: ScalarField
-    iterations: int
-    final_residual: float
     functional_value: float
-    trace: list
-    method: str
 
 
 def _warned_point(f, h, problem):
@@ -199,7 +186,7 @@ def solve_tw(
     problem: TWProblem,
     *,
     tol=1e-8,
-    max_iter=50,
+    max_iter=None,
     method="newton",
     x0=None,
 ) -> TWSolution:
@@ -222,14 +209,4 @@ def solve_tw(
     U, V, it, r_sup, i_val, trace = newton_solve(
         work, *start_pair(geom, x0), tol, 50 if max_iter is None else max_iter, pcg_pair
     )
-    return TWSolution(
-        U=geom.field(U),
-        V=geom.field(V),
-        u=geom.field(work.b1 + U),
-        v=geom.field(work.b2 + V),
-        iterations=it,
-        final_residual=r_sup,
-        functional_value=i_val,
-        trace=trace,
-        method=method,
-    )
+    return work.solution(TWSolution, U, V, it, r_sup, trace, method, functional_value=i_val)

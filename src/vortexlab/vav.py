@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NewtonWork, curvature_rhs, newton_solve, pcg_pair
+from ._linalg import NewtonWork, Solution, curvature_rhs, newton_solve, pcg_pair
 from .errors import (
     BracketFailure,
     ConfigurationError,
@@ -273,43 +273,16 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
 
 
 @dataclass
-class VAVSolution:
-    """Converged fields and the solve record.
+class VAVSolution(Solution):
+    """A `vav` solve (`_linalg.Solution`) and the shifts c1, c2 folded into U
+    and V: their final values in fixed-point mode, zero when Newton absorbs
+    the means."""
 
-    The shifts are folded into U and V; c1, c2 record their final values in
-    fixed-point mode (zero when Newton absorbs the means). u and v are the
-    full log-fields u01 - u02 + U and v01 - v02 + V.
-    """
-
-    U: ScalarField
-    V: ScalarField
-    u: ScalarField
-    v: ScalarField
     c1: float
     c2: float
-    iterations: int
-    final_residual: float
-    trace: list
-    method: str
 
 
-def _package(problem, work, U, V, c1, c2, it, r_sup, trace, method):
-    geom = problem.geometry
-    return VAVSolution(
-        U=geom.field(U),
-        V=geom.field(V),
-        u=geom.field(work.b1 + U),
-        v=geom.field(work.b2 + V),
-        c1=c1,
-        c2=c2,
-        iterations=it,
-        final_residual=r_sup,
-        trace=trace,
-        method=method,
-    )
-
-
-def _solve_fixed_point(problem, work, tol, max_iter, x0):
+def _solve_fixed_point(work, tol, max_iter, x0):
     geom = work.geom
     target1, target2 = work.targets
     Up, Vp = start_pair(geom, x0)
@@ -338,9 +311,7 @@ def _solve_fixed_point(problem, work, tol, max_iter, x0):
                 l1, l2 = geom.lap_pair(Up, Vp)
         trace.append({"iter": it, "resid_sup": r_sup, "c1": c1, "c2": c2})
         if r_sup < tol:
-            return _package(
-                problem, work, U, V, c1, c2, it, r_sup, trace, "fixed_point"
-            )
+            return work.solution(VAVSolution, U, V, it, r_sup, trace, "fixed_point", c1=c1, c2=c2)
         if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
             raise Stagnation(
                 f"fixed-point residual stuck near {r_sup:.3e} after {it} "
@@ -401,12 +372,11 @@ def solve_vav(
     check_solver_settings(tol, max_iter)
     work = _Work(problem)
     if method == "newton":
-        max_iter = 50 if max_iter is None else max_iter
         U, V, it, r_sup, _, trace = newton_solve(
-            work, *start_pair(work.geom, x0), tol, max_iter, pcg_pair
+            work, *start_pair(work.geom, x0), tol, 50 if max_iter is None else max_iter, pcg_pair
         )
-        return _package(problem, work, U, V, 0.0, 0.0, it, r_sup, trace, "newton")
-    return _solve_fixed_point(problem, work, tol, 2000 if max_iter is None else max_iter, x0)
+        return work.solution(VAVSolution, U, V, it, r_sup, trace, method, c1=0.0, c2=0.0)
+    return _solve_fixed_point(work, tol, 2000 if max_iter is None else max_iter, x0)
 
 
 def phi(x):

@@ -19,7 +19,7 @@ from vortexlab import (
     tw_problem,
     tw_quantized_integrals,
 )
-from vortexlab._linalg import MEAN_TOL
+from vortexlab._linalg import MEAN_TOL, Solution
 from vortexlab.tw import TWProblem
 
 TWO_PI = 2 * np.pi
@@ -175,7 +175,12 @@ def test_solve_mixed_quantization(mixed):
 
 
 def test_solution_pointwise_bound(one_vortex):
-    _, sol = one_vortex
+    problem, sol = one_vortex
+    # the record is the shared one, with u = u01 + U and v = v01 + V bit for bit
+    work = vortexlab.tw._Work(problem)
+    assert isinstance(sol, Solution)
+    assert np.array_equal(sol.u.values, work.b1 + sol.U.values)
+    assert np.array_equal(sol.v.values, work.b2 + sol.V.values)
     assert np.exp(sol.u.values).max() < 1.05
     assert np.exp(sol.v.values).max() < 1.05
 

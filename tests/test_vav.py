@@ -22,6 +22,7 @@ from vortexlab import (
     vav_problem,
     vav_quantized_integrals,
 )
+from vortexlab._linalg import Solution
 from vortexlab.diagnostics import _curvature_arrays, _residuals, residual_report
 from vortexlab.kernels import df_half, f_half
 from vortexlab.sources import BackgroundSet, background
@@ -482,8 +483,18 @@ def test_quantized_integrals_second_species(geom):
     assert qi["Iv"] == pytest.approx(2 * PI, rel=1e-2)
 
 
+def _assert_shared_record(sol, problem):
+    # the record is the shared one, with u = b1 + U and v = b2 + V bit for bit
+    work = vortexlab.vav._Work(problem)
+    assert isinstance(sol, Solution)
+    assert np.array_equal(sol.u.values, work.b1 + sol.U.values)
+    assert np.array_equal(sol.v.values, work.b2 + sol.V.values)
+
+
 def test_solution_pointwise_bounds(balanced):
-    _, sol = balanced
+    problem, sol = balanced
+    _assert_shared_record(sol, problem)
+    assert sol.method == "newton" and sol.c1 == sol.c2 == 0.0
     assert (np.abs(np.tanh(0.5 * sol.u.values)) < 1.0).all()
     assert (np.abs(np.tanh(0.5 * sol.v.values)) < 1.0).all()
 
@@ -545,6 +556,9 @@ def test_fixed_point_agrees_with_newton_small_torus():
 def test_fixed_point_constraint_at_return(balanced):
     problem, _ = balanced
     sol = solve_vav(problem, method="fixed_point")
+    _assert_shared_record(sol, problem)
+    last = sol.trace[-1]
+    assert sol.method == "fixed_point" and (sol.c1, sol.c2) == (last["c1"], last["c2"])
     geom = problem.geometry
     # the returned fields carry the final shifts, so the integral constraints
     # hold at the shift root-find tolerance
