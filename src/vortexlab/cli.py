@@ -155,6 +155,12 @@ class RunConfig:
                 f"outputs.fields {self.fields_path!r} must end in .csv exactly when "
                 f"outputs.format is 'csv' (format is {self.format!r})"
             )
+        # the report must not be overwritten by the dump or a binary dump's sidecar
+        report, dump = (os.path.normpath(p) for p in (self.report_path, self.fields_path))
+        if report == dump or self.format == "f64bin" and report == dump + ".json":
+            raise ConfigurationError(
+                f"outputs.report {self.report_path!r} names the field dump or its sidecar"
+            )
 
     def configuration(self):
         return VortexConfiguration(**self.sources)

@@ -391,10 +391,12 @@ def _integer(value, where, minimum=None):
 
 def check_solver_settings(tol, max_iter):
     """Refuse settings no solve can meet: `tol` must be a finite positive
-    number and `max_iter`, unless None (the method's default), an integer >= 1."""
-    if not (isinstance(tol, Real) and 0.0 < tol < math.inf):
+    number and `max_iter`, unless None (the method's default), an integer >= 1; no bools."""
+    if isinstance(tol, bool) or not (isinstance(tol, Real) and 0.0 < tol < math.inf):
         raise ConfigurationError(f"tol must be a finite positive number, got {tol!r}")
-    if max_iter is not None and not (isinstance(max_iter, Integral) and max_iter >= 1):
+    if max_iter is not None and (
+        isinstance(max_iter, bool) or not (isinstance(max_iter, Integral) and max_iter >= 1)
+    ):
         raise ConfigurationError(f"max_iter must be a positive integer, got {max_iter!r}")
 
 

@@ -190,7 +190,7 @@ def solve_tw(
     method="newton",
     x0=None,
 ) -> TWSolution:
-    """Minimize the convex objective; returns the unique solution fields.
+    """Minimize the convex objective; returns the unique solution, a `TWSolution`.
 
     method="newton" is the only method: damped Newton with preconditioned-CG
     inner solves and Armijo backtracking (`_linalg.newton_solve`), falling

@@ -211,8 +211,9 @@ def _shift(base, target, geom, guess=0.0):
 def constraint_shift(
     W: ScalarField, s1: ScalarField, s2: ScalarField, target, geom: TorusGeometry
 ) -> float:
-    """The unique c with integrate(f_fun(s1, s2, W + c)) = target."""
-    _same_geometry(W, s1, s2)
+    """The unique c with integrate(f_fun(s1, s2, W + c)) = target on geom, the fields' geometry."""
+    if _same_geometry(W, s1, s2) != geom:
+        raise ConfigurationError("fields live on a geometry other than geom")
     return _shift(s1.values - s2.values + W.values, float(target), geom)[0]
 
 
@@ -365,7 +366,7 @@ def solve_vav(
     d = (Lap - mu)^-1 (r - mean(r)) on its residual r, with mu the grid mean
     of that equation's linearised weight; raises Stagnation if the residual
     stops decreasing (reduction below 1e-3 over 50 iterations). Both
-    methods return a residual sup below `tol`.
+    methods return a `VAVSolution` whose residual sup is below `tol`.
     """
     if method not in ("newton", "fixed_point"):
         raise ConfigurationError(f"unknown method {method!r}")

@@ -641,6 +641,25 @@ def test_plotdata_refuses_out_naming_the_sidecar(tmp_path, capsys):
     assert main(["plotdata", "--fields", str(binary), "--out", str(tmp_path / "p.dat")]) == 0
 
 
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        {"report": "same.csv", "fields": "same.csv"},
+        {"report": "./sub/../same.csv", "fields": "same.csv"},
+        {"report": "r.bin", "fields": "r.bin", "format": "f64bin"},
+        {"report": "r.bin.json", "fields": "r.bin", "format": "f64bin"},
+        {"report": "sub//r.bin.json", "fields": "./sub/r.bin", "format": "f64bin"},
+    ],
+)
+def test_solve_refuses_a_report_that_names_the_dump(tmp_path, capsys, outputs):
+    # the dump or its sidecar used to overwrite the report, with exit 0
+    cfg = write_config(tmp_path / "run.json", outputs=outputs)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "names the field dump or its sidecar" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["append", "truncate"])
 def test_plotdata_names_a_sidecar_that_is_not_json(tmp_path, capsys, damage):
     binary = tmp_path / "fields.bin"

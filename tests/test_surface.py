@@ -606,6 +606,10 @@ UNMEETABLE = [
     {"max_iter": 0},
     {"max_iter": -3},
     {"max_iter": 2.5},
+    # bools are refused as _real and _integer refuse them: max_iter=True
+    # used to be a budget of one, and tol=True a tolerance of 1.0
+    {"tol": True},
+    {"max_iter": True},
 ]
 
 

@@ -187,6 +187,23 @@ def test_constraint_shift_bracket_failure(geom):
         constraint_shift(zero, zero, zero, 1.0001 * geom.area, geom)
 
 
+@pytest.mark.parametrize(
+    "fields, other",
+    [((6.0, 6.0, 32, 32), (12.0, 12.0, 32, 32)), ((6.0, 6.0, 16, 16), (6.0, 6.0, 32, 32))],
+)
+def test_constraint_shift_refuses_a_geometry_not_the_fields(fields, other):
+    # the integral used to be taken over the other geometry: a wrong shift
+    # on an equal grid of another area, a BracketFailure on a finer grid
+    on = TorusGeometry(*fields)
+    W = on.field(four_mode_field(on))
+    zero = on.zeros()
+    target = 0.3 * on.area
+    with pytest.raises(ConfigurationError, match="geometry other than geom"):
+        constraint_shift(W, zero, zero, target, TorusGeometry(*other))
+    c = constraint_shift(W, zero, zero, target, on)
+    assert abs(on.quad(f_half(W.values + c)) - target) <= 1e-12
+
+
 # The constraint shift before its warm start (a cold bisection on
 # [-700, 700], then Newton polishing), kept verbatim as the oracle: from every
 # guess, _shift must meet the residual tolerance and land within 2e-12 of the
