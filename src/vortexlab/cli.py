@@ -155,12 +155,6 @@ class RunConfig:
                 f"outputs.fields {self.fields_path!r} must end in .csv exactly when "
                 f"outputs.format is 'csv' (format is {self.format!r})"
             )
-        # the report must not be overwritten by the dump or a binary dump's sidecar
-        report, dump = (os.path.normpath(p) for p in (self.report_path, self.fields_path))
-        if report == dump or self.format == "f64bin" and report == dump + ".json":
-            raise ConfigurationError(
-                f"outputs.report {self.report_path!r} names the field dump or its sidecar"
-            )
 
     def configuration(self):
         return VortexConfiguration(**self.sources)
@@ -451,6 +445,12 @@ def cmd_solve(config_path, out_dir):
     geom = cfg.geometry
     config = cfg.configuration()
     out = Path(out_dir)
+    # the dump would overwrite the report; --out makes both paths whole here
+    report_path, dump = (os.path.normpath(out / p) for p in (cfg.report_path, cfg.fields_path))
+    if report_path == dump or cfg.format == "f64bin" and report_path == dump + ".json":
+        raise ConfigurationError(
+            f"outputs.report {report_path} names the field dump or its sidecar"
+        )
     status, _, report, sol = _solve_once(cfg, geom, config)
     _write_report(report, out / cfg.report_path)
     if status == 0:

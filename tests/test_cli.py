@@ -649,12 +649,14 @@ def test_plotdata_refuses_out_naming_the_sidecar(tmp_path, capsys):
         {"report": "r.bin", "fields": "r.bin", "format": "f64bin"},
         {"report": "r.bin.json", "fields": "r.bin", "format": "f64bin"},
         {"report": "sub//r.bin.json", "fields": "./sub/r.bin", "format": "f64bin"},
+        {"report": "{out}/r.bin.json", "fields": "r.bin", "format": "f64bin"},
     ],
 )
 def test_solve_refuses_a_report_that_names_the_dump(tmp_path, capsys, outputs):
     # the dump or its sidecar used to overwrite the report, with exit 0
-    cfg = write_config(tmp_path / "run.json", outputs=outputs)
     out = tmp_path / "out"
+    outputs = {key: path.format(out=out) for key, path in outputs.items()}
+    cfg = write_config(tmp_path / "run.json", outputs=outputs)
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
     assert "names the field dump or its sidecar" in capsys.readouterr().err
     assert not out.exists()
