@@ -106,7 +106,7 @@ def curvature_rhs(fhat, ftilde, k1, k2):
     Lap(U) = 2(Ftilde - Fhat) + k1, Lap(V) = k2 - 2 Ftilde, from Fhat = phi(u)
     and Ftilde = phi(v) - phi(u), k = 4*pi*(N1 - P1, N2 - P2)/|S|. In place,
     because numpy reuses no temporary below 256 KB (a 128^2 grid array is
-    128 KB) and the `vav` fixed point takes these twice per iteration."""
+    128 KB) and the `vav` fixed point takes these once per iteration."""
     rhs1 = ftilde - fhat
     rhs1 *= 2.0
     rhs1 += k1

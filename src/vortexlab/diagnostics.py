@@ -26,6 +26,7 @@ import numpy as np
 
 from . import tw, vav
 from ._linalg import curvature_rhs
+from .errors import ConfigurationError
 from .sources import FOUR_PI, TWO_PI, VortexConfiguration
 from .tw import TWProblem, TWSolution, tw_admissibility, tw_quantized_integrals  # noqa: F401
 from .vav import VAVProblem, VAVSolution, vav_admissibility
@@ -95,6 +96,15 @@ MODELS = {m.tag: m for m in (TW, VAV)}
 _MODEL_OF = {TWProblem: TW, TWSolution: TW, VAVProblem: VAV, VAVSolution: VAV}
 
 
+def _model(sol, problem):
+    """The problem's model record; ConfigurationError unless the solution
+    is one of that model on the problem's geometry."""
+    model = _MODEL_OF[type(problem)]
+    if _MODEL_OF.get(type(sol)) is not model or sol.U.geometry != problem.geometry:
+        raise ConfigurationError("the solution is not of this problem's model and geometry")
+    return model
+
+
 def _curvature_arrays(sol):
     """Fhat = phi(u), Ftilde = -(Fhat - phi(v)) and phi(v), as arrays."""
     phi = _MODEL_OF[type(sol)].phi
@@ -110,6 +120,13 @@ def curvatures(sol):
 
 
 curvatures_tw = curvatures_vav = curvatures
+
+
+def quantized_integrals(sol, problem):
+    """quad(phi(u))/s and quad(phi(v))/s, which the counts pin to p/s."""
+    model = _model(sol, problem)
+    quad = problem.geometry.quad
+    return {k: quad(model.phi(x.values)) / model.scale for k, x in (("Iu", sol.u), ("Iv", sol.v))}
 
 
 def _expected(problem):
@@ -138,6 +155,7 @@ def _residual_norms(sol, problem, fhat, ftilde):
 
 def residual_report(sol, problem):
     """Sup and L2 norms of the residuals of the curvature-form system."""
+    _model(sol, problem)
     return _residual_norms(sol, problem, *_curvature_arrays(sol)[:2])
 
 
@@ -164,6 +182,7 @@ def flux_report(sol, problem):
     """Chern numbers against the counts: chern1, chern2 and total integrate
     Fhat - Ftilde, Ftilde and Fhat over 2*pi; the model's record names which
     it reports."""
+    _model(sol, problem)
     return _flux_entries(problem, *_curvature_arrays(sol)[:2])
 
 
@@ -190,7 +209,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
     phi(u) and phi(v) are evaluated once, and give the quantized integrals,
     the curvatures, the flux integrals and the residual."""
-    model = _MODEL_OF[type(problem)]
+    model = _model(sol, problem)
     config = problem.config
     quad = problem.geometry.quad
     _, pinned, _ = _expected(problem)

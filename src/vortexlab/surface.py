@@ -30,8 +30,9 @@ functions below: the complex pair `fft2`/`ifft2` and the real-data pair
 instead of one each. An operator from one real array to one real array
 (`lap`, `inv_lap`, `inv_lap_projected`) uses the real pair on the half
 spectrum, about half the work of a complex pair, with a view of the
-symbol's first n2/2 + 1 columns. The operators on pairs and `grad_sq` use
-the packed complex spectrum above.
+symbol's first n2/2 + 1 columns, and so does `solve_pair_projected`, one
+pair per array. The operators on pairs and `grad_sq` use the packed
+complex spectrum above.
 """
 
 import math
@@ -166,10 +167,10 @@ class TorusGeometry:
         X *= sym[:, : X.shape[1]]
         return irfft2(X, self.n2)
 
-    def _inv_lap_sym(self, mu, width):
-        """-1/(|k|^2 + mu), mu >= 0, on the first `width` columns, as a new
-        array with the zero mode 0: the mean-zero inverse of Lap - mu."""
-        sym = self._lap_sym[:, :width] - mu
+    def _inv_lap_sym(self, width):
+        """-1/|k|^2 on the first `width` columns, as a new array with the
+        zero mode 0: the mean-zero inverse of Lap."""
+        sym = self._lap_sym[:, :width].copy()
         sym[0, 0] = -1.0
         np.divide(1.0, sym, out=sym)
         sym[0, 0] = 0.0
@@ -198,22 +199,38 @@ class TorusGeometry:
         tol = SOLVABILITY_TOL * float(np.abs(a).max())
         if abs(m) > tol:
             raise NonZeroMean(m, tol)
-        return self._apply_real(self._inv_lap_sym(0.0, self.n2 // 2 + 1), a)
+        return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
-    def inv_lap_projected(self, a, mu=0.0):
-        """The mean-zero solution d of (Lap - mu) d = a - mean(a), mu >= 0.
-
-        At mu = 0 this is inv_lap without the mean check, for right-hand
-        sides that are zero-mean by construction up to rounding. Mode by
-        mode, (lap - mu)(inv_lap_projected(a, mu)) is a - mean(a): the
-        symbol -1/(|k|^2 + mu) is 0 on the zero mode, so the mean needs no
-        subtracting first."""
-        return self._apply_real(self._inv_lap_sym(mu, self.n2 // 2 + 1), a)
+    def inv_lap_projected(self, a):
+        """inv_lap without the mean check, for right-hand sides zero-mean by
+        construction up to rounding: d mean-zero with Lap(d) = a - mean(a),
+        as the symbol is 0 on the zero mode."""
+        return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
     def inv_lap_pair_projected(self, a, b):
-        """inv_lap_projected(., 0) of two arrays via one transform pair. The
+        """inv_lap_projected of two arrays via one transform pair. The
         symbol is 0 on the zero mode, so the means need no subtracting first."""
-        return unpack_pair(self._inv_lap_sym(0.0, self.n2) * pack_pair(a, b))
+        return unpack_pair(self._inv_lap_sym(self.n2) * pack_pair(a, b))
+
+    def solve_pair_projected(self, a, b, M):
+        """The mean-zero solution (x, y) of (Lap - M)(x, y) = (a - mean(a),
+        b - mean(b)) for a constant 2x2 matrix M, not necessarily symmetric:
+        mode by mode (|k|^2 I + M)(X, Y) = -(A, B), solved by Cramer's rule
+        with d = -1/det, on the half spectrum, one real transform pair per
+        array. det must not vanish on a nonzero mode; the zero mode is 0."""
+        (m11, m12), (m21, m22) = M
+        A, B = rfft2(a), rfft2(b)
+        sym = self._lap_sym[:, : A.shape[1]]
+        k11, k22 = m11 - sym, m22 - sym
+        d = k11 * k22 - m12 * m21
+        d[0, 0] = 1.0
+        np.divide(-1.0, d, out=d)
+        d[0, 0] = 0.0
+        X = (k22 * d) * A
+        X -= (m12 * d) * B
+        B *= k11 * d
+        B -= (m21 * d) * A
+        return irfft2(X, self.n2), irfft2(B, self.n2)
 
     def helmholtz_pair(self, a, b, gamma):
         """Solve (-Lap + gamma) x = rhs for two arrays at once, gamma > 0;

@@ -25,28 +25,28 @@ the line search's near-minimum slack, which is relative to I.
 
 The alternative is a fixed-point iteration in (U, V): the means are carried
 by explicit shifts c1, c2 chosen so the integral constraints hold at every
-iterate, and the mean-zero parts are updated one after the other
-(Gauss-Seidel) by a frozen mean-coefficient step: with r = rhs - Lap the
-residual of one equation, d solves (Lap - mu) d = r - mean(r), where mu is
-the grid mean of that equation's linearised weight, 4(1 - fu^2) for U and
-2(1 - fv^2) for V (the constant-coefficient idea of Concus & Golub, SIAM J.
-Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). It is not
-proved to converge; stagnation is detected and reported. Each iteration
-solves for two shifts: c2 at the current iterate, and c1 after the U
-update, which the next iteration reuses. Each shift root find is a
+iterate, and the mean-zero parts take one coupled frozen mean-coefficient
+step: with r = rhs - Lap the residual of both equations, d solves
+(Lap - J) d = r - mean(r), where J = ((4wu, -2wv), (-2wu, 2wv)) is the
+Jacobian of the right-hand sides with the weights 1 - fu^2 and 1 - fv^2
+frozen at their grid means wu and wv (the constant-coefficient idea of Concus & Golub,
+SIAM J. Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). It
+is not proved to converge; stagnation is detected and reported. Each
+iteration solves for two shifts: c2 at the current iterate, and c1 after
+the update, which the next iteration reuses. Each shift root find is a
 safeguarded Newton iteration started from that shift's value at the
 previous iterate, so it takes two or three grid-wide tanh evaluations, and
 hands back its last one, the fu or fv of the iterate.
 
-The fixed-point loop transforms only for its two steps, one real transform
-pair each (`inv_lap_projected` with mu). It carries Lap(U) and Lap(V)
-through the updates, l <- rhs - mean(r) + mu*d, which is exact since
-(Lap - mu) d = r - mean(r) mode by mode, and reads its residual from them.
-An error in a carried l stays as it is, neither halved nor grown; the
-final check catches it. One lap_pair starts the carry. Convergence is
-decided only on the residual of the governing system at the fields
-returned, from a true lap_pair; when that misses tol, the loop goes on
-from the true Laplacians.
+The fixed-point loop transforms only for its step, one real transform pair
+per component (`TorusGeometry.solve_pair_projected`, which solves the 2x2
+system mode by mode). It carries Lap(U) and Lap(V) through the updates,
+l <- rhs - mean(r) + J d, which is exact since (Lap - J) d = r - mean(r)
+mode by mode, and reads its residual from them. An error in a carried l
+stays as it is, neither halved nor grown; the final check catches it. One
+lap_pair starts the carry. Convergence is decided only on the residual of
+the governing system at the fields returned, from a true lap_pair; when
+that misses tol, the loop goes on from the true Laplacians.
 """
 
 from dataclasses import dataclass
@@ -295,12 +295,14 @@ def _solve_fixed_point(work, tol, max_iter, x0):
     # back the tanh it took there: fu, fv
     c1, fu = _shift(work.b1 + Up, target1, geom)
     c2 = 0.0
-    # Lap(Up) and Lap(Vp), carried through the updates below
+    # Lap(Up) and Lap(Vp), carried through the updates below; the residuals
+    # rhs - l are written over them, which keeps two grid arrays fewer alive
     l1, l2 = geom.lap_pair(Up, Vp)
     while True:
         c2, fv = _shift(work.b2 + Vp, target2, geom, c2)
         rhs1, rhs2 = work.rhs(fu, fv)
-        r_sup = max(float(np.abs(l - r).max()) for l, r in ((l1, rhs1), (l2, rhs2)))
+        r1, r2 = np.subtract(rhs1, l1, out=l1), np.subtract(rhs2, l2, out=l2)
+        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
         if r_sup < tol:
             # Convergence is decided on the governing system's residual at
             # the fields returned, from true Laplacians; on a miss the
@@ -310,6 +312,7 @@ def _solve_fixed_point(work, tol, max_iter, x0):
             r_sup = max(float(np.abs(l - r).max()) for l, r in true)
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(Up, Vp)
+                r1, r2 = rhs1 - l1, rhs2 - l2
         trace.append({"iter": it, "resid_sup": r_sup, "c1": c1, "c2": c2})
         if r_sup < tol:
             return work.solution(VAVSolution, U, V, it, r_sup, trace, "fixed_point", c1=c1, c2=c2)
@@ -325,25 +328,22 @@ def _solve_fixed_point(work, tol, max_iter, x0):
                 f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
                 trace,
             )
-        # Each component takes a frozen mean-coefficient step, solving
-        # (Lap - mu) d = r - mean(r) for the carried residual r = rhs - l,
-        # with mu the grid mean of that equation's own linearised weight:
-        # -4 phi'(u) = w1 and -2 phi'(v) = 2 w2 in the Newton weights. The
-        # second component sees the first's fresh value. (Lap - mu) d =
-        # r - mean(r) holds mode by mode, so the carried Laplacian takes the
-        # exact step.
-        r1 = rhs1 - l1
-        mu1 = 4.0 * float(np.mean(work.weight(fu)))
-        d1 = geom.inv_lap_projected(r1, mu1)
+        # One coupled step: J is the Jacobian of the curvature-form
+        # right-hand sides with the kernel's weights frozen at their means wu
+        # and wv, and (Lap - J) d = r - mean(r) holds mode by mode, so the
+        # carried Laplacians, l <- rhs - mean(r) + J d, take the exact step.
+        wu = float(np.mean(work.weight(fu)))
+        wv = float(np.mean(work.weight(fv)))
+        J = ((4.0 * wu, -2.0 * wv), (-2.0 * wu, 2.0 * wv))
+        d1, d2 = geom.solve_pair_projected(r1, r2, J)
         Up += d1
-        l1 = rhs1 - r1.mean() + mu1 * d1
-        c1, fu = _shift(work.b1 + Up, target1, geom, c1)
-        rhs2 = work.rhs(fu, fv)[1]
-        r2 = rhs2 - l2
-        mu2 = 2.0 * float(np.mean(work.weight(fv)))
-        d2 = geom.inv_lap_projected(r2, mu2)
         Vp += d2
-        l2 = rhs2 - r2.mean() + mu2 * d2
+        l1, l2 = rhs1, rhs2
+        for l, r, (j1, j2) in ((l1, r1, J[0]), (l2, r2, J[1])):
+            l -= r.mean()
+            l += j1 * d1
+            l += j2 * d2
+        c1, fu = _shift(work.b1 + Up, target1, geom, c1)
         it += 1
 
 
@@ -361,11 +361,11 @@ def solve_vav(
     polish of the start `x0` = (U, V) (zeros by default), in the variables
     (U, U + 2V), with the inner system solved by preconditioned CG and a
     line search on the convex functional 8J. method="fixed_point": the
-    constrained iteration, each component in turn (each sees the fresh
-    values of the components before it) taking the mean-coefficient step
-    d = (Lap - mu)^-1 (r - mean(r)) on its residual r, with mu the grid mean
-    of that equation's linearised weight; raises Stagnation if the residual
-    stops decreasing (reduction below 1e-3 over 50 iterations). Both
+    constrained iteration, both components taking one coupled
+    mean-coefficient step d = (Lap - J)^-1 (r - mean(r)) on their residual
+    r, with J the Jacobian of the right-hand sides at the linearised
+    weights' grid means; raises Stagnation if the residual stops
+    decreasing (reduction below 1e-3 over 50 iterations). Both
     methods return a `VAVSolution` whose residual sup is below `tol`.
     """
     if method not in ("newton", "fixed_point"):
@@ -389,8 +389,5 @@ def phi(x):
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
     """Integrals of -tanh(u/2) and -tanh(v/2), which the counts pin to p/2
     (`sources.forced`)."""
-    quad = problem.geometry.quad
-    return {
-        "Iu": quad(phi(sol.u.values)) / _Work.scale,
-        "Iv": quad(phi(sol.v.values)) / _Work.scale,
-    }
+    from .diagnostics import quantized_integrals  # diagnostics imports this module
+    return quantized_integrals(sol, problem)

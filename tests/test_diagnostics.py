@@ -6,6 +6,7 @@ import pytest
 
 import vortexlab
 from vortexlab import (
+    ConfigurationError,
     TorusGeometry,
     VortexConfiguration,
     curvatures_tw,
@@ -260,3 +261,38 @@ def test_admissible_exactly_when_the_pinned_integrals_fit_the_kernel(model):
             assert adm.satisfied == inside
             seen.add(inside)
     assert seen == {True, False}
+
+
+_READERS = {
+    "build_report": lambda sol, problem: vortexlab.diagnostics.build_report(sol, problem, {}, 0.0),
+    "residual_report": residual_report,
+    "flux_report": vortexlab.diagnostics.flux_report,
+    "tw_quantized_integrals": tw_quantized_integrals,
+    "vav_quantized_integrals": vav_quantized_integrals,
+}
+
+
+@pytest.fixture(scope="module")
+def tw_small():
+    problem = tw_problem(
+        TorusGeometry(6.0, 6.0, 16, 16), VortexConfiguration(zeros_q=[(2.3, 3.1, 1)])
+    )
+    return problem, solve_tw(problem)
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("other", ["larger_torus", "other_model"])
+def test_diagnostics_refuse_a_solution_of_another_problem(tw_small, reader, other):
+    # Read against a 12 x 12 problem on the same 16^2 grid, the 6 x 6 tw
+    # solution gave Chern numbers 4.0 against an expected 1; read against a
+    # vav problem, tw's phi met vav's count formulas.
+    problem, sol = tw_small
+    config = problem.config
+    if other == "larger_torus":
+        wrong = tw_problem(TorusGeometry(12.0, 12.0, 16, 16), config)
+    else:
+        wrong = vav_problem(problem.geometry, config)
+    with pytest.raises(ConfigurationError):
+        _READERS[reader](sol, wrong)
+    if reader != "vav_quantized_integrals":
+        _READERS[reader](sol, problem)

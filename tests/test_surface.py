@@ -148,13 +148,37 @@ def test_inverse_of_laplacian_is_identity(geom):
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, 7.0])
 def test_projected_helmholtz_inverse(geom, mu):
-    # (Lap - mu) d = a - mean(a) with d mean-free, on a square and an
-    # anisotropic grid, for a right-hand side that is not mean-free
+    # (Lap - m) d = a - mean(a) with d mean-free, for each component of the
+    # pair solve at the diagonal M = diag(mu, 2 mu), on a square and an
+    # anisotropic grid, for right-hand sides that are not mean-free
     for g in (geom, TorusGeometry(5.0, 7.5, 24, 16)):
         a = random_field(g, 4).values + 0.7
-        d = g.inv_lap_projected(a, mu)
-        assert abs(d.mean()) < 1e-14
-        assert np.abs(g.lap(d) - mu * d - (a - a.mean())).max() < 1e-10
+        b = random_field(g, 5).values - 0.3
+        x, y = g.solve_pair_projected(a, b, ((mu, 0.0), (0.0, 2.0 * mu)))
+        for d, rhs, m in ((x, a, mu), (y, b, 2.0 * mu)):
+            assert abs(d.mean()) < 1e-14
+            assert np.abs(g.lap(d) - m * d - (rhs - rhs.mean())).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "M",
+    [((2.8, -0.4), (-1.4, 0.4)), ((1.5, 2.0), (-0.5, 0.25)), ((0.0, 0.0), (0.0, 0.0))],
+    ids=["mean-jacobian", "non-symmetric", "zero"],
+)
+def test_pair_solve_with_a_non_symmetric_matrix(geom, M):
+    # (Lap - M)(x, y) = (a, b) - their means with x, y mean-free, for a
+    # constant M that is not symmetric: the fixed point's mean Jacobian
+    # ((4wu, -2wv), (-2wu, 2wv)) at wu = 0.7, wv = 0.2, a matrix whose
+    # determinant on a mode is |k|^4 + 1.75|k|^2 + 1.375, and M = 0
+    (m11, m12), (m21, m22) = M
+    for g in (geom, TorusGeometry(5.0, 7.5, 24, 16)):
+        a = random_field(g, 10).values + 0.4
+        b = random_field(g, 11).values - 1.1
+        x, y = g.solve_pair_projected(a, b, M)
+        lx, ly = g.lap(x), g.lap(y)
+        assert abs(x.mean()) < 1e-14 and abs(y.mean()) < 1e-14
+        assert np.abs(lx - m11 * x - m12 * y - (a - a.mean())).max() < 1e-10
+        assert np.abs(ly - m21 * x - m22 * y - (b - b.mean())).max() < 1e-10
 
 
 def _grid_arrays(g):
@@ -169,7 +193,8 @@ def test_geometry_keeps_one_grid_sized_array():
     assert _grid_arrays(g) == ["_lap_sym"]
     a, b = random_field(g, 6, mean_zero=True).values, random_field(g, 7).values
     g.inv_lap(a)
-    g.inv_lap_projected(b, 0.3)
+    g.inv_lap_projected(b)
+    g.solve_pair_projected(a, b, ((1.2, -0.3), (-0.6, 0.3)))
     g.inv_lap_pair_projected(a, b)
     assert _grid_arrays(g) == ["_lap_sym"]
     # the fixed point builds its inverse symbols per call, and needs no -k index
@@ -195,7 +220,7 @@ def test_geometries_hold_one_symbol_each():
 
 
 def test_inverse_symbols_are_the_reciprocal_laplacian_symbol():
-    # inv_lap, inv_lap_projected at mu = 0 and inv_lap_pair_projected give the
+    # inv_lap, inv_lap_projected and inv_lap_pair_projected give the
     # bits of -1/|k|^2 with the zero mode removed, applied through the same
     # transforms
     for g in (TorusGeometry(2 * np.pi, 2 * np.pi, 64, 64), TorusGeometry(5.0, 7.5, 24, 16)):
@@ -205,7 +230,7 @@ def test_inverse_symbols_are_the_reciprocal_laplacian_symbol():
         inv[nz] = 1.0 / lap[nz]
         a, b = random_field(g, 8, mean_zero=True).values, random_field(g, 9).values
         assert g.inv_lap(a).tobytes() == g._apply_real(inv, a).tobytes()
-        assert g.inv_lap_projected(b, 0.0).tobytes() == g._apply_real(inv, b).tobytes()
+        assert g.inv_lap_projected(b).tobytes() == g._apply_real(inv, b).tobytes()
         got = g.inv_lap_pair_projected(a, b)
         want = unpack_pair(inv * pack_pair(a, b))
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, want))

@@ -616,11 +616,37 @@ def test_fixed_point_stagnation_is_detected(monkeypatch):
     # a step that does not move the fields leaves the residual where it is
     problem = _fp_problem("balanced")
     monkeypatch.setattr(
-        TorusGeometry, "inv_lap_projected", lambda self, a, mu=0.0: np.zeros_like(a)
+        TorusGeometry,
+        "solve_pair_projected",
+        lambda self, a, b, M: (np.zeros_like(a), np.zeros_like(b)),
     )
     with pytest.raises(Stagnation) as exc:
         solve_vav(problem, method="fixed_point")
     assert len(exc.value.trace) > 50
+
+
+def test_fixed_point_at_the_weighted_bound():
+    # One q-zero and one p-zero force a = -2 pi/|S| and b = -3 pi/|S|, so
+    # the square torus of area 3 pi/(1 - eps) leaves the margin 1 - |b| = eps.
+    # Towards the bound the coupled step takes no more iterations, and the
+    # fixed point stays within criterion 13's 1e-5 of Newton.
+    iterations = []
+    for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+        L = np.sqrt(3 * PI / (1 - eps))
+        cfg = VortexConfiguration(
+            zeros_q=[(0.3 * L, 0.4 * L, 1)], zeros_p=[(0.7 * L, 0.6 * L, 1)]
+        )
+        problem = vav_problem(TorusGeometry(L, L, 64, 64), cfg)
+        assert 1.0 - abs(problem.b) == pytest.approx(eps, rel=1e-6)
+        newton = solve_vav(problem)
+        picard = solve_vav(problem, method="fixed_point")
+        iterations.append(picard.iterations)
+        diff = max(
+            np.abs(newton.U.values - picard.U.values).max(),
+            np.abs(newton.V.values - picard.V.values).max(),
+        )
+        assert picard.final_residual < 1e-8 and diff < 1e-5
+    assert iterations == sorted(iterations, reverse=True)
 
 
 def test_anisotropic_grid_quantized_integrals():
