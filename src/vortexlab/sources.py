@@ -137,8 +137,8 @@ class Admissibility(NamedTuple):
 
 
 def mollifier_width(geom: TorusGeometry, kappa) -> float:
-    """Source width sigma = kappa*max(h1, h2): kappa grid cells."""
-    return float(kappa) * max(geom.h1, geom.h2)
+    """Source width sigma = kappa*max(h1, h2): a finite number kappa of grid cells."""
+    return _real(kappa, "kappa") * max(geom.h1, geom.h2)
 
 
 def _wrap(d, L):
@@ -166,7 +166,7 @@ def mollified_delta(geom: TorusGeometry, point, sigma) -> ScalarField:
     shorter side are a ConfigurationError: the image sum would take about
     12*sigma/L terms per node along a side of length L.
     """
-    sigma = float(sigma)
+    sigma = _real(sigma, "sigma")
     h_max = max(geom.h1, geom.h2)
     if sigma < h_max:
         raise SigmaTooSmall(sigma, h_max)

@@ -28,22 +28,26 @@ by explicit shifts c1, c2 chosen so the integral constraints hold at every
 iterate, and the mean-zero parts take one coupled frozen mean-coefficient
 step: with r = rhs - Lap the residual of both equations, d solves
 (Lap - J) d = r - mean(r), where J = ((4wu, -2wv), (-2wu, 2wv)) is the
-Jacobian of the right-hand sides with the weights 1 - fu^2 and 1 - fv^2
+Jacobian of the right-hand sides with the weights W = 1 - fu^2 and 1 - fv^2
 frozen at their grid means wu and wv (the constant-coefficient idea of Concus & Golub,
-SIAM J. Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). It
-is not proved to converge; stagnation is detected and reported. Each
-iteration solves for two shifts: c2 at the current iterate, and c1 after
-the update, which the next iteration reuses. Each shift root find is a
-safeguarded Newton iteration started from that shift's value at the
-previous iterate, so it takes two or three grid-wide tanh evaluations, and
-hands back its last one, the fu or fv of the iterate.
+SIAM J. Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). The
+fields move by omega d, omega = <r, a>/<a, a> the minimal-residual length
+(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, sec.
+5.3.2) for a = (r - mean(r)) - (J(x) - J) d, J(x) the pointwise Jacobian,
+or 1 where that is no finite positive number. It is not proved to
+converge; stagnation is detected and reported. Each iteration solves for
+two shifts: c2 at the current iterate, and c1 after the update. Each shift
+root find is a safeguarded Newton iteration started from the shift's
+first-order prediction, its last value moved by -omega sum(W d)/sum(W), so
+it takes about two grid-wide tanh evaluations, and hands back its last
+one, the fu or fv of the iterate.
 
 The fixed-point loop transforms only for its step, one real transform pair
 per component (`TorusGeometry.solve_pair_projected`, which solves the 2x2
 system mode by mode). It carries Lap(U) and Lap(V) through the updates,
-l <- rhs - mean(r) + J d, which is exact since (Lap - J) d = r - mean(r)
-mode by mode, and reads its residual from them. An error in a carried l
-stays as it is, neither halved nor grown; the final check catches it. One
+l <- rhs - (1 - omega) r - omega mean(r) + J omega d, which is exact since
+(Lap - J) d = r - mean(r) mode by mode, and reads its residual from them.
+An error in a carried l stays as it is; the final check catches it. One
 lap_pair starts the carry. Convergence is decided only on the residual of
 the governing system at the fields returned, from a true lap_pair; when
 that misses tol, the loop goes on from the true Laplacians.
@@ -184,7 +188,9 @@ def _shift(base, target, geom, guess=0.0):
             hi = c
         else:
             lo = c
-        dg = geom.quad(0.5 * (1.0 - t * t))
+        # quad((1 - t^2)/2) in one reduction, the sum of t^2 by einsum's own
+        # loop and not by BLAS (see `_linalg._dot`)
+        dg = 0.5 * geom.h1 * geom.h2 * (t.size - float(np.einsum("ij,ij->", t, t)))
         # lo is outside the open bracket, so g' <= 0 falls through to bisection
         c_new = c - g_c / dg if dg > 0.0 else lo
         if not lo < c_new < hi:
@@ -291,8 +297,9 @@ def _solve_fixed_point(work, tol, max_iter, x0):
     Vp -= Vp.mean()
     trace = []
     it = 0
-    # each shift starts from its value at the previous iterate, and hands
-    # back the tanh it took there: fu, fv
+    omega = 0.0  # the step length that led to the iterate
+    # each shift starts from its last value moved by its prediction (below),
+    # and hands back the tanh it took there: fu, fv
     c1, fu = _shift(work.b1 + Up, target1, geom)
     c2 = 0.0
     # Lap(Up) and Lap(Vp), carried through the updates below; the residuals
@@ -313,7 +320,7 @@ def _solve_fixed_point(work, tol, max_iter, x0):
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(Up, Vp)
                 r1, r2 = rhs1 - l1, rhs2 - l2
-        trace.append({"iter": it, "resid_sup": r_sup, "c1": c1, "c2": c2})
+        trace.append({"iter": it, "resid_sup": r_sup, "step": omega, "c1": c1, "c2": c2})
         if r_sup < tol:
             return work.solution(VAVSolution, U, V, it, r_sup, trace, "fixed_point", c1=c1, c2=c2)
         if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
@@ -329,18 +336,48 @@ def _solve_fixed_point(work, tol, max_iter, x0):
                 trace,
             )
         # One coupled step: J is the Jacobian of the curvature-form
-        # right-hand sides with the kernel's weights frozen at their means wu
-        # and wv, and (Lap - J) d = r - mean(r) holds mode by mode, so the
-        # carried Laplacians, l <- rhs - mean(r) + J d, take the exact step.
-        wu = float(np.mean(work.weight(fu)))
-        wv = float(np.mean(work.weight(fv)))
+        # right-hand sides with the kernel's weights W frozen at their means
+        # wu and wv, and d solves (Lap - J) d = r - m, m = mean(r), mode by mode.
+        Wu, Wv = work.weight(fu), work.weight(fv)
+        del fu, fv  # W takes their memory; the next shifts give them again
+        wu, wv = float(Wu.mean()), float(Wv.mean())
         J = ((4.0 * wu, -2.0 * wv), (-2.0 * wu, 2.0 * wv))
         d1, d2 = geom.solve_pair_projected(r1, r2, J)
+        m1, m2 = r1.mean(), r2.mean()
+        # omega minimises |r - omega a| for the linearised change of the
+        # residual a = (r - m) - (J(x) - J) d, J(x) the pointwise Jacobian;
+        # its sums are pairwise, over contiguous products whatever r's layout.
+        # (W - w) d is written over W and a is built in place: at 128^2 a
+        # grid temporary costs about as much as a pass of arithmetic.
+        Wu -= wu
+        Wu *= d1
+        Wv -= wv
+        Wv *= d2
+        a1 = r1 - m1
+        a1 -= 4.0 * Wu
+        a1 += 2.0 * Wv
+        a2 = r2 - m2
+        a2 += 2.0 * Wu
+        a2 -= 2.0 * Wv
+        ra = float((r1 * a1).sum() + (r2 * a2).sum())
+        aa = float((a1 * a1).sum() + (a2 * a2).sum())
+        omega = ra / aa if aa > 0.0 else 0.0
+        omega = omega if 0.0 < omega < np.inf else 1.0
+        d1 *= omega
+        d2 *= omega
         Up += d1
         Vp += d2
+        # each shift starts from its first-order prediction: the integral of
+        # tanh moves by omega sum(W d) = omega sum((W - w) d), d being mean-free
+        c1 -= omega * float(Wu.mean()) / wu
+        c2 -= omega * float(Wv.mean()) / wv
+        del Wu, Wv, a1, a2  # the shifts and the next transform, where memory peaks, need none
+        # and the carried Laplacians take the exact step,
+        # l <- rhs - (1 - omega) r - omega m + J (omega d)
         l1, l2 = rhs1, rhs2
-        for l, r, (j1, j2) in ((l1, r1, J[0]), (l2, r2, J[1])):
-            l -= r.mean()
+        for l, r, m, (j1, j2) in ((l1, r1, m1, J[0]), (l2, r2, m2, J[1])):
+            l -= (1.0 - omega) * r
+            l -= omega * m
             l += j1 * d1
             l += j2 * d2
         c1, fu = _shift(work.b1 + Up, target1, geom, c1)
@@ -362,10 +399,12 @@ def solve_vav(
     (U, U + 2V), with the inner system solved by preconditioned CG and a
     line search on the convex functional 8J. method="fixed_point": the
     constrained iteration, both components taking one coupled
-    mean-coefficient step d = (Lap - J)^-1 (r - mean(r)) on their residual
-    r, with J the Jacobian of the right-hand sides at the linearised
-    weights' grid means; raises Stagnation if the residual stops
-    decreasing (reduction below 1e-3 over 50 iterations). Both
+    mean-coefficient step omega d, d = (Lap - J)^-1 (r - mean(r)) on their
+    residual r, with J the Jacobian of the right-hand sides at the
+    linearised weights' grid means and omega the minimal-residual length
+    of the linearisation (the `step` of each trace record); raises
+    Stagnation if the residual stops decreasing (reduction below 1e-3
+    over 50 iterations). Both
     methods return a `VAVSolution` whose residual sup is below `tol`.
     """
     if method not in ("newton", "fixed_point"):

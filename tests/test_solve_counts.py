@@ -9,6 +9,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import vortexlab._linalg
+import vortexlab.kernels
 import vortexlab.tw
 import vortexlab.vav
 
@@ -45,6 +46,8 @@ def test_counts_are_deterministic_and_consistent(tmp_path):
     for key in SPLIT:
         assert first["tw"][key] + first["vav"][key] == first[key] and first["vav"][key] > 0
     assert first["tw"]["point_calls"] >= first["tw"]["newton_iters"] + 2 * 12
+    # the vav Newton polish shifts the means of its starts
+    assert 0 < first["shift_calls"] <= first["shift_tanh"]
     second = _counts("--against", str(fields))
     assert second.pop("max_field_delta") == 0.0
     assert second == first
@@ -56,6 +59,10 @@ def test_fixed_point_counts_are_deterministic(tmp_path):
     fields = tmp_path / "fields.f64"
     first = _counts("--fields", str(fields), inputs=FIXED_POINT_ARGS)
     assert first["solves"] > 0 and first["failures"] == 0 and first["fp_iters"] > 0
+    # two constraint shifts per iteration and two at the start, each with
+    # at least one tanh
+    assert first["shift_calls"] == 2 * first["fp_iters"] + 2 * first["solves"]
+    assert first["shift_tanh"] >= first["shift_calls"]
     second = _counts("--against", str(fields), inputs=FIXED_POINT_ARGS)
     assert second.pop("max_field_delta") == 0.0
     assert second == first
@@ -78,6 +85,7 @@ def test_sweep_counts_are_deterministic_and_consistent(monkeypatch):
     for key in SPLIT:
         assert first["tw"][key] + first["vav"][key] == first[key]
     assert first["vav"]["newton_iters"] == 0
+    assert first["shift_calls"] == first["shift_tanh"] == 0
     # a second run gives the same counts; as `vortexlab sweep` does, an
     # input's first solve starts from zeros and each later one from the U and
     # V of the solve before it
@@ -111,6 +119,7 @@ def test_a_point_both_models_share_is_counted_once(monkeypatch):
     # solves' own traces imply are the counted ones.
     tool = _tool(monkeypatch)
     point = vortexlab._linalg.NewtonWork.point
+    shift = vortexlab.vav._shift
     owners = tool._point_owners(SimpleNamespace(tw=vortexlab.tw, vav=vortexlab.vav))
     assert owners == [vortexlab._linalg.NewtonWork]
     solves = []
@@ -130,3 +139,24 @@ def test_a_point_both_models_share_is_counted_once(monkeypatch):
     # and the wrapped names are put back
     assert vortexlab._linalg.NewtonWork.point is point
     assert vortexlab.vav.pcg_pair is vortexlab._linalg.pcg_pair
+    assert vortexlab.vav.f_half is vortexlab.kernels.f_half
+    assert vortexlab.vav._shift is shift
+
+
+def test_only_the_tanh_taken_inside_a_shift_is_counted(monkeypatch):
+    # The fixed point's convergence check takes fu and fv outside any
+    # shift, two tanh per check, at least one check per solve; counting
+    # every vav.f_half call would count those too.
+    tool = _tool(monkeypatch)
+    f_half = vortexlab.vav.f_half
+    calls = []
+
+    def recorded(x):
+        calls.append(1)
+        return f_half(x)
+
+    monkeypatch.setattr(vortexlab.vav, "f_half", recorded)
+    counts = tool.count(str(ROOT / "src"), "fixedpoint-128", 1, grid=16)
+    assert counts == _counts(inputs=FIXED_POINT_ARGS)
+    assert len(calls) >= counts["shift_tanh"] + 2 * counts["solves"]
+    assert vortexlab.vav.f_half is recorded

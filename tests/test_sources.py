@@ -12,6 +12,8 @@ from vortexlab import (
     laplacian,
     mean,
     mollified_delta,
+    tw_problem,
+    vav_problem,
 )
 
 
@@ -94,6 +96,19 @@ def test_mollified_delta_rejects_a_width_over_the_torus_side(geom):
     narrow = TorusGeometry(8.0, 2.0, 32, 32)
     with pytest.raises(ConfigurationError, match="over the torus side"):
         mollified_delta(narrow, (1.0, 1.0), 3.0)
+
+
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), True])
+def test_a_width_that_is_not_a_finite_number_is_refused(width):
+    # a NaN kappa used to escape from the image sum as a bare ValueError,
+    # and a bool kappa was taken as 1
+    geom = TorusGeometry(4.0, 4.0, 16, 16)
+    cfg = VortexConfiguration(zeros_q=[(1.0, 1.0, 1)])
+    for build in (tw_problem, vav_problem):
+        with pytest.raises(ConfigurationError, match="kappa must be a finite number"):
+            build(geom, cfg, kappa=width)
+    with pytest.raises(ConfigurationError, match="sigma must be a finite number"):
+        mollified_delta(geom, (1.0, 1.0), width)
 
 
 def test_background_empty_is_zero(geom):

@@ -625,11 +625,13 @@ def test_fixed_point_stagnation_is_detected(monkeypatch):
     assert len(exc.value.trace) > 50
 
 
-def test_fixed_point_at_the_weighted_bound():
+def test_fixed_point_at_the_weighted_bound(monkeypatch):
     # One q-zero and one p-zero force a = -2 pi/|S| and b = -3 pi/|S|, so
     # the square torus of area 3 pi/(1 - eps) leaves the margin 1 - |b| = eps.
-    # Towards the bound the coupled step takes no more iterations, and the
-    # fixed point stays within criterion 13's 1e-5 of Newton.
+    # Towards the bound the coupled step takes no more iterations, the
+    # fixed point stays within 1e-6 of Newton, and its carried Laplacians
+    # stay exact: one lap_pair starts the carry and one checks the fields.
+    calls = _counted_lap_pairs(monkeypatch)
     iterations = []
     for eps in (1e-2, 1e-4, 1e-6, 1e-8):
         L = np.sqrt(3 * PI / (1 - eps))
@@ -639,13 +641,15 @@ def test_fixed_point_at_the_weighted_bound():
         problem = vav_problem(TorusGeometry(L, L, 64, 64), cfg)
         assert 1.0 - abs(problem.b) == pytest.approx(eps, rel=1e-6)
         newton = solve_vav(problem)
+        calls.clear()
         picard = solve_vav(problem, method="fixed_point")
+        assert len(calls) == 2
         iterations.append(picard.iterations)
         diff = max(
             np.abs(newton.U.values - picard.U.values).max(),
             np.abs(newton.V.values - picard.V.values).max(),
         )
-        assert picard.final_residual < 1e-8 and diff < 1e-5
+        assert picard.final_residual < 1e-8 and diff < 1e-6
     assert iterations == sorted(iterations, reverse=True)
 
 
@@ -768,6 +772,11 @@ def _wrong_first_laplacians(monkeypatch, error):
     return calls
 
 
+def _counted_lap_pairs(monkeypatch):
+    """Count the TorusGeometry.lap_pair calls, changing none."""
+    return _wrong_first_laplacians(monkeypatch, lambda l1, l2: (l1, l2))
+
+
 @pytest.mark.parametrize("sources", ["balanced", "unbalanced"])
 def test_fixed_point_recovers_from_a_wrong_carried_laplacian(sources, monkeypatch):
     problem = _fp_problem(sources)
@@ -780,6 +789,44 @@ def test_fixed_point_recovers_from_a_wrong_carried_laplacian(sources, monkeypatc
         return
     assert _residual_sup(sol, problem) < 1e-8
     assert sol.final_residual == _residual_sup(sol, problem)
+
+
+@pytest.mark.parametrize("sources", ["balanced", "unbalanced"])
+def test_a_clean_fixed_point_solve_transforms_twice(sources, monkeypatch):
+    # The carried Laplacians take each step at its length exactly, so the
+    # check at the fields returned does not miss: one lap_pair starts the
+    # carry and one checks. Each record holds the step length that led to
+    # its iterate, 0.0 at the start.
+    problem = _fp_problem(sources)
+    calls = _counted_lap_pairs(monkeypatch)
+    sol = solve_vav(problem, method="fixed_point")
+    assert len(calls) == 2
+    assert sol.iterations > 0 and sol.trace[0]["step"] == 0.0
+    assert all(0.0 < e["step"] < np.inf for e in sol.trace[1:])
+
+
+def test_fixed_point_shifts_start_from_their_prediction(monkeypatch):
+    # Each shift starts from its last value moved by the first-order change
+    # the step makes to the integral of tanh. From the third prediction of
+    # each shift on, that start is at least ten times closer to the root
+    # than the last value, whose error is first order in the step.
+    calls = []
+
+    def recorded(base, target, geom, guess=0.0):
+        c, t = _shift(base, target, geom, guess)
+        calls.append((target, guess, c))
+        return c, t
+
+    monkeypatch.setattr(vortexlab.vav, "_shift", recorded)
+    sol = solve_vav(_fp_problem("unbalanced"), method="fixed_point")
+    assert sol.iterations > 5
+    targets = {t for t, _, _ in calls}  # c1's and c2's, which differ here
+    assert len(targets) == 2
+    for target in targets:
+        shift = [(guess, c) for t, guess, c in calls if t == target]
+        assert len(shift) == sol.iterations + 1
+        for (_, last), (guess, c) in list(zip(shift, shift[1:]))[2:]:
+            assert abs(guess - c) <= 0.1 * abs(last - c)
 
 
 def test_fixed_point_iterates_on_after_a_missed_check(monkeypatch):

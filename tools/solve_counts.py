@@ -14,6 +14,10 @@ machine's speed:
 * `point_calls`: calls of the Newton driver's `point` hook of either model,
   wrapped once on each class that defines it, so that a `point` both
   models' `_Work` inherit from one class is counted once a call;
+* `shift_calls` and `shift_tanh`: calls of the `vav` constraint shift, and
+  the grid-wide tanh evaluations made inside them, counted by wrapping
+  `_shift` and `f_half` on the `vav` module, the names the solvers call
+  them by; a tanh taken outside a shift is not counted;
 * `fields_sha256`: SHA-256 of the U and V bytes of every solution, in
   input order; a failed solve adds the bytes b"failed";
 * `tw` and `vav`: `newton_iters`, `cg_iters`, `point_calls` and
@@ -79,12 +83,15 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
     on return."""
     program = workloads.Program(src)
     counts = dict.fromkeys(
-        ("solves", "failures", "newton_iters", "fp_iters", "cg_iters", "point_calls"), 0
+        ("solves", "failures", "newton_iters", "fp_iters", "cg_iters", "point_calls",
+         "shift_calls", "shift_tanh"),
+        0,
     )
     keys = ("newton_iters", "cg_iters", "point_calls")
     split = {m: dict.fromkeys(keys, 0) for m in ("tw", "vav")}
     digests = {m: hashlib.sha256() for m in ("all", "tw", "vav")}
     model = None  # the model of the solve under way
+    in_shift = False  # whether a constraint shift is under way
 
     def tally(key, n):
         counts[key] += n
@@ -105,8 +112,29 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
 
         return wrapped
 
+    def counted_shift(shift):
+        def wrapped(*args, **kwargs):
+            nonlocal in_shift
+            counts["shift_calls"] += 1
+            in_shift = True
+            try:
+                return shift(*args, **kwargs)
+            finally:
+                in_shift = False
+
+        return wrapped
+
+    def counted_tanh(f_half):
+        def wrapped(*args, **kwargs):
+            if in_shift:
+                counts["shift_tanh"] += 1
+            return f_half(*args, **kwargs)
+
+        return wrapped
+
     wrappers = [(module, "pcg_pair", counted_pcg) for module in (program.tw, program.vav)]
     wrappers += [(owner, "point", counted_point) for owner in _point_owners(program)]
+    wrappers += [(program.vav, "_shift", counted_shift), (program.vav, "f_half", counted_tanh)]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
     for owner, name, wrap in wrappers:
         setattr(owner, name, wrap(vars(owner)[name]))
