@@ -1,5 +1,5 @@
-"""Preconditioned conjugate gradients and the damped-Newton driver, on
-pairs of grid arrays.
+"""Preconditioned conjugate gradients and the two solve drivers, damped
+Newton and the constrained fixed point, on pairs of grid arrays.
 
 Both models are solved as the minimisation of one convex functional of a
 pair (f, h), with u = b1 + f and v = b2 + (h - f)/2 over the model's
@@ -10,23 +10,25 @@ backgrounds,
 
 where Phi' = -phi for the model's kernel phi. Its Hessian is
 -Lap + [[w1 + w2, -w2], [-w2, w2]] with w = (-4 phi'(u), -phi'(v)). The
-driver's hooks are written here once, from the kernel a model supplies
+drivers' hooks are written here once, from the kernel a model supplies
 (`NewtonWork`), and so is the Newton system: the operator acts on the
 pair's packed spectrum (see `surface`), where -Lap is mode by mode and the
 weights need one transform pair, and CG is preconditioned with its exact
 inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
-10, 1973), which is pointwise there (`newton_operator`). Both solvers run
-the same outer loop, `newton_solve`, which takes the start and returns the
-solution as (U, V) = (f, (h - f)/2). Everything here works on raw arrays,
-but for the record a solve of either model returns, `Solution`, which
-`NewtonWork.solution` builds from them.
+10, 1973), which is pointwise there (`newton_operator`). Newton,
+`newton_solve`, takes the start and returns the solution as
+(U, V) = (f, (h - f)/2); the fixed point, `fixed_point_solve`, iterates on
+the curvature-form system in (U, V) itself, for a model whose work gives
+`shift_kernel`. Everything here works on raw arrays, but for the record a
+solve of either model returns, `Solution`, which `NewtonWork.solution`
+builds from them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedIterate, MaxIterExceeded
+from .errors import DivergedIterate, MaxIterExceeded, Stagnation
 from .kernels import EXP_CAP
 from .sources import forced
 from .surface import ScalarField, bounded_means, pack_pair, unpack_pair
@@ -133,14 +135,16 @@ class Solution:
 
 
 class NewtonWork:
-    """The hooks of `newton_solve` for one problem with backgrounds (b1, b2),
+    """The hooks of both drivers for one problem with backgrounds (b1, b2),
     from the kernel of the model that subclasses it: `kernel(x)`, its grid
     values t at x and their clamp count; `phi(t)`, as a new array;
     `weight(t)` = -phi'(x); `bulk(x, t)` = Phi(x); `shift(x, t, target)`,
-    the c whose kernel values at x + c integrate to target; and `scale`, the
-    s of the quantized integrals. `pinned`, `k` and `targets` are the p, k
-    and t of what the counts force (`sources.forced`); alpha = k1 and
-    beta = 2*p2/|S| are I's linear coefficients."""
+    the c whose kernel values at x + c integrate to target, and for the fixed
+    point `shift_kernel(x, target, guess)`, that c from `guess` with the
+    kernel values at x + c; `methods`; and `scale`, the s of the quantized
+    integrals. `pinned`, `k` and `targets` are the p, k and t of what the
+    counts force (`sources.forced`); alpha = k1 and beta = 2*p2/|S| are I's
+    linear coefficients."""
 
     def __init__(self, problem, b1, b2):
         geom = self.geom = problem.geometry
@@ -198,6 +202,12 @@ class NewtonWork:
         c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.targets[1])
         return f + c1, h + (c1 + 2.0 * c2)
 
+    def rhs(self, t1, t2):
+        """The curvature-form right-hand sides from the kernel's values."""
+        p1, ftilde = self.phi(t1), self.phi(t2)
+        ftilde -= p1
+        return curvature_rhs(p1, ftilde, *self.k)
+
     def solution(self, cls, U, V, iterations, final_residual, trace, method, **own):
         """The record `cls`, a `Solution`, of the remainders (U, V) with
         u = b1 + U and v = b2 + V; `own` holds the model's own fields."""
@@ -224,6 +234,15 @@ def newton_operator(geom, w1, w2):
 
     m1, m2 = bounded_means(w1, w2)
     return apply_op, geom.elliptic_inverse_packed(((m1 + m2, -m2), (-m2, m2)))
+
+
+def _check_budget(it, max_iter, sup, tol, trace):
+    """The exit both drivers share: MaxIterExceeded once `it` reaches max_iter."""
+    if it >= max_iter:
+        raise MaxIterExceeded(
+            f"no convergence in {max_iter} iterations (residual sup {sup:.3e}, tol {tol:.1e})",
+            trace,
+        )
 
 
 def newton_solve(work, U, V, tol, max_iter, pcg):
@@ -268,12 +287,7 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         trace.append({"iter": it, **record, "step": step, "kind": kind})
         if sup < tol and mean_defect <= MEAN_TOL:
             return x1, 0.5 * (x2 - x1), it, sup, merit, trace
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"no convergence in {max_iter} iterations "
-                f"(residual sup {sup:.3e}, tol {tol:.1e})",
-                trace,
-            )
+        _check_budget(it, max_iter, sup, tol, trace)
         it += 1
         if sup < tol:
             x1, x2 = work.polish(state)
@@ -312,3 +326,108 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
             raise DivergedIterate("line search failed to find descent", trace)
         x1, x2 = y1, y2
         step = t
+
+
+def fixed_point_solve(work, U, V, tol, max_iter):
+    """The constrained fixed point in (U, V) by the hooks on `work`, on the
+    start (U, V) in place. The means are carried by the shifts c1, c2
+    (`shift_kernel`), which hold the integral constraints at every iterate,
+    and the mean-free parts take one coupled frozen mean-coefficient step:
+    with r = rhs - Lap the residual of both equations, d solves
+    (Lap - J) d = r - mean(r) mode by mode (`solve_pair_projected`), where
+    J = ((4w1, -2w2), (-2w1, 2w2)) is the Jacobian of the right-hand sides
+    with the weights W = -phi' frozen at their grid means w, the idea of
+    `newton_operator`'s preconditioner. The fields move by omega d, omega =
+    <r, a>/<a, a> the minimal-residual length (Saad, Iterative Methods for
+    Sparse Linear Systems, 2nd ed., 2003, sec. 5.3.2) for
+    a = (r - mean(r)) - (J(x) - J) d, J(x) the pointwise Jacobian, or 1 where
+    that is no finite positive number. Each iteration takes two shifts, c2
+    at the iterate and c1 after the step, each from its first-order
+    prediction, and reads the kernel values they hand back. One lap_pair
+    starts Lap(U) and Lap(V), which are carried as
+    l <- rhs - (1 - omega) r - omega mean(r) + J omega d, exact since
+    (Lap - J) d = r - mean(r); an error in a carried l stays as it is.
+    Convergence is decided on the residual at the fields returned, from a
+    true lap_pair, and on a miss the loop goes on from true Laplacians. Not
+    proved to converge: Stagnation when the residual falls by less than 1e-3
+    over 50 iterations. Returns (U + c1, V + c2, it, sup, (c1, c2), trace).
+    The kernel and the shift are reached only through the hooks, which call
+    them by their names on the model module, where a traced run wraps them.
+    """
+    geom = work.geom
+    (target1, target2), shift = work.targets, work.shift_kernel
+    U -= U.mean()
+    V -= V.mean()
+    trace = []
+    it = 0
+    omega = 0.0  # the step length that led to the iterate
+    c1, t1 = shift(work.b1 + U, target1, 0.0)
+    c2 = 0.0
+    # Lap(U) and Lap(V), carried; the residuals rhs - l are written over
+    # them, which keeps two grid arrays fewer alive
+    l1, l2 = geom.lap_pair(U, V)
+    while True:
+        c2, t2 = shift(work.b2 + V, target2, c2)
+        rhs1, rhs2 = work.rhs(t1, t2)
+        r1, r2 = np.subtract(rhs1, l1, out=l1), np.subtract(rhs2, l2, out=l2)
+        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
+        if r_sup < tol:
+            fields = U + c1, V + c2
+            t = (work.kernel(b + x)[0] for b, x in zip((work.b1, work.b2), fields))
+            true = zip(geom.lap_pair(*fields), work.rhs(*t))
+            r_sup = max(float(np.abs(l - r).max()) for l, r in true)
+            if r_sup >= tol:
+                l1, l2 = geom.lap_pair(U, V)
+                r1, r2 = rhs1 - l1, rhs2 - l2
+        trace.append({"iter": it, "resid_sup": r_sup, "step": omega, "c1": c1, "c2": c2})
+        if r_sup < tol:
+            return *fields, it, r_sup, (c1, c2), trace
+        if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
+            raise Stagnation(
+                f"fixed-point residual stuck near {r_sup:.3e} after {it} "
+                "iterations; the iteration is not contracting here",
+                trace,
+            )
+        _check_budget(it, max_iter, r_sup, tol, trace)
+        W1, W2 = work.weight(t1), work.weight(t2)
+        del t1, t2  # W takes their memory; the next shifts give them again
+        w1, w2 = float(W1.mean()), float(W2.mean())
+        J = ((4.0 * w1, -2.0 * w2), (-2.0 * w1, 2.0 * w2))
+        d1, d2 = geom.solve_pair_projected(r1, r2, J)
+        m1, m2 = r1.mean(), r2.mean()
+        # a in place, from (W - w) d written over W: at 128^2 a grid temporary
+        # costs about a pass of arithmetic. The sums are pairwise, whatever r's layout.
+        W1 -= w1
+        W1 *= d1
+        W2 -= w2
+        W2 *= d2
+        a1 = r1 - m1
+        a1 -= 4.0 * W1
+        a1 += 2.0 * W2
+        a2 = r2 - m2
+        a2 += 2.0 * W1
+        a2 -= 2.0 * W2
+        ra = float((r1 * a1).sum() + (r2 * a2).sum())
+        aa = float((a1 * a1).sum() + (a2 * a2).sum())
+        omega = ra / aa if aa > 0.0 else 0.0
+        omega = omega if 0.0 < omega < np.inf else 1.0
+        d1 *= omega
+        d2 *= omega
+        U += d1
+        V += d2
+        # dt/dx is proportional to W for both kernels: the step moves quad(t)
+        # by omega sum(W d) = omega sum((W - w) d), d being mean-free, and a
+        # shift c by c sum(W), in the same proportion; each shift's prediction
+        # takes the step's change back
+        c1 -= omega * float(W1.mean()) / w1
+        c2 -= omega * float(W2.mean()) / w2
+        del W1, W2, a1, a2  # the shifts and the next transform, where memory peaks, need none
+        l1, l2 = rhs1, rhs2
+        for l, r, m, (j1, j2) in ((l1, r1, m1, J[0]), (l2, r2, m2, J[1])):
+            l -= (1.0 - omega) * r
+            l -= omega * m
+            l += j1 * d1
+            l += j2 * d2
+        del d1, d2
+        c1, t1 = shift(work.b1 + U, target1, c1)
+        it += 1

@@ -70,7 +70,7 @@ Model = namedtuple("Model", "tag methods admissibility phi scale flux_keys energ
 
 TW = Model(
     tag="tw",
-    methods=("newton",),
+    methods=tw._Work.methods,
     admissibility=tw_admissibility,
     phi=tw.phi,
     scale=tw._Work.scale,
@@ -81,7 +81,7 @@ TW = Model(
 
 VAV = Model(
     tag="vav",
-    methods=("newton", "fixed_point"),
+    methods=vav._Work.methods,
     admissibility=vav_admissibility,
     phi=vav.phi,
     scale=vav._Work.scale,

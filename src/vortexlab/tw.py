@@ -39,6 +39,8 @@ from .surface import (
     start_pair,
 )
 
+_METHODS = ("newton",)
+
 
 def tw_admissibility(config: VortexConfiguration, geom: TorusGeometry) -> Admissibility:
     """The Bradlow bound: constants and margins (a1, a2), the integrals of
@@ -97,6 +99,7 @@ class _Work(NewtonWork):
     value t = e^x, clamped at EXP_CAP: phi = 1 - t, -phi' = t and
     Phi = e^x - x."""
 
+    methods = _METHODS
     scale = 1.0  # the s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
 
     def __init__(self, problem: TWProblem):
@@ -198,7 +201,7 @@ def solve_tw(
     start (U, V), as a solution holds it; Newton runs from its polish, so
     its means cost no iterations. `max_iter` None is the default, 50.
     """
-    if method != "newton":
+    if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
     geom = problem.geometry

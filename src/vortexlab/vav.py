@@ -23,48 +23,15 @@ w2 = 1 - F2^2, F = tanh(s/2) at s = u, v. Newton is affine covariant: in
 exact arithmetic its iterates are those of Newton on J in (U, V), but for
 the line search's near-minimum slack, which is relative to I.
 
-The alternative is a fixed-point iteration in (U, V): the means are carried
-by explicit shifts c1, c2 chosen so the integral constraints hold at every
-iterate, and the mean-zero parts take one coupled frozen mean-coefficient
-step: with r = rhs - Lap the residual of both equations, d solves
-(Lap - J) d = r - mean(r), where J = ((4wu, -2wv), (-2wu, 2wv)) is the
-Jacobian of the right-hand sides with the weights W = 1 - fu^2 and 1 - fv^2
-frozen at their grid means wu and wv (the constant-coefficient idea of Concus & Golub,
-SIAM J. Numer. Anal. 10, 1973, that `_linalg` uses to precondition CG). The
-fields move by omega d, omega = <r, a>/<a, a> the minimal-residual length
-(Saad, Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, sec.
-5.3.2) for a = (r - mean(r)) - (J(x) - J) d, J(x) the pointwise Jacobian,
-or 1 where that is no finite positive number. It is not proved to
-converge; stagnation is detected and reported. Each iteration solves for
-two shifts: c2 at the current iterate, and c1 after the update. Each shift
-root find is a safeguarded Newton iteration started from the shift's
-first-order prediction, its last value moved by -omega sum(W d)/sum(W), so
-it takes about two grid-wide tanh evaluations, and hands back its last
-one, the fu or fv of the iterate.
-
-The fixed-point loop transforms only for its step, one real transform pair
-per component (`TorusGeometry.solve_pair_projected`, which solves the 2x2
-system mode by mode). It carries Lap(U) and Lap(V) through the updates,
-l <- rhs - (1 - omega) r - omega mean(r) + J omega d, which is exact since
-(Lap - J) d = r - mean(r) mode by mode, and reads its residual from them.
-An error in a carried l stays as it is; the final check catches it. One
-lap_pair starts the carry. Convergence is decided only on the residual of
-the governing system at the fields returned, from a true lap_pair; when
-that misses tol, the loop goes on from the true Laplacians.
+The alternative, method="fixed_point", is `_linalg.fixed_point_solve`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import NewtonWork, Solution, curvature_rhs, newton_solve, pcg_pair
-from .errors import (
-    BracketFailure,
-    ConfigurationError,
-    Inadmissible,
-    MaxIterExceeded,
-    Stagnation,
-)
+from ._linalg import NewtonWork, Solution, fixed_point_solve, newton_solve, pcg_pair
+from .errors import BracketFailure, ConfigurationError, Inadmissible
 from .kernels import df_half, f_half
 from .sources import (
     Admissibility,
@@ -92,6 +59,7 @@ _QUAD_ROUNDING = 4.0 * np.finfo(float).eps
 _SHIFT_BRACKET = 700.0
 # caps the shift loop; bisection alone narrows (-700, 700) below 1e-12 in 51 steps
 _SHIFT_STEPS = 100
+_METHODS = ("newton", "fixed_point")
 
 
 def f_fun(s1, s2, t):
@@ -224,10 +192,12 @@ def constraint_shift(
 
 
 class _Work(NewtonWork):
-    """The Newton driver's hooks for one problem, from the kernel's grid
-    value t = tanh(x/2): phi = -2t, -phi' = 1 - t^2 and
-    Phi = 4 log cosh(x/2) = 2|x| - 4 log1p(|t|), which cannot overflow."""
+    """The drivers' hooks for one problem, from the kernel's grid value
+    t = tanh(x/2): phi = -2t, -phi' = 1 - t^2,
+    Phi = 4 log cosh(x/2) = 2|x| - 4 log1p(|t|), which cannot overflow, and
+    `shift_kernel`, the root `_shift`."""
 
+    methods = _METHODS
     scale = 2.0  # the s of the quantized integrals quad(phi(u))/s and quad(phi(v))/s
 
     def __init__(self, problem: VAVProblem):
@@ -250,17 +220,14 @@ class _Work(NewtonWork):
     def bulk(x, t):
         return 2.0 * np.abs(x) - 4.0 * np.log1p(np.abs(t))
 
+    def shift_kernel(self, x, target, guess):
+        return _shift(x, target, self.geom, guess)
+
     def shift(self, x, t, target):
-        """`_shift` of the mean-free x, so that the shift lies in its
+        """`shift_kernel` of the mean-free x, so that the shift lies in its
         bracket, +-700, however far off the mean of x is."""
         m = x.mean()
-        return _shift(x - m, target, self.geom)[0] - m
-
-    def rhs(self, t1, t2):
-        """The curvature-form right-hand sides from the kernel's values."""
-        p1, ftilde = self.phi(t1), self.phi(t2)
-        ftilde -= p1
-        return curvature_rhs(p1, ftilde, *self.k)
+        return self.shift_kernel(x - m, target, 0.0)[0] - m
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
@@ -289,101 +256,6 @@ class VAVSolution(Solution):
     c2: float
 
 
-def _solve_fixed_point(work, tol, max_iter, x0):
-    geom = work.geom
-    target1, target2 = work.targets
-    Up, Vp = start_pair(geom, x0)
-    Up -= Up.mean()
-    Vp -= Vp.mean()
-    trace = []
-    it = 0
-    omega = 0.0  # the step length that led to the iterate
-    # each shift starts from its last value moved by its prediction (below),
-    # and hands back the tanh it took there: fu, fv
-    c1, fu = _shift(work.b1 + Up, target1, geom)
-    c2 = 0.0
-    # Lap(Up) and Lap(Vp), carried through the updates below; the residuals
-    # rhs - l are written over them, which keeps two grid arrays fewer alive
-    l1, l2 = geom.lap_pair(Up, Vp)
-    while True:
-        c2, fv = _shift(work.b2 + Vp, target2, geom, c2)
-        rhs1, rhs2 = work.rhs(fu, fv)
-        r1, r2 = np.subtract(rhs1, l1, out=l1), np.subtract(rhs2, l2, out=l2)
-        r_sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-        if r_sup < tol:
-            # Convergence is decided on the governing system's residual at
-            # the fields returned, from true Laplacians; on a miss the
-            # iteration goes on from those.
-            U, V = Up + c1, Vp + c2
-            true = zip(geom.lap_pair(U, V), work.rhs(f_half(work.b1 + U), f_half(work.b2 + V)))
-            r_sup = max(float(np.abs(l - r).max()) for l, r in true)
-            if r_sup >= tol:
-                l1, l2 = geom.lap_pair(Up, Vp)
-                r1, r2 = rhs1 - l1, rhs2 - l2
-        trace.append({"iter": it, "resid_sup": r_sup, "step": omega, "c1": c1, "c2": c2})
-        if r_sup < tol:
-            return work.solution(VAVSolution, U, V, it, r_sup, trace, "fixed_point", c1=c1, c2=c2)
-        if it >= 50 and r_sup > (1.0 - 1e-3) * trace[it - 50]["resid_sup"]:
-            raise Stagnation(
-                f"fixed-point residual stuck near {r_sup:.3e} after {it} "
-                "iterations; the iteration is not contracting here",
-                trace,
-            )
-        if it >= max_iter:
-            raise MaxIterExceeded(
-                f"no convergence in {max_iter} iterations "
-                f"(residual sup {r_sup:.3e}, tol {tol:.1e})",
-                trace,
-            )
-        # One coupled step: J is the Jacobian of the curvature-form
-        # right-hand sides with the kernel's weights W frozen at their means
-        # wu and wv, and d solves (Lap - J) d = r - m, m = mean(r), mode by mode.
-        Wu, Wv = work.weight(fu), work.weight(fv)
-        del fu, fv  # W takes their memory; the next shifts give them again
-        wu, wv = float(Wu.mean()), float(Wv.mean())
-        J = ((4.0 * wu, -2.0 * wv), (-2.0 * wu, 2.0 * wv))
-        d1, d2 = geom.solve_pair_projected(r1, r2, J)
-        m1, m2 = r1.mean(), r2.mean()
-        # omega minimises |r - omega a| for the linearised change of the
-        # residual a = (r - m) - (J(x) - J) d, J(x) the pointwise Jacobian;
-        # its sums are pairwise, over contiguous products whatever r's layout.
-        # (W - w) d is written over W and a is built in place: at 128^2 a
-        # grid temporary costs about as much as a pass of arithmetic.
-        Wu -= wu
-        Wu *= d1
-        Wv -= wv
-        Wv *= d2
-        a1 = r1 - m1
-        a1 -= 4.0 * Wu
-        a1 += 2.0 * Wv
-        a2 = r2 - m2
-        a2 += 2.0 * Wu
-        a2 -= 2.0 * Wv
-        ra = float((r1 * a1).sum() + (r2 * a2).sum())
-        aa = float((a1 * a1).sum() + (a2 * a2).sum())
-        omega = ra / aa if aa > 0.0 else 0.0
-        omega = omega if 0.0 < omega < np.inf else 1.0
-        d1 *= omega
-        d2 *= omega
-        Up += d1
-        Vp += d2
-        # each shift starts from its first-order prediction: the integral of
-        # tanh moves by omega sum(W d) = omega sum((W - w) d), d being mean-free
-        c1 -= omega * float(Wu.mean()) / wu
-        c2 -= omega * float(Wv.mean()) / wv
-        del Wu, Wv, a1, a2  # the shifts and the next transform, where memory peaks, need none
-        # and the carried Laplacians take the exact step,
-        # l <- rhs - (1 - omega) r - omega m + J (omega d)
-        l1, l2 = rhs1, rhs2
-        for l, r, m, (j1, j2) in ((l1, r1, m1, J[0]), (l2, r2, m2, J[1])):
-            l -= (1.0 - omega) * r
-            l -= omega * m
-            l += j1 * d1
-            l += j2 * d2
-        c1, fu = _shift(work.b1 + Up, target1, geom, c1)
-        it += 1
-
-
 def solve_vav(
     problem: VAVProblem,
     *,
@@ -398,25 +270,26 @@ def solve_vav(
     polish of the start `x0` = (U, V) (zeros by default), in the variables
     (U, U + 2V), with the inner system solved by preconditioned CG and a
     line search on the convex functional 8J. method="fixed_point": the
-    constrained iteration, both components taking one coupled
-    mean-coefficient step omega d, d = (Lap - J)^-1 (r - mean(r)) on their
-    residual r, with J the Jacobian of the right-hand sides at the
-    linearised weights' grid means and omega the minimal-residual length
-    of the linearisation (the `step` of each trace record); raises
-    Stagnation if the residual stops decreasing (reduction below 1e-3
-    over 50 iterations). Both
-    methods return a `VAVSolution` whose residual sup is below `tol`.
+    constrained iteration of `_linalg.fixed_point_solve`, whose trace
+    records give each step length as `step`; it raises Stagnation if the
+    residual stops decreasing (reduction below 1e-3 over 50 iterations).
+    Both methods return a `VAVSolution` whose residual sup is below `tol`.
     """
-    if method not in ("newton", "fixed_point"):
+    if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
     work = _Work(problem)
+    U, V = start_pair(work.geom, x0)
     if method == "newton":
         U, V, it, r_sup, _, trace = newton_solve(
-            work, *start_pair(work.geom, x0), tol, 50 if max_iter is None else max_iter, pcg_pair
+            work, U, V, tol, 50 if max_iter is None else max_iter, pcg_pair
         )
-        return work.solution(VAVSolution, U, V, it, r_sup, trace, method, c1=0.0, c2=0.0)
-    return _solve_fixed_point(work, tol, 2000 if max_iter is None else max_iter, x0)
+        c1 = c2 = 0.0
+    else:
+        U, V, it, r_sup, (c1, c2), trace = fixed_point_solve(
+            work, U, V, tol, 2000 if max_iter is None else max_iter
+        )
+    return work.solution(VAVSolution, U, V, it, r_sup, trace, method, c1=c1, c2=c2)
 
 
 def phi(x):
