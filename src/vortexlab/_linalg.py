@@ -138,7 +138,7 @@ class NewtonWork:
     """The hooks of both drivers for one problem with backgrounds (b1, b2),
     from the kernel of the model that subclasses it: `kernel(x)`, its grid
     values t at x and their clamp count; `phi(t)`, as a new array;
-    `weight(t)` = -phi'(x); `bulk(x, t)` = Phi(x); `shift(x, t, target)`,
+    `weight(t)` = -phi'(x); `bulk(x, t)` = Phi(x); `shift(x, target)`,
     the c whose kernel values at x + c integrate to target, and for the fixed
     point `shift_kernel(x, target, guess)`, that c from `guess` with the
     kernel values at x + c; `methods`; and `scale`, the s of the quantized
@@ -193,13 +193,12 @@ class NewtonWork:
         """The Hessian's weights w1 = -4 phi'(u) and w2 = -phi'(v)."""
         return 4.0 * self.weight(state[2]), self.weight(state[3])
 
-    def polish(self, state):
+    def polish(self, f, h):
         """I's minimiser over the constant modes: f + c1 and h + c1 + 2*c2,
         with the model's shifts c1 for U = f and c2 for V = (h - f)/2, which
         bring quad(phi(u)) and quad(phi(v)) to their pinned values."""
-        f, h, t1, t2 = state[:4]
-        c1 = self.shift(self.b1 + f, t1, self.targets[0])
-        c2 = self.shift(self.b2 + 0.5 * (h - f), t2, self.targets[1])
+        c1 = self.shift(self.b1 + f, self.targets[0])
+        c2 = self.shift(self.b2 + 0.5 * (h - f), self.targets[1])
         return f + c1, h + (c1 + 2.0 * c2)
 
     def rhs(self, t1, t2):
@@ -280,7 +279,7 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         if n_clip:
             raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
         if kind == "start":
-            x1, x2 = work.polish(state)
+            x1, x2 = work.polish(x1, x2)
             kind = "init"
             point = work.point(x1, x2)
             continue
@@ -290,7 +289,7 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         _check_budget(it, max_iter, sup, tol, trace)
         it += 1
         if sup < tol:
-            x1, x2 = work.polish(state)
+            x1, x2 = work.polish(x1, x2)
             step = 0.0
             kind = "polish"
             point = work.point(x1, x2)
@@ -341,9 +340,9 @@ def fixed_point_solve(work, U, V, tol, max_iter):
     <r, a>/<a, a> the minimal-residual length (Saad, Iterative Methods for
     Sparse Linear Systems, 2nd ed., 2003, sec. 5.3.2) for
     a = (r - mean(r)) - (J(x) - J) d, J(x) the pointwise Jacobian, or 1 where
-    that is no finite positive number. Each iteration takes two shifts, c2
-    at the iterate and c1 after the step, each from its first-order
-    prediction, and reads the kernel values they hand back. One lap_pair
+    that is no finite positive number. Each iteration takes both shifts at
+    the iterate, c1 and then c2, each from its first-order prediction (0 at
+    the start), and reads the kernel values they hand back. One lap_pair
     starts Lap(U) and Lap(V), which are carried as
     l <- rhs - (1 - omega) r - omega mean(r) + J omega d, exact since
     (Lap - J) d = r - mean(r); an error in a carried l stays as it is.
@@ -361,12 +360,12 @@ def fixed_point_solve(work, U, V, tol, max_iter):
     trace = []
     it = 0
     omega = 0.0  # the step length that led to the iterate
-    c1, t1 = shift(work.b1 + U, target1, 0.0)
-    c2 = 0.0
+    c1 = c2 = 0.0
     # Lap(U) and Lap(V), carried; the residuals rhs - l are written over
     # them, which keeps two grid arrays fewer alive
     l1, l2 = geom.lap_pair(U, V)
     while True:
+        c1, t1 = shift(work.b1 + U, target1, c1)
         c2, t2 = shift(work.b2 + V, target2, c2)
         rhs1, rhs2 = work.rhs(t1, t2)
         r1, r2 = np.subtract(rhs1, l1, out=l1), np.subtract(rhs2, l2, out=l2)
@@ -429,5 +428,4 @@ def fixed_point_solve(work, U, V, tol, max_iter):
             l += j1 * d1
             l += j2 * d2
         del d1, d2
-        c1, t1 = shift(work.b1 + U, target1, c1)
         it += 1

@@ -42,7 +42,7 @@ def _entry_points(tag):
     """The model's problem builder, solver and report builder. They are read
     from this module's globals at each call because a traced benchmark run
     wraps these names here; this lookup and the `report_*` aliases go when it
-    stops wrapping names (ROADMAP item 2)."""
+    stops wrapping names (ROADMAP item 5 Part B)."""
     return {
         "tw": (tw_problem, solve_tw, report_tw),
         "vav": (vav_problem, solve_vav, report_vav),
@@ -461,12 +461,13 @@ def cmd_solve(config_path, out_dir):
 
 def cmd_sweep(config_path, lengths, out_dir):
     cfg = RunConfig(_load_json(config_path))
+    geoms = [TorusGeometry(L, L, cfg.n1, cfg.n2) for L in lengths]  # checked before any solve
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     x0 = None  # the (U, V) of the last solved row, where the next solve starts
-    for L in lengths:
-        geom = TorusGeometry(L, L, cfg.n1, cfg.n2)
+    for geom in geoms:
+        L = geom.L1
         # keep fractional source coordinates fixed while the torus scales
         scaled = {
             name: [(x * L / cfg.L1, y * L / cfg.L2, m) for x, y, m in entries]

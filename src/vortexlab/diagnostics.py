@@ -239,7 +239,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
 # flux_report_* are public names. report_* exist because the traced benchmark
 # run wraps `cli.report_tw` and `cli.report_vav` by name; they go when it
-# stops wrapping names (ROADMAP item 2). The benchmark's check also reads
+# stops wrapping names (ROADMAP item 5 Part B). The benchmark's check also reads
 # `tw_quantized_integrals` here.
 flux_report_tw = flux_report_vav = flux_report
 report_tw = report_vav = build_report

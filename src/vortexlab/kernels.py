@@ -1,10 +1,10 @@
 """Shared pointwise kernels for the solvers.
 
-Both solvers spend their non-FFT time in the same three grid operations:
-a clamped exponential with an overflow count, tanh(x/2), and its
-derivative. numpy's vectorized transcendentals already run these at SIMD
-speed (a compiled scalar-loop extension was measured 2-4x slower and was
-dropped), so the implementations below are the fast path.
+The solvers' pointwise kernels: a clamped exponential with an overflow count
+(`tw`) and tanh(x/2) (`vav`); its derivative `df_half` serves `vav.f_fun_t`
+and the traced benchmark run's name table. numpy's vectorized transcendentals
+run these at SIMD speed (a compiled scalar-loop extension was measured 2-4x
+slower and was dropped), so the implementations below are the fast path.
 """
 
 import numpy as np

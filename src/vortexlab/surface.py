@@ -202,9 +202,9 @@ class TorusGeometry:
         return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
     def inv_lap_projected(self, a):
-        """inv_lap without the mean check, for right-hand sides zero-mean by
-        construction up to rounding: d mean-zero with Lap(d) = a - mean(a),
-        as the symbol is 0 on the zero mode."""
+        """inv_lap without the mean check: d mean-zero with Lap(d) = a - mean(a),
+        as the symbol is 0 on the zero mode. No solver calls it; it stays
+        because the traced benchmark run wraps it by name."""
         return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
     def inv_lap_pair_projected(self, a, b):

@@ -121,17 +121,13 @@ class _Work(NewtonWork):
     def bulk(x, t):
         return t - x
 
-    def shift(self, x, t, target):
-        """log(target/quad(t)), which scales e^x by target/quad(t). Where
-        that ratio is not a finite positive number, as when e^x underflows
-        on the whole grid or to a subnormal integral, it is taken in log
-        form, log(target) - m - log quad(e^(x - m)) with m = max(x)."""
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratio = np.divide(target, self.geom.quad(t))
-        if 0.0 < ratio < np.inf:
-            return np.log(ratio)
+    def shift(self, x, target):
+        """log(target/quad(e^x)), which scales e^x by target/quad(e^x), as
+        log(target) - m - log quad(e^(x - m)), m = max(x), which neither
+        overflows nor underflows (Blanchard, Higham & Higham, IMA J. Numer.
+        Anal. 41, 2021); x - m <= 0 never clamps."""
         m = x.max()
-        return np.log(target) - m - np.log(self.geom.quad(np.exp(x - m)))
+        return np.log(target) - m - np.log(self.geom.quad(clipped_exp(x - m)[0]))
 
 
 def phi(x):

@@ -223,7 +223,7 @@ class _Work(NewtonWork):
     def shift_kernel(self, x, target, guess):
         return _shift(x, target, self.geom, guess)
 
-    def shift(self, x, t, target):
+    def shift(self, x, target):
         """`shift_kernel` of the mean-free x, so that the shift lies in its
         bracket, +-700, however far off the mean of x is."""
         m = x.mean()

@@ -191,6 +191,19 @@ def test_sweep_continues_past_failing_rows(tmp_path):
         assert parts[4] == ""
 
 
+def test_sweep_refuses_a_bad_length_before_any_solve(tmp_path, monkeypatch, capsys):
+    def unreachable(problem, **kwargs):
+        raise AssertionError("a sweep with a bad length solved")
+
+    monkeypatch.setattr(vortexlab.cli, "solve_tw", unreachable)
+    cfg = write_config(tmp_path / "run.json")
+    out = tmp_path / "sw"
+    argv = ["sweep", "--config", str(cfg), "--lengths", "5,6,-1", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("vortexlab: error: side lengths must be positive")
+    assert not out.exists()
+
+
 def _recorded_sweep(tmp_path, monkeypatch, lengths, nonconverged=(), **overrides):
     """Run a tw sweep with the solver in cli's globals recording each call's
     area, start x0 and solution (None when it raised); a row whose area is in

@@ -206,12 +206,26 @@ def test_polish_restores_the_integrals_exactly(mixed):
     f = sol.U.values + 1e-3
     h = sol.U.values + 2.0 * sol.V.values + 1e-3
     assert work.point(f, h)[2] > 1e-2
-    f, h = work.polish(work.point(f, h)[5])
+    f, h = work.polish(f, h)
     assert work.point(f, h)[2] <= MEAN_TOL
 
 
+# The shift alone, one closed form for every offset of the log-field: e^x
+# underflows on the whole grid at -800, integrates to a subnormal at -745
+# and -720, and passes EXP_CAP at 800.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("offset", [-800.0, -745.0, -720.0, 0.0, 400.0, 800.0])
+def test_shift_meets_its_target_at_any_offset(mixed, offset):
+    problem, _ = mixed
+    work = vortexlab.tw._Work(problem)
+    for b, target in zip((work.b1, work.b2), work.targets):
+        x = b + offset
+        c = work.shift(x, target)
+        assert abs(problem.geometry.quad(np.exp(x + c)) - target) <= 1e-12 * target
+
+
 # Starts where e^u or e^v underflows on the whole grid: quad(e) is 0 there,
-# so the polish takes its shifts in log form. With log(a/quad(e)) each of
+# which the polish's log form does not divide by. With log(a/quad(e)) each of
 # these ended at the polished start as "non-finite iterate". From (-720, 0),
 # (-740, 0) and (-745, 0) quad(e^u) is subnormal and a/quad(e^u) overflows,
 # which ended the same way while the polish tested only the integrals.
