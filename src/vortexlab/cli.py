@@ -461,13 +461,14 @@ def cmd_solve(config_path, out_dir):
 
 def cmd_sweep(config_path, lengths, out_dir):
     cfg = RunConfig(_load_json(config_path))
-    geoms = [TorusGeometry(L, L, cfg.n1, cfg.n2) for L in lengths]  # checked before any solve
+    for L in lengths:  # refused before any solve; each holds a grid array, so none is kept
+        TorusGeometry(L, L, cfg.n1, cfg.n2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     x0 = None  # the (U, V) of the last solved row, where the next solve starts
-    for geom in geoms:
-        L = geom.L1
+    for L in lengths:
+        geom = TorusGeometry(L, L, cfg.n1, cfg.n2)
         # keep fractional source coordinates fixed while the torus scales
         scaled = {
             name: [(x * L / cfg.L1, y * L / cfg.L2, m) for x, y, m in entries]

@@ -122,10 +122,9 @@ class _Work(NewtonWork):
         return t - x
 
     def shift(self, x, target):
-        """log(target/quad(e^x)), which scales e^x by target/quad(e^x), as
-        log(target) - m - log quad(e^(x - m)), m = max(x), which neither
-        overflows nor underflows (Blanchard, Higham & Higham, IMA J. Numer.
-        Anal. 41, 2021); x - m <= 0 never clamps."""
+        """log(target/quad(e^x)) as log(target) - m - log quad(e^(x - m)),
+        m = max(x), which neither overflows nor underflows (Blanchard, Higham
+        & Higham, IMA J. Numer. Anal. 41, 2021); x - m <= 0 never clamps."""
         m = x.max()
         return np.log(target) - m - np.log(self.geom.quad(clipped_exp(x - m)[0]))
 
