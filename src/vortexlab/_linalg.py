@@ -24,6 +24,7 @@ solve of either model returns, `Solution`, which `NewtonWork.solution`
 builds from them.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,10 @@ def curvature_rhs(fhat, ftilde, k1, k2):
     return rhs1, rhs2
 
 
+# The Newton driver's state at one pair (f, h) (see `NewtonWork.point`).
+Point = namedtuple("Point", "I sup defect n_clip t1 t2 g1 g2")
+
+
 @dataclass
 class Solution:
     """A converged solve of either model: the smooth remainders (U, V), the
@@ -144,7 +149,7 @@ class NewtonWork:
     kernel values at x + c; `methods`; and `scale`, the s of the quantized
     integrals. `pinned`, `k` and `targets` are the p, k and t of what the
     counts force (`sources.forced`); alpha = k1 and beta = 2*p2/|S| are I's
-    linear coefficients."""
+    linear coefficients. Newton reads a pair only through its `point`."""
 
     def __init__(self, problem, b1, b2):
         geom = self.geom = problem.geometry
@@ -153,10 +158,10 @@ class NewtonWork:
         self.beta = 2.0 * self.pinned[1] / geom.area
 
     def point(self, f, h):
-        """I at (f, h), the sup of the curvature-form residual
+        """The `Point` at (f, h): I, the sup of the curvature-form residual
         r = (-g1, (g1 - g2)/2) for I's gradient g, the larger defect
-        |quad(phi) - pinned|/s, the clamp count, the trace record and the
-        state (f, h, t1, t2, g1, g2). The gradient is -Lap(f, h) +
+        |quad(phi) - pinned|/s, the clamp count, the kernel values t1, t2 at
+        u and v, and g. The gradient is -Lap(f, h) +
         (q1 - q2 + alpha, q2 + beta), q = (-4 phi(u), -2 phi(v)). Two FFT2s:
         one packs (f, h) for the Dirichlet energies and the Laplacians, one
         unpacks the Laplacians."""
@@ -186,12 +191,11 @@ class NewtonWork:
             g2 = q2 - lh
             g2 += self.beta
         r_sup = max(float(np.abs(g1).max()), 0.5 * float(np.abs(g1 - g2).max()))
-        record = {"I": i_val, "resid_sup": r_sup}
-        return i_val, r_sup, defect, n_clip + n, record, (f, h, t1, t2, g1, g2)
+        return Point(i_val, r_sup, defect, n_clip + n, t1, t2, g1, g2)
 
-    def weights(self, state):
-        """The Hessian's weights w1 = -4 phi'(u) and w2 = -phi'(v)."""
-        return 4.0 * self.weight(state[2]), self.weight(state[3])
+    def weights(self, point):
+        """The Hessian's weights w1 = -4 phi'(u) and w2 = -phi'(v) at a `Point`."""
+        return 4.0 * self.weight(point.t1), self.weight(point.t2)
 
     def polish(self, f, h):
         """I's minimiser over the constant modes: f + c1 and h + c1 + 2*c2,
@@ -249,22 +253,22 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     from the polish of the start (U, V) in the variables
     (x1, x2) = (f, h) = (U, U + 2V).
 
-    The polished start is the "init" point, which is not counted as an
-    iteration. The Newton direction d solves the `newton_operator` system
-    with right-hand side -g by `pcg`, with relative tolerance
-    min(0.1, sqrt(sup)). A slope quad(g.d) that is not a finite negative
-    number gives way to the preconditioned gradient, kind "gradient". The
-    first trial y = x + t*d, t = 1, 1/2, ..., whose I is at most
-    I(x) + ARMIJO_C*t*slope is the next iterate as it stands (Nocedal &
-    Wright, Numerical Optimization, 2006, ch. 3). Converged means that the
-    residual's sup is below tol and the mean defect at most MEAN_TOL; with
-    only the sup below tol, the polish step is taken. DivergedIterate is
-    raised here, before the iterate's trace record: at a non-finite I or
-    sup, at the first point but a refused trial with clamped exponent
-    arguments, and when the line search finds no descent. It returns (U,
-    V, iterations, sup, I, trace), V = (h - f)/2. The models pass
-    `pcg_pair`, and call the kernels, by their names on the model modules,
-    where a traced run wraps them.
+    Each iterate's `Point` gives its trace record {iter, I, resid_sup, step,
+    kind}; the polished start, "init", is no iteration. The Newton direction
+    d solves the `newton_operator` system with right-hand side -g by `pcg`,
+    with relative tolerance min(0.1, sqrt(sup)). A slope quad(g.d) that is
+    not a finite negative number gives way to the preconditioned gradient,
+    kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ..., whose I
+    is at most I(x) + ARMIJO_C*t*slope is the next iterate as it stands
+    (Nocedal & Wright, Numerical Optimization, 2006, ch. 3). Converged means
+    that the residual's sup is below tol and the mean defect at most
+    MEAN_TOL; with only the sup below tol, the polish step is taken, as at
+    the start. DivergedIterate is raised before the iterate's trace record:
+    at a non-finite I or sup, or clamped exponent arguments, of an iterate
+    or of the raw start before its polish, not of a refused trial; and when
+    the line search finds no descent. It returns (U, V, iterations, sup, I,
+    trace), V = (h - f)/2. The models pass `pcg_pair`, and call the kernels,
+    by their names on the model modules, where a traced run wraps them.
     """
     trace = []
     it = 0
@@ -273,30 +277,26 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     x1, x2 = U, U + 2.0 * V
     point = work.point(x1, x2)
     while True:
-        merit, sup, mean_defect, n_clip, record, state = point
+        merit, sup, n_clip = point.I, point.sup, point.n_clip
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
         if n_clip:
             raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
-        if kind == "start":
-            x1, x2 = work.polish(x1, x2)
-            kind = "init"
-            point = work.point(x1, x2)
-            continue
-        trace.append({"iter": it, **record, "step": step, "kind": kind})
-        if sup < tol and mean_defect <= MEAN_TOL:
-            return x1, 0.5 * (x2 - x1), it, sup, merit, trace
-        _check_budget(it, max_iter, sup, tol, trace)
-        it += 1
-        if sup < tol:
+        if kind != "start":
+            trace.append({"iter": it, "I": merit, "resid_sup": sup, "step": step, "kind": kind})
+            if sup < tol and point.defect <= MEAN_TOL:
+                return x1, 0.5 * (x2 - x1), it, sup, merit, trace
+            _check_budget(it, max_iter, sup, tol, trace)
+            it += 1
+        if kind == "start" or sup < tol:
             x1, x2 = work.polish(x1, x2)
             step = 0.0
-            kind = "polish"
+            kind = "init" if kind == "start" else "polish"
             point = work.point(x1, x2)
             continue
-        g1, g2 = state[4:]
-        w1, w2 = work.weights(state)
-        del point, state  # the kernel values are not held through CG
+        g1, g2 = point.g1, point.g2
+        w1, w2 = work.weights(point)
+        del point  # the kernel values are not held through CG
         apply_op, prec = newton_operator(work.geom, w1, w2)
         d1, d2, _ = pcg(apply_op, prec, -g1, -g2, rtol=min(0.1, np.sqrt(sup)))
         del apply_op, w1, w2
@@ -316,7 +316,7 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
             y1 = x1 + t * d1
             y2 = x2 + t * d2
             point = work.point(y1, y2)
-            if point[0] <= merit + ARMIJO_C * t * slope + slack:
+            if point.I <= merit + ARMIJO_C * t * slope + slack:
                 break
             # a refused trial's arrays go before the next trial's are made
             del point, y1, y2

@@ -97,10 +97,14 @@ _MODEL_OF = {TWProblem: TW, TWSolution: TW, VAVProblem: VAV, VAVSolution: VAV}
 
 
 def _model(sol, problem):
-    """The problem's model record; ConfigurationError unless the solution
-    is one of that model on the problem's geometry."""
-    model = _MODEL_OF[type(problem)]
-    if _MODEL_OF.get(type(sol)) is not model or sol.U.geometry != problem.geometry:
+    """The problem's model record; ConfigurationError unless `problem` is a
+    problem and the solution one of its model on its geometry."""
+    model = _MODEL_OF.get(type(problem))
+    if (
+        not isinstance(problem, (TWProblem, VAVProblem))
+        or _MODEL_OF.get(type(sol)) is not model
+        or sol.U.geometry != problem.geometry
+    ):
         raise ConfigurationError("the solution is not of this problem's model and geometry")
     return model
 

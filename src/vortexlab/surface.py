@@ -372,12 +372,19 @@ def unpack_pair(P):
 
 
 def start_pair(geom: TorusGeometry, x0):
-    """Solver start arrays: copies of the finite pair x0, or zeros when x0 is None."""
+    """Solver start arrays: copies of x0, exactly two finite real arrays on
+    the grid, or zeros when x0 is None."""
     shape = (geom.n1, geom.n2)
     if x0 is None:
         return np.zeros(shape), np.zeros(shape)
-    a = np.array(x0[0], dtype=np.float64, copy=True)
-    b = np.array(x0[1], dtype=np.float64, copy=True)
+    try:
+        pair = [np.asarray(x) for x in x0]
+    except (TypeError, ValueError):  # not iterable, or a ragged nested list
+        pair = []
+    # a string gives str arrays, and a solution's ScalarFields object arrays
+    if len(pair) != 2 or any(x.dtype.kind not in "biuf" for x in pair):
+        raise ConfigurationError("x0 must be two real arrays, like (sol.U.values, sol.V.values)")
+    a, b = (np.array(x, dtype=np.float64, copy=True) for x in pair)
     if a.shape != shape or b.shape != shape:
         raise ConfigurationError("x0 arrays do not match the grid")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -152,9 +152,9 @@ def _warned_point(f, h, problem):
     with a RuntimeWarning at the public caller's caller."""
     _same_geometry(f, h, problem.u01)
     point = _Work(problem).point(f.values, h.values)
-    if point[3]:
+    if point.n_clip:
         warnings.warn(
-            f"{point[3]} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
+            f"{point.n_clip} exponent argument(s) clamped at {EXP_CAP:g}; iterate diverging",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -167,14 +167,13 @@ def functional_value(f: ScalarField, h: ScalarField, problem: TWProblem) -> floa
     Exponent arguments above 500 are clamped and flagged with a
     RuntimeWarning: a clamp means the iterate is diverging.
     """
-    return _warned_point(f, h, problem)[0]
+    return _warned_point(f, h, problem).I
 
 
 def functional_gradient(f: ScalarField, h: ScalarField, problem: TWProblem):
     """L2-gradient of the objective; its zeros solve the transformed system."""
-    *_, g1, g2 = _warned_point(f, h, problem)[5]
-    geom = problem.geometry
-    return geom.field(g1), geom.field(g2)
+    point = _warned_point(f, h, problem)
+    return problem.geometry.field(point.g1), problem.geometry.field(point.g2)
 
 
 def solve_tw(
@@ -199,9 +198,9 @@ def solve_tw(
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
-    geom = problem.geometry
+    U, V = start_pair(problem.geometry, x0)
     work = _Work(problem)
     U, V, it, r_sup, i_val, trace = newton_solve(
-        work, *start_pair(geom, x0), tol, 50 if max_iter is None else max_iter, pcg_pair
+        work, U, V, tol, 50 if max_iter is None else max_iter, pcg_pair
     )
     return work.solution(TWSolution, U, V, it, r_sup, trace, method, functional_value=i_val)

@@ -278,8 +278,8 @@ def solve_vav(
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)
+    U, V = start_pair(problem.geometry, x0)
     work = _Work(problem)
-    U, V = start_pair(work.geom, x0)
     if method == "newton":
         U, V, it, r_sup, _, trace = newton_solve(
             work, U, V, tol, 50 if max_iter is None else max_iter, pcg_pair

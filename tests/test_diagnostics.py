@@ -210,7 +210,8 @@ def test_report_residual_is_the_newton_gradient(model, request):
     fields = {"U": U, "V": V, "u": bu + U, "v": bv + V}
     sol = dataclasses.replace(solved, **{k: geom.field(a) for k, a in fields.items()})
     r1, r2 = _residuals(sol, problem, *_curvature_arrays(sol)[:2])
-    *_, g1, g2 = work.point(U, U + 2.0 * V)[5]
+    point = work.point(U, U + 2.0 * V)
+    g1, g2 = point.g1, point.g2
     assert np.abs(g1).max() > 0.1  # not a solution
     assert np.abs(r1 + g1).max() < 1e-12
     assert np.abs(r2 - 0.5 * (g1 - g2)).max() < 1e-12
@@ -281,17 +282,20 @@ def tw_small():
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
-@pytest.mark.parametrize("other", ["larger_torus", "other_model"])
+@pytest.mark.parametrize("other", ["larger_torus", "other_model", "configuration", "none"])
 def test_diagnostics_refuse_a_solution_of_another_problem(tw_small, reader, other):
     # Read against a 12 x 12 problem on the same 16^2 grid, the 6 x 6 tw
     # solution gave Chern numbers 4.0 against an expected 1; read against a
-    # vav problem, tw's phi met vav's count formulas.
+    # vav problem, tw's phi met vav's count formulas. Read against what is no
+    # problem at all, a configuration or None, a bare KeyError was raised.
     problem, sol = tw_small
     config = problem.config
     if other == "larger_torus":
         wrong = tw_problem(TorusGeometry(12.0, 12.0, 16, 16), config)
-    else:
+    elif other == "other_model":
         wrong = vav_problem(problem.geometry, config)
+    else:
+        wrong = config if other == "configuration" else None
     with pytest.raises(ConfigurationError):
         _READERS[reader](sol, wrong)
     if reader != "vav_quantized_integrals":

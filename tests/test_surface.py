@@ -612,12 +612,12 @@ def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
     assert len(calls) == len(accepted) and not all(accepted[1:])
     driver_keys = ("iter", "step", "kind")
     records = [{k: v for k, v in e.items() if k not in driver_keys} for e in sol.trace]
-    assert [c[4] for c, ok in zip(calls, accepted) if ok] == records
-    refused_clamps = sum(c[3] > 0 for c, ok in zip(calls, accepted) if not ok)
+    assert [{"I": c.I, "resid_sup": c.sup} for c, ok in zip(calls, accepted) if ok] == records
+    refused_clamps = sum(c.n_clip > 0 for c, ok in zip(calls, accepted) if not ok)
     if model == "tw":
         assert refused_clamps >= 2
     else:
-        assert not any(c[3] for c in calls)
+        assert not any(c.n_clip for c in calls)
 
 
 # Solver settings no solve can meet. Before the shared check, tol 0 or NaN
@@ -683,6 +683,31 @@ def test_non_finite_start_rejected(model, method, bad):
     x0 = (np.zeros((32, 32)), np.zeros((32, 32)))
     x0[1][5, 7] = bad
     with pytest.raises(ConfigurationError, match="finite"):
+        solve(problem, method=method, x0=x0)
+
+
+# A start that is not exactly two real arrays on the grid is refused before
+# any work. It used to raise IndexError, TypeError or ValueError, drop a
+# third array, or be cast from complex with only a ComplexWarning; a
+# solution's own ScalarFields, rather than their values, raised TypeError.
+MALFORMED_STARTS = {
+    "one-array": lambda z, field: (z,),
+    "number": lambda z, field: 5,
+    "string": lambda z, field: "ab",
+    "three-arrays": lambda z, field: (z, z, z),
+    "complex": lambda z, field: (z + 1j, z),
+    "fields": lambda z, field: (field(z), field(z)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model, method", SOLVE_PATHS)
+@pytest.mark.parametrize("start", MALFORMED_STARTS.values(), ids=MALFORMED_STARTS)
+def test_malformed_start_rejected(model, method, start, monkeypatch):
+    problem, solve = _problem_and_solver(model)
+    x0 = start(np.zeros((32, 32)), problem.geometry.field)
+    monkeypatch.setattr(getattr(vortexlab, model), "_Work", _no_work)
+    with pytest.raises(ConfigurationError, match="^x0 "):
         solve(problem, method=method, x0=x0)
 
 
@@ -819,14 +844,14 @@ def test_newton_operator_is_the_gradients_derivative(model):
     h = 0.5 * np.cos(wave * (x1 + x2)) + 0.3
     D1 = np.cos(3 * wave * x1) + 0.4 * np.sin(wave * x2)
     D2 = np.sin(2 * wave * (x1 - x2)) - 0.7
-    state = work.point(f, h)[5]
-    assert max(np.abs(g).max() for g in state[4:]) > 0.1  # not a solution
-    apply_op, _ = newton_operator(geom, *work.weights(state))
+    point = work.point(f, h)
+    assert max(np.abs(g).max() for g in (point.g1, point.g2)) > 0.1  # not a solution
+    apply_op, _ = newton_operator(geom, *work.weights(point))
     q1, q2 = unpack_pair(apply_op(pack_pair(D1, D2)))
     eps = 1e-4
-    *_, p1, p2 = work.point(f + eps * D1, h + eps * D2)[5]
-    *_, m1, m2 = work.point(f - eps * D1, h - eps * D2)[5]
-    for q, p, m in ((q1, p1, m1), (q2, p2, m2)):
+    plus = work.point(f + eps * D1, h + eps * D2)
+    minus = work.point(f - eps * D1, h - eps * D2)
+    for q, p, m in ((q1, plus.g1, minus.g1), (q2, plus.g2, minus.g2)):
         fd = (p - m) / (2 * eps)
         assert np.abs(q - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -975,7 +1000,7 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
     def infinite_after_the_polished_start(self, y1, y2):
         result = point(self, y1, y2)
         calls.append(None)
-        return result if len(calls) <= 2 else (np.inf, *result[1:])
+        return result if len(calls) <= 2 else result._replace(I=np.inf)
 
     monkeypatch.setattr(work, "point", infinite_after_the_polished_start)
     with pytest.raises(DivergedIterate, match="line search failed") as exc:
