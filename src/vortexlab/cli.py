@@ -107,7 +107,7 @@ class RunConfig:
             raise ConfigurationError(
                 f"solver.model must be one of {tuple(MODELS)}, got {self.model!r}"
             )
-        valid_methods = MODELS[self.model].methods
+        valid_methods = MODELS[self.model].work.methods
         self.method = solver.get("method", "newton")
         if self.method not in valid_methods:
             raise ConfigurationError(

@@ -5,7 +5,7 @@ In their curvatures both models obey one Maxwell-form system,
     Lap(U) = 2(Ftilde - Fhat) + 4*pi*(N1 - P1)/|S|,  Lap(V) = -2 Ftilde + 4*pi*(N2 - P2)/|S|,
 
 with Fhat = phi(u) and Fhat + Ftilde = phi(v) (Tong & Wong, Vortices and
-impurities, JHEP 2014). Only the kernel `phi` of the model module differs:
+impurities, JHEP 2014). Only the kernel phi of the model's `_Work` differs:
 1 - e^x for "tw" and -2 tanh(x/2) for "vav". Integrated, the system pins the
 integrals of phi(u) and phi(v) to the p of `sources.forced`, which must lie
 in |S| times the range of phi: (-inf, 1) gives the Bradlow bound and (-2, 2)
@@ -61,19 +61,18 @@ def energy_vav(config: VortexConfiguration) -> EnergyBreakdown:
     )
 
 
-# One model's facts, as the CLI and the reports use them. `phi` is the kernel
-# and `scale` the s of the quantized integrals (see above); `flux_keys` names
-# the Chern fluxes the report gives. `energy` is the report's energy entry for
-# a configuration, and `trace` the model's own solver_trace fields.
-Model = namedtuple("Model", "tag methods admissibility phi scale flux_keys energy trace")
+# One model's facts, as the CLI and the reports use them. `work` is the
+# model's `_Work`, the one place its kernel phi, the s of its quantized
+# integrals (see above) and its methods are written; `flux_keys` names the
+# Chern fluxes the report gives. `energy` is the report's energy entry for a
+# configuration, and `trace` the model's own solver_trace fields.
+Model = namedtuple("Model", "tag work admissibility flux_keys energy trace")
 
 
 TW = Model(
     tag="tw",
-    methods=tw._Work.methods,
+    work=tw._Work,
     admissibility=tw_admissibility,
-    phi=tw.phi,
-    scale=tw._Work.scale,
     flux_keys=("chern1", "chern2"),
     energy=lambda config: {"value": energy_tw(config)},
     trace=lambda sol: {"functional_value": sol.functional_value},
@@ -81,10 +80,8 @@ TW = Model(
 
 VAV = Model(
     tag="vav",
-    methods=vav._Work.methods,
+    work=vav._Work,
     admissibility=vav_admissibility,
-    phi=vav.phi,
-    scale=vav._Work.scale,
     flux_keys=("chern1", "chern2", "total"),
     energy=lambda config: dict(
         zip(("value", "chern_flux", "thom_q", "thom_p"), energy_vav(config))
@@ -109,10 +106,15 @@ def _model(sol, problem):
     return model
 
 
+def _phi(work, x):
+    """The kernel phi at x, from the kernel's grid values."""
+    return work.phi(work.kernel(x)[0])
+
+
 def _curvature_arrays(sol):
     """Fhat = phi(u), Ftilde = -(Fhat - phi(v)) and phi(v), as arrays."""
-    phi = _MODEL_OF[type(sol)].phi
-    fhat, phi_v = phi(sol.u.values), phi(sol.v.values)
+    work = _MODEL_OF[type(sol)].work
+    fhat, phi_v = _phi(work, sol.u.values), _phi(work, sol.v.values)
     return fhat, -(fhat - phi_v), phi_v
 
 
@@ -130,7 +132,8 @@ def quantized_integrals(sol, problem):
     """quad(phi(u))/s and quad(phi(v))/s, which the counts pin to p/s."""
     model = _model(sol, problem)
     quad = problem.geometry.quad
-    return {k: quad(model.phi(x.values)) / model.scale for k, x in (("Iu", sol.u), ("Iv", sol.v))}
+    work = model.work
+    return {k: quad(_phi(work, x.values)) / work.scale for k, x in (("Iu", sol.u), ("Iv", sol.v))}
 
 
 def _expected(problem):
@@ -139,7 +142,7 @@ def _expected(problem):
     model = _MODEL_OF[type(problem)]
     forced = model.admissibility(problem.config, problem.geometry).forced
     (n1, n2), (p1, p2) = forced.n, forced.p
-    pinned = {"Iu": p1 / model.scale, "Iv": p2 / model.scale}
+    pinned = {"Iu": p1 / model.work.scale, "Iv": p2 / model.work.scale}
     fluxes = {"chern1": n1, "chern2": n2, "total": n1 + n2}
     return forced, pinned, {key: fluxes[key] for key in model.flux_keys}
 
@@ -218,7 +221,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     quad = problem.geometry.quad
     _, pinned, _ = _expected(problem)
     fhat, ftilde, phi_v = _curvature_arrays(sol)
-    qi = {"Iu": quad(fhat) / model.scale, "Iv": quad(phi_v) / model.scale}
+    qi = {"Iu": quad(fhat) / model.work.scale, "Iv": quad(phi_v) / model.work.scale}
     del phi_v
     return SolveReport(
         model=model.tag,

@@ -129,11 +129,6 @@ class _Work(NewtonWork):
         return np.log(target) - m - np.log(self.geom.quad(clipped_exp(x - m)[0]))
 
 
-def phi(x):
-    """1 - e^x, valued in (-inf, 1): the Bradlow bound's range."""
-    return _Work.phi(np.exp(x))
-
-
 def tw_quantized_integrals(sol, problem: TWProblem):
     """Integrals of 1 - e^u and 1 - e^v, which the counts pin to p (`sources.forced`)."""
     from .diagnostics import quantized_integrals  # diagnostics imports this module

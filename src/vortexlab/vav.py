@@ -292,12 +292,6 @@ def solve_vav(
     return work.solution(VAVSolution, U, V, it, r_sup, trace, method, c1=c1, c2=c2)
 
 
-def phi(x):
-    """-2 tanh(x/2) = 2(1 - e^x)/(1 + e^x), valued in (-2, 2): the range
-    that gives the two difference bounds."""
-    return _Work.phi(f_half(x))
-
-
 def vav_quantized_integrals(sol: VAVSolution, problem: VAVProblem):
     """Integrals of -tanh(u/2) and -tanh(v/2), which the counts pin to p/2
     (`sources.forced`)."""

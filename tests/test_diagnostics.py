@@ -223,7 +223,8 @@ def test_admissible_exactly_when_the_pinned_integrals_fit_the_kernel(model):
     # decreasing, so they lie in |S| times (phi(inf), phi(-inf)):
     # (-inf, 1) for tw, (-2, 2) for vav. That is each model's existence bound.
     record = MODELS[model]
-    lo, hi = record.phi(np.inf), record.phi(-np.inf)
+    # phi at the ends of the range of the kernel's grid values
+    lo, hi = (record.work.phi(t) for t in {"tw": (np.inf, 0.0), "vav": (1.0, -1.0)}[model])
     assert (lo, hi) == {"tw": (-np.inf, 1.0), "vav": (-2.0, 2.0)}[model]
     poles = range(3) if model == "vav" else (0,)
     seen = set()
