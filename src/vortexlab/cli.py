@@ -149,6 +149,9 @@ class RunConfig:
         for key, path in (("report", self.report_path), ("fields", self.fields_path)):
             if not isinstance(path, str):
                 raise ConfigurationError(f"outputs.{key} must be a path, got {path!r}")
+            # "", "." and "sub/.." name --out or a directory, where no file can be written
+            if Path(path).name in ("", ".."):
+                raise ConfigurationError(f"outputs.{key} {path!r} names no file")
         # plotdata reads a dump as CSV exactly when its name ends in .csv
         if (Path(self.fields_path).suffix == ".csv") != (self.format == "csv"):
             raise ConfigurationError(

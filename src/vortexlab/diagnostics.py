@@ -90,18 +90,22 @@ VAV = Model(
 )
 
 MODELS = {m.tag: m for m in (TW, VAV)}
-_MODEL_OF = {TWProblem: TW, TWSolution: TW, VAVProblem: VAV, VAVSolution: VAV}
+_PROBLEM_MODEL = {TWProblem: TW, VAVProblem: VAV}
+_SOLUTION_MODEL = {TWSolution: TW, VAVSolution: VAV}
+
+
+def _solution_model(sol):
+    """The solution's model record; ConfigurationError for what is no solution."""
+    if type(sol) not in _SOLUTION_MODEL:
+        raise ConfigurationError(f"expected a TWSolution or VAVSolution, got {type(sol).__name__}")
+    return _SOLUTION_MODEL[type(sol)]
 
 
 def _model(sol, problem):
     """The problem's model record; ConfigurationError unless `problem` is a
     problem and the solution one of its model on its geometry."""
-    model = _MODEL_OF.get(type(problem))
-    if (
-        not isinstance(problem, (TWProblem, VAVProblem))
-        or _MODEL_OF.get(type(sol)) is not model
-        or sol.U.geometry != problem.geometry
-    ):
+    model = _PROBLEM_MODEL.get(type(problem))
+    if model is None or _solution_model(sol) is not model or sol.U.geometry != problem.geometry:
         raise ConfigurationError("the solution is not of this problem's model and geometry")
     return model
 
@@ -113,7 +117,7 @@ def _phi(work, x):
 
 def _curvature_arrays(sol):
     """Fhat = phi(u), Ftilde = -(Fhat - phi(v)) and phi(v), as arrays."""
-    work = _MODEL_OF[type(sol)].work
+    work = _solution_model(sol).work
     fhat, phi_v = _phi(work, sol.u.values), _phi(work, sol.v.values)
     return fhat, -(fhat - phi_v), phi_v
 
@@ -139,7 +143,7 @@ def quantized_integrals(sol, problem):
 def _expected(problem):
     """The count formulas of the problem's model: what the counts force
     (`sources.forced`), the pinned quantized integrals and the Chern fluxes."""
-    model = _MODEL_OF[type(problem)]
+    model = _PROBLEM_MODEL[type(problem)]
     forced = model.admissibility(problem.config, problem.geometry).forced
     (n1, n2), (p1, p2) = forced.n, forced.p
     pinned = {"Iu": p1 / model.work.scale, "Iv": p2 / model.work.scale}

@@ -347,6 +347,9 @@ def bounded_means(*arrays):
 
 
 def _same_geometry(*fields):
+    """The one geometry of `fields`, which must all be ScalarFields."""
+    if not all(isinstance(f, ScalarField) for f in fields):
+        raise ConfigurationError("fields must be ScalarFields, not bare arrays or other values")
     geom = fields[0].geometry
     for f in fields[1:]:
         if f.geometry != geom:

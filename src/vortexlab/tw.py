@@ -145,6 +145,8 @@ class TWSolution(Solution):
 def _warned_point(f, h, problem):
     """The driver's point at (f, h); clamped exponent arguments are flagged
     with a RuntimeWarning at the public caller's caller."""
+    if not isinstance(problem, TWProblem):
+        raise ConfigurationError(f"expected a TWProblem, got {type(problem).__name__}")
     _same_geometry(f, h, problem.u01)
     point = _Work(problem).point(f.values, h.values)
     if point.n_clip:
@@ -190,6 +192,8 @@ def solve_tw(
     start (U, V), as a solution holds it; Newton runs from its polish, so
     its means cost no iterations. `max_iter` None is the default, 50.
     """
+    if not isinstance(problem, TWProblem):
+        raise ConfigurationError(f"expected a TWProblem, got {type(problem).__name__}")
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)

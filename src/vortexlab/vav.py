@@ -44,6 +44,7 @@ from .sources import (
 from .surface import (
     ScalarField,
     TorusGeometry,
+    _real,
     _same_geometry,
     check_solver_settings,
     start_pair,
@@ -188,7 +189,7 @@ def constraint_shift(
     """The unique c with integrate(f_fun(s1, s2, W + c)) = target on geom, the fields' geometry."""
     if _same_geometry(W, s1, s2) != geom:
         raise ConfigurationError("fields live on a geometry other than geom")
-    return _shift(s1.values - s2.values + W.values, float(target), geom)[0]
+    return _shift(s1.values - s2.values + W.values, _real(target, "target"), geom)[0]
 
 
 class _Work(NewtonWork):
@@ -237,6 +238,8 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     (zero-mean) shifted right-hand sides, and returns their inverse-Laplacian
     images as mean-zero fields.
     """
+    if not isinstance(problem, VAVProblem):
+        raise ConfigurationError(f"expected a VAVProblem, got {type(problem).__name__}")
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
     geom = problem.geometry
@@ -275,6 +278,8 @@ def solve_vav(
     residual stops decreasing (reduction below 1e-3 over 50 iterations).
     Both methods return a `VAVSolution` whose residual sup is below `tol`.
     """
+    if not isinstance(problem, VAVProblem):
+        raise ConfigurationError(f"expected a VAVProblem, got {type(problem).__name__}")
     if method not in _METHODS:
         raise ConfigurationError(f"unknown method {method!r}")
     check_solver_settings(tol, max_iter)

@@ -675,6 +675,24 @@ def test_solve_refuses_a_report_that_names_the_dump(tmp_path, capsys, outputs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "outputs",
+    [{"report": ""}, {"report": "."}, {"report": "sub/.."}, {"fields": ".", "format": "f64bin"}],
+)
+def test_solve_refuses_an_output_path_that_names_no_file(tmp_path, monkeypatch, capsys, outputs):
+    # the whole solve used to run; then the report was opened at --out's own
+    # path, and the run exited 1 with "File exists"
+    def unreachable(problem, **kwargs):
+        raise AssertionError("a run whose output path names no file solved")
+
+    monkeypatch.setattr(vortexlab.cli, "solve_tw", unreachable)
+    cfg = write_config(tmp_path / "run.json", outputs=outputs)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "names no file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("damage", ["append", "truncate"])
 def test_plotdata_names_a_sidecar_that_is_not_json(tmp_path, capsys, damage):
     binary = tmp_path / "fields.bin"

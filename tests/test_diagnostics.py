@@ -283,21 +283,39 @@ def tw_small():
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
-@pytest.mark.parametrize("other", ["larger_torus", "other_model", "configuration", "none"])
+@pytest.mark.parametrize(
+    "other",
+    [
+        "larger_torus",
+        "other_model",
+        "configuration",
+        "none",
+        "problem_as_solution",
+        "none_as_solution",
+    ],
+)
 def test_diagnostics_refuse_a_solution_of_another_problem(tw_small, reader, other):
     # Read against a 12 x 12 problem on the same 16^2 grid, the 6 x 6 tw
     # solution gave Chern numbers 4.0 against an expected 1; read against a
     # vav problem, tw's phi met vav's count formulas. Read against what is no
     # problem at all, a configuration or None, a bare KeyError was raised.
+    # A problem or None in the solution's place raised AttributeError or
+    # KeyError, in the readers and in the curvatures alike.
     problem, sol = tw_small
     config = problem.config
+    read = sol
     if other == "larger_torus":
         wrong = tw_problem(TorusGeometry(12.0, 12.0, 16, 16), config)
     elif other == "other_model":
         wrong = vav_problem(problem.geometry, config)
-    else:
+    elif other in ("configuration", "none"):
         wrong = config if other == "configuration" else None
+    else:
+        wrong, read = problem, (problem if other == "problem_as_solution" else None)
+        for curvatures in (curvatures_tw, curvatures_vav):
+            with pytest.raises(ConfigurationError):
+                curvatures(read)
     with pytest.raises(ConfigurationError):
-        _READERS[reader](sol, wrong)
+        _READERS[reader](read, wrong)
     if reader != "vav_quantized_integrals":
         _READERS[reader](sol, problem)

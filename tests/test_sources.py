@@ -8,6 +8,7 @@ from vortexlab import (
     VortexConfiguration,
     background,
     build_backgrounds,
+    constraint_shift,
     integrate,
     laplacian,
     mean,
@@ -109,6 +110,15 @@ def test_a_width_that_is_not_a_finite_number_is_refused(width):
             build(geom, cfg, kappa=width)
     with pytest.raises(ConfigurationError, match="sigma must be a finite number"):
         mollified_delta(geom, (1.0, 1.0), width)
+
+
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf"), True])
+def test_a_shift_target_that_is_not_a_finite_number_is_refused(target, geom):
+    # a NaN or infinite target used to run the root search into a
+    # BracketFailure, a solver error, and a bool target was taken as 1
+    zero = geom.zeros()
+    with pytest.raises(ConfigurationError, match="target must be a finite number"):
+        constraint_shift(zero, zero, zero, target, geom)
 
 
 def test_background_empty_is_zero(geom):

@@ -21,6 +21,10 @@ from vortexlab import (
     SolverError,
     TorusGeometry,
     VortexConfiguration,
+    apply_T,
+    constraint_shift,
+    functional_gradient,
+    functional_value,
     grad_energy,
     integrate,
     inv_laplacian,
@@ -709,6 +713,27 @@ def test_malformed_start_rejected(model, method, start, monkeypatch):
     monkeypatch.setattr(getattr(vortexlab, model), "_Work", _no_work)
     with pytest.raises(ConfigurationError, match="^x0 "):
         solve(problem, method=method, x0=x0)
+
+
+# The other model's problem, or a bare array in place of a field, used to
+# end in an AttributeError (no `backgrounds`, `u01` or `geometry`).
+WRONG_ARGUMENTS = {
+    "apply_T-tw-problem": lambda tw, vav, z: apply_T(z, z, tw),
+    "functional_value-vav-problem": lambda tw, vav, z: functional_value(z, z, vav),
+    "functional_gradient-vav-problem": lambda tw, vav, z: functional_gradient(z, z, vav),
+    "solve_tw-vav-problem": lambda tw, vav, z: solve_tw(vav),
+    "solve_vav-tw-problem": lambda tw, vav, z: solve_vav(tw),
+    "apply_T-array": lambda tw, vav, z: apply_T(z.values, z, vav),
+    "functional_value-array": lambda tw, vav, z: functional_value(z, z.values, tw),
+    "constraint_shift-array": lambda tw, vav, z: constraint_shift(z.values, z, z, 0.0, z.geometry),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_ARGUMENTS.values(), ids=WRONG_ARGUMENTS)
+def test_wrong_problem_or_bare_array_rejected(call):
+    (tw, _), (vav, _) = _problem_and_solver("tw"), _problem_and_solver("vav")
+    with pytest.raises(ConfigurationError, match="^expected a |^fields must be ScalarFields"):
+        call(tw, vav, tw.geometry.zeros())
 
 
 def _assert_default_solution(problem, solve, sol):
