@@ -36,9 +36,6 @@ from .surface import ScalarField, bounded_means, pack_pair, unpack_pair
 
 # Sufficient-decrease constant of the backtracking line search.
 ARMIJO_C = 1e-4
-# Absolute ceiling on the integrated defect at convergence; this is what
-# makes the count-quantized integrals exact to rounding.
-MEAN_TOL = 1e-12
 # Largest CG step length. With an SPD preconditioner that approximates the
 # operator's inverse, the step is 1/(a Rayleigh quotient of the
 # preconditioned operator); past 1/eps that quotient is rounding noise.
@@ -239,13 +236,14 @@ def newton_operator(geom, w1, w2):
     return apply_op, geom.elliptic_inverse_packed(((m1 + m2, -m2), (-m2, m2)))
 
 
-def _check_budget(it, max_iter, sup, tol, trace):
-    """The exit both drivers share: MaxIterExceeded once `it` reaches max_iter."""
+def _check_budget(it, max_iter, sup, tol, trace, defect=None, floor=None):
+    """The exit both drivers share: MaxIterExceeded once `it` reaches max_iter,
+    naming Newton's defect and its floor when only they held the solve back."""
     if it >= max_iter:
-        raise MaxIterExceeded(
-            f"no convergence in {max_iter} iterations (residual sup {sup:.3e}, tol {tol:.1e})",
-            trace,
-        )
+        held = f"residual sup {sup:.3e}, tol {tol:.1e}"
+        if sup < tol:
+            held = f"integral defect {defect:.3e} above its floor {floor:.3e}; {held}"
+        raise MaxIterExceeded(f"no convergence in {max_iter} iterations ({held})", trace)
 
 
 def newton_solve(work, U, V, tol, max_iter, pcg):
@@ -261,15 +259,16 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ..., whose I
     is at most I(x) + ARMIJO_C*t*slope is the next iterate as it stands
     (Nocedal & Wright, Numerical Optimization, 2006, ch. 3). Converged means
-    that the residual's sup is below tol and the mean defect at most
-    MEAN_TOL; with only the sup below tol, the polish step is taken, as at
-    the start. DivergedIterate is raised before the iterate's trace record:
+    that the residual's sup is below tol and the defect at most the
+    geometry's `quad_floor`; with only the sup below tol, the polish step is
+    taken, as at the start. DivergedIterate is raised before the iterate's trace record:
     at a non-finite I or sup, or clamped exponent arguments, of an iterate
     or of the raw start before its polish, not of a refused trial; and when
     the line search finds no descent. It returns (U, V, iterations, sup, I,
     trace), V = (h - f)/2. The models pass `pcg_pair`, and call the kernels,
     by their names on the model modules, where a traced run wraps them.
     """
+    floor = work.geom.quad_floor
     trace = []
     it = 0
     step = 0.0
@@ -284,9 +283,9 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
             raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
         if kind != "start":
             trace.append({"iter": it, "I": merit, "resid_sup": sup, "step": step, "kind": kind})
-            if sup < tol and point.defect <= MEAN_TOL:
+            if sup < tol and point.defect <= floor:
                 return x1, 0.5 * (x2 - x1), it, sup, merit, trace
-            _check_budget(it, max_iter, sup, tol, trace)
+            _check_budget(it, max_iter, sup, tol, trace, point.defect, floor)
             it += 1
         if kind == "start" or sup < tol:
             x1, x2 = work.polish(x1, x2)

@@ -241,6 +241,12 @@ class TorusGeometry:
         """Trapezoidal integral h1*h2*sum over the grid."""
         return self.h1 * self.h2 * float(a.sum())
 
+    @property
+    def quad_floor(self):
+        """The least defect of a quad of O(1) values: the sum rounds at
+        O(eps*area) (Higham, 2002, ch. 4), so max(1e-12, 8*eps*area)."""
+        return max(1e-12, 8.0 * np.finfo(np.float64).eps * self.area)
+
     def grad_sq(self, a):
         """Integral of |grad a|^2 via Parseval on the mode coefficients."""
         return self.grad_sq_packed(fft2(a))

@@ -50,13 +50,8 @@ from .surface import (
     start_pair,
 )
 
-_SHIFT_TOL = 1e-12
-# the residual accepted once the bracket has collapsed
-_SHIFT_ACCEPT = 1e-9
-# The rounding of quad(tanh(...)) - target, relative to the area: quad sums
-# n1*n2 values below 1 in magnitude times h1*h2, and on a 64^2 grid of area
-# 1e8 that difference was seen to round at up to 0.7*eps*area.
-_QUAD_ROUNDING = 4.0 * np.finfo(float).eps
+# the residual accepted once the bracket has collapsed, in `quad_floor`s
+_SHIFT_ACCEPT = 1e3
 _SHIFT_BRACKET = 700.0
 # caps the shift loop; bisection alone narrows (-700, 700) below 1e-12 in 51 steps
 _SHIFT_STEPS = 100
@@ -138,20 +133,19 @@ def _shift(base, target, geom, guess=0.0):
     [-700, 700]: each step takes g and g' = quad((1 - t^2)/2) from one tanh
     evaluation t, and every evaluated point tightens the sign bracket, which
     starts at (-700, 700). A Newton step that would leave the bracket, or
-    g' <= 0, is replaced by bisection. Returns once |g| <= 1e-12, or with
-    |g| <= 1e-9 once the bracket has collapsed. Both tolerances are scaled
-    up by the rounding estimate 4*eps*area of g where that exceeds 1e-12,
-    which is on tori of area above about 1100. Returns (c, t) with
+    g' <= 0, is replaced by bisection. Returns once |g| <= geom.quad_floor,
+    Newton's defect test, or <= 1000 times that once the bracket has
+    collapsed. Returns (c, t) with
     t = tanh((base + c)/2), the last evaluation, so that callers need not
     take it again. BracketFailure signals saturated or inadmissible data.
     """
-    scale = max(1.0, _QUAD_ROUNDING * geom.area / _SHIFT_TOL)
+    floor = geom.quad_floor
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
     c = min(max(guess, lo), hi)
     for _ in range(_SHIFT_STEPS):
         t = f_half(base + c)
         g_c = geom.quad(t) - target
-        if abs(g_c) <= _SHIFT_TOL * scale:
+        if abs(g_c) <= floor:
             return c, t
         if g_c > 0.0:
             hi = c
@@ -170,7 +164,7 @@ def _shift(base, target, geom, guess=0.0):
     else:  # c has moved past the last evaluated point: judge g where c is now
         t = f_half(base + c)
         g_c = geom.quad(t) - target
-    if abs(g_c) <= _SHIFT_ACCEPT * scale:
+    if abs(g_c) <= _SHIFT_ACCEPT * floor:
         return c, t
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
     g_lo = geom.quad(f_half(base + lo)) - target

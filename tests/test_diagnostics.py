@@ -217,6 +217,39 @@ def test_report_residual_is_the_newton_gradient(model, request):
     assert np.abs(r2 - 0.5 * (g1 - g2)).max() < 1e-12
 
 
+# Tori far inside both models' bounds whose area lifts the rounding of a
+# pinned integral above 1e-12. With Newton's defect test fixed at 1e-12,
+# every `tw` solve here reached a sup below tol and then spent its budget
+# re-polishing a defect of a few eps*area that no polish lowers
+# (MaxIterExceeded).
+LARGE_TORI = {
+    "70x70-64": (70.0, 70.0, 64, {"zeros_q": [(17.5, 35.0, 1)]}),
+    "100x100-64": (100.0, 100.0, 64, {"zeros_q": [(17.5, 35.0, 1)], "zeros_p": [(60.0, 70.0, 1)]}),
+    "70x70-128": (70.0, 70.0, 128, {"zeros_q": [(17.5, 35.0, 1)]}),
+    "120x30-128": (120.0, 30.0, 128, {"zeros_q": [(17.5, 15.0, 1)]}),
+}
+SOLVERS = {
+    "tw": (tw_problem, solve_tw, {}),
+    "vav-newton": (vav_problem, solve_vav, {}),
+    "vav-fixed_point": (vav_problem, solve_vav, {"method": "fixed_point"}),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+@pytest.mark.parametrize("torus", sorted(LARGE_TORI))
+def test_large_tori_meet_their_pinned_integrals_to_the_floor(torus, solver):
+    L1, L2, n, sources = LARGE_TORI[torus]
+    geom = TorusGeometry(L1, L2, n, n)
+    make, solve, kwargs = SOLVERS[solver]
+    problem = make(geom, VortexConfiguration(**sources))
+    sol = solve(problem, **kwargs)
+    assert sol.final_residual < 1e-8
+    assert geom.quad_floor > 1e-12
+    report = vortexlab.diagnostics.build_report(sol, problem, {}, 0.0)
+    for entry in report.quantized_integrals.values():
+        assert entry["abs_error"] <= geom.quad_floor
+
+
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_admissible_exactly_when_the_pinned_integrals_fit_the_kernel(model):
     # The integrals of phi(u) and phi(v) are the pinned values p, and phi is

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from vortexlab import (
     tw_problem,
     tw_quantized_integrals,
 )
-from vortexlab._linalg import MEAN_TOL, Solution
+from vortexlab._linalg import Solution
 from vortexlab.tw import TWProblem
 
 TWO_PI = 2 * np.pi
@@ -199,7 +201,7 @@ def test_polish_restores_the_integrals_exactly(mixed):
     # The polish, a hook that both models' `_Work` inherit from
     # `_linalg.NewtonWork`, folds tw's closed-form shifts into the means:
     # from a converged state with both means moved by 1e-3, it restores
-    # both pinned integrals to MEAN_TOL.
+    # both pinned integrals to the geometry's quad_floor.
     problem, sol = mixed
     work = vortexlab.tw._Work(problem)
     assert type(work).polish is vortexlab._linalg.NewtonWork.polish
@@ -207,7 +209,7 @@ def test_polish_restores_the_integrals_exactly(mixed):
     h = sol.U.values + 2.0 * sol.V.values + 1e-3
     assert work.point(f, h).defect > 1e-2
     f, h = work.polish(f, h)
-    assert work.point(f, h).defect <= MEAN_TOL
+    assert work.point(f, h).defect <= problem.geometry.quad_floor
 
 
 # The shift alone, one closed form for every offset of the log-field: e^x
@@ -295,6 +297,21 @@ def test_max_iter_exceeded(geom):
     with pytest.raises(MaxIterExceeded) as exc:
         solve_tw(problem, max_iter=1)
     assert len(exc.value.trace) >= 1
+
+
+def test_a_defect_above_its_floor_is_named_when_the_budget_runs_out(monkeypatch):
+    # With the floor forced back to an absolute 1e-12, a 70 x 70 solve gets
+    # its sup far below tol and then re-polishes, until its budget is spent,
+    # a defect that rounding holds above 1e-12. The message names that
+    # defect and the floor, not only a sup below tol.
+    monkeypatch.setattr(TorusGeometry, "quad_floor", 1e-12)
+    geom = TorusGeometry(70.0, 70.0, 64, 64)
+    problem = tw_problem(geom, VortexConfiguration(zeros_q=[(17.5, 35.0, 1)]))
+    held = r"integral defect (\S+) above its floor 1\.000e-12; residual sup (\S+), tol 1\.0e-08"
+    with pytest.raises(MaxIterExceeded, match=held) as exc:
+        solve_tw(problem)
+    defect, sup = (float(x) for x in re.search(held, str(exc.value)).groups())
+    assert defect > 1e-12 and sup < 1e-8
 
 
 def test_max_iter_none_is_the_default_budget(one_vortex, monkeypatch):

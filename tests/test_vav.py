@@ -383,9 +383,7 @@ def test_shift_returns_the_tanh_at_the_shift_it_returns(geom, monkeypatch):
     target = 0.3 * geom.area
     root = _shift_reference(base, target, geom)
     monkeypatch.setattr(vortexlab.vav, "_SHIFT_STEPS", 1)
-    accept = vortexlab.vav._SHIFT_ACCEPT * max(
-        1.0, vortexlab.vav._QUAD_ROUNDING * geom.area / vortexlab.vav._SHIFT_TOL
-    )
+    accept = vortexlab.vav._SHIFT_ACCEPT * geom.quad_floor
     c, t = _shift(base, target, geom, root + 1e-11)
     assert c != root + 1e-11
     assert t.tobytes() == f_half(base + c).tobytes()
