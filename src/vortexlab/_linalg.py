@@ -259,9 +259,9 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ..., whose I
     is at most I(x) + ARMIJO_C*t*slope is the next iterate as it stands
     (Nocedal & Wright, Numerical Optimization, 2006, ch. 3). Converged means
-    that the residual's sup is below tol and the defect at most the
-    geometry's `quad_floor`; with only the sup below tol, the polish step is
-    taken, as at the start. DivergedIterate is raised before the iterate's trace record:
+    that the residual's sup is below tol and the defect at most
+    `geom.quad_floor`; with only the sup below tol, the polish step is taken,
+    as at the start. DivergedIterate is raised before the iterate's trace record:
     at a non-finite I or sup, or clamped exponent arguments, of an iterate
     or of the raw start before its polish, not of a refused trial; and when
     the line search finds no descent. It returns (U, V, iterations, sup, I,

@@ -135,9 +135,9 @@ def _shift(base, target, geom, guess=0.0):
     starts at (-700, 700). A Newton step that would leave the bracket, or
     g' <= 0, is replaced by bisection. Returns once |g| <= geom.quad_floor,
     Newton's defect test, or <= 1000 times that once the bracket has
-    collapsed. Returns (c, t) with
-    t = tanh((base + c)/2), the last evaluation, so that callers need not
-    take it again. BracketFailure signals saturated or inadmissible data.
+    collapsed. Returns (c, t) with t = tanh((base + c)/2), the last
+    evaluation, so that callers need not take it again. BracketFailure
+    signals saturated or inadmissible data.
     """
     floor = geom.quad_floor
     lo, hi = -_SHIFT_BRACKET, _SHIFT_BRACKET
