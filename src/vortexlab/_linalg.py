@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedIterate, MaxIterExceeded, Stagnation
+from .errors import BracketFailure, DivergedIterate, MaxIterExceeded, Stagnation
 from .kernels import EXP_CAP
 from .sources import forced
 from .surface import ScalarField, bounded_means, pack_pair, unpack_pair
@@ -281,18 +281,16 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
             raise DivergedIterate("non-finite iterate", trace)
         if n_clip:
             raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
-        if kind != "start":
-            trace.append({"iter": it, "I": merit, "resid_sup": sup, "step": step, "kind": kind})
-            if sup < tol and point.defect <= floor:
-                return x1, 0.5 * (x2 - x1), it, sup, merit, trace
-            _check_budget(it, max_iter, sup, tol, trace, point.defect, floor)
-            it += 1
-        if kind == "start" or sup < tol:
+        if kind == "start":
             x1, x2 = work.polish(x1, x2)
-            step = 0.0
-            kind = "init" if kind == "start" else "polish"
+            kind = "init"
             point = work.point(x1, x2)
             continue
+        trace.append({"iter": it, "I": merit, "resid_sup": sup, "step": step, "kind": kind})
+        if sup < tol and point.defect <= floor:
+            return x1, 0.5 * (x2 - x1), it, sup, merit, trace
+        _check_budget(it, max_iter, sup, tol, trace, point.defect, floor)
+        it += 1
         g1, g2 = point.g1, point.g2
         w1, w2 = work.weights(point)
         del point  # the kernel values are not held through CG
@@ -312,8 +310,11 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         slack = 1e-12 * (1.0 + abs(merit)) if -slope < 1e-9 * (1.0 + abs(merit)) else 0.0
         t = 1.0
         for _ in range(40):
-            y1 = x1 + t * d1
-            y2 = x2 + t * d2
+            try:
+                y1, y2 = work.polish(x1 + t * d1, x2 + t * d2)
+            except BracketFailure:
+                t *= 0.5
+                continue
             point = work.point(y1, y2)
             if point.I <= merit + ARMIJO_C * t * slope + slack:
                 break

@@ -222,7 +222,7 @@ class _Work(NewtonWork):
         """`shift_kernel` of the mean-free x, so that the shift lies in its
         bracket, +-700, however far off the mean of x is."""
         m = x.mean()
-        return self.shift_kernel(x - m, target, 0.0)[0] - m
+        return self.shift_kernel(x - m, target, m)[0] - m
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
