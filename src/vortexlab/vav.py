@@ -177,13 +177,23 @@ def _shift(base, target, geom, guess=0.0):
     raise BracketFailure(f"shift residual stalled at {g_c:.3e}")
 
 
+def _mean_free_shift(x, target, geom):
+    """`_shift` of the mean-free x - m, m = mean(x), from the offset m that x
+    already has, so that its root lies in the bracket, +-700, however far
+    off m is, and an x whose integral meets the target gets c = 0. Returns
+    (c, t) with t the kernel values at x + c."""
+    m = x.mean()
+    c, t = _shift(x - m, target, geom, m)
+    return c - m, t
+
+
 def constraint_shift(
     W: ScalarField, s1: ScalarField, s2: ScalarField, target, geom: TorusGeometry
 ) -> float:
     """The unique c with integrate(f_fun(s1, s2, W + c)) = target on geom, the fields' geometry."""
     if _same_geometry(W, s1, s2) != geom:
         raise ConfigurationError("fields live on a geometry other than geom")
-    return _shift(s1.values - s2.values + W.values, _real(target, "target"), geom)[0]
+    return _mean_free_shift(s1.values - s2.values + W.values, _real(target, "target"), geom)[0]
 
 
 class _Work(NewtonWork):
@@ -219,10 +229,9 @@ class _Work(NewtonWork):
         return _shift(x, target, self.geom, guess)
 
     def shift(self, x, target):
-        """`shift_kernel` of the mean-free x, so that the shift lies in its
-        bracket, +-700, however far off the mean of x is."""
-        m = x.mean()
-        return self.shift_kernel(x - m, target, m)[0] - m
+        """The polish's c, from `_mean_free_shift`: 0, and the field unchanged
+        bit for bit, once x meets its target, as a polished trial does."""
+        return _mean_free_shift(x, target, self.geom)[0]
 
 
 def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
@@ -237,8 +246,8 @@ def apply_T(U: ScalarField, V: ScalarField, problem: VAVProblem):
     _same_geometry(U, V, problem.backgrounds.u01)
     work = _Work(problem)
     geom = problem.geometry
-    _, fu = _shift(work.b1 + U.values, work.targets[0], geom)
-    _, fv = _shift(work.b2 + V.values, work.targets[1], geom)
+    _, fu = _mean_free_shift(work.b1 + U.values, work.targets[0], geom)
+    _, fv = _mean_free_shift(work.b2 + V.values, work.targets[1], geom)
     t1, t2 = geom.inv_lap_pair_projected(*work.rhs(fu, fv))
     return geom.field(t1), geom.field(t2)
 

@@ -207,6 +207,32 @@ def test_constraint_shift_refuses_a_geometry_not_the_fields(fields, other):
     assert abs(on.quad(f_half(W.values + c)) - target) <= 1e-12
 
 
+# A field whose mean lies beyond the shift's bracket, +-700, still has one
+# root; both public shifts take it from the mean-free field. Taken from the
+# field itself, each raised BracketFailure at +-800, and passed at +-600.
+@pytest.mark.parametrize("offset", [-800.0, 800.0])
+def test_constraint_shift_meets_its_target_beyond_the_bracket(geom, offset):
+    x1, _ = geom.nodes()
+    W = geom.field(np.sin(2 * np.pi * x1 / geom.L1) + offset)
+    zero = geom.zeros()
+    for frac in (-0.9, 0.0, 0.3):
+        target = frac * geom.area
+        c = constraint_shift(W, zero, zero, target, geom)
+        assert abs(geom.quad(f_half(W.values + c)) - target) <= 1e-12, frac
+
+
+@pytest.mark.parametrize("offset", [-800.0, 800.0])
+def test_apply_T_ignores_constants_beyond_the_bracket(balanced, offset):
+    # the map's shifts absorb any constant in U and V
+    problem, _ = balanced
+    geom = problem.geometry
+    rng = np.random.default_rng(3)
+    U, V = rng.standard_normal((2, geom.n1, geom.n2))
+    moved = apply_T(geom.field(U + offset), geom.field(V - offset), problem)
+    for t, ref in zip(moved, apply_T(geom.field(U), geom.field(V), problem)):
+        assert np.abs(t.values - ref.values).max() <= 1e-12
+
+
 # The constraint shift before its warm start (a cold bisection on
 # [-700, 700], then Newton polishing), kept verbatim as the oracle: from every
 # guess, _shift must meet the residual tolerance and land within 2e-12 of the
