@@ -257,6 +257,26 @@ def test_underflowed_start_reaches_the_default_solution(start):
     assert np.abs(sol.V.values - reference.V.values).max() < 1e-9
 
 
+# White-noise starts near the Bradlow bound (area 1.04 times 2*pi). Without
+# a polish of each trial, the first Newton step left max u near -33, where
+# the mean mode's curvature e^u is about 1e-14, so the next direction moved
+# u by about 1e13 and no trial of 40 halvings descended: every amplitude
+# here ended in "line search failed to find descent". A polished trial
+# meets its pinned integrals, which keeps the means where the curvature is
+# O(1).
+@pytest.mark.parametrize("amplitude", [10.0, 30.0, 100.0])
+def test_rough_start_converges_near_the_bound(amplitude):
+    geom = TorusGeometry(3.612, 1.806, 128, 128)
+    problem = tw_problem(geom, VortexConfiguration(zeros_q=[(1.0, 0.7, 1)]))
+    rng = np.random.default_rng(1)
+    x0 = tuple(amplitude * rng.standard_normal((128, 128)) for _ in range(2))
+    sol = solve_tw(problem, x0=x0)
+    reference = solve_tw(problem)
+    assert sol.final_residual < 1e-8
+    assert np.abs(sol.U.values - reference.U.values).max() < 1e-6
+    assert np.abs(sol.V.values - reference.V.values).max() < 1e-6
+
+
 def test_residual_below_tolerance(mixed):
     problem, sol = mixed
     assert residual_report(sol, problem)["sup"] < 1e-8

@@ -24,7 +24,8 @@ amplitude 1 (what the CLI's `seed` gives) and 10, the same noise for both,
 U then V from default_rng((seed, index)). Prints one JSON line: for each
 model, method and start, the count of solves by outcome, "converged" or
 the class name of the solver error; and `failed`, the [model, method,
-start, index, margin] of every solve that did not converge. numpy and the
+start, index, margin, error class, error message] of every solve that did
+not converge. `draws` replays the pool's problems alone. numpy and the
 standard library only; the package is imported from --src by
 `perfbench/workloads.py`, which is not changed.
 """
@@ -41,6 +42,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
+MODELS = ("tw", "vav")
+PROBLEMS = 60
+GRIDS = (64, 96, 128)
 MARGINS = (1.0001, 1.001, 1.01, 1.1, 3.0, 30.0)
 AMPLITUDES = {"zeros": 0.0, "unit": 1.0, "amp10": 10.0}
 # the most source points of each set: q-zeros, q-poles, p-zeros, p-poles
@@ -79,6 +83,15 @@ def draw(rng, model, grids):
     return L1, L2, n, sources, margin
 
 
+def draws(seed, problems, grids):
+    """(model, index, drawn problem) of one seeded pool, in the order that
+    `pool` solves them: `problems` of each model, `tw` first."""
+    rng = np.random.default_rng(seed)
+    for model in MODELS:
+        for index in range(problems):
+            yield model, index, draw(rng, model, grids)
+
+
 def pool(src, seed, problems, grids):
     """The outcome counts of one seeded pool."""
     program = workloads.Program(src)
@@ -87,27 +100,24 @@ def pool(src, seed, problems, grids):
         "tw": (program.tw.tw_problem, program.tw.solve_tw),
         "vav": (program.vav.vav_problem, program.vav.solve_vav),
     }
-    rng = np.random.default_rng(seed)
-    outcomes = {}
+    methods = {model: program.diagnostics.MODELS[model].work.methods for model in MODELS}
+    outcomes = {model: {m: {s: {} for s in AMPLITUDES} for m in methods[model]} for model in MODELS}
     failed = []
-    for model, (make, solve) in solvers.items():
-        methods = program.diagnostics.MODELS[model].work.methods
-        counts = outcomes[model] = {m: {s: {} for s in AMPLITUDES} for m in methods}
-        for index in range(problems):
-            L1, L2, n, sources, margin = draw(rng, model, grids)
-            problem = make(vl.TorusGeometry(L1, L2, n, n), vl.VortexConfiguration(**sources))
-            noise = np.random.default_rng((seed, index)).standard_normal((2, n, n))
-            for method in methods:
-                for start, amplitude in AMPLITUDES.items():
-                    x0 = (amplitude * noise[0], amplitude * noise[1]) if amplitude else None
-                    try:
-                        solve(problem, method=method, x0=x0)
-                        outcome = "converged"
-                    except program.errors.SolverError as exc:
-                        outcome = type(exc).__name__
-                        failed.append([model, method, start, index, margin])
-                    tally = counts[method][start]
-                    tally[outcome] = tally.get(outcome, 0) + 1
+    for model, index, (L1, L2, n, sources, margin) in draws(seed, problems, grids):
+        make, solve = solvers[model]
+        problem = make(vl.TorusGeometry(L1, L2, n, n), vl.VortexConfiguration(**sources))
+        noise = np.random.default_rng((seed, index)).standard_normal((2, n, n))
+        for method in methods[model]:
+            for start, amplitude in AMPLITUDES.items():
+                x0 = (amplitude * noise[0], amplitude * noise[1]) if amplitude else None
+                try:
+                    solve(problem, method=method, x0=x0)
+                    outcome = "converged"
+                except program.errors.SolverError as exc:
+                    outcome = type(exc).__name__
+                    failed.append([model, method, start, index, margin, outcome, str(exc)])
+                tally = outcomes[model][method][start]
+                tally[outcome] = tally.get(outcome, 0) + 1
     return {"seed": seed, "problems": problems, "grids": list(grids), "outcomes": outcomes,
             "failed": failed}
 
@@ -116,8 +126,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the checkout's src directory")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--problems", type=int, default=60, help="problems drawn for each model")
-    parser.add_argument("--grids", type=int, nargs="+", default=[64, 96, 128])
+    parser.add_argument("--problems", type=int, default=PROBLEMS, help="problems drawn for each model")
+    parser.add_argument("--grids", type=int, nargs="+", default=list(GRIDS))
     args = parser.parse_args(argv)
     print(json.dumps(pool(args.src, args.seed, args.problems, args.grids)))
     return 0
