@@ -146,7 +146,7 @@ class NewtonWork:
     kernel values at x + c; `methods`; and `scale`, the s of the quantized
     integrals. `pinned`, `k` and `targets` are the p, k and t of what the
     counts force (`sources.forced`); alpha = k1 and beta = 2*p2/|S| are I's
-    linear coefficients. Newton reads a pair only through its `point`."""
+    linear coefficients. Newton reads a pair only by `point`, after `polish`."""
 
     def __init__(self, problem, b1, b2):
         geom = self.geom = problem.geometry
@@ -256,17 +256,19 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     d solves the `newton_operator` system with right-hand side -g by `pcg`,
     with relative tolerance min(0.1, sqrt(sup)). A slope quad(g.d) that is
     not a finite negative number gives way to the preconditioned gradient,
-    kind "gradient". The first trial y = x + t*d, t = 1, 1/2, ..., whose I
-    is at most I(x) + ARMIJO_C*t*slope is the next iterate as it stands
-    (Nocedal & Wright, Numerical Optimization, 2006, ch. 3). Converged means
-    that the residual's sup is below tol and the defect at most
-    `geom.quad_floor`; with only the sup below tol, the polish step is taken,
-    as at the start. DivergedIterate is raised before the iterate's trace record:
-    at a non-finite I or sup, or clamped exponent arguments, of an iterate
-    or of the raw start before its polish, not of a refused trial; and when
-    the line search finds no descent. It returns (U, V, iterations, sup, I,
-    trace), V = (h - f)/2. The models pass `pcg_pair`, and call the kernels,
-    by their names on the model modules, where a traced run wraps them.
+    kind "gradient". Each trial y is the polish of x + t*d, t = 1, 1/2, ...,
+    so every iterate meets its pinned integrals (Cai & Keyes, SIAM J. Sci.
+    Comput. 24, 2002); a trial whose polish raises BracketFailure is refused,
+    and the first whose I is at most I(x) + ARMIJO_C*t*slope is the next
+    iterate as it stands (Nocedal & Wright, Numerical Optimization, 2006,
+    ch. 3). Converged means that the residual's sup is below tol and the
+    defect at most `geom.quad_floor`. DivergedIterate is raised before the
+    iterate's trace record: at a non-finite I or sup, or clamped exponent
+    arguments, of an iterate or of the raw start before its polish, not of
+    a refused trial; and when the line search finds no descent. It returns
+    (U, V, iterations, sup, I, trace), V = (h - f)/2. The models pass
+    `pcg_pair`, and call the kernels, by their names on the model modules,
+    where a traced run wraps them.
     """
     floor = work.geom.quad_floor
     trace = []

@@ -189,8 +189,8 @@ def solve_tw(
     when the Newton direction is not a descent one. Convergence is the sup
     of the curvature-form residual below `tol`, with the integrals of
     1 - e^u and 1 - e^v at their pinned values to `geometry.quad_floor`.
-    `x0` may hold a start (U, V), as a solution holds it; Newton runs from
-    its polish, so its means cost no iterations. `max_iter` None is the default, 50.
+    `x0` may hold a start (U, V), as a solution holds it; Newton polishes
+    it and every trial, so the means cost no iterations. `max_iter` None is the default, 50.
     """
     if not isinstance(problem, TWProblem):
         raise ConfigurationError(f"expected a TWProblem, got {type(problem).__name__}")

@@ -178,10 +178,9 @@ def _shift(base, target, geom, guess=0.0):
 
 
 def _mean_free_shift(x, target, geom):
-    """`_shift` of the mean-free x - m, m = mean(x), from the offset m that x
-    already has, so that its root lies in the bracket, +-700, however far
-    off m is, and an x whose integral meets the target gets c = 0. Returns
-    (c, t) with t the kernel values at x + c."""
+    """The shift c of x and the kernel t at x + c, by `_shift` on the
+    mean-free x - m from the guess m = mean(x): the root is in the bracket
+    however far off m is, and an x that meets the target gets c = 0."""
     m = x.mean()
     c, t = _shift(x - m, target, geom, m)
     return c - m, t
@@ -229,8 +228,7 @@ class _Work(NewtonWork):
         return _shift(x, target, self.geom, guess)
 
     def shift(self, x, target):
-        """The polish's c, from `_mean_free_shift`: 0, and the field unchanged
-        bit for bit, once x meets its target, as a polished trial does."""
+        """`_mean_free_shift`'s c: 0 at an x that meets its target."""
         return _mean_free_shift(x, target, self.geom)[0]
 
 
@@ -275,10 +273,11 @@ def solve_vav(
     method="newton" (default): damped Newton over the full fields from the
     polish of the start `x0` = (U, V) (zeros by default), in the variables
     (U, U + 2V), with the inner system solved by preconditioned CG and a
-    line search on the convex functional 8J. method="fixed_point": the
-    constrained iteration of `_linalg.fixed_point_solve`, whose trace
-    records give each step length as `step`; it raises Stagnation if the
-    residual stops decreasing (reduction below 1e-3 over 50 iterations).
+    line search, with every trial polished, on the convex functional 8J.
+    method="fixed_point": the constrained iteration of
+    `_linalg.fixed_point_solve`, whose trace records give each step length
+    as `step`; it raises Stagnation if the residual stops decreasing
+    (reduction below 1e-3 over 50 iterations).
     Both methods return a `VAVSolution` whose residual sup is below `tol`.
     """
     if not isinstance(problem, VAVProblem):
