@@ -254,7 +254,9 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     Each iterate's `Point` gives its trace record {iter, I, resid_sup, step,
     kind}; the polished start, "init", is no iteration. The Newton direction
     d solves the `newton_operator` system with right-hand side -g by `pcg`,
-    with relative tolerance min(0.1, sqrt(sup)). A slope quad(g.d) that is
+    with relative tolerance min(0.1, max(sup, 0.5*tol/sup)), 0.1 at sup 0
+    (Dembo, Eisenstat & Steihaug, 1982; a floor at 0.5*tol/sup stops the last
+    solve near tol, Kelley, 1995, sec. 6.3). A slope quad(g.d) that is
     not a finite negative number gives way to the preconditioned gradient,
     kind "gradient". Each trial y is the polish of x + t*d, t = 1, 1/2, ...,
     so every iterate meets its pinned integrals (Cai & Keyes, SIAM J. Sci.
@@ -297,7 +299,8 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
         w1, w2 = work.weights(point)
         del point  # the kernel values are not held through CG
         apply_op, prec = newton_operator(work.geom, w1, w2)
-        d1, d2, _ = pcg(apply_op, prec, -g1, -g2, rtol=min(0.1, np.sqrt(sup)))
+        eta = min(0.1, max(sup, 0.5 * tol / sup)) if sup > 0.0 else 0.1
+        d1, d2, _ = pcg(apply_op, prec, -g1, -g2, rtol=eta)
         del apply_op, w1, w2
         slope = work.geom.quad(g1 * d1 + g2 * d2)
         kind = "newton"

@@ -107,10 +107,8 @@ def test_sweep_counts_are_deterministic_and_consistent(monkeypatch):
 
 def _point_calls(trace):
     """The `point` calls of a converged Newton solve: the raw and the
-    polished start, one for a polish and 1 + k for a step of 0.5**k."""
-    return 2 + sum(
-        1 if e["kind"] == "polish" else 1 + round(-math.log2(e["step"])) for e in trace[1:]
-    )
+    polished start, and 1 + k for a step of 0.5**k."""
+    return 2 + sum(1 + round(-math.log2(e["step"])) for e in trace[1:])
 
 
 def test_a_point_both_models_share_is_counted_once(monkeypatch):

@@ -510,9 +510,7 @@ def _point_calls(trace):
     0.5**k was accepted after k refused trials."""
     accepted = [False, True]
     for e in trace[1:]:
-        if e["kind"] != "polish":
-            accepted += [False] * round(-math.log2(e["step"]))
-        accepted.append(True)
+        accepted += [False] * round(-math.log2(e["step"])) + [True]
     return accepted
 
 
@@ -611,7 +609,7 @@ def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
 
     monkeypatch.setattr(work, "point", recorded)
     sol = solve(problem, x0=_backtracking_start(model))
-    assert min(e["step"] for e in sol.trace[1:] if e["kind"] != "polish") < 1.0
+    assert min(e["step"] for e in sol.trace[1:]) < 1.0
     accepted = _point_calls(sol.trace)
     assert len(calls) == len(accepted) and not all(accepted[1:])
     driver_keys = ("iter", "step", "kind")
@@ -936,6 +934,51 @@ def test_max_iter_exceeded_keeps_every_iterate(model, method):
     assert [e["iter"] for e in exc.value.trace] == [0, 1, 2, 3]
 
 
+def _recorded_rtols(model, monkeypatch):
+    pcg, rtols = getattr(vortexlab, model).pcg_pair, []
+
+    def recorded(apply_op, apply_prec, b1, b2, rtol):
+        rtols.append(rtol)
+        return pcg(apply_op, apply_prec, b1, b2, rtol)
+
+    monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", recorded)
+    return rtols
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_forcing_term_is_of_order_sup_with_a_floor_at_tol(model, monkeypatch):
+    # The CG tolerance of each step is eta = min(0.1, max(sup, 0.5*tol/sup))
+    # at the sup of the trace record before it (Dembo, Eisenstat & Steihaug,
+    # SIAM J. Numer. Anal. 19, 1982; Kelley, 1995, sec. 6.3). The floor
+    # holds the last step's CG solve near tol, not far past it.
+    problem, solve = _problem_and_solver(model)
+    rtols = _recorded_rtols(model, monkeypatch)
+    tol = 1e-8
+    sol = solve(problem, tol=tol)
+    sups = [e["resid_sup"] for e in sol.trace[:-1]]
+    assert len(rtols) == len(sups) == sol.iterations >= 3
+    assert rtols == [min(0.1, max(sup, 0.5 * tol / sup)) for sup in sups]
+    assert rtols[-1] == 0.5 * tol / sups[-1] > sups[-1]
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_zero_sup_above_the_defect_floor_runs_out_its_budget(model, monkeypatch):
+    # A point whose residual sup is exactly 0.0 but whose integral defect is
+    # above its floor does not converge; its forcing term, 0.5*tol/sup at
+    # the limit, is the cap 0.1, and the solve ends in MaxIterExceeded that
+    # names the defect.
+    problem, solve = _problem_and_solver(model)
+    rtols = _recorded_rtols(model, monkeypatch)
+    work = getattr(vortexlab, model)._Work
+    point = work.point
+    monkeypatch.setattr(
+        work, "point", lambda self, y1, y2: point(self, y1, y2)._replace(sup=0.0, defect=1e-3)
+    )
+    with pytest.raises(MaxIterExceeded, match=r"integral defect 1\.000e-03 above its floor"):
+        solve(problem, max_iter=3)
+    assert rtols == [0.1] * 3
+
+
 def test_pcg_of_a_zero_right_hand_side_is_zero():
     zero = np.zeros((8, 8))
     x1, x2, iterations = pcg_pair(_not_called, _not_called, zero, zero, rtol=0.1)
@@ -1006,7 +1049,7 @@ def test_nan_direction_falls_back_to_the_gradient(model, monkeypatch):
     monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _nan_direction)
     sol = solve(problem)
     assert sol.trace[1]["kind"] == "gradient"
-    assert {e["kind"] for e in sol.trace[1:]} <= {"gradient", "polish"}
+    assert {e["kind"] for e in sol.trace[1:]} <= {"gradient"}
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])
