@@ -964,9 +964,9 @@ def test_forcing_term_is_of_order_sup_with_a_floor_at_tol(model, monkeypatch):
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_zero_sup_above_the_defect_floor_runs_out_its_budget(model, monkeypatch):
     # A point whose residual sup is exactly 0.0 but whose integral defect is
-    # above its floor does not converge; its forcing term, 0.5*tol/sup at
-    # the limit, is the cap 0.1, and the solve ends in MaxIterExceeded that
-    # names the defect.
+    # above its floor has not converged. Its forcing term is the cap 0.1,
+    # where 0.5*tol/sup tends to, not a division by zero, and the solve ends
+    # in MaxIterExceeded naming the defect.
     problem, solve = _problem_and_solver(model)
     rtols = _recorded_rtols(model, monkeypatch)
     work = getattr(vortexlab, model)._Work
