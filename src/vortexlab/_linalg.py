@@ -83,22 +83,22 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
             # breakdown: positive definiteness lost to rounding, or no
             # curvature above rounding along P (a degenerate operator, or
             # rz/pq overflows or is NaN); return the best iterate
-            return (*unpack_pair(X), it)
+            break
         R -= alpha * Q
         del Q
         norm = np.sqrt(_dot(R, R))
         if not np.isfinite(norm):  # breakdown: X is the last iterate of finite residual
-            return (*unpack_pair(X), it)
+            break
         X += alpha * P
         if norm <= rtol * norm0:
-            return (*unpack_pair(X), it)
+            break
         Z = apply_prec(R)
         rz_new = _dot(R, Z)
         P *= rz_new / rz
         P += Z
         del Z
         rz = rz_new
-    return (*unpack_pair(X), _CG_MAX_ITER)
+    return (*unpack_pair(X), it)
 
 
 def curvature_rhs(fhat, ftilde, k1, k2):

@@ -580,9 +580,7 @@ def main(argv=None):
             if not lengths:
                 raise ConfigurationError("--lengths list is empty")
             return cmd_sweep(args.config, lengths, args.out)
-        if args.command == "plotdata":
-            return cmd_plotdata(args.fields, args.out)
-        raise ConfigurationError(f"unknown command {args.command!r}")
+        return cmd_plotdata(args.fields, args.out)
     except (VortexLabError, OSError, ValueError) as exc:
         print(f"vortexlab: error: {exc}", file=sys.stderr)
         return 1

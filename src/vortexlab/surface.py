@@ -87,6 +87,7 @@ def irfft2(X, n2):
     return np.fft.irfft(np.fft.ifft(X, axis=-2), n2, axis=-1)
 
 
+@dataclass(unsafe_hash=True)
 class TorusGeometry:
     """Periodic rectangle with its grid and the Laplacian's spectral symbol.
 
@@ -103,47 +104,29 @@ class TorusGeometry:
     that node.
     """
 
-    def __init__(self, L1, L2, n1, n2):
-        L1 = _real(L1, "L1")
-        L2 = _real(L2, "L2")
+    L1: float
+    L2: float
+    n1: int
+    n2: int
+
+    def __post_init__(self):
+        L1 = self.L1 = _real(self.L1, "L1")
+        L2 = self.L2 = _real(self.L2, "L2")
         if L1 <= 0.0 or L2 <= 0.0:
             raise ConfigurationError(f"side lengths must be positive, got {L1}, {L2}")
-        n1 = _integer(n1, "n1")
-        n2 = _integer(n2, "n2")
+        n1 = self.n1 = _integer(self.n1, "n1")
+        n2 = self.n2 = _integer(self.n2, "n2")
         if min(n1, n2) < 8 or n1 % 2 or n2 % 2:
             raise ConfigurationError(f"grid counts must be even integers >= 8, got {n1}, {n2}")
-        self.L1 = L1
-        self.L2 = L2
-        self.n1 = n1
-        self.n2 = n2
-        self.h1 = L1 / self.n1
-        self.h2 = L2 / self.n2
+        self.h1 = L1 / n1
+        self.h2 = L2 / n2
         self.area = L1 * L2
-        self.x1 = np.arange(self.n1) * self.h1
-        self.x2 = np.arange(self.n2) * self.h2
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.h1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.h2)
+        self.x1 = np.arange(n1) * self.h1
+        self.x2 = np.arange(n2) * self.h2
+        k1 = 2.0 * np.pi * np.fft.fftfreq(n1, d=self.h1)
+        k2 = 2.0 * np.pi * np.fft.fftfreq(n2, d=self.h2)
         # -|k|^2, the Laplacian's symbol: the one grid-sized array kept
         self._lap_sym = -(k1[:, None] ** 2 + k2[None, :] ** 2)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusGeometry):
-            return NotImplemented
-        return (self.L1, self.L2, self.n1, self.n2) == (
-            other.L1,
-            other.L2,
-            other.n1,
-            other.n2,
-        )
-
-    def __hash__(self):
-        return hash((self.L1, self.L2, self.n1, self.n2))
-
-    def __repr__(self):
-        return (
-            f"TorusGeometry(L1={self.L1}, L2={self.L2}, "
-            f"n1={self.n1}, n2={self.n2})"
-        )
 
     @cached_property
     def _neg(self):

@@ -109,6 +109,15 @@ def test_missing_config_exit1(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [["bogus"], []], ids=["unknown", "none"])
+def test_unknown_or_missing_command_exit2(argv, capsys):
+    # argparse refuses these before main dispatches, with its usage on stderr
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: vortexlab" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit3_with_trace(tmp_path):
     cfg = write_config(tmp_path / "run.json", solver={"model": "tw", "max_iter": 1})
     code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])

@@ -1074,6 +1074,31 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
     assert len(calls) == 42
 
 
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_trial_whose_polish_fails_is_refused_and_halved(model, monkeypatch):
+    # A BracketFailure in a trial's polish refuses that trial only: the line
+    # search halves the step and goes on. Each polish takes two shifts, so
+    # the 3rd shift is the first trial's; tw ended 1.7e-11 from the default
+    # solve, vav 1.4e-10 away after 6 iterations against 5.
+    problem, solve = _problem_and_solver(model)
+    reference = solve(problem)
+    work = getattr(vortexlab, model)._Work
+    shift = work.shift
+    calls = []
+
+    def failing_third(self, x, target):
+        calls.append(None)
+        if len(calls) == 3:
+            raise BracketFailure("stub: no bracket for the first trial")
+        return shift(self, x, target)
+
+    monkeypatch.setattr(work, "shift", failing_third)
+    sol = solve(problem)
+    assert (sol.trace[1]["kind"], sol.trace[1]["step"]) == ("newton", 0.5)
+    for got, want in ((sol.U, reference.U), (sol.V, reference.V)):
+        assert np.abs(got.values - want.values).max() < 1e-9
+
+
 def test_solver_settings_accepted():
     for tol, max_iter in [(1e-8, None), (np.float64(1e-3), np.int64(1)), (1, 50)]:
         check_solver_settings(tol, max_iter)
