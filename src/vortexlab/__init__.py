@@ -16,6 +16,8 @@ from .diagnostics import (
     flux_report_tw,
     flux_report_vav,
     residual_report,
+    tw_quantized_integrals,
+    vav_quantized_integrals,
 )
 from .errors import (
     BracketFailure,
@@ -55,7 +57,6 @@ from .tw import (
     solve_tw,
     tw_admissibility,
     tw_problem,
-    tw_quantized_integrals,
 )
 from .vav import (
     VAVProblem,
@@ -68,7 +69,6 @@ from .vav import (
     solve_vav,
     vav_admissibility,
     vav_problem,
-    vav_quantized_integrals,
 )
 
 __version__ = "0.1.0"

@@ -68,7 +68,7 @@ def _require(section, key, where):
     return section[key]
 
 
-def _parse_sources(raw, L1, L2):
+def _parse_sources(raw, geom):
     _check_keys(raw, ("zeros_q", "poles_q", "zeros_p", "poles_p"), "sources")
     lists = {}
     for name in ("zeros_q", "poles_q", "zeros_p", "poles_p"):
@@ -76,7 +76,7 @@ def _parse_sources(raw, L1, L2):
         if not isinstance(items, list):
             raise ConfigurationError(f"sources.{name} must be a list, got {items!r}")
         points = _normalize_points(items, f"sources.{name}")
-        lists[name] = [(x % L1, y % L2, m) for x, y, m in points]
+        lists[name] = [(x % geom.L1, y % geom.L2, m) for x, y, m in points]
     return lists
 
 
@@ -89,14 +89,11 @@ class RunConfig:
         _check_keys(data, ("torus", "sources", "solver", "outputs"), "config")
 
         torus = _require(data, "torus", "config")
-        _check_keys(torus, ("L1", "L2", "n1", "n2"), "torus")
-        self.L1 = _real(_require(torus, "L1", "torus"), "torus.L1")
-        self.L2 = _real(_require(torus, "L2", "torus"), "torus.L2")
-        self.n1 = _integer(_require(torus, "n1", "torus"), "torus.n1")
-        self.n2 = _integer(_require(torus, "n2", "torus"), "torus.n2")
-        self.geometry = TorusGeometry(self.L1, self.L2, self.n1, self.n2)
+        keys = ("L1", "L2", "n1", "n2")
+        _check_keys(torus, keys, "torus")
+        self.geometry = TorusGeometry(*(_require(torus, k, "torus") for k in keys))
 
-        self.sources = _parse_sources(data.get("sources", {}), self.L1, self.L2)
+        self.sources = _parse_sources(data.get("sources", {}), self.geometry)
 
         solver = _require(data, "solver", "config")
         _check_keys(
@@ -120,18 +117,9 @@ class RunConfig:
             self.max_iter = _integer(self.max_iter, "solver.max_iter")
         check_solver_settings(self.tol, self.max_iter)
         self.kappa = _real(solver.get("kappa", 2.0), "solver.kappa")
-        if self.kappa < 1.0:
-            # the sources' width is kappa grid cells, and the grid resolves
-            # no width under one cell (SigmaTooSmall)
-            raise ConfigurationError(f"solver.kappa must be at least 1, got {self.kappa!r}")
-        sigma = mollifier_width(self.geometry, self.kappa)
-        if sigma > min(self.L1, self.L2):
-            # mollified_delta refuses it too, but on an inadmissible torus
-            # the solve exits 2 before any source is built
-            raise ConfigurationError(
-                f"solver.kappa {self.kappa!r} makes the source width {sigma:.3e} "
-                f"exceed the torus side {min(self.L1, self.L2):.3e}"
-            )
+        # the problem builders refuse it too, but on an inadmissible torus
+        # the solve exits 2 before any problem is built
+        mollifier_width(self.geometry, self.kappa)
         self.seed = solver.get("seed", None)
         if self.seed is not None:
             self.seed = _integer(self.seed, "solver.seed", minimum=0)
@@ -163,8 +151,9 @@ class RunConfig:
         return VortexConfiguration(**self.sources)
 
     def inputs_echo(self, geometry):
+        g = self.geometry
         return {
-            "torus": {"L1": self.L1, "L2": self.L2, "n1": self.n1, "n2": self.n2},
+            "torus": {"L1": g.L1, "L2": g.L2, "n1": g.n1, "n2": g.n2},
             "sources": {k: [list(e) for e in v] for k, v in self.sources.items()},
             "solver": {
                 "model": self.model,
@@ -465,16 +454,16 @@ def cmd_solve(config_path, out_dir):
 def cmd_sweep(config_path, lengths, out_dir):
     cfg = RunConfig(_load_json(config_path))
     for L in lengths:  # refused before any solve; each holds a grid array, so none is kept
-        TorusGeometry(L, L, cfg.n1, cfg.n2)
+        TorusGeometry(L, L, cfg.geometry.n1, cfg.geometry.n2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     x0 = None  # the (U, V) of the last solved row, where the next solve starts
     for L in lengths:
-        geom = TorusGeometry(L, L, cfg.n1, cfg.n2)
+        geom = TorusGeometry(L, L, cfg.geometry.n1, cfg.geometry.n2)
         # keep fractional source coordinates fixed while the torus scales
         scaled = {
-            name: [(x * L / cfg.L1, y * L / cfg.L2, m) for x, y, m in entries]
+            name: [(x * L / cfg.geometry.L1, y * L / cfg.geometry.L2, m) for x, y, m in entries]
             for name, entries in cfg.sources.items()
         }
         status, adm, report, sol = _solve_once(cfg, geom, VortexConfiguration(**scaled), x0)

@@ -136,9 +136,24 @@ class Admissibility(NamedTuple):
         return self.constants
 
 
+def _checked_width(geom: TorusGeometry, sigma: float) -> float:
+    """`sigma`, refused when under one grid cell (SigmaTooSmall): the grid
+    cannot resolve it; and when over the shorter side (ConfigurationError):
+    the image sum would take about 12*sigma/L terms per node along a side
+    of length L."""
+    h_max = max(geom.h1, geom.h2)
+    if sigma < h_max:
+        raise SigmaTooSmall(sigma, h_max)
+    if sigma > min(geom.L1, geom.L2):
+        raise ConfigurationError(
+            f"mollifier width {sigma:.3e} over the torus side {min(geom.L1, geom.L2):.3e}"
+        )
+    return sigma
+
+
 def mollifier_width(geom: TorusGeometry, kappa) -> float:
-    """Source width sigma = kappa*max(h1, h2): a finite number kappa of grid cells."""
-    return _real(kappa, "kappa") * max(geom.h1, geom.h2)
+    """Source width sigma = kappa*max(h1, h2) for a finite kappa, bounded by `_checked_width`."""
+    return _checked_width(geom, _real(kappa, "kappa") * max(geom.h1, geom.h2))
 
 
 def _wrap(d, L):
@@ -161,19 +176,10 @@ def mollified_delta(geom: TorusGeometry, point, sigma) -> ScalarField:
 
     The periodized Gaussian sum exp(-|x - z - image|^2 / (2 sigma^2)) /
     (2 pi sigma^2) is evaluated analytically at the nodes and then rescaled
-    so that integrate(result) = 1 exactly. Widths under one grid cell are
-    rejected (SigmaTooSmall): the grid cannot resolve them. Widths over the
-    shorter side are a ConfigurationError: the image sum would take about
-    12*sigma/L terms per node along a side of length L.
+    so that integrate(result) = 1 exactly. A width under one grid cell or
+    over the shorter side is refused (`_checked_width`).
     """
-    sigma = _real(sigma, "sigma")
-    h_max = max(geom.h1, geom.h2)
-    if sigma < h_max:
-        raise SigmaTooSmall(sigma, h_max)
-    if sigma > min(geom.L1, geom.L2):
-        raise ConfigurationError(
-            f"mollifier width {sigma:.3e} over the torus side {min(geom.L1, geom.L2):.3e}"
-        )
+    sigma = _checked_width(geom, _real(sigma, "sigma"))
     zx, zy = float(point[0]), float(point[1])
     gx = _image_profile(geom.x1, zx, geom.L1, sigma)
     gy = _image_profile(geom.x2, zy, geom.L2, sigma)

@@ -129,12 +129,6 @@ class _Work(NewtonWork):
         return np.log(target) - m - np.log(self.geom.quad(clipped_exp(x - m)[0]))
 
 
-def tw_quantized_integrals(sol, problem: TWProblem):
-    """Integrals of 1 - e^u and 1 - e^v, which the counts pin to p (`sources.forced`)."""
-    from .diagnostics import quantized_integrals  # diagnostics imports this module
-    return quantized_integrals(sol, problem)
-
-
 @dataclass
 class TWSolution(Solution):
     """A `tw` solve (`_linalg.Solution`) and I's value at its fields."""

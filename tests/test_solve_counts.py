@@ -8,7 +8,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
 import vortexlab._linalg
+import vortexlab.cli
 import vortexlab.kernels
 import vortexlab.tw
 import vortexlab.vav
@@ -158,3 +162,31 @@ def test_only_the_tanh_taken_inside_a_shift_is_counted(monkeypatch):
     assert counts == _counts(inputs=FIXED_POINT_ARGS)
     assert len(calls) >= counts["shift_tanh"] + 2 * counts["solves"]
     assert vortexlab.vav.f_half is recorded
+
+
+@pytest.mark.parametrize("inputs", [ARGS, SWEEP_ARGS])
+def test_the_tool_solves_what_the_benchmark_solves(inputs, tmp_path, monkeypatch):
+    # The tool's fields are those of the CLI runs the benchmark makes: a
+    # sweep scales its sources as x * L / L1, as `vortexlab sweep` does, and
+    # x * (L / L1) differed from it in the last bit on a third of them.
+    fields = tmp_path / "fields.f64"
+    counts = _counts("--fields", str(fields), inputs=inputs)
+    assert counts["failures"] == 0
+    workloads = _tool(monkeypatch).workloads
+    solved = []
+    for name in ("solve_tw", "solve_vav"):
+        solve = getattr(vortexlab.cli, name)
+
+        def recorded(problem, *, _solve=solve, **kwargs):
+            sol = _solve(problem, **kwargs)
+            solved.append(np.stack((sol.U.values, sol.V.values)))
+            return sol
+
+        monkeypatch.setattr(vortexlab.cli, name, recorded)
+    items = workloads.make_inputs(inputs[1], 1, 16)
+    runner = workloads.Runner(inputs[1], items, workloads.Program(str(ROOT / "src")), str(tmp_path))
+    runner.setup()
+    for k in range(len(items)):
+        runner.run_op(k)
+    assert len(solved) == counts["solves"]
+    assert fields.read_bytes() == b"".join(planes.tobytes() for planes in solved)

@@ -112,6 +112,20 @@ def test_a_width_that_is_not_a_finite_number_is_refused(width):
         mollified_delta(geom, (1.0, 1.0), width)
 
 
+@pytest.mark.parametrize("sources", [{}, {"zeros_q": [(1.0, 1.0, 1)]}])
+def test_a_width_the_grid_or_the_torus_cannot_hold_is_refused(sources):
+    # the problem builders refuse it through `mollifier_width`, with sources
+    # or without; without, they used to build a problem at any kappa
+    geom = TorusGeometry(6.0, 6.0, 32, 32)
+    cfg = VortexConfiguration(**sources)
+    for build in (tw_problem, vav_problem):
+        with pytest.raises(SigmaTooSmall, match="under grid cell 1.875e-01"):
+            build(geom, cfg, kappa=0.5)
+        with pytest.raises(ConfigurationError, match="over the torus side 6.000e"):
+            build(geom, cfg, kappa=64)
+        assert build(geom, cfg, kappa=16).geometry is geom  # half the side is held
+
+
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf"), True])
 def test_a_shift_target_that_is_not_a_finite_number_is_refused(target, geom):
     # a NaN or infinite target used to run the root search into a

@@ -52,12 +52,16 @@ import workloads  # noqa: E402
 def _solves(program, item):
     """(problem, solver, keyword arguments) of each admissible solve of an input."""
     vl = program.vl
-    lengths = [float(s) for s in item.lengths] or [item.L]
-    for L in lengths:
-        scale = L / item.L
-        sources = {
-            k: [(x * scale, y * scale, m) for x, y, m in v] for k, v in item.sources.items()
-        }
+    for L in [float(s) for s in item.lengths] or [item.L]:
+        # a sweep scales its sources as `vortexlab sweep` does, x * L / L1;
+        # x * (L / L1) is off in the last bit for about a third of them. An
+        # input that is no sweep keeps its own, as (x * L) / L is not always x.
+        sources = item.sources
+        if item.lengths:
+            sources = {
+                k: [(x * L / item.L, y * L / item.L, m) for x, y, m in v]
+                for k, v in item.sources.items()
+            }
         geom = vl.TorusGeometry(L, L, item.n, item.n)
         config = vl.VortexConfiguration(**sources)
         if not program.diagnostics.MODELS[item.model].admissibility(config, geom).satisfied:
