@@ -395,8 +395,9 @@ def _solve_once(cfg: RunConfig, geom, config, x0=None):
     record, report, solution).
 
     The admissibility record decides exit 2 before any problem is built.
-    The solve starts from `x0` = (U, V) when it is given, else from the
-    config's seeded start or zeros.
+    The solve starts from `x0` = (U, V) when it is given (a sweep row's
+    start, `_sweep_start`), else from the config's seeded start or zeros;
+    the report's iterations count from that start.
     """
     t0 = time.perf_counter()
     build_problem, solve, report = _entry_points(cfg.model)
@@ -451,14 +452,43 @@ def cmd_solve(config_path, out_dir):
     return status
 
 
+def _sweep_start(solved, s):
+    """A sweep row's start at s = 1/|S| from `solved`, the (1/|S|, U, V) of
+    the last two rows that solved, the older first: None when there are
+    none, the last row's U and V when there is one or both have the same s,
+    else the secant U1 + q (U1 - U0), V1 + q (V1 - V0), q = (s - s1)/(s1 - s0),
+    in new arrays.
+
+    Both models' equations hold |S| only through 4 pi N/|S|, so a sweep's
+    solutions are smooth in 1/|S|; the secant in it is the predictor of
+    standard continuation methods (Allgower & Georg 1990, ch. 2).
+    """
+    if not solved:
+        return None
+    s1, U1, V1 = solved[-1]
+    s0, U0, V0 = solved[0]
+    if s1 == s0:
+        return U1, V1
+    q = (s - s1) / (s1 - s0)
+    return U1 + q * (U1 - U0), V1 + q * (V1 - V0)
+
+
 def cmd_sweep(config_path, lengths, out_dir):
+    """Solve the config on the square torus of each side L in `lengths`,
+    the sources keeping their fractional positions, and write one row of
+    sweep.csv per length.
+
+    A row that is refused (exit 2) or does not converge (exit 3) gets empty
+    solution cells. Each row's solve starts from `_sweep_start` of the last
+    two rows that solved, so its `iterations` count from that prediction.
+    """
     cfg = RunConfig(_load_json(config_path))
     for L in lengths:  # refused before any solve; each holds a grid array, so none is kept
         TorusGeometry(L, L, cfg.geometry.n1, cfg.geometry.n2)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    x0 = None  # the (U, V) of the last solved row, where the next solve starts
+    solved = []  # (1/|S|, U, V) of the last two solved rows, the older first
     for L in lengths:
         geom = TorusGeometry(L, L, cfg.geometry.n1, cfg.geometry.n2)
         # keep fractional source coordinates fixed while the torus scales
@@ -466,12 +496,15 @@ def cmd_sweep(config_path, lengths, out_dir):
             name: [(x * L / cfg.geometry.L1, y * L / cfg.geometry.L2, m) for x, y, m in entries]
             for name, entries in cfg.sources.items()
         }
-        status, adm, report, sol = _solve_once(cfg, geom, VortexConfiguration(**scaled), x0)
+        s = 1.0 / geom.area
+        status, adm, report, sol = _solve_once(
+            cfg, geom, VortexConfiguration(**scaled), _sweep_start(solved, s)
+        )
         row = (geom.area, int(adm.satisfied), *adm.margins)
         if status != 0:
             rows.append(row + ("", "", "", "", ""))
             continue
-        x0 = (sol.U.values, sol.V.values)
+        solved = [*solved[-1:], (s, sol.U.values, sol.V.values)]
         qi = report.quantized_integrals
         rows.append(
             row
@@ -483,6 +516,8 @@ def cmd_sweep(config_path, lengths, out_dir):
                 report.solver_trace["iterations"],
             )
         )
+        # drop u and v before the next solve: `solved` holds the U and V it needs
+        del sol, report
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("S,admissible,margin1,margin2,sup_eu,sup_ev,qerr_u,qerr_v,iterations\n")

@@ -193,7 +193,10 @@ def background(geom: TorusGeometry, points, sigma) -> ScalarField:
 
     `points` is an iterable of (x, y, multiplicity); an empty set gives the
     zero field. Multiplicity m enters as the coefficient m on one mollified
-    delta, not as m stacked points.
+    delta, not as m stacked points. The right-hand side's mean is zero by
+    construction, so it is solved without `inv_lap`'s mean check, which
+    rounding alone can fail when the widest Gaussians nearly cancel the
+    constant.
     """
     points = _normalize_points(points, "background points")
     if not points:
@@ -202,7 +205,7 @@ def background(geom: TorusGeometry, points, sigma) -> ScalarField:
     rhs = np.full((geom.n1, geom.n2), -FOUR_PI * total / geom.area)
     for x, y, m in points:
         rhs += FOUR_PI * m * mollified_delta(geom, (x, y), sigma).values
-    return geom.field(geom.inv_lap(rhs))
+    return geom.field(geom.inv_lap_projected(rhs))
 
 
 @dataclass(frozen=True)

@@ -186,8 +186,8 @@ class TorusGeometry:
 
     def inv_lap_projected(self, a):
         """inv_lap without the mean check: d mean-zero with Lap(d) = a - mean(a),
-        as the symbol is 0 on the zero mode. No solver calls it; it stays
-        because the traced benchmark run wraps it by name."""
+        as the symbol is 0 on the zero mode. `sources.background` calls it,
+        as its right-hand side has zero mean by construction."""
         return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
     def inv_lap_pair_projected(self, a, b):

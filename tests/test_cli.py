@@ -214,21 +214,22 @@ def test_sweep_refuses_a_bad_length_before_any_solve(tmp_path, monkeypatch, caps
 
 
 def _recorded_sweep(tmp_path, monkeypatch, lengths, nonconverged=(), **overrides):
-    """Run a tw sweep with the solver in cli's globals recording each call's
-    area, start x0 and solution (None when it raised); a row whose area is in
-    `nonconverged` is solved with max_iter=1 and so fails."""
+    """Run a sweep with the model's solver in cli's globals recording each
+    call's area, start x0 and solution (None when it raised); a row whose
+    area is in `nonconverged` is solved with max_iter=1 and so fails."""
     calls = []
-    solve_tw = vortexlab.cli.solve_tw
+    name = "solve_" + overrides.get("solver", {"model": "tw"})["model"]
+    solve = getattr(vortexlab.cli, name)
 
     def recorded(problem, **kwargs):
         area = problem.geometry.area
         if area in nonconverged:
             kwargs["max_iter"] = 1
         calls.append([area, kwargs.get("x0"), None])
-        calls[-1][2] = solve_tw(problem, **kwargs)
+        calls[-1][2] = solve(problem, **kwargs)
         return calls[-1][2]
 
-    monkeypatch.setattr(vortexlab.cli, "solve_tw", recorded)
+    monkeypatch.setattr(vortexlab.cli, name, recorded)
     cfg = write_config(tmp_path / "run.json", **overrides)
     argv = ["sweep", "--config", str(cfg), "--lengths", lengths, "--out", str(tmp_path / "sw")]
     assert main(argv) == 0
@@ -238,6 +239,16 @@ def _recorded_sweep(tmp_path, monkeypatch, lengths, nonconverged=(), **overrides
 
 def _starts_from(x0, sol):
     return x0[0] is sol.U.values and x0[1] is sol.V.values
+
+
+def _secant_from(x0, older, last, areas):
+    """Whether x0 is, bit for bit, the secant in s = 1/|S| through the
+    solutions `older` and `last` at the areas (older, last, row)."""
+    s0, s1, s = (1.0 / area for area in areas)
+    q = (s - s1) / (s1 - s0)
+    pairs = ((older.U.values, last.U.values), (older.V.values, last.V.values))
+    want = [F1 + q * (F1 - F0) for F0, F1 in pairs]
+    return all(np.array_equal(got, w) for got, w in zip(x0, want, strict=True))
 
 
 def test_sweep_rows_continue_from_the_last_solved_row(tmp_path, monkeypatch):
@@ -251,8 +262,42 @@ def test_sweep_rows_continue_from_the_last_solved_row(tmp_path, monkeypatch):
     (_, first, s5), (_, x55, s55), (_, x6, s6), (_, x65, _) = calls
     assert first is None and s6 is None
     assert _starts_from(x55, s5)
-    # neither the refused 2.2 row nor the failed 6 row breaks the chain
-    assert _starts_from(x6, s55) and _starts_from(x65, s55)
+    # the 6 and 6.5 rows are predicted from the 5 and 5.5 solutions: neither
+    # the refused 2.2 row nor the failed 6 row breaks the chain
+    assert _secant_from(x6, s5, s55, (25.0, 30.25, 36.0))
+    assert _secant_from(x65, s5, s55, (25.0, 30.25, 42.25))
+
+
+def test_a_repeated_length_starts_from_the_last_solution(tmp_path, monkeypatch):
+    # the last two solved rows share 1/|S|: no secant, and no division by zero
+    calls, rows = _recorded_sweep(tmp_path, monkeypatch, "5,5,5.5")
+    assert [r[8] == "" for r in rows] == [False] * 3
+    (_, _, first), (_, x5, second), (_, x55, _) = calls
+    assert _starts_from(x5, first) and _starts_from(x55, second)
+
+
+def test_a_sweep_that_jumps_far_past_its_last_two_rows_solves_every_row(tmp_path, monkeypatch):
+    # 4.4 and 4.41 lie just over the Bradlow length sqrt(6 pi) = 4.34: the
+    # secant to 12 extrapolates by q = 190 times their difference
+    sources = {"zeros_q": [[2.3, 3.1, 1]], "zeros_p": [[4.0, 1.0, 1]]}
+    calls, rows = _recorded_sweep(tmp_path, monkeypatch, "4.4,4.41,12,40", sources=sources)
+    assert [r[1] for r in rows] == ["1"] * 4
+    assert [r[8] == "" for r in rows] == [False] * 4
+    (a0, _, older), (a1, _, last), (a, x12, _), _ = calls
+    assert 180 < (1 / a - 1 / a1) / (1 / a1 - 1 / a0) < 200
+    assert _secant_from(x12, older, last, (a0, a1, a))
+
+
+def test_a_vav_fixed_point_sweep_starts_each_row_from_the_secant(tmp_path, monkeypatch):
+    sources = {"zeros_q": [[1.7, 2.2, 1]], "poles_q": [[4.3, 3.9, 1]]}
+    solver = {"model": "vav", "method": "fixed_point"}
+    calls, rows = _recorded_sweep(
+        tmp_path, monkeypatch, "2.8,3,3.2,3.6,4,5", sources=sources, solver=solver
+    )
+    assert [r[8] == "" for r in rows] == [False] * 6
+    assert calls[0][1] is None and _starts_from(calls[1][1], calls[0][2])
+    for (a0, _, older), (a1, _, last), (a, x0, _) in zip(calls, calls[1:], calls[2:]):
+        assert _secant_from(x0, older, last, (a0, a1, a))
 
 
 def test_seed_sets_only_the_first_solved_rows_start(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Smoke test of tools/solve_counts.py at a 16^2 grid, on this checkout's src."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -90,23 +91,46 @@ def test_sweep_counts_are_deterministic_and_consistent(monkeypatch):
         assert first["tw"][key] + first["vav"][key] == first[key]
     assert first["vav"]["newton_iters"] == 0
     assert first["shift_calls"] == first["shift_tanh"] == 0
-    # a second run gives the same counts; as `vortexlab sweep` does, an
-    # input's first solve starts from zeros and each later one from the U and
-    # V of the solve before it
+    # a second run gives the same counts, and runs each input through
+    # `cli.cmd_sweep`, whose solver name the tool wraps: an input's first
+    # solve starts from zeros, its second from the first's U and V, and each
+    # later one from the secant in 1/|S| through the two solves before it
     calls = []
-    solve_tw = vortexlab.tw.solve_tw
+    solve_tw = vortexlab.cli.solve_tw
 
     def recorded(problem, x0=None, **kwargs):
         sol = solve_tw(problem, x0=x0, **kwargs)
-        calls.append((x0, sol))
+        calls.append((1.0 / problem.geometry.area, x0, sol))
         return sol
 
-    monkeypatch.setattr(vortexlab.tw, "solve_tw", recorded)
+    monkeypatch.setattr(vortexlab.cli, "solve_tw", recorded)
     assert _tool(monkeypatch).count(str(ROOT / "src"), "sweep-128", 1, grid=16) == first
+    assert vortexlab.cli.solve_tw is recorded
     assert len(calls) == first["solves"]
-    assert sum(x0 is None for x0, _ in calls) == 48
-    for (x0, _), (_, before) in zip(calls[1:], calls):
-        assert x0 is None or (x0[0] is before.U.values and x0[1] is before.V.values)
+    starts = [k for k, (_, x0, _) in enumerate(calls) if x0 is None]
+    assert len(starts) == 48
+    for begin, end in zip(starts, starts[1:] + [len(calls)]):
+        (_, _, a), (_, x0, _) = calls[begin : begin + 2]
+        assert x0[0] is a.U.values and x0[1] is a.V.values
+        for (s0, _, a), (s1, _, b), (s, x0, _) in zip(*(calls[begin + i : end] for i in range(3))):
+            q = (s - s1) / (s1 - s0)
+            assert np.array_equal(x0[0], b.U.values + q * (b.U.values - a.U.values))
+            assert np.array_equal(x0[1], b.V.values + q * (b.V.values - a.V.values))
+
+
+def test_the_tools_sweep_iterations_are_those_of_the_clis_sweep_csv(tmp_path, monkeypatch):
+    counts = _counts(inputs=SWEEP_ARGS)
+    assert counts["failures"] == 0
+    workloads = _tool(monkeypatch).workloads
+    items = workloads.make_inputs("sweep-128", 1, 16)
+    runner = workloads.Runner("sweep-128", items, workloads.Program(str(ROOT / "src")), str(tmp_path))
+    runner.setup()
+    total = 0
+    for k in range(len(items)):
+        assert runner.run_op(k) == 0
+        with open(tmp_path / "sweep" / "sweep.csv", encoding="utf-8") as fh:
+            total += sum(int(row["iterations"]) for row in csv.DictReader(fh) if row["iterations"])
+    assert counts["newton_iters"] == total
 
 
 def _point_calls(trace):

@@ -126,6 +126,24 @@ def test_a_width_the_grid_or_the_torus_cannot_hold_is_refused(sources):
         assert build(geom, cfg, kappa=16).geometry is geom  # half the side is held
 
 
+def test_the_widest_admitted_width_builds_both_models():
+    # At kappa = n, sigma is the torus side: the flat Gaussian nearly cancels
+    # -4 pi N/|S|, and the rounding of the right-hand side's mean (zero by
+    # construction) used to exceed inv_lap's check, so both builders raised
+    # NonZeroMean.
+    geom = TorusGeometry(6.0, 6.0, 32, 32)
+    cfgs = {
+        tw_problem: VortexConfiguration(zeros_q=[(1.0, 1.0, 1)]),
+        vav_problem: VortexConfiguration(zeros_q=[(1.0, 1.0, 1)], poles_q=[(4.0, 4.0, 1)]),
+    }
+    for build, cfg in cfgs.items():
+        assert build(geom, cfg, kappa=32).geometry is geom
+    bg = background(geom, [(1.0, 1.0, 1)], 6.0)
+    rhs = 4 * np.pi * (mollified_delta(geom, (1.0, 1.0), 6.0).values - 1 / geom.area)
+    assert abs(mean(bg)) < 1e-12
+    assert np.abs(laplacian(bg).values - (rhs - rhs.mean())).max() < 1e-12
+
+
 @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf"), True])
 def test_a_shift_target_that_is_not_a_finite_number_is_refused(target, geom):
     # a NaN or infinite target used to run the root search into a

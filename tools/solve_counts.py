@@ -23,12 +23,13 @@ machine's speed:
 * `tw` and `vav`: `newton_iters`, `cg_iters`, `point_calls` and
   `fields_sha256` of that model's solves alone.
 
-A `sweep-128` input is one solve per admissible length, with the sources
-keeping their fractional positions as the torus scales, and each solve
-starting from the U and V of the input's last length that solved (zeros for
-the first), as `vortexlab sweep` does; every other input is one solve, from
-zeros. The inputs come from `perfbench/workloads.py` next to this file,
-which is imported and not changed. --fields FILE writes the U and V of every
+A `sweep-128` input is run through the checkout's own `cli.cmd_sweep`, on
+a config written as the benchmark writes it, and each of its solves is
+counted through the solver name that `cli` calls (`cli.solve_tw`); so the
+sweep's start rule is the one that checkout's CLI has, and is stated only
+there. Every other input is one solve through the library, from zeros. The
+inputs come from `perfbench/workloads.py` next to this file, which is
+imported and not changed. --fields FILE writes the U and V of every
 solution as raw float64, in input order, with NaN for a failed solve;
 --against FILE, a file written so by another checkout, adds
 `max_field_delta`, the largest |difference| between the two. numpy and the
@@ -41,6 +42,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -49,27 +51,34 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
 
 
-def _solves(program, item):
-    """(problem, solver, keyword arguments) of each admissible solve of an input."""
+def _solve(program, item):
+    """(problem, solver, keyword arguments) of an input that is no sweep, or
+    None when its torus is inadmissible."""
     vl = program.vl
-    for L in [float(s) for s in item.lengths] or [item.L]:
-        # a sweep scales its sources as `vortexlab sweep` does, x * L / L1;
-        # x * (L / L1) is off in the last bit for about a third of them. An
-        # input that is no sweep keeps its own, as (x * L) / L is not always x.
-        sources = item.sources
-        if item.lengths:
-            sources = {
-                k: [(x * L / item.L, y * L / item.L, m) for x, y, m in v]
-                for k, v in item.sources.items()
-            }
-        geom = vl.TorusGeometry(L, L, item.n, item.n)
-        config = vl.VortexConfiguration(**sources)
-        if not program.diagnostics.MODELS[item.model].admissibility(config, geom).satisfied:
-            continue
-        if item.model == "tw":
-            yield program.tw.tw_problem(geom, config), program.tw.solve_tw, {}
-        else:
-            yield program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
+    geom = vl.TorusGeometry(item.L, item.L, item.n, item.n)
+    config = vl.VortexConfiguration(**item.sources)
+    if not program.diagnostics.MODELS[item.model].admissibility(config, geom).satisfied:
+        return None
+    if item.model == "tw":
+        return program.tw.tw_problem(geom, config), program.tw.solve_tw, {}
+    return program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
+
+
+def _sweep(program, item, work_dir):
+    """Run a sweep input as `vortexlab sweep` does, through the checkout's
+    `cli.cmd_sweep` on the config the benchmark writes for it."""
+    config = os.path.join(work_dir, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "torus": {"L1": item.L, "L2": item.L, "n1": item.n, "n2": item.n},
+                "sources": item.sources,
+                "solver": {"model": item.model, "method": item.method},
+                "outputs": {"format": "csv"},
+            },
+            fh,
+        )
+    program.cli.cmd_sweep(config, [float(s) for s in item.lengths], os.path.join(work_dir, "sweep"))
 
 
 def _point_owners(program):
@@ -136,47 +145,66 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
 
         return wrapped
 
-    wrappers = [(module, "pcg_pair", counted_pcg) for module in (program.tw, program.vav)]
-    wrappers += [(owner, "point", counted_point) for owner in _point_owners(program)]
-    wrappers += [(program.vav, "_shift", counted_shift), (program.vav, "f_half", counted_tanh)]
-    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
-    for owner, name, wrap in wrappers:
-        setattr(owner, name, wrap(vars(owner)[name]))
     other = np.memmap(against, dtype=np.float64, mode="r") if against else None
     offset = 0
     deltas = []
+
+    def account(fixed_point, iters, planes, record):
+        """Count one solve's iterations, and record its U and V planes."""
+        nonlocal offset
+        if fixed_point:
+            counts["fp_iters"] += iters
+        else:
+            tally("newton_iters", iters)
+        for key in ("all", model):
+            digests[key].update(record)
+        if out:
+            out.write(planes.tobytes())
+        if other is not None and offset + planes.size <= other.size:
+            theirs = other[offset : offset + planes.size].reshape(planes.shape)
+            deltas.append(np.abs(planes - theirs).max())
+            offset += planes.size
+
+    def counted_solve(solve):
+        def wrapped(problem, **kwargs):
+            counts["solves"] += 1
+            fixed_point = kwargs.get("method") == "fixed_point"
+            try:
+                sol = solve(problem, **kwargs)
+            except program.errors.SolverError as exc:
+                counts["failures"] += 1
+                geom = problem.geometry
+                iters = exc.trace[-1]["iter"] if exc.trace else 0
+                account(fixed_point, iters, np.full((2, geom.n1, geom.n2), np.nan), b"failed")
+                raise
+            planes = np.stack((sol.U.values, sol.V.values))
+            account(fixed_point, sol.iterations, planes, planes.tobytes())
+            return sol
+
+        return wrapped
+
+    wrappers = [(module, "pcg_pair", counted_pcg) for module in (program.tw, program.vav)]
+    wrappers += [(owner, "point", counted_point) for owner in _point_owners(program)]
+    wrappers += [(program.vav, "_shift", counted_shift), (program.vav, "f_half", counted_tanh)]
+    wrappers += [(program.cli, name, counted_solve) for name in ("solve_tw", "solve_vav")]
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
+    for owner, name, wrap in wrappers:
+        setattr(owner, name, wrap(vars(owner)[name]))
     try:
-        with open(fields, "wb") if fields else contextlib.nullcontext() as out:
+        with (
+            open(fields, "wb") if fields else contextlib.nullcontext() as out,
+            tempfile.TemporaryDirectory() as work_dir,
+        ):
             for item in workloads.make_inputs(workload, seed, grid):
                 model = item.model
-                x0 = None  # the (U, V) of the input's last solved length
-                for problem, solve, kwargs in _solves(program, item):
-                    counts["solves"] += 1
-                    fixed_point = kwargs.get("method") == "fixed_point"
-                    try:
-                        sol = solve(problem, x0=x0, **kwargs)
-                    except program.errors.SolverError as exc:
-                        counts["failures"] += 1
-                        iters = exc.trace[-1]["iter"] if exc.trace else 0
-                        record = b"failed"
-                        planes = np.full((2, item.n, item.n), np.nan)
-                    else:
-                        iters = sol.iterations
-                        x0 = (sol.U.values, sol.V.values)
-                        planes = np.stack(x0)
-                        record = planes.tobytes()
-                    if fixed_point:
-                        counts["fp_iters"] += iters
-                    else:
-                        tally("newton_iters", iters)
-                    for key in ("all", model):
-                        digests[key].update(record)
-                    if out:
-                        out.write(planes.tobytes())
-                    if other is not None and offset + planes.size <= other.size:
-                        theirs = other[offset : offset + planes.size].reshape(planes.shape)
-                        deltas.append(np.abs(planes - theirs).max())
-                        offset += planes.size
+                if item.lengths:
+                    _sweep(program, item, work_dir)
+                    continue
+                solve = _solve(program, item)
+                if solve is not None:
+                    problem, solver, kwargs = solve
+                    with contextlib.suppress(program.errors.SolverError):
+                        counted_solve(solver)(problem, **kwargs)
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
