@@ -23,15 +23,15 @@ machine's speed:
 * `tw` and `vav`: `newton_iters`, `cg_iters`, `point_calls` and
   `fields_sha256` of that model's solves alone.
 
-A `sweep-128` input is run through the checkout's own `cli.cmd_sweep`, on
-a config written as the benchmark writes it, and each of its solves is
-counted through the solver name that `cli` calls (`cli.solve_tw`); so the
-sweep's start rule is the one that checkout's CLI has, and is stated only
-there. Every other input is one solve through the library, from zeros. The
-inputs come from `perfbench/workloads.py` next to this file, which is
-imported and not changed. --fields FILE writes the U and V of every
-solution as raw float64, in input order, with NaN for a failed solve;
---against FILE, a file written so by another checkout, adds
+A `sweep-128` input is run as the benchmark runs it, by `vortexlab sweep`
+through the checkout's own `cli.main` and `cli.cmd_sweep`, and each of its
+solves is counted through the solver name that `cli` calls
+(`cli.solve_tw`); so the sweep's start rule is the one that checkout's CLI
+has, and is stated only there. Every other input is one solve through the
+library, from zeros. The inputs come from `perfbench/workloads.py` next to
+this file, which is imported and not changed. --fields FILE writes the U
+and V of every solution as raw float64, in input order, with NaN for a
+failed solve; --against FILE, a file written so by another checkout, adds
 `max_field_delta`, the largest |difference| between the two. numpy and the
 standard library only.
 """
@@ -64,21 +64,14 @@ def _solve(program, item):
     return program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
 
 
-def _sweep(program, item, work_dir):
-    """Run a sweep input as `vortexlab sweep` does, through the checkout's
-    `cli.cmd_sweep` on the config the benchmark writes for it."""
-    config = os.path.join(work_dir, "config.json")
-    with open(config, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "torus": {"L1": item.L, "L2": item.L, "n1": item.n, "n2": item.n},
-                "sources": item.sources,
-                "solver": {"model": item.model, "method": item.method},
-                "outputs": {"format": "csv"},
-            },
-            fh,
-        )
-    program.cli.cmd_sweep(config, [float(s) for s in item.lengths], os.path.join(work_dir, "sweep"))
+def _sweep(program, workload, item, work_dir):
+    """Run a sweep input as the benchmark runs it: `vortexlab sweep` through
+    the checkout's `cli.main`, on the config the benchmark writes."""
+    runner = workloads.Runner(workload, [item], program, work_dir)
+    runner.setup()
+    code = runner.run_op(0)
+    if code != 0:
+        raise RuntimeError(f"vortexlab sweep exited {code} on lengths {item.lengths}")
 
 
 def _point_owners(program):
@@ -198,7 +191,7 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
             for item in workloads.make_inputs(workload, seed, grid):
                 model = item.model
                 if item.lengths:
-                    _sweep(program, item, work_dir)
+                    _sweep(program, workload, item, work_dir)
                     continue
                 solve = _solve(program, item)
                 if solve is not None:
