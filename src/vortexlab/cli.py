@@ -24,7 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import MODELS, SolveReport, curvatures, report_tw, report_vav
+from .diagnostics import (
+    MODELS, SolveReport, curvatures, quantized_entries, quantized_integrals, report_tw, report_vav
+)
 from .errors import ConfigurationError, SolverError, VortexLabError
 from .sources import VortexConfiguration, _normalize_points, mollifier_width
 from .surface import TorusGeometry, _integer, _real, check_solver_settings
@@ -42,7 +44,7 @@ def _entry_points(tag):
     """The model's problem builder, solver and report builder. They are read
     from this module's globals at each call because a traced benchmark run
     wraps these names here; this lookup and the `report_*` aliases go when it
-    stops wrapping names (ROADMAP item 5 Part B)."""
+    stops wrapping names (ROADMAP item 13)."""
     return {
         "tw": (tw_problem, solve_tw, report_tw),
         "vav": (vav_problem, solve_vav, report_vav),
@@ -147,10 +149,7 @@ class RunConfig:
                 f"outputs.format is 'csv' (format is {self.format!r})"
             )
 
-    def configuration(self):
-        return VortexConfiguration(**self.sources)
-
-    def inputs_echo(self, geometry):
+    def inputs_echo(self):
         g = self.geometry
         return {
             "torus": {"L1": g.L1, "L2": g.L2, "n1": g.n1, "n2": g.n2},
@@ -163,7 +162,7 @@ class RunConfig:
                 "kappa": self.kappa,
                 "seed": self.seed,
             },
-            "sigma": mollifier_width(geometry, self.kappa),
+            "sigma": mollifier_width(g, self.kappa),
         }
 
 
@@ -390,32 +389,21 @@ def _read_fields(path):
 # -------------------------------------------------------------- commands ----
 
 
-def _solve_once(cfg: RunConfig, geom, config, x0=None):
-    """Admissibility check plus one solve; returns (status, admissibility
-    record, report, solution).
+def _solve_once(cfg: RunConfig, geom, sources, x0=None):
+    """Admissibility check plus one solve of the source lists on `geom`;
+    returns the admissibility record, the problem, and the solution or the
+    SolverError that ended the solve. The record decides exit 2 before any
+    problem is built: a refused torus gives (record, None, None).
 
-    The admissibility record decides exit 2 before any problem is built.
     The solve starts from `x0` = (U, V) when it is given (a sweep row's
     start, `_sweep_start`), else from the config's seeded start or zeros;
-    the report's iterations count from that start.
+    the solution's iterations count from that start.
     """
-    t0 = time.perf_counter()
-    build_problem, solve, report = _entry_points(cfg.model)
-    inputs = cfg.inputs_echo(geom)
+    build_problem, solve, _ = _entry_points(cfg.model)
+    config = VortexConfiguration(**sources)
     adm = MODELS[cfg.model].admissibility(config, geom)
-
-    def unsolved(status, solver_trace):
-        return SolveReport(
-            model=cfg.model,
-            status=status,
-            inputs=inputs,
-            admissibility=adm.report,
-            solver_trace=solver_trace,
-            timings={"wall_seconds": time.perf_counter() - t0},
-        )
-
     if not adm.satisfied:
-        return 2, adm, unsolved("inadmissible", {"iterations": 0, "converged": False}), None
+        return adm, None, None
     problem = build_problem(geom, config, kappa=cfg.kappa)
     if x0 is None and cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
@@ -423,20 +411,15 @@ def _solve_once(cfg: RunConfig, geom, config, x0=None):
     try:
         sol = solve(problem, tol=cfg.tol, max_iter=cfg.max_iter, method=cfg.method, x0=x0)
     except SolverError as exc:
-        solver_trace = {
-            "converged": False,
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "history": exc.trace,
-        }
-        return 3, adm, unsolved("nonconverged", solver_trace), None
-    return 0, adm, report(sol, problem, inputs, time.perf_counter() - t0), sol
+        sol = exc.with_traceback(None)  # its frames hold the failed solve's arrays
+    return adm, problem, sol
 
 
 def cmd_solve(config_path, out_dir):
+    """Solve the config, and write its report and a solved run's field dump.
+    The one command that builds a report: the model's report entry point
+    makes a solved run's, and a refused or nonconverged run's is built here."""
     cfg = RunConfig(_load_json(config_path))
-    geom = cfg.geometry
-    config = cfg.configuration()
     out = Path(out_dir)
     # the dump would overwrite the report; --out makes both paths whole here
     report_path, dump = (os.path.normpath(out / p) for p in (cfg.report_path, cfg.fields_path))
@@ -444,12 +427,24 @@ def cmd_solve(config_path, out_dir):
         raise ConfigurationError(
             f"outputs.report {report_path} names the field dump or its sidecar"
         )
-    status, _, report, sol = _solve_once(cfg, geom, config)
+    t0 = time.perf_counter()
+    adm, problem, sol = _solve_once(cfg, cfg.geometry, cfg.sources)
+    if sol is None:
+        status, trace = "inadmissible", {"iterations": 0, "converged": False}
+    elif isinstance(sol, SolverError):
+        status = "nonconverged"
+        trace = dict(converged=False, error=type(sol).__name__, message=str(sol), history=sol.trace)
+    else:
+        *_, build_report = _entry_points(cfg.model)
+        report = build_report(sol, problem, cfg.inputs_echo(), time.perf_counter() - t0)
+        del problem  # held through the dump, it raised the dump's time and peak memory
+        _write_report(report, out / cfg.report_path)
+        _write_fields(out / cfg.fields_path, _field_planes(cfg.geometry, sol), cfg.format)
+        return 0
+    timings = {"wall_seconds": time.perf_counter() - t0}
+    report = SolveReport(cfg.model, status, cfg.inputs_echo(), adm.report, trace, timings=timings)
     _write_report(report, out / cfg.report_path)
-    if status == 0:
-        planes = _field_planes(geom, sol)
-        _write_fields(out / cfg.fields_path, planes, cfg.format)
-    return status
+    return 2 if sol is None else 3
 
 
 def _sweep_start(solved, s):
@@ -478,9 +473,10 @@ def cmd_sweep(config_path, lengths, out_dir):
     the sources keeping their fractional positions, and write one row of
     sweep.csv per length.
 
-    A row that is refused (exit 2) or does not converge (exit 3) gets empty
-    solution cells. Each row's solve starts from `_sweep_start` of the last
-    two rows that solved, so its `iterations` count from that prediction.
+    A row is read from the admissibility record and the solution, and no
+    report is built; a refused (exit 2) or nonconverged (exit 3) row gets
+    empty solution cells. Each row's solve starts from `_sweep_start` of the
+    last two rows that solved, so its `iterations` count from that prediction.
     """
     cfg = RunConfig(_load_json(config_path))
     for L in lengths:  # refused before any solve; each holds a grid array, so none is kept
@@ -497,27 +493,21 @@ def cmd_sweep(config_path, lengths, out_dir):
             for name, entries in cfg.sources.items()
         }
         s = 1.0 / geom.area
-        status, adm, report, sol = _solve_once(
-            cfg, geom, VortexConfiguration(**scaled), _sweep_start(solved, s)
-        )
-        row = (geom.area, int(adm.satisfied), *adm.margins)
-        if status != 0:
-            rows.append(row + ("", "", "", "", ""))
-            continue
-        solved = [*solved[-1:], (s, sol.U.values, sol.V.values)]
-        qi = report.quantized_integrals
-        rows.append(
-            row
-            + (
+        adm, problem, sol = _solve_once(cfg, geom, scaled, _sweep_start(solved, s))
+        cells = ("",) * 5
+        if sol is not None and not isinstance(sol, SolverError):
+            solved = [*solved[-1:], (s, sol.U.values, sol.V.values)]
+            qi = quantized_entries(problem, quantized_integrals(sol, problem))
+            cells = (
                 float(np.exp(sol.u.values).max()),
                 float(np.exp(sol.v.values).max()),
                 qi["Iu"]["rel_error"],
                 qi["Iv"]["rel_error"],
-                report.solver_trace["iterations"],
+                sol.iterations,
             )
-        )
-        # drop u and v before the next solve: `solved` holds the U and V it needs
-        del sol, report
+        rows.append((geom.area, int(adm.satisfied), *adm.margins, *cells))
+        # drop the problem, u and v before the next solve: `solved` holds the U, V it needs
+        del problem, sol
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("S,admissible,margin1,margin2,sup_eu,sup_ev,qerr_u,qerr_v,iterations\n")

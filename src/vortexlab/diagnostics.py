@@ -180,6 +180,11 @@ def _entry(value, expected):
     }
 
 
+def quantized_entries(problem, integrals):
+    """The report's quantized_integrals entry: `integrals` against what the counts pin."""
+    return {key: _entry(integrals[key], value) for key, value in _expected(problem)[1].items()}
+
+
 def _flux_entries(problem, fhat, ftilde):
     integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
     *_, expected = _expected(problem)
@@ -223,7 +228,6 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     model = _model(sol, problem)
     config = problem.config
     quad = problem.geometry.quad
-    _, pinned, _ = _expected(problem)
     fhat, ftilde, phi_v = _curvature_arrays(sol)
     qi = {"Iu": quad(fhat) / model.work.scale, "Iv": quad(phi_v) / model.work.scale}
     del phi_v
@@ -241,7 +245,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "residuals": _residual_norms(sol, problem, fhat, ftilde),
             "history": sol.trace,
         },
-        quantized_integrals={key: _entry(qi[key], value) for key, value in pinned.items()},
+        quantized_integrals=quantized_entries(problem, qi),
         fluxes=_flux_entries(problem, fhat, ftilde),
         energy=model.energy(config),
         timings={"wall_seconds": wall_seconds},
@@ -250,7 +254,7 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
 
 # flux_report_* and *_quantized_integrals are public names. report_* exist
 # because the traced benchmark run wraps `cli.report_tw` and `cli.report_vav`
-# by name; they go when it stops wrapping names (ROADMAP item 5 Part B). The
+# by name; they go when it stops wrapping names (ROADMAP item 13). The
 # benchmark's check also reads `tw_quantized_integrals` here.
 flux_report_tw = flux_report_vav = flux_report
 tw_quantized_integrals = vav_quantized_integrals = quantized_integrals

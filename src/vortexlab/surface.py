@@ -118,9 +118,13 @@ class TorusGeometry:
         n2 = self.n2 = _integer(self.n2, "n2")
         if min(n1, n2) < 8 or n1 % 2 or n2 % 2:
             raise ConfigurationError(f"grid counts must be even integers >= 8, got {n1}, {n2}")
+        self.area = L1 * L2
+        # the area and every |k|^2 of the symbol, from scalars: finite, and positive off k = 0
+        k_low, k1, k2 = 2.0 * math.pi / max(L1, L2), math.pi * n1 / L1, math.pi * n2 / L2
+        if not (0.0 < self.area < math.inf and k_low * k_low > 0 and k1 * k1 + k2 * k2 < math.inf):
+            raise ConfigurationError(f"the area or a |k|^2 of {self} overflows or underflows")
         self.h1 = L1 / n1
         self.h2 = L2 / n2
-        self.area = L1 * L2
         self.x1 = np.arange(n1) * self.h1
         self.x2 = np.arange(n2) * self.h2
         k1 = 2.0 * np.pi * np.fft.fftfreq(n1, d=self.h1)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,55 @@ def test_sweep_refuses_a_bad_length_before_any_solve(tmp_path, monkeypatch, caps
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("vortexlab: error: side lengths must be positive")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lengths", ["1e-200", "6,1e-200", "1e200"])
+def test_a_torus_whose_area_or_wave_numbers_overflow_is_refused(
+    tmp_path, monkeypatch, capsys, lengths
+):
+    # area 0.0 crashed `solve` in `sources.forced` and the sweep at 1/area
+    # after solving its 6 row; area inf failed only after numpy warnings, as
+    # "field values must be finite". Both are refused before any solve.
+    def unreachable(problem, **kwargs):
+        raise AssertionError("a run on a refused torus solved")
+
+    monkeypatch.setattr(vortexlab.cli, "solve_tw", unreachable)
+    L = lengths.split(",")[-1]
+    torus = {"L1": float(L), "L2": float(L), "n1": 32, "n2": 32}
+    cfg = write_config(tmp_path / "run.json", torus=torus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("vortexlab: error: the area or a |k|^2")
+        base = write_config(tmp_path / "base.json")
+        argv = ["sweep", "--config", str(base), "--lengths", lengths, "--out", str(tmp_path / "sw")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("vortexlab: error: the area or a |k|^2")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_a_sweep_builds_no_report(tmp_path, monkeypatch, model):
+    # a sweep row reads the solution, not a run report: with the report entry
+    # points raising, the sweep writes the same sweep.csv
+    sources = {"zeros_q": [[1.0, 1.5, 1]], "zeros_p": [[2.0, 2.5, 1]]}
+    if model == "vav":
+        sources = {"zeros_q": [[1.7, 2.2, 1], [3.0, 4.5, 1]], "poles_q": [[4.3, 3.9, 1]]}
+    cfg = write_config(tmp_path / "run.json", sources=sources, solver={"model": model})
+    argv = ["sweep", "--config", str(cfg), "--lengths", "1.5,4,4.5,5,6"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a sweep built a report")
+
+    for name in ("report_tw", "report_vav"):
+        monkeypatch.setattr(vortexlab.cli, name, unreachable)
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    csv = (tmp_path / "b" / "sweep.csv").read_text()
+    assert csv == (tmp_path / "a" / "sweep.csv").read_text()
+    # a refused and a solved row at least
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
+    assert {r[1] for r in rows} == {"0", "1"} and all(r[8] for r in rows if r[1] == "1")
 
 
 def _recorded_sweep(tmp_path, monkeypatch, lengths, nonconverged=(), **overrides):

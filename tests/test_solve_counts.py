@@ -149,15 +149,15 @@ def test_a_point_both_models_share_is_counted_once(monkeypatch):
     owners = tool._point_owners(SimpleNamespace(tw=vortexlab.tw, vav=vortexlab.vav))
     assert owners == [vortexlab._linalg.NewtonWork]
     solves = []
-    for module, name in ((vortexlab.tw, "solve_tw"), (vortexlab.vav, "solve_vav")):
-        solve = getattr(module, name)
+    for name in ("solve_tw", "solve_vav"):  # cli-io-256 solves through the CLI
+        solve = getattr(vortexlab.cli, name)
 
         def recorded(problem, *, _solve=solve, **kwargs):
             sol = _solve(problem, **kwargs)
             solves.append(sol)
             return sol
 
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(vortexlab.cli, name, recorded)
     counts = tool.count(str(ROOT / "src"), "cli-io-256", 1, grid=16)
     assert counts == _counts()
     assert len(solves) == counts["solves"]

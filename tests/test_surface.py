@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,27 @@ def test_geometry_validation():
             TorusGeometry(bad, 1.0, 16, 16)
         with pytest.raises(ConfigurationError):
             TorusGeometry(1.0, bad, 16, 16)
+
+
+@pytest.mark.parametrize(
+    "sides", [(1e-200, 1e-200), (1e200, 1e200), (1e200, 1e-10), (1e154, 1e-154)]
+)
+def test_a_torus_whose_area_or_wave_numbers_overflow_or_underflow_is_refused(sides):
+    # area 0.0, area inf, the smallest |k|^2 (2 pi/1e200)^2 = 0.0, the largest
+    # |k|^2 (8 pi/1e-154)^2 = inf: each is refused before numpy could warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="overflows or underflows"):
+            TorusGeometry(*sides, 8, 8)
+
+
+@pytest.mark.parametrize("side", [1e-150, 1e150])
+def test_a_tiny_or_huge_torus_that_floats_can_hold_is_built(side):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = TorusGeometry(side, side, 8, 8)
+    assert 0.0 < geom.area < math.inf and np.isfinite(geom._lap_sym).all()
+    assert (geom._lap_sym.ravel()[1:] < 0).all()
 
 
 def test_geometry_equality():

@@ -15,7 +15,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ("tw.solve_tw", "diagnostics.report_tw", "sources.background")
+# the spans each command must record; only `solve` builds a report
+SPANS = {
+    "solve": ("tw.solve_tw", "diagnostics.report_tw", "sources.background"),
+    "sweep": ("tw.solve_tw", "sources.background"),
+}
 
 
 def _load(name):
@@ -61,8 +65,12 @@ def test_traced_cli_records_layer_spans(bench, tmp_path, command):
     tracer = tracing.Tracer()
     with tracing.Patches(tracer, program):
         assert program.cli.main(argv) == 0
-    missing = set(SPANS) - _recorded(tracer)
+    recorded = _recorded(tracer)
+    missing = set(SPANS[command]) - recorded
     assert not missing, f"traced {command} recorded no {sorted(missing)} spans"
+    if command == "sweep":
+        reports = {nm for nm in recorded if nm.startswith("diagnostics.report_")}
+        assert not reports, f"traced sweep built reports: {sorted(reports)}"
 
 
 def test_traced_fixed_point_shift_counts(bench):

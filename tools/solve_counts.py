@@ -1,10 +1,10 @@
-"""Deterministic work counts of a benchmark workload's solves, through the library.
+"""Deterministic work counts of a benchmark workload's solves, run as the benchmark runs them.
 
     python3 tools/solve_counts.py --src ../parent/src --workload sweep-128 --seed 1
 
-Solves every seeded input of a workload once, through the vortexlab package
-under --src, and prints one JSON line of counters that do not depend on the
-machine's speed:
+Runs every seeded input of a workload once, as the benchmark's operation on
+it, through the vortexlab package under --src, and prints one JSON line of
+counters that do not depend on the machine's speed:
 
 * `solves` and `failures` (solver errors);
 * `newton_iters` and `fp_iters`: iterations of the Newton and fixed-point
@@ -23,17 +23,19 @@ machine's speed:
 * `tw` and `vav`: `newton_iters`, `cg_iters`, `point_calls` and
   `fields_sha256` of that model's solves alone.
 
-A `sweep-128` input is run as the benchmark runs it, by `vortexlab sweep`
-through the checkout's own `cli.main` and `cli.cmd_sweep`, and each of its
-solves is counted through the solver name that `cli` calls
-(`cli.solve_tw`); so the sweep's start rule is the one that checkout's CLI
-has, and is stated only there. Every other input is one solve through the
-library, from zeros. The inputs come from `perfbench/workloads.py` next to
-this file, which is imported and not changed. --fields FILE writes the U
-and V of every solution as raw float64, in input order, with NaN for a
-failed solve; --against FILE, a file written so by another checkout, adds
-`max_field_delta`, the largest |difference| between the two. numpy and the
-standard library only.
+Every input runs through `workloads.Runner.run_op` of `perfbench/workloads.py`
+next to this file, which is imported and not changed: a `sweep-128` input by
+`vortexlab sweep`, a `cli-io-256` input by `vortexlab solve` and `plotdata`,
+both through the checkout's own `cli.main`, and a `fixedpoint-128` input by
+one library solve from zeros. Each solve is counted through the solver name
+its caller uses, `cli.solve_tw`/`cli.solve_vav` or `tw.solve_tw`/
+`vav.solve_vav`; so how a workload builds and starts its problems (the
+sweep's start rule included) is stated only in the benchmark and the CLI.
+An operation that the benchmark's check finds wrong stops the tool.
+--fields FILE writes the U and V of every solution as raw float64, in input
+order, with NaN for a failed solve; --against FILE, a file written so by
+another checkout, adds `max_field_delta`, the largest |difference| between
+the two. numpy and the standard library only.
 """
 
 import argparse
@@ -49,29 +51,6 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import workloads  # noqa: E402
-
-
-def _solve(program, item):
-    """(problem, solver, keyword arguments) of an input that is no sweep, or
-    None when its torus is inadmissible."""
-    vl = program.vl
-    geom = vl.TorusGeometry(item.L, item.L, item.n, item.n)
-    config = vl.VortexConfiguration(**item.sources)
-    if not program.diagnostics.MODELS[item.model].admissibility(config, geom).satisfied:
-        return None
-    if item.model == "tw":
-        return program.tw.tw_problem(geom, config), program.tw.solve_tw, {}
-    return program.vav.vav_problem(geom, config), program.vav.solve_vav, {"method": item.method}
-
-
-def _sweep(program, workload, item, work_dir):
-    """Run a sweep input as the benchmark runs it: `vortexlab sweep` through
-    the checkout's `cli.main`, on the config the benchmark writes."""
-    runner = workloads.Runner(workload, [item], program, work_dir)
-    runner.setup()
-    code = runner.run_op(0)
-    if code != 0:
-        raise RuntimeError(f"vortexlab sweep exited {code} on lengths {item.lengths}")
 
 
 def _point_owners(program):
@@ -180,6 +159,7 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
     wrappers += [(owner, "point", counted_point) for owner in _point_owners(program)]
     wrappers += [(program.vav, "_shift", counted_shift), (program.vav, "f_half", counted_tanh)]
     wrappers += [(program.cli, name, counted_solve) for name in ("solve_tw", "solve_vav")]
+    wrappers += [(program.tw, "solve_tw", counted_solve), (program.vav, "solve_vav", counted_solve)]
     saved = [(owner, name, vars(owner)[name]) for owner, name, _ in wrappers]
     for owner, name, wrap in wrappers:
         setattr(owner, name, wrap(vars(owner)[name]))
@@ -188,16 +168,14 @@ def count(src, workload, seed, grid=None, fields=None, against=None):
             open(fields, "wb") if fields else contextlib.nullcontext() as out,
             tempfile.TemporaryDirectory() as work_dir,
         ):
-            for item in workloads.make_inputs(workload, seed, grid):
+            items = workloads.make_inputs(workload, seed, grid)
+            runner = workloads.Runner(workload, items, program, work_dir)
+            runner.setup()
+            for k, item in enumerate(items):
                 model = item.model
-                if item.lengths:
-                    _sweep(program, workload, item, work_dir)
-                    continue
-                solve = _solve(program, item)
-                if solve is not None:
-                    problem, solver, kwargs = solve
-                    with contextlib.suppress(program.errors.SolverError):
-                        counted_solve(solver)(problem, **kwargs)
+                outcome = runner.check(k, runner.run_op(k))
+                if outcome.wrong:
+                    raise RuntimeError(f"{workload} input {k} failed its check: {outcome.errors}")
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
