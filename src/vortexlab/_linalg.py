@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import surface
 from .errors import BracketFailure, DivergedIterate, MaxIterExceeded, Stagnation
 from .kernels import EXP_CAP
 from .sources import forced
@@ -61,10 +62,15 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
 
     The iteration runs on packed spectra P = fft2(p1 + i*p2): `apply_op`
     maps one packed array to another and must be symmetric positive
-    definite; `apply_prec`, an SPD approximation of its inverse, must return
-    a new array, since R is updated in place after P = apply_prec(R). b1, b2
+    definite; `apply_prec` is an SPD approximation of its inverse. Both must
+    return a new array: R is updated in place after P = apply_prec(R), and
+    the operator's Q = apply_op(P) is scaled in place into R's update. b1, b2
     are grid arrays; returns (x1, x2) and the iteration count. Besides the
     operator's own transforms, the solve makes two FFT2s (pack b, unpack x).
+    With `newton_operator`, a call peaks at about 12 real grid arrays above
+    what it is handed (12.07 at 64^2), in a preconditioner apply: R, X and P,
+    the gathered -k modes, alpha*P, and numpy's complex copy of the real
+    alpha (a cast buffer of at most 8192 values, the whole array at 64^2).
     """
     R = pack_pair(b1, b2)
     X = np.zeros_like(R)
@@ -84,7 +90,8 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
             # curvature above rounding along P (a degenerate operator, or
             # rz/pq overflows or is NaN); return the best iterate
             break
-        R -= alpha * Q
+        Q *= alpha
+        R -= Q
         del Q
         norm = np.sqrt(_dot(R, R))
         if not np.isfinite(norm):  # breakdown: X is the last iterate of finite residual
@@ -221,15 +228,22 @@ def newton_operator(geom, w1, w2):
     CG's preconditioner for it: the exact inverse (|k|^2 + M)^-1 of the
     operator with the weights replaced by their bounded grid means. The
     operator applies -Lap mode by mode and the weights on the grid."""
-    lap_packed = geom.lap_packed
 
     def apply_op(D):
-        d1, d2 = unpack_pair(D)
-        mix = w2 * (d1 - d2)
-        q1 = w1 * d1 + mix
-        del d1, d2  # the unpacked pair is not held through the pack
-        Q = pack_pair(q1, -mix)
-        Q -= lap_packed(D)
+        # The pointwise part (w1*d1 + mix, -mix), mix = w2*(d1 - d2), is
+        # written over d = ifft2(D), and Lap D over d once fft2 has read it:
+        # the same operations in the same order as on new arrays, so the same
+        # bits. mix goes before the transform, where the apply peaks.
+        d = surface.ifft2(D)
+        d1, d2 = d.real, d.imag
+        mix = d1 - d2
+        mix *= w2
+        np.multiply(w1, d1, out=d1)
+        d1 += mix
+        np.negative(mix, out=d2)
+        del mix
+        Q = surface.fft2(d)
+        Q -= geom.lap_packed(D, out=d)
         return Q
 
     m1, m2 = bounded_means(w1, w2)

@@ -240,9 +240,10 @@ class TorusGeometry:
 
     # ---- packed spectra P = fft2(a + i*b) of array pairs (a, b) ----
 
-    def lap_packed(self, P):
-        """Packed spectrum of the pair's Laplacians."""
-        return self._lap_sym * P
+    def lap_packed(self, P, out=None):
+        """Packed spectrum of the pair's Laplacians, written into `out`, a
+        complex array of the grid's shape, when one is given."""
+        return np.multiply(self._lap_sym, P, out=out)
 
     def _conj_mix(self, P, alpha, beta):
         """alpha*P + beta*conj(P(-k)), alpha and beta mode arrays.
@@ -268,15 +269,30 @@ class TorusGeometry:
         be positive definite with positive diagonal; its determinant is kept
         at least COEFF_FLOOR*k11*k22, so that rounding in a nearly singular
         block cannot divide by zero.
+
+        Built in place, in four real arrays and the complex beta.
+        beta = (x - i*k12)/det, x = (k22 - k11)/2, is written as x*(1/det)
+        and -k12*(1/det): numpy divides a complex number by a real one
+        through the reciprocal, so these are its bits, where x/det is not.
         """
         (m11, k12), (_, m22) = M
         s = self._lap_sym
         k11 = m11 - s
         k22 = m22 - s
-        det = k11 * k22 - k12 * k12
-        np.maximum(det, COEFF_FLOOR * k11 * k22, out=det)
-        alpha = 0.5 * (k11 + k22) / det
-        beta = (0.5 * (k22 - k11) - 1j * k12) / det
+        det = k11 * k22
+        det -= k12 * k12
+        alpha = COEFF_FLOOR * k11
+        alpha *= k22
+        np.maximum(det, alpha, out=det)
+        np.add(k11, k22, out=alpha)
+        alpha *= 0.5
+        alpha /= det
+        k22 -= k11
+        k22 *= 0.5
+        np.divide(1.0, det, out=det)
+        beta = np.empty(s.shape, dtype=np.complex128)
+        np.multiply(k22, det, out=beta.real)
+        np.multiply(-k12, det, out=beta.imag)
         return lambda P: self._conj_mix(P, alpha, beta)
 
     def grad_sq_packed(self, P):

@@ -395,6 +395,58 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+# The Newton operator and the preconditioner as they were built before their
+# arithmetic was written in place, kept verbatim as the oracle of their bits.
+def _apply_op_reference(geom, w1, w2, D):
+    d1, d2 = unpack_pair(D)
+    mix = w2 * (d1 - d2)
+    q1 = w1 * d1 + mix
+    del d1, d2  # the unpacked pair is not held through the pack
+    Q = pack_pair(q1, -mix)
+    Q -= geom._lap_sym * D
+    return Q
+
+
+def _elliptic_inverse_reference(geom, M):
+    (m11, k12), (_, m22) = M
+    s = geom._lap_sym
+    k11 = m11 - s
+    k22 = m22 - s
+    det = k11 * k22 - k12 * k12
+    np.maximum(det, vortexlab.surface.COEFF_FLOOR * k11 * k22, out=det)
+    alpha = 0.5 * (k11 + k22) / det
+    beta = (0.5 * (k22 - k11) - 1j * k12) / det
+    return lambda P: geom._conj_mix(P, alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "shape, weights",
+    [((8, 12), "random"), ((32, 32), "random"), ((96, 64), "random"), ((16, 24), "degenerate")],
+    ids=["8x12", "32x32", "96x64", "degenerate"],
+)
+def test_newton_operator_and_preconditioner_keep_their_bits(shape, weights):
+    # The in-place operator and preconditioner give the bits of the same
+    # sums on new arrays; beta = (x - i*k12)/det only as x*(1/det) and
+    # -k12*(1/det), since numpy divides by a real det through its reciprocal.
+    # "degenerate" has the means of
+    # test_elliptic_inverse_packed_finite_on_degenerate_means.
+    rng = np.random.default_rng(sum(shape))
+    geom = TorusGeometry(5.0, 7.5, *shape)
+    if weights == "random":
+        w1, w2 = rng.uniform(0.01, 3.0, (2, *shape))
+    else:
+        w1, w2 = np.zeros(shape), np.full(shape, 1e300)
+    m1, m2 = vortexlab.surface.bounded_means(w1, w2)
+    M = ((m1 + m2, -m2), (-m2, m2))
+    apply_op, prec = newton_operator(geom, w1, w2)
+    for _ in range(3):
+        D = pack_pair(*rng.standard_normal((2, *shape)))
+        kept = D.copy()
+        assert np.array_equal(_bits(apply_op(D)), _bits(_apply_op_reference(geom, w1, w2, D)))
+        assert np.array_equal(_bits(prec(D)), _bits(_elliptic_inverse_reference(geom, M)(D)))
+        assert np.array_equal(_bits(D), _bits(kept))
+
+
 @pytest.mark.parametrize("shape", [(8, 12), (32, 32), (96, 64), (256, 256)])
 def test_transform_seam_is_numpy_bit_for_bit(shape):
     rng = np.random.default_rng(sum(shape))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import vortexlab.tw
 import vortexlab.vav
 from vortexlab import (
     BracketFailure,
@@ -907,21 +908,29 @@ def test_fixed_point_peak_memory():
     assert peak <= 22 * 64 * 64 * 8
 
 
-@pytest.mark.parametrize("model", ["tw", "vav"])
-def test_newton_peak_memory(model):
-    # Newton drops the point, and with it the kernel values, before CG, where
-    # memory peaks: the traced peak of a 64^2 solve stays within 29.5 (tw)
-    # and 31.5 (vav) grid arrays of its start (29.15 and 31.16 measured, in
-    # 5 and 6 iterations; 30.16 and 33.17 with the point kept alive through
-    # CG). A first solve builds what the geometry keeps once used (its index
-    # of -k modes, another grid array), so that the traced one counts only
-    # its own arrays.
+def _peak_problem(model):
+    """A 64^2 Newton problem of `model` and its solver, solved once already:
+    the first solve builds what the geometry keeps once used (its index of
+    -k modes, another grid array), so that a traced one counts only its own
+    arrays."""
     cfg = {"zeros_q": [(1.7, 2.2, 1)], "zeros_p": [(4.0, 4.5, 1)]}
     if model == "vav":
         cfg["poles_q"] = [(4.3, 3.9, 1)]
     make, solve = (tw_problem, solve_tw) if model == "tw" else (vav_problem, solve_vav)
     problem = make(TorusGeometry(6.0, 6.0, 64, 64), VortexConfiguration(**cfg))
     solve(problem)
+    return problem, solve
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_newton_peak_memory(model):
+    # Newton drops the point, and with it the kernel values, before CG, where
+    # memory peaks: the traced peak of a 64^2 solve stays within 27.5 (tw)
+    # and 29.5 (vav) grid arrays of its start (27.16 and 29.16 measured, in
+    # 5 and 6 iterations; 29.16 and 31.16 with CG's and the operator's
+    # products on new arrays, 30.16 and 33.17 with the point kept alive
+    # through CG).
+    problem, solve = _peak_problem(model)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -930,7 +939,35 @@ def test_newton_peak_memory(model):
     finally:
         tracemalloc.stop()
     assert sol.iterations >= 5
-    assert peak <= {"tw": 29.5, "vav": 31.5}[model] * 64 * 64 * 8, peak / (64 * 64 * 8)
+    assert peak <= {"tw": 27.5, "vav": 29.5}[model] * 64 * 64 * 8, peak / (64 * 64 * 8)
+
+
+@pytest.mark.parametrize("model", ["tw", "vav"])
+def test_pcg_peak_memory(model, monkeypatch):
+    # CG scales the operator's output in place for its residual update, and
+    # the operator writes its pointwise part, then -Lap's term, into its own
+    # inverse transform: each pcg_pair call of a 64^2 solve peaks within
+    # 12.5 grid arrays of its start (12.07 measured; 14.07 with alpha*Q, the
+    # operator's products and its pack on new arrays).
+    problem, solve = _peak_problem(model)
+    module = getattr(vortexlab, model)
+    pcg, peaks = module.pcg_pair, []
+
+    def measured(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = pcg(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return result
+
+    monkeypatch.setattr(module, "pcg_pair", measured)
+    tracemalloc.start()
+    try:
+        sol = solve(problem)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == sol.iterations >= 5
+    assert max(peaks) <= 12.5 * 64 * 64 * 8, [p / (64 * 64 * 8) for p in peaks]
 
 
 def test_every_fixed_point_tanh_goes_through_vav_f_half(monkeypatch):
