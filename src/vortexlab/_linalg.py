@@ -19,9 +19,10 @@ inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 `newton_solve`, takes the start and returns the solution as
 (U, V) = (f, (h - f)/2); the fixed point, `fixed_point_solve`, iterates on
 the curvature-form system in (U, V) itself, for a model whose work gives
-`shift_kernel`. Everything here works on raw arrays, but for the record a
-solve of either model returns, `Solution`, which `NewtonWork.solution`
-builds from them.
+`shift_kernel`; that system is written once, as `NewtonWork`'s
+`curvatures`, `rhs` and `residual`, which the reports read too. Everything
+here works on raw arrays, but for the record a solve of either model
+returns, `Solution`, which `NewtonWork.solution` builds from them.
 """
 
 from collections import namedtuple
@@ -106,20 +107,6 @@ def pcg_pair(apply_op, apply_prec, b1, b2, rtol):
         del Z
         rz = rz_new
     return (*unpack_pair(X), it)
-
-
-def curvature_rhs(fhat, ftilde, k1, k2):
-    """The right-hand sides of the curvature-form system
-    Lap(U) = 2(Ftilde - Fhat) + k1, Lap(V) = k2 - 2 Ftilde, from Fhat = phi(u)
-    and Ftilde = phi(v) - phi(u), k = 4*pi*(N1 - P1, N2 - P2)/|S|. In place,
-    because numpy reuses no temporary below 256 KB (a 128^2 grid array is
-    128 KB) and the `vav` fixed point takes these once per iteration."""
-    rhs1 = ftilde - fhat
-    rhs1 *= 2.0
-    rhs1 += k1
-    rhs2 = ftilde * -2.0
-    rhs2 += k2
-    return rhs1, rhs2
 
 
 # The Newton driver's state at one pair (f, h) (see `NewtonWork.point`).
@@ -209,11 +196,33 @@ class NewtonWork:
         c2 = self.shift(self.b2 + 0.5 * (h - f), self.targets[1])
         return f + c1, h + (c1 + 2.0 * c2)
 
+    @classmethod
+    def curvatures(cls, t1, t2):
+        """The curvatures (Fhat, Ftilde) = (phi(u), phi(v) - phi(u)) from the
+        kernel's values t1 at u and t2 at v, as new arrays; a class method,
+        since a solution's curvatures need no problem."""
+        fhat, ftilde = cls.phi(t1), cls.phi(t2)
+        ftilde -= fhat
+        return fhat, ftilde
+
     def rhs(self, t1, t2):
-        """The curvature-form right-hand sides from the kernel's values."""
-        p1, ftilde = self.phi(t1), self.phi(t2)
-        ftilde -= p1
-        return curvature_rhs(p1, ftilde, *self.k)
+        """The right-hand sides 2(Ftilde - Fhat) + k1 and k2 - 2 Ftilde of the
+        curvature-form system, from `curvatures`. In place, because numpy
+        reuses no temporary below 256 KB (a 128^2 grid array is 128 KB) and
+        the `vav` fixed point takes these once per iteration."""
+        fhat, ftilde = self.curvatures(t1, t2)
+        rhs1 = np.subtract(ftilde, fhat, out=fhat)
+        rhs1 *= 2.0
+        rhs1 += self.k[0]
+        ftilde *= -2.0
+        ftilde += self.k[1]
+        return rhs1, ftilde
+
+    def residual(self, U, V, t1, t2):
+        """The residual Lap(U, V) - `rhs`(t1, t2) of the curvature-form
+        system at (U, V), whose kernel values at u and v are t1 and t2."""
+        laps = self.geom.lap_pair(U, V)
+        return tuple(np.subtract(l, r, out=l) for l, r in zip(laps, self.rhs(t1, t2)))
 
     def solution(self, cls, U, V, iterations, final_residual, trace, method, **own):
         """The record `cls`, a `Solution`, of the remainders (U, V) with
@@ -365,8 +374,8 @@ def fixed_point_solve(work, U, V, tol, max_iter):
     starts Lap(U) and Lap(V), which are carried as
     l <- rhs - (1 - omega) r - omega mean(r) + J omega d, exact since
     (Lap - J) d = r - mean(r); an error in a carried l stays as it is.
-    Convergence is decided on the residual at the fields returned, from a
-    true lap_pair, and on a miss the loop goes on from true Laplacians. Not
+    Convergence is decided on `work.residual` at the fields returned, the
+    reports' residual, and on a miss the loop goes on from true Laplacians. Not
     proved to converge: Stagnation when the residual falls by less than 1e-3
     over 50 iterations. Returns (U + c1, V + c2, it, sup, (c1, c2), trace).
     The kernel and the shift are reached only through the hooks, which call
@@ -392,8 +401,7 @@ def fixed_point_solve(work, U, V, tol, max_iter):
         if r_sup < tol:
             fields = U + c1, V + c2
             t = (work.kernel(b + x)[0] for b, x in zip((work.b1, work.b2), fields))
-            true = zip(geom.lap_pair(*fields), work.rhs(*t))
-            r_sup = max(float(np.abs(l - r).max()) for l, r in true)
+            r_sup = max(float(np.abs(r).max()) for r in work.residual(*fields, *t))
             if r_sup >= tol:
                 l1, l2 = geom.lap_pair(U, V)
                 r1, r2 = rhs1 - l1, rhs2 - l2

@@ -10,11 +10,12 @@ impurities, JHEP 2014). Only the kernel phi of the model's `_Work` differs:
 integrals of phi(u) and phi(v) to the p of `sources.forced`, which must lie
 in |S| times the range of phi: (-inf, 1) gives the Bradlow bound and (-2, 2)
 the two difference bounds. The reported quantized integrals are p/s.
-The curvatures, the system's residual, the quantized integrals, the Chern
-fluxes and the count formulas they are checked against come from phi, in
-one form for both models. Energies, like every "expected" entry, come from
-the counts, never from fields. Each model has one `Model` record in
-`MODELS`, from which `build_report` and the CLI read its facts.
+The curvatures and the residual are `_linalg.NewtonWork`'s, which the
+solvers read too; they, the quantized integrals, the Chern fluxes and the
+count formulas come from phi, in one form for both models. Energies, like
+every "expected" entry, come from the counts, never from fields. Each model
+has one `Model` record in `MODELS`, from which `build_report` and the CLI
+read its facts.
 """
 
 import math
@@ -25,9 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tw, vav
-from ._linalg import curvature_rhs
 from .errors import ConfigurationError
-from .sources import FOUR_PI, TWO_PI, VortexConfiguration
+from .sources import FOUR_PI, TWO_PI, VortexConfiguration, forced
 from .tw import TWProblem, TWSolution, tw_admissibility
 from .vav import VAVProblem, VAVSolution, vav_admissibility
 
@@ -110,64 +110,54 @@ def _model(sol, problem):
     return model
 
 
-def _phi(work, x):
-    """The kernel phi at x, from the kernel's grid values."""
-    return work.phi(work.kernel(x)[0])
-
-
-def _curvature_arrays(sol):
-    """Fhat = phi(u), Ftilde = -(Fhat - phi(v)) and phi(v), as arrays."""
-    work = _solution_model(sol).work
-    fhat, phi_v = _phi(work, sol.u.values), _phi(work, sol.v.values)
-    return fhat, -(fhat - phi_v), phi_v
+def _kernel_values(work, sol):
+    """The kernel's grid values t1 at u and t2 at v, taken once per report."""
+    return [work.kernel(x.values)[0] for x in (sol.u, sol.v)]
 
 
 def curvatures(sol):
     """Magnetic fields (Fhat, Ftilde) = (phi(u), phi(v) - phi(u)) of a
     solution of either model; Ftilde carries the self-dual sign."""
-    fhat, ftilde, _ = _curvature_arrays(sol)
-    return sol.u.geometry.field(fhat), sol.u.geometry.field(ftilde)
+    work = _solution_model(sol).work
+    return tuple(map(sol.u.geometry.field, work.curvatures(*_kernel_values(work, sol))))
 
 
 curvatures_tw = curvatures_vav = curvatures
 
 
+def _integrals(work, quad, t):
+    """quad(phi(u))/s and quad(phi(v))/s from the kernel's values t."""
+    return {key: quad(work.phi(x)) / work.scale for key, x in zip(("Iu", "Iv"), t)}
+
+
 def quantized_integrals(sol, problem):
     """quad(phi(u))/s and quad(phi(v))/s, which the counts pin to p/s."""
-    model = _model(sol, problem)
-    quad = problem.geometry.quad
-    work = model.work
-    return {k: quad(_phi(work, x.values)) / work.scale for k, x in (("Iu", sol.u), ("Iv", sol.v))}
+    work = _model(sol, problem).work
+    return _integrals(work, problem.geometry.quad, _kernel_values(work, sol))
 
 
 def _expected(problem):
-    """The count formulas of the problem's model: what the counts force
-    (`sources.forced`), the pinned quantized integrals and the Chern fluxes."""
+    """The count formulas of the problem's model: the pinned quantized
+    integrals and the Chern fluxes of what the counts force (`sources.forced`)."""
     model = _PROBLEM_MODEL[type(problem)]
-    forced = model.admissibility(problem.config, problem.geometry).forced
-    (n1, n2), (p1, p2) = forced.n, forced.p
+    counted = forced(problem.config, problem.geometry.area, model.work)
+    (n1, n2), (p1, p2) = counted.n, counted.p
     pinned = {"Iu": p1 / model.work.scale, "Iv": p2 / model.work.scale}
     fluxes = {"chern1": n1, "chern2": n2, "total": n1 + n2}
-    return forced, pinned, {key: fluxes[key] for key in model.flux_keys}
+    return pinned, {key: fluxes[key] for key in model.flux_keys}
 
 
-def _residuals(sol, problem, fhat, ftilde):
-    """Residuals (r1, r2) of the curvature-form system at the solution's (U, V)."""
-    l1, l2 = problem.geometry.lap_pair(sol.U.values, sol.V.values)
-    rhs1, rhs2 = curvature_rhs(fhat, ftilde, *_expected(problem)[0].k)
-    return l1 - rhs1, l2 - rhs2
-
-
-def _residual_norms(sol, problem, fhat, ftilde):
-    r1, r2 = _residuals(sol, problem, fhat, ftilde)
+def _residual_norms(work, sol, t):
+    """Sup and L2 norms of `work.residual` at the solution, from the kernel's values t."""
+    r1, r2 = work.residual(sol.U.values, sol.V.values, *t)
     sup = max(float(np.abs(r1).max()), float(np.abs(r2).max()))
-    return {"sup": sup, "l2": math.sqrt(problem.geometry.quad(r1 * r1 + r2 * r2))}
+    return {"sup": sup, "l2": math.sqrt(work.geom.quad(r1 * r1 + r2 * r2))}
 
 
 def residual_report(sol, problem):
     """Sup and L2 norms of the residuals of the curvature-form system."""
-    _model(sol, problem)
-    return _residual_norms(sol, problem, *_curvature_arrays(sol)[:2])
+    work = _model(sol, problem).work(problem)
+    return _residual_norms(work, sol, _kernel_values(work, sol))
 
 
 def _entry(value, expected):
@@ -182,12 +172,12 @@ def _entry(value, expected):
 
 def quantized_entries(problem, integrals):
     """The report's quantized_integrals entry: `integrals` against what the counts pin."""
-    return {key: _entry(integrals[key], value) for key, value in _expected(problem)[1].items()}
+    return {key: _entry(integrals[key], value) for key, value in _expected(problem)[0].items()}
 
 
 def _flux_entries(problem, fhat, ftilde):
     integrands = {"chern1": fhat - ftilde, "chern2": ftilde, "total": fhat}
-    *_, expected = _expected(problem)
+    _, expected = _expected(problem)
     return {
         name: _entry(problem.geometry.quad(integrands[name]) / TWO_PI, float(value))
         for name, value in expected.items()
@@ -198,8 +188,8 @@ def flux_report(sol, problem):
     """Chern numbers against the counts: chern1, chern2 and total integrate
     Fhat - Ftilde, Ftilde and Fhat over 2*pi; the model's record names which
     it reports."""
-    _model(sol, problem)
-    return _flux_entries(problem, *_curvature_arrays(sol)[:2])
+    work = _model(sol, problem).work
+    return _flux_entries(problem, *work.curvatures(*_kernel_values(work, sol)))
 
 
 @dataclass
@@ -223,14 +213,12 @@ class SolveReport:
 def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
     """The report of a solved run, from the record of the problem's model.
 
-    phi(u) and phi(v) are evaluated once, and give the quantized integrals,
-    the curvatures, the flux integrals and the residual."""
+    The kernel is evaluated once at u and once at v, and its values give the
+    quantized integrals, the curvatures, the flux integrals and the residual."""
     model = _model(sol, problem)
     config = problem.config
-    quad = problem.geometry.quad
-    fhat, ftilde, phi_v = _curvature_arrays(sol)
-    qi = {"Iu": quad(fhat) / model.work.scale, "Iv": quad(phi_v) / model.work.scale}
-    del phi_v
+    work = model.work(problem)
+    t = _kernel_values(work, sol)
     return SolveReport(
         model=model.tag,
         status="solved",
@@ -242,11 +230,11 @@ def build_report(sol, problem, inputs, wall_seconds) -> SolveReport:
             "converged": True,
             "final_residual": sol.final_residual,
             **model.trace(sol),
-            "residuals": _residual_norms(sol, problem, fhat, ftilde),
+            "residuals": _residual_norms(work, sol, t),
             "history": sol.trace,
         },
-        quantized_integrals=quantized_entries(problem, qi),
-        fluxes=_flux_entries(problem, fhat, ftilde),
+        quantized_integrals=quantized_entries(problem, _integrals(work, problem.geometry.quad, t)),
+        fluxes=_flux_entries(problem, *work.curvatures(*t)),
         energy=model.energy(config),
         timings={"wall_seconds": wall_seconds},
     )

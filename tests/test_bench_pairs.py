@@ -5,6 +5,7 @@ The tool is loaded by path; it runs no benchmark here.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,14 @@ def test_each_set_keeps_its_own_machine_block(tool, tmp_path):
 
 def test_commit_is_null_outside_a_git_work_tree(tool, tmp_path):
     assert tool.head_commit(tmp_path) is None
+    # a plain tree inside another repo's work tree has no commit of its own
+    repo, plain = tmp_path / "repo", tmp_path / "repo" / "plain"
+    plain.mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    assert tool.head_commit(repo) is not None
+    assert tool.head_commit(plain) is None
 
 
 def _src_tree(root):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -24,7 +23,7 @@ from vortexlab import (
     vav_problem,
     vav_quantized_integrals,
 )
-from vortexlab.diagnostics import MODELS, _curvature_arrays, _residuals
+from vortexlab.diagnostics import MODELS, build_report
 
 PI = np.pi
 
@@ -195,26 +194,38 @@ def test_report_residual_is_the_newton_gradient(model, request):
     # At a smooth non-solution (U, V), the residual the report takes of the
     # curvature-form system is the Newton gradient at (f, h) = (U, U + 2V):
     # r1 = -g1 and r2 = (g1 - g2)/2.
-    problem, solved = request.getfixturevalue(f"{model}_case")
+    problem, _ = request.getfixturevalue(f"{model}_case")
     geom = problem.geometry
     work = getattr(vortexlab, model)._Work(problem)
-    if model == "tw":
-        bu, bv = problem.u01.values, problem.v01.values
-    else:
-        bg = problem.backgrounds
-        bu, bv = bg.u01.values - bg.u02.values, bg.v01.values - bg.v02.values
     x1, x2 = geom.nodes()
     wave = 2 * PI / geom.L1
     U = 0.6 * np.sin(wave * x1) * np.cos(2 * wave * x2) - 0.2
     V = 0.5 * np.cos(wave * (x1 + x2)) + 0.3
-    fields = {"U": U, "V": V, "u": bu + U, "v": bv + V}
-    sol = dataclasses.replace(solved, **{k: geom.field(a) for k, a in fields.items()})
-    r1, r2 = _residuals(sol, problem, *_curvature_arrays(sol)[:2])
+    r1, r2 = work.residual(U, V, work.kernel(work.b1 + U)[0], work.kernel(work.b2 + V)[0])
     point = work.point(U, U + 2.0 * V)
     g1, g2 = point.g1, point.g2
     assert np.abs(g1).max() > 0.1  # not a solution
     assert np.abs(r1 + g1).max() < 1e-12
     assert np.abs(r2 - 0.5 * (g1 - g2)).max() < 1e-12
+
+
+@pytest.mark.parametrize("model, kernel", [("tw", "clipped_exp"), ("vav", "f_half")])
+def test_a_report_evaluates_the_kernel_once_per_field(model, kernel, request, monkeypatch):
+    # The quantized integrals, the curvatures, the fluxes and the residual of
+    # a report all come from one evaluation of the kernel at u and one at v.
+    problem, sol = request.getfixturevalue(f"{model}_case")
+    module = getattr(vortexlab, model)
+    evaluate = getattr(module, kernel)
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return evaluate(x)
+
+    monkeypatch.setattr(module, kernel, counted)
+    report = build_report(sol, problem, inputs={}, wall_seconds=0.0)
+    assert report.solver_trace["residuals"]["sup"] < 1e-8
+    assert calls == [sol.u.values.shape] * 2
 
 
 # Tori far inside both models' bounds whose area lifts the rounding of a

@@ -186,14 +186,21 @@ def machine():
 
 
 def head_commit(checkout):
-    """`git rev-parse HEAD` in `checkout`, or None outside a git work tree."""
+    """`git rev-parse HEAD` in `checkout`, or None unless `checkout` is the
+    top of a git work tree: a plain tree inside another repo's work tree
+    (an extracted `git archive`, say) is not that repo's HEAD."""
+
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True
-        )
+        top = git("rev-parse", "--show-toplevel")
+        if top is None or not os.path.samefile(top, checkout):
+            return None
+        return git("rev-parse", "HEAD")
     except OSError:  # no git
         return None
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def src_sha256(checkout):
