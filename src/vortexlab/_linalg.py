@@ -138,25 +138,25 @@ class NewtonWork:
     the c whose kernel values at x + c integrate to target, and for the fixed
     point `shift_kernel(x, target, guess)`, that c from `guess` with the
     kernel values at x + c; `methods`; and `scale`, the s of the quantized
-    integrals. `pinned`, `k` and `targets` are the p, k and t of what the
-    counts force (`sources.forced`); alpha = k1 and beta = 2*p2/|S| are I's
+    integrals. `k` and `targets` are the k and t of what the counts force
+    (`sources.forced`); alpha = k1 and beta = 2*p2/|S| = k1 + 2*k2 are I's
     linear coefficients. Newton reads a pair only by `point`, after `polish`."""
 
     def __init__(self, problem, b1, b2):
         geom = self.geom = problem.geometry
         self.b1, self.b2 = b1, b2
-        _, self.pinned, self.k, self.targets = forced(problem.config, geom.area, self)
-        self.beta = 2.0 * self.pinned[1] / geom.area
+        _, (_, p2), self.k, self.targets = forced(problem.config, geom.area, self)
+        self.beta = 2.0 * p2 / geom.area
 
     def point(self, f, h):
-        """The `Point` at (f, h): I, the sup of the curvature-form residual
-        r = (-g1, (g1 - g2)/2) for I's gradient g, the larger defect
-        |quad(phi) - pinned|/s, the clamp count, the kernel values t1, t2 at
-        u and v, and g. The gradient is -Lap(f, h) +
-        (q1 - q2 + alpha, q2 + beta), q = (-4 phi(u), -2 phi(v)). Two FFT2s:
-        one packs (f, h) for the Dirichlet energies and the Laplacians, one
+        """The `Point` at (f, h): I, the sup of the curvature-form residual r
+        at (U, V), the larger defect |quad(t) - target| that the shifts test
+        (|quad(phi) - p|/s, as phi = phi0 - s*t), the clamp count, the kernel
+        values t1, t2 at u and v, and I's gradient g = -Lap(f, h) +
+        (q1 - q2 + alpha, q2 + beta), q = (-4 phi(u), -2 phi(v)). Two FFT2s: one
+        packs (f, h) for the Dirichlet energies and the Laplacians, one
         unpacks the Laplacians."""
-        geom, (p1, p2) = self.geom, self.pinned
+        geom = self.geom
         with np.errstate(invalid="ignore"):
             x = self.b1 + f
             t1, n_clip = self.kernel(x)
@@ -168,7 +168,7 @@ class NewtonWork:
             bulk += geom.quad(self.bulk(x, t2))
             del x  # the fields go before the gradient's arrays are made
             q1, q2 = self.phi(t1), self.phi(t2)
-            defect = max(abs(geom.quad(q1) - p1), abs(geom.quad(q2) - p2)) / self.scale
+            defect = max(abs(geom.quad(t) - target) for t, target in zip((t1, t2), self.targets))
             Z = pack_pair(f, h)
             alpha = self.k[0]
             i_val = 0.5 * geom.grad_sq_packed(Z) + 4.0 * bulk
@@ -286,8 +286,8 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     Comput. 24, 2002); a trial whose polish raises BracketFailure is refused,
     and the first whose I is at most I(x) + ARMIJO_C*t*slope is the next
     iterate as it stands (Nocedal & Wright, Numerical Optimization, 2006,
-    ch. 3). Converged means that the residual's sup is below tol and the
-    defect at most `geom.quad_floor`. DivergedIterate is raised before the
+    ch. 3). Converged means a sup below tol and a defect |quad(t) - target|
+    at most `geom.quad_floor`. DivergedIterate is raised before the
     iterate's trace record: at a non-finite I or sup, or clamped exponent
     arguments, of an iterate or of the raw start before its polish, not of
     a refused trial; and when the line search finds no descent. It returns
