@@ -20,7 +20,8 @@ inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 (U, V) = (f, (h - f)/2); the fixed point, `fixed_point_solve`, iterates on
 the curvature-form system in (U, V) itself, for a model whose work gives
 `shift_kernel`; that system is written once, as `NewtonWork`'s
-`curvatures`, `rhs` and `residual`, which the reports read too. Everything
+`curvatures`, `rhs` and `residual`, which the reports read too, and I's
+gradient is -(r1, r1 + 2*r2) of its residual r at (U, V). Everything
 here works on raw arrays, but for the record a solve of either model
 returns, `Solution`, which `NewtonWork.solution` builds from them.
 """
@@ -152,10 +153,9 @@ class NewtonWork:
         """The `Point` at (f, h): I, the sup of the curvature-form residual r
         at (U, V), the larger defect |quad(t) - target| that the shifts test
         (|quad(phi) - p|/s, as phi = phi0 - s*t), the clamp count, the kernel
-        values t1, t2 at u and v, and I's gradient g = -Lap(f, h) +
-        (q1 - q2 + alpha, q2 + beta), q = (-4 phi(u), -2 phi(v)). Two FFT2s: one
-        packs (f, h) for the Dirichlet energies and the Laplacians, one
-        unpacks the Laplacians."""
+        values t1, t2 at u and v, and I's gradient g = -(r1, r1 + 2*r2), from
+        `rhs` and Lap(f, h). Two FFT2s: one packs (f, h) for the Dirichlet
+        energies and the Laplacians, one unpacks the Laplacians."""
         geom = self.geom
         with np.errstate(invalid="ignore"):
             x = self.b1 + f
@@ -167,20 +167,16 @@ class NewtonWork:
             t2, n = self.kernel(x)
             bulk += geom.quad(self.bulk(x, t2))
             del x  # the fields go before the gradient's arrays are made
-            q1, q2 = self.phi(t1), self.phi(t2)
             defect = max(abs(geom.quad(t) - target) for t, target in zip((t1, t2), self.targets))
             Z = pack_pair(f, h)
-            alpha = self.k[0]
             i_val = 0.5 * geom.grad_sq_packed(Z) + 4.0 * bulk
-            i_val += alpha * geom.quad(f) + self.beta * geom.quad(h)
+            i_val += self.k[0] * geom.quad(f) + self.beta * geom.quad(h)
             lf, lh = unpack_pair(geom.lap_packed(Z))
-            q1 *= -4.0
-            q2 *= -2.0
-            g1 = q1 - q2
+            g1, g2 = self.rhs(t1, t2)
+            g2 *= 2.0
+            g2 += g1
+            g2 -= lh
             g1 -= lf
-            g1 += alpha
-            g2 = q2 - lh
-            g2 += self.beta
         r_sup = max(float(np.abs(g1).max()), 0.5 * float(np.abs(g1 - g2).max()))
         return Point(i_val, r_sup, defect, n_clip + n, t1, t2, g1, g2)
 
