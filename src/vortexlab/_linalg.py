@@ -19,11 +19,10 @@ inverse at the weights' grid means (Concus & Golub, SIAM J. Numer. Anal.
 `newton_solve`, takes the start and returns the solution as
 (U, V) = (f, (h - f)/2); the fixed point, `fixed_point_solve`, iterates on
 the curvature-form system in (U, V) itself, for a model whose work gives
-`shift_kernel`; that system is written once, as `NewtonWork`'s
-`curvatures`, `rhs` and `residual`, which the reports read too, and I's
-gradient is -(r1, r1 + 2*r2) of its residual r at (U, V). Everything
-here works on raw arrays, but for the record a solve of either model
-returns, `Solution`, which `NewtonWork.solution` builds from them.
+`shift_kernel`. That system is written once, as `NewtonWork`'s `curvatures`,
+`rhs` and `residual`; the reports read it, and Newton takes I's gradient,
+-(r1, r1 + 2*r2), from its residual r. Everything here works on raw arrays,
+but a solve of either model returns `Solution`, built by `NewtonWork.solution`.
 """
 
 from collections import namedtuple

@@ -356,8 +356,11 @@ def _read_fields(path):
     if path.suffix == ".csv":
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
+            has_row = any(line.split("#")[0].strip() for line in fh)
         if header.split(",") != list(_FIELD_COLUMNS):
             raise ConfigurationError(f"{path}: unexpected field-dump header {header!r}")
+        if not has_row:
+            raise ConfigurationError(f"{path}: no data row after the header")
         flat = np.loadtxt(path, delimiter=",", skiprows=1)
         if flat.ndim != 2 or flat.shape[1] != len(_FIELD_COLUMNS):
             raise ConfigurationError(f"{path}: corrupt field dump")

@@ -882,3 +882,19 @@ def test_plotdata_refuses_empty_binary_dump(tmp_path, capsys, n1, n2):
     sidecar.update(n1=n1, n2=n2)
     sidecar_path.write_text(json.dumps(sidecar))
     assert _refused(tmp_path, binary, capsys)
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "# c\n"])
+def test_plotdata_refuses_csv_dump_without_rows(tmp_path, capsys, tail):
+    # a header and no data row used to reach np.loadtxt, whose "input
+    # contained no data" UserWarning leaked to stderr (a traceback under
+    # -W error) before the refusal
+    dump = tmp_path / "fields.csv"
+    dump.write_text(",".join(vortexlab.cli._FIELD_COLUMNS) + "\n" + tail)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _refused(tmp_path, dump, capsys)
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    capsys.readouterr()
+    main(["plotdata", "--fields", str(dump), "--out", str(tmp_path / "plot.dat")])
+    assert f"{dump}: no data row" in capsys.readouterr().err

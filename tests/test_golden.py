@@ -21,7 +21,10 @@ It prints "same" or "changed" for every golden file and hash. For a
 changed report or sweep it lists the JSON paths or CSV cells that moved:
 integer, string and other non-float changes one by one, float changes as a
 count and the largest |delta| per path (list indices dropped) or per CSV
-column. It exits 1 when anything changed.
+column. It exits 1 when anything changed and 0 when nothing did. A reader
+that closes its end early (`--diff | head -1`) stops the printing, not the
+comparison: the rest goes to os.devnull and the exit code is still the
+comparison's.
 
 To regenerate, on code whose behaviour is known to be right:
 
@@ -32,8 +35,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -255,6 +262,15 @@ def _describe_changes(fname, old_data, new_data):
     return lines
 
 
+def _say(line):
+    """print(line), flushed; once the reader has closed stdout, the rest
+    goes to os.devnull, so neither this nor the exit's flush can fail."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def diff(work_dir):
     """Print how a fresh run differs from tests/golden; True if anything does."""
     tables = {output: json.loads(path.read_text()) for output, path in HASH_FILES.items()}
@@ -262,30 +278,72 @@ def diff(work_dir):
     for name in sorted(CASES):
         code, out = _run(name, work_dir)
         if code != CASES[name][3]:
-            print(f"{name}: changed (exit {code}, expected {CASES[name][3]})")
+            _say(f"{name}: changed (exit {code}, expected {CASES[name][3]})")
             changed = True
             continue
         for fname, data in _outputs(name, out).items():
             golden = (GOLDEN / name / fname).read_bytes()
             same = data == golden
-            print(f"{name}/{fname}: {'same' if same else 'changed'}")
+            _say(f"{name}/{fname}: {'same' if same else 'changed'}")
             if not same:
                 for line in _describe_changes(fname, golden, data):
-                    print(f"    {line}")
+                    _say(f"    {line}")
             changed |= not same
         for output, digest in _hashes(name, out).items():
             same = digest == tables[output].get(name)
-            print(f"{name}/{output} sha256: {'same' if same else 'changed'}")
+            _say(f"{name}/{output} sha256: {'same' if same else 'changed'}")
             changed |= not same
     return changed
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    if sys.argv[1:] not in ([], ["--diff"]):
+def script(argv):
+    """The script's run on its arguments; returns its exit code."""
+    if argv not in ([], ["--diff"]):
         raise SystemExit("usage: python tests/test_golden.py [--diff]")
     with tempfile.TemporaryDirectory() as tmp:
-        if sys.argv[1:] == ["--diff"]:
-            sys.exit(1 if diff(Path(tmp)) else 0)
+        if argv == ["--diff"]:
+            return 1 if diff(Path(tmp)) else 0
         regenerate(Path(tmp))
+    return 0
+
+
+# --diff on the two cases that build no problem, against a copy of their goldens
+_DIFF_SCRIPT = """
+import sys
+from pathlib import Path
+import test_golden
+test_golden.CASES = {n: test_golden.CASES[n] for n in ("tw_inadmissible", "vav_inadmissible")}
+test_golden.GOLDEN = Path(sys.argv[1])
+sys.exit(test_golden.script(["--diff"]))
+"""
+
+
+@pytest.mark.parametrize("changed, code", [(False, 0), (True, 1)])
+def test_diff_into_a_closed_pipe_exits_on_its_comparison(tmp_path, changed, code):
+    # As `--diff | head -1` leaves it once head has gone: the pipe's read end
+    # is closed before the first line. The run used to end in a BrokenPipeError
+    # traceback and exit 1 whatever it found.
+    golden = tmp_path / "golden"
+    for name in ("tw_inadmissible", "vav_inadmissible"):
+        shutil.copytree(GOLDEN / name, golden / name)
+    if changed:
+        (golden / "vav_inadmissible" / "report.json").write_text("{}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", _DIFF_SCRIPT, str(golden)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=Path(__file__).parent,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == code and run.stderr == ""
+
+
+if __name__ == "__main__":
+    sys.exit(script(sys.argv[1:]))

@@ -277,6 +277,28 @@ def test_rough_start_converges_near_the_bound(amplitude):
     assert np.abs(sol.V.values - reference.V.values).max() < 1e-6
 
 
+def test_solutions_at_the_bradlow_bound_follow_its_log_law():
+    # One q-zero and one p-zero on the square torus of area 6 pi + a2 leave
+    # the margin a2 = int e^v of the bound. As a2 -> 0, e^v dissolves and
+    # q = mean V - log a2 tends to a constant to first order in a2 (Bradlow,
+    # Commun. Math. Phys. 135, 1990). Measured at 32^2: Newton takes 4
+    # iterations at every margin, q reads -3.093396 at 1e-1 and -3.088802 at
+    # 1e-8, and |q(a2) - q(1e-8)|/a2 reads 0.0456 to 0.0460.
+    margins = (1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
+    iterations, q = [], []
+    for a2 in margins:
+        L = np.sqrt(3 * TWO_PI + a2)
+        cfg = VortexConfiguration(zeros_q=[(0.3 * L, 0.4 * L, 1)], zeros_p=[(0.7 * L, 0.6 * L, 1)])
+        problem = tw_problem(TorusGeometry(L, L, 32, 32), cfg)
+        assert problem.a2 == pytest.approx(a2, rel=1e-6)
+        sol = solve_tw(problem)
+        iterations.append(sol.iterations)
+        q.append(sol.V.values.mean() - np.log(problem.a2))
+    assert iterations == sorted(iterations, reverse=True)
+    for a2, qa in zip(margins[:-1], q):
+        assert 0.044 < abs(qa - q[-1]) / a2 < 0.048
+
+
 def test_residual_below_tolerance(mixed):
     problem, sol = mixed
     assert residual_report(sol, problem)["sup"] < 1e-8

@@ -679,6 +679,30 @@ def test_fixed_point_at_the_weighted_bound(monkeypatch):
     assert iterations == sorted(iterations, reverse=True)
 
 
+def test_newton_at_the_weighted_bound_follows_its_log_law():
+    # The configuration above at 32^2: as 1 - |b| -> 0, tanh(v/2) saturates
+    # and q = mean V - log(1 - |b|) tends to a constant to first order in the
+    # margin. Measured: Newton takes 4 iterations at every margin, q reads
+    # -0.838309 at 1e-2 and -0.845555 at 1e-8, and |q(m) - q(1e-8)|/m reads
+    # 0.7246 to 0.7268.
+    margins = (1e-2, 1e-4, 1e-6, 1e-8)
+    iterations, q = [], []
+    for eps in margins:
+        L = np.sqrt(3 * PI / (1 - eps))
+        cfg = VortexConfiguration(
+            zeros_q=[(0.3 * L, 0.4 * L, 1)], zeros_p=[(0.7 * L, 0.6 * L, 1)]
+        )
+        problem = vav_problem(TorusGeometry(L, L, 32, 32), cfg)
+        margin = 1.0 - abs(problem.b)
+        assert margin == pytest.approx(eps, rel=1e-6)
+        sol = solve_vav(problem)
+        iterations.append(sol.iterations)
+        q.append(sol.V.values.mean() - np.log(margin))
+    assert iterations == sorted(iterations, reverse=True)
+    for eps, qm in zip(margins[:-1], q):
+        assert 0.71 < abs(qm - q[-1]) / eps < 0.74
+
+
 def test_anisotropic_grid_quantized_integrals():
     geom = TorusGeometry(5.0, 7.5, 96, 64)
     cfg = VortexConfiguration(zeros_q=[(1.3, 5.9, 1)], poles_p=[(3.7, 2.2, 1)])
