@@ -891,10 +891,10 @@ def test_plotdata_refuses_csv_dump_without_rows(tmp_path, capsys, tail):
     # -W error) before the refusal
     dump = tmp_path / "fields.csv"
     dump.write_text(",".join(vortexlab.cli._FIELD_COLUMNS) + "\n" + tail)
+    plot = tmp_path / "plot.dat"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _refused(tmp_path, dump, capsys)
+        code = main(["plotdata", "--fields", str(dump), "--out", str(plot)])
+    assert code == 1 and not plot.exists()
+    assert capsys.readouterr().err == f"vortexlab: error: {dump}: no data row after the header\n"
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
-    capsys.readouterr()
-    main(["plotdata", "--fields", str(dump), "--out", str(tmp_path / "plot.dat")])
-    assert f"{dump}: no data row" in capsys.readouterr().err
