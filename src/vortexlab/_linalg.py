@@ -32,7 +32,6 @@ import numpy as np
 
 from . import surface
 from .errors import BracketFailure, DivergedIterate, MaxIterExceeded, Stagnation
-from .kernels import EXP_CAP
 from .sources import forced
 from .surface import ScalarField, bounded_means, pack_pair, unpack_pair
 
@@ -282,10 +281,11 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     and the first whose I is at most I(x) + ARMIJO_C*t*slope is the next
     iterate as it stands (Nocedal & Wright, Numerical Optimization, 2006,
     ch. 3). Converged means a sup below tol and a defect |quad(t) - target|
-    at most `geom.quad_floor`. DivergedIterate is raised before the
-    iterate's trace record: at a non-finite I or sup, or clamped exponent
-    arguments, of an iterate or of the raw start before its polish, not of
-    a refused trial; and when the line search finds no descent. It returns
+    at most `geom.quad_floor`. Every point is polished, so no exponent
+    argument of a tw iterate nears the clamp. DivergedIterate is raised
+    before the iterate's trace record at a non-finite I or sup of an
+    iterate, the polished start included, not of a refused trial; and when
+    the line search finds no descent. It returns
     (U, V, iterations, sup, I, trace), V = (h - f)/2. The models pass
     `pcg_pair`, and call the kernels, by their names on the model modules,
     where a traced run wraps them.
@@ -294,20 +294,13 @@ def newton_solve(work, U, V, tol, max_iter, pcg):
     trace = []
     it = 0
     step = 0.0
-    kind = "start"
-    x1, x2 = U, U + 2.0 * V
+    kind = "init"
+    x1, x2 = work.polish(U, U + 2.0 * V)
     point = work.point(x1, x2)
     while True:
-        merit, sup, n_clip = point.I, point.sup, point.n_clip
+        merit, sup = point.I, point.sup
         if not np.isfinite(merit) or not np.isfinite(sup):
             raise DivergedIterate("non-finite iterate", trace)
-        if n_clip:
-            raise DivergedIterate(f"{n_clip} exponent argument(s) clamped at {EXP_CAP:g}", trace)
-        if kind == "start":
-            x1, x2 = work.polish(x1, x2)
-            kind = "init"
-            point = work.point(x1, x2)
-            continue
         trace.append({"iter": it, "I": merit, "resid_sup": sup, "step": step, "kind": kind})
         if sup < tol and point.defect <= floor:
             return x1, 0.5 * (x2 - x1), it, sup, merit, trace

@@ -72,8 +72,7 @@ class MaxIterExceeded(SolverError):
 
 
 class DivergedIterate(SolverError):
-    """Newton iterates diverged: an iterate became non-finite, an iterate had
-    exponent arguments clamped (the message names how many), or the line
+    """Newton iterates diverged: an iterate became non-finite, or the line
     search found no descent in 40 halvings."""
 
 

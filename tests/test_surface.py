@@ -580,9 +580,9 @@ def test_newton_solves_do_not_depend_on_the_blas_thread_count():
 
 def _point_calls(trace):
     """For each `point` call of a converged Newton solve, whether it built an
-    iterate: the raw start does not, the polished start does, and a step
-    0.5**k was accepted after k refused trials."""
-    accepted = [False, True]
+    iterate: the polished start does, and a step 0.5**k was accepted after k
+    refused trials."""
+    accepted = [True]
     for e in trace[1:]:
         accepted += [False] * round(-math.log2(e["step"])) + [True]
     return accepted
@@ -599,7 +599,7 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     # right-hand side and one to unpack the solution. A point packs (f, h)
     # once, for both Dirichlet energies and the gradient's Laplacians, and
     # unpacks those (tw), or makes the residual's lap_pair (vav): 2
-    # transforms wherever it is built, the raw start included. A fixed-point
+    # transforms wherever it is built. A fixed-point
     # iteration makes two real pairs (its inverse Laplacians); one complex
     # pair starts the carried Laplacians and one checks the residual at
     # convergence.
@@ -668,8 +668,8 @@ def _backtracking_start(model):
 @pytest.mark.parametrize("model", ["tw", "vav"])
 def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
     # The accepted trial is the next iterate as it stands: its point gives
-    # the trace record. Every trial is polished before its point is taken,
-    # so no trial clamps an exponent: a polished tw trial has
+    # the trace record. The start and every trial are polished before their
+    # point is taken, so no point clamps an exponent: a polished tw point has
     # quad(e^u) = a1, so max u <= log(a1/(h1*h2)), far below the cap.
     problem, solve = _problem_and_solver(model)
     work = getattr(vortexlab, model)._Work
@@ -685,7 +685,7 @@ def test_backtracking_trial_becomes_the_iterate(model, monkeypatch):
     sol = solve(problem, x0=_backtracking_start(model))
     assert min(e["step"] for e in sol.trace[1:]) < 1.0
     accepted = _point_calls(sol.trace)
-    assert len(calls) == len(accepted) and not all(accepted[1:])
+    assert len(calls) == len(accepted) and not all(accepted)
     driver_keys = ("iter", "step", "kind")
     records = [{k: v for k, v in e.items() if k not in driver_keys} for e in sol.trace]
     assert [{"I": c.I, "resid_sup": c.sup} for c, ok in zip(calls, accepted) if ok] == records
@@ -964,39 +964,49 @@ def _one_505_entry_start():
     return U, -0.5 * U
 
 
+def _constant_700_start():
+    return np.full((32, 32), 700.0), np.zeros((32, 32))
+
+
 def _not_called(*args, **kwargs):
     raise AssertionError("called")
 
 
-# The start itself is the diverging iterate: the driver stops before its
-# trace record and before any direction. A start of 1e200 gives an infinite
-# merit in both models; a tw start whose exponent arguments pass EXP_CAP
-# stops at once, naming how many were clamped.
+# The polished start itself is the diverging iterate: the driver stops
+# before its trace record and before any direction. A start of 1e200 gives
+# an infinite merit in tw; in vav its polish finds no shift.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
-    "model, start",
-    [
-        ("tw", _huge_start),
-        ("vav", _huge_start),
-        ("tw", _constant_510_start),
-        ("tw", _one_505_entry_start),
-    ],
-    ids=["tw-huge", "vav-huge", "tw-510", "tw-one-505"],
+    "model, error, message",
+    [("tw", DivergedIterate, "non-finite iterate"), ("vav", BracketFailure, "does not cross")],
+    ids=["tw-huge", "vav-huge"],
 )
-def test_divergence_at_the_start_is_named(model, start, monkeypatch):
+def test_divergence_at_the_start_is_named(model, error, message, monkeypatch):
     problem, solve = _problem_and_solver(model)
     monkeypatch.setattr(getattr(vortexlab, model), "pcg_pair", _not_called)
-    U, V = start()
-    if start is _huge_start:
-        message = "non-finite iterate"
-    else:
-        n_clip = np.count_nonzero(problem.u01.values + U > EXP_CAP)
-        n_clip += np.count_nonzero(problem.v01.values + V > EXP_CAP)
-        assert n_clip == 1 if start is _one_505_entry_start else n_clip > 1
-        message = f"^{n_clip} exponent argument\\(s\\) clamped at 500"
-    with pytest.raises(DivergedIterate, match=message) as exc:
-        solve(problem, x0=(U, V))
+    with pytest.raises(error, match=message) as exc:
+        solve(problem, x0=_huge_start())
     assert exc.value.trace == []
+
+
+# A tw start whose exponent arguments pass EXP_CAP is polished before its
+# point is taken, which brings max u below log(a1/(h1*h2)), so it solves to
+# the default solution, and quietly.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "start",
+    [_constant_510_start, _one_505_entry_start, _constant_700_start],
+    ids=["tw-510", "tw-one-505", "tw-700"],
+)
+def test_a_start_past_the_clamp_converges(start):
+    problem, solve = _problem_and_solver("tw")
+    U, V = start()
+    assert np.any(problem.u01.values + U > EXP_CAP)
+    reference = solve(problem)
+    sol = solve(problem, x0=(U, V))
+    assert sol.trace[0]["kind"] == "init"
+    for got, want in ((sol.U, reference.U), (sol.V, reference.V)):
+        assert np.abs(got.values - want.values).max() < 1e-9
 
 
 @pytest.mark.parametrize("model, method", SOLVE_PATHS)
@@ -1138,14 +1148,14 @@ def test_line_search_failure_is_one_class(model, monkeypatch):
     def infinite_after_the_polished_start(self, y1, y2):
         result = point(self, y1, y2)
         calls.append(None)
-        return result if len(calls) <= 2 else result._replace(I=np.inf)
+        return result if len(calls) <= 1 else result._replace(I=np.inf)
 
     monkeypatch.setattr(work, "point", infinite_after_the_polished_start)
     with pytest.raises(DivergedIterate, match="line search failed") as exc:
         solve(problem)
     assert [e["kind"] for e in exc.value.trace] == ["init"]
-    # the raw start, the polished start and 40 trials
-    assert len(calls) == 42
+    # the polished start and 40 trials
+    assert len(calls) == 41
 
 
 @pytest.mark.parametrize("model", ["tw", "vav"])

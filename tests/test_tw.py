@@ -8,7 +8,6 @@ import vortexlab.tw
 from vortexlab import (
     BradlowViolation,
     ConfigurationError,
-    DivergedIterate,
     MaxIterExceeded,
     TorusGeometry,
     VortexConfiguration,
@@ -408,15 +407,6 @@ def test_anisotropic_grid_quantization():
     qi = tw_quantized_integrals(sol, problem)
     assert qi["Iu"] == pytest.approx(2 * TWO_PI, rel=1e-2)
     assert qi["Iv"] == pytest.approx(3 * TWO_PI, rel=1e-2)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_diverged_iterate_is_diagnosed(geom):
-    # the start's exponent arguments are clamped, and the driver stops there
-    problem = tw_problem(geom, VortexConfiguration(zeros_q=[(2.3, 3.1, 1)]))
-    absurd = np.full((geom.n1, geom.n2), 700.0)
-    with pytest.raises(DivergedIterate):
-        solve_tw(problem, x0=(absurd, np.zeros_like(absurd)))
 
 
 def test_gradient_fallback_is_labelled(one_vortex, monkeypatch):
