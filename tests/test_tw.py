@@ -341,18 +341,18 @@ def test_max_iter_exceeded(geom):
 
 
 def test_a_defect_above_its_floor_is_named_when_the_budget_runs_out(monkeypatch):
-    # With the floor forced to 0.0, which no rounded integral meets, a
-    # 70 x 70 solve gets its sup far below tol and then steps on, until its
-    # budget is spent, at a defect that rounding holds above 0. The message
-    # names that defect and the floor, not only a sup below tol.
-    monkeypatch.setattr(TorusGeometry, "quad_floor", 0.0)
+    # With the floor forced to -1.0, which no defect |quad(t) - target| can
+    # meet, a 70 x 70 solve gets its sup far below tol and then steps on,
+    # until its budget is spent. The message names the defect and the floor,
+    # not only a sup below tol.
+    monkeypatch.setattr(TorusGeometry, "quad_floor", -1.0)
     geom = TorusGeometry(70.0, 70.0, 64, 64)
     problem = tw_problem(geom, VortexConfiguration(zeros_q=[(17.5, 35.0, 1)]))
-    held = r"integral defect (\S+) above its floor 0\.000e\+00; residual sup (\S+), tol 1\.0e-08"
+    held = r"integral defect (\S+) above its floor -1\.000e\+00; residual sup (\S+), tol 1\.0e-08"
     with pytest.raises(MaxIterExceeded, match=held) as exc:
         solve_tw(problem)
     defect, sup = (float(x) for x in re.search(held, str(exc.value)).groups())
-    assert defect > 0.0 and sup < 1e-8
+    assert defect >= 0.0 and sup < 1e-8
 
 
 def test_max_iter_none_is_the_default_budget(one_vortex, monkeypatch):
