@@ -599,10 +599,9 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
     # right-hand side and one to unpack the solution. A point packs (f, h)
     # once, for both Dirichlet energies and the gradient's Laplacians, and
     # unpacks those (tw), or makes the residual's lap_pair (vav): 2
-    # transforms wherever it is built. A fixed-point
-    # iteration makes two real pairs (its inverse Laplacians); one complex
-    # pair starts the carried Laplacians and one checks the residual at
-    # convergence.
+    # transforms wherever it is built. A fixed-point iteration makes two
+    # real pairs (its inverse Laplacians); one complex pair starts the
+    # carried Laplacians and one checks the residual at convergence.
     problem, solve = _problem_and_solver(model)
     count = dict.fromkeys(("fft2", "ifft2", "rfft2", "irfft2"), 0)
 
@@ -1004,7 +1003,6 @@ def test_a_start_past_the_clamp_converges(start):
     assert np.any(problem.u01.values + U > EXP_CAP)
     reference = solve(problem)
     sol = solve(problem, x0=(U, V))
-    assert sol.trace[0]["kind"] == "init"
     for got, want in ((sol.U, reference.U), (sol.V, reference.V)):
         assert np.abs(got.values - want.values).max() < 1e-9
 
