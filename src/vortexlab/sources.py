@@ -8,7 +8,10 @@ weighted point set is the mean-zero solution of
 
     Lap(w) = -4*pi*N/|S| + 4*pi * sum_j m_j * delta_sigma(z_j),
 
-whose right-hand side has exactly zero discrete mean by construction.
+whose right-hand side has exactly zero discrete mean by construction. A
+mollified source is the outer product of two 1-D image profiles, so each
+background is summed on the half spectrum from 1-D transforms and costs
+one inverse real transform.
 """
 
 from collections import namedtuple
@@ -18,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import surface
 from .errors import ConfigurationError, SigmaTooSmall
 from .surface import ScalarField, TorusGeometry, _integer, _real
 
@@ -193,19 +197,31 @@ def background(geom: TorusGeometry, points, sigma) -> ScalarField:
 
     `points` is an iterable of (x, y, multiplicity); an empty set gives the
     zero field. Multiplicity m enters as the coefficient m on one mollified
-    delta, not as m stacked points. The right-hand side's mean is zero by
-    construction, so it is solved without `inv_lap`'s mean check, which
-    rounding alone can fail when the widest Gaussians nearly cancel the
-    constant.
+    delta, not as m stacked points. A mollified delta is separable,
+    outer(gx, gy)/(h1*h2*sum(gx)*sum(gy)) with gx, gy its image profiles,
+    so its half spectrum is the outer product of two 1-D transforms (fft
+    along axis 0, rfft along axis 1). The sources' spectra are summed on
+    the half spectrum and solved with one inverse real transform. The
+    constant -4*pi*N/|S| sets only the zero mode, which the mean-zero
+    inverse drops; so no mean check is made, which rounding alone could
+    fail when the widest Gaussians nearly cancel the constant.
     """
     points = _normalize_points(points, "background points")
     if not points:
         return geom.zeros()
-    total = sum(m for _, _, m in points)
-    rhs = np.full((geom.n1, geom.n2), -FOUR_PI * total / geom.area)
+    sigma = _checked_width(geom, _real(sigma, "sigma"))
+    width = geom.n2 // 2 + 1
+    X = np.zeros((geom.n1, width), dtype=np.complex128)
     for x, y, m in points:
-        rhs += FOUR_PI * m * mollified_delta(geom, (x, y), sigma).values
-    return geom.field(geom.inv_lap_projected(rhs))
+        gx = _image_profile(geom.x1, x, geom.L1, sigma)
+        gy = _image_profile(geom.x2, y, geom.L2, sigma)
+        # 1-D transforms, made through the seam as 2-D ones with an axis of length 1
+        fx = surface.fft2(gx[:, None])[:, 0]
+        fy = surface.rfft2(gy[None, :])[0]
+        fx *= FOUR_PI * m / (geom.h1 * geom.h2 * gx.sum() * gy.sum())
+        X += fx[:, None] * fy[None, :]
+    X *= geom._inv_lap_sym(width)
+    return geom.field(surface.irfft2(X, geom.n2))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ instead of one each. An operator from one real array to one real array
 spectrum, about half the work of a complex pair, with a view of the
 symbol's first n2/2 + 1 columns, and so does `solve_pair_projected`, one
 pair per array. The operators on pairs and `grad_sq` use the packed
-complex spectrum above.
+complex spectrum above. `sources.background` makes its 1-D transforms
+through the seam as well, as 2-D transforms whose other axis has length 1.
 """
 
 import math
@@ -171,8 +172,12 @@ class TorusGeometry:
         """Laplacians of two real arrays with one complex transform pair.
 
         Valid because the symbol is real: packing b into the imaginary part
-        keeps the two fields exactly separated.
+        keeps the two fields exactly separated. A zero pair, the fixed
+        point's default start, gives new zero arrays with no transform; any
+        nonzero or NaN entry makes the transform pair.
         """
+        if not (a.any() or b.any()):
+            return np.zeros(a.shape), np.zeros(b.shape)
         return unpack_pair(self._lap_sym * pack_pair(a, b))
 
     def inv_lap(self, a):
@@ -190,8 +195,8 @@ class TorusGeometry:
 
     def inv_lap_projected(self, a):
         """inv_lap without the mean check: d mean-zero with Lap(d) = a - mean(a),
-        as the symbol is 0 on the zero mode. `sources.background` calls it,
-        as its right-hand side has zero mean by construction."""
+        as the symbol is 0 on the zero mode. No solver calls it; the
+        benchmark's traced run times it by name."""
         return self._apply_real(self._inv_lap_sym(self.n2 // 2 + 1), a)
 
     def inv_lap_pair_projected(self, a, b):

@@ -100,6 +100,70 @@ def test_summary_with_a_failed_run(tool):
     assert "base -" in tool.format_summary(empty)[0]
 
 
+# A stand-in for perfbench/run.py: it prints a result line and, when
+# DETAIL is true, first writes the detail file that a real run writes.
+FAKE_RUN = """
+import json, os, sys
+opts = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+if DETAIL:
+    os.makedirs(".perfbench_out", exist_ok=True)
+    name = f".perfbench_out/{opts['--workload']}-seed{opts['--seed']}-trace0.json"
+    with open(name, "w") as fh:
+        json.dump({"raw_wall": {"op_p50_s": 0.3}, "calibration": {"marks_s": [0.02, 0.01, 0.015]}}, fh)
+if RESULT:
+    metrics = {"op_p50_s": {"value": 0.31, "unit": "s"}}
+    print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+"""
+
+
+def _fake_checkout(root, detail, result=True):
+    (root / "perfbench").mkdir(parents=True)
+    script = FAKE_RUN.replace("DETAIL", str(detail)).replace("RESULT", str(result))
+    (root / "perfbench" / "run.py").write_text(script)
+    return str(root)
+
+
+def test_each_run_records_its_raw_time_and_unit(tool, tmp_path):
+    with_detail = _fake_checkout(tmp_path / "a", detail=True)
+    record = tool.run_once(with_detail, "fixedpoint-128", 2, 1)
+    assert record["metrics"]["op_p50_s"]["value"] == 0.31
+    # raw_wall.op_p50_s, and the median of the calibration marks
+    assert (record["raw_op_p50_s"], record["kernel_s"]) == (0.3, 0.015)
+    # a run without a detail file has the values missing, not a crash
+    record = tool.run_once(_fake_checkout(tmp_path / "b", detail=False), "fixedpoint-128", 2, 1)
+    assert record["metrics"] and (record["raw_op_p50_s"], record["kernel_s"]) == (None, None)
+    # so has a run that gave no result, whatever detail file an earlier run left
+    stale = _fake_checkout(tmp_path / "c", detail=True)
+    tool.run_once(stale, "fixedpoint-128", 2, 1)
+    (tmp_path / "c" / "perfbench" / "run.py").write_text("raise SystemExit(1)\n")
+    record = tool.run_once(stale, "fixedpoint-128", 2, 1)
+    assert record["returncode"] == 1 and (record["raw_op_p50_s"], record["kernel_s"]) == (None, None)
+    assert tool.read_unit(stale, "fixedpoint-128", 2) == {"raw_op_p50_s": 0.3, "kernel_s": 0.015}
+    # a file without the two entries, and one that is no JSON
+    out = tmp_path / "d" / ".perfbench_out"
+    out.mkdir(parents=True)
+    (out / "w-seed1-trace0.json").write_text('{"raw_wall": {}}')
+    assert tool.read_unit(str(tmp_path / "d"), "w", 1) == {"raw_op_p50_s": None, "kernel_s": None}
+    (out / "w-seed1-trace0.json").write_text("{")
+    assert tool.read_unit(str(tmp_path / "d"), "w", 1) == {"raw_op_p50_s": None, "kernel_s": None}
+
+
+def test_the_raw_time_and_unit_print_under_the_scaled_verdict(tool):
+    runs = [
+        _run("base", 0, 0.30, raw_op_p50_s=0.28, kernel_s=0.012),
+        _run("change", 0, 0.29, raw_op_p50_s=0.27, kernel_s=None),
+        _run("base", 1, 0.32, raw_op_p50_s=0.30, kernel_s=0.014),
+        _run("change", 1, 0.30, raw_op_p50_s=None, kernel_s=None),
+    ]
+    s = tool.summarize(runs, METRICS)
+    assert s["unit"]["base"] == {"raw_op_p50_s": pytest.approx(0.29), "kernel_s": pytest.approx(0.013)}
+    assert s["unit"]["change"] == {"raw_op_p50_s": 0.27, "kernel_s": None}
+    lines = tool.format_summary(s)
+    assert lines[0].startswith("op_p50_s") and lines[3].startswith("verified_frac")
+    assert lines[1].split() == ["raw", "base", "0.29", "change", "0.27"]
+    assert lines[2].split() == ["kernel", "base", "0.013", "change", "-"]
+
+
 def _verdict(tool, base, change, better="lower"):
     """The verdict on op_p50_s for runs with these values, under a 0.25 bound."""
     runs = [_run("base", i, b) for i, b in enumerate(base)]

@@ -349,6 +349,42 @@ def test_packed_spectrum_operations():
     )
 
 
+def test_lap_pair_of_a_zero_pair_makes_no_transform(monkeypatch):
+    # The fixed point's default start is the zero pair. Its Laplacians are
+    # zeros, which the iteration writes into: new arrays, not the inputs.
+    geom = TorusGeometry(5.0, 7.5, 16, 24)
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in _SEAM:
+        monkeypatch.setattr(vortexlab.surface, name, counted(name, getattr(vortexlab.surface, name)))
+    a, b = np.zeros((16, 24)), np.zeros((16, 24))
+    l1, l2 = geom.lap_pair(a, b)
+    assert calls == []
+    for lap in (l1, l2):
+        assert lap.shape == (16, 24) and lap.dtype == np.float64 and not lap.any()
+        assert lap.flags.writeable and not any(np.shares_memory(lap, x) for x in (a, b))
+    assert not np.shares_memory(l1, l2)
+    # one nonzero or NaN entry in either array makes the transform pair
+    for which, value in ((0, 1.0), (1, -2.5), (0, np.nan), (1, np.nan)):
+        pair = [np.zeros((16, 24)), np.zeros((16, 24))]
+        pair[which][3, 5] = value
+        calls.clear()
+        got = geom.lap_pair(*pair)
+        assert calls == ["fft2", "ifft2"]
+        if np.isnan(value):
+            assert np.isnan(got[which]).any()
+        else:
+            for g, x in zip(got, pair):
+                assert np.abs(g - geom.lap(x)).max() < 1e-12
+
+
 @pytest.mark.parametrize(
     "M",
     [
@@ -589,20 +625,30 @@ def _point_calls(trace):
 
 
 @pytest.mark.parametrize(
-    "model, method",
-    [("tw", "newton"), ("vav", "newton"), ("vav", "fixed_point")],
-    ids=["tw", "vav", "vav-fixed_point"],
+    "model, method, seeded",
+    [
+        ("tw", "newton", False),
+        ("vav", "newton", False),
+        ("vav", "fixed_point", False),
+        ("vav", "fixed_point", True),
+    ],
+    ids=["tw", "vav", "vav-fixed_point", "vav-fixed_point-seeded"],
 )
-def test_fft2_counts_per_layer(model, method, monkeypatch):
+def test_fft2_counts_per_layer(model, method, seeded, monkeypatch):
     # The inner CG runs on packed spectra: per iteration one transform pair
     # for the pointwise part of the operator, plus one to pack the
     # right-hand side and one to unpack the solution. A point packs (f, h)
     # once, for both Dirichlet energies and the gradient's Laplacians, and
     # unpacks those (tw), or makes the residual's lap_pair (vav): 2
     # transforms wherever it is built. A fixed-point iteration makes two
-    # real pairs (its inverse Laplacians); one complex pair starts the
-    # carried Laplacians and one checks the residual at convergence.
+    # real pairs (its inverse Laplacians); one complex pair checks the
+    # residual at convergence, and one starts the carried Laplacians unless
+    # the start is the zero pair, whose Laplacians lap_pair gives untransformed.
     problem, solve = _problem_and_solver(model)
+    x0 = None
+    if seeded:
+        i, j = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+        x0 = 0.5 * np.sin(2 * np.pi * i / 32), 0.5 * np.cos(2 * np.pi * j / 32)
     count = dict.fromkeys(("fft2", "ifft2", "rfft2", "irfft2"), 0)
 
     def counting(name, fn):
@@ -635,11 +681,11 @@ def test_fft2_counts_per_layer(model, method, monkeypatch):
 
     monkeypatch.setattr(module, "pcg_pair", measured("pcg", module.pcg_pair, cg_iters))
     monkeypatch.setattr(module._Work, "point", measured("point", module._Work.point))
-    sol = solve(problem, method=method)
+    sol = solve(problem, method=method, x0=x0)
     if method == "fixed_point":
         assert sol.iterations > 0 and "pcg" not in calls and "point" not in calls
-        it = sol.iterations
-        assert count == {"fft2": 2, "ifft2": 2, "rfft2": 2 * it, "irfft2": 2 * it}
+        it, pairs = sol.iterations, 1 + seeded
+        assert count == {"fft2": pairs, "ifft2": pairs, "rfft2": 2 * it, "irfft2": 2 * it}
         return
     assert count["rfft2"] == count["irfft2"] == 0
     assert calls["pcg"] and all(it > 0 for _, it in calls["pcg"])

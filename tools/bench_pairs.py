@@ -10,18 +10,22 @@ lasts the benchmark's own run length (`run_seconds` of the change
 checkout's BENCHMARK.json). For every end-to-end metric there it prints
 each side's median and quartiles, the pairs the change won and the gap
 between the medians against the base's interquartile range, and its
-no-regression verdict against the metric's `bound` there. For each side
-it prints the failed and attempted operation counts, the runs that gave
-no result (non-zero exit or no metrics) and the runs whose results were
-not correct.
+no-regression verdict against the metric's `bound` there. Under the
+scaled `op_p50_s` it prints each side's median of the two figures that
+metric is made of, read from each run's detail file
+(`.perfbench_out/<workload>-seed<N>-trace0.json`, which the next run
+overwrites): the raw median operation time and the median time of the
+calibration kernel, the benchmark's unit. For each side it prints the
+failed and attempted operation counts, the runs that gave no result
+(non-zero exit or no metrics) and the runs whose results were not correct.
 
-Every run (side, pair, order, exit code, wall time, operation counts and
-metrics) goes to the --out JSON file together with its summary, the
-machine it ran on and each checkout's directory name, commit and
-`src_sha256`, a hash of its src/ that names the code also outside git. An
-existing file gains one more set, so that several workloads and seeds can
-share one file; each set keeps its own machine block. Standard library
-only.
+Every run (side, pair, order, exit code, wall time, operation counts,
+metrics, raw p50 and kernel median) goes to the --out JSON file together
+with its summary, the machine it ran on and each checkout's directory
+name, commit and `src_sha256`, a hash of its src/ that names the code also
+outside git. An existing file gains one more set, so that several
+workloads and seeds can share one file; each set keeps its own machine
+block. Standard library only.
 """
 
 import argparse
@@ -39,6 +43,9 @@ SIDES = ("base", "change")
 # The BLAS thread settings a run inherits; a BLAS call's speed and bits
 # can depend on them.
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# What a run record holds of its detail file: the raw (unscaled) median
+# operation time and the median of the calibration kernel's timings.
+UNIT = ("raw_op_p50_s", "kernel_s")
 
 
 def order(pair):
@@ -59,17 +66,36 @@ def _value(run, name):
     return None if metric is None else metric["value"]
 
 
+def read_unit(checkout, workload, seed):
+    """{"raw_op_p50_s", "kernel_s"} of the last untraced run of `workload`
+    and `seed` in `checkout`, from its detail file: `raw_wall.op_p50_s` and
+    the median of `calibration.marks_s`. A value the file lacks, or every
+    value when there is no readable file, is None."""
+    path = os.path.join(checkout, ".perfbench_out", f"{workload}-seed{seed}-trace0.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            detail = json.load(fh)
+    except (OSError, ValueError):
+        detail = {}
+    marks = detail.get("calibration", {}).get("marks_s")
+    return {
+        "raw_op_p50_s": detail.get("raw_wall", {}).get("op_p50_s"),
+        "kernel_s": statistics.median(marks) if marks else None,
+    }
+
+
 def summarize(runs, metrics):
     """Per-metric statistics of paired runs.
 
     `runs` holds dicts with `side` ("base" or "change"), `pair`,
     `attempted`, `failed`, `metrics` ({name: {"value": v}}; empty for a
-    run that gave no result) and optionally `returncode` and `correct`.
-    `metrics` holds dicts with `name`, `better` ("lower" or "higher") and
-    optionally `bound`, relative to the base median. A pair counts as won
-    when both of its runs have the metric and the change's value is
-    strictly better. Returns {"ops": {side: {"runs", "no_result",
-    "incorrect", "attempted", "failed"}}, "metrics": {name: {"base": stats,
+    run that gave no result) and optionally `returncode`, `correct` and
+    the `UNIT` values (None when missing). `metrics` holds dicts with
+    `name`, `better` ("lower" or "higher") and optionally `bound`,
+    relative to the base median. A pair counts as won when both of its
+    runs have the metric and the change's value is strictly better. Returns {"ops": {side: {"runs", "no_result",
+    "incorrect", "attempted", "failed"}}, "unit": {side: {name: median or
+    None}} for each `UNIT` name, "metrics": {name: {"base": stats,
     "change": stats, "wins", "pairs", "gap", "base_iqr", "verdict"}}}, with
     stats {"median", "q1", "q3", "n"} or None when no run has it, and gap
     the signed improvement of the change's median (positive = better).
@@ -93,6 +119,12 @@ def summarize(runs, metrics):
             "attempted": sum(r.get("attempted", 0) for r in mine),
             "failed": sum(r.get("failed", 0) for r in mine),
         }
+    unit = {}
+    for side in SIDES:
+        unit[side] = {}
+        for name in UNIT:
+            values = [v for r in runs if r["side"] == side and (v := r.get(name)) is not None]
+            unit[side][name] = statistics.median(values) if values else None
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -136,7 +168,11 @@ def summarize(runs, metrics):
             else:
                 entry["verdict"] = "within bound"
         out[name] = entry
-    return {"ops": ops, "metrics": out}
+    return {"ops": ops, "unit": unit, "metrics": out}
+
+
+def _figure(value):
+    return "-" if value is None else f"{value:.4g}"
 
 
 def format_summary(summary):
@@ -156,6 +192,11 @@ def format_summary(summary):
         if e["verdict"]:
             tail += f"  {e['verdict']}"
         lines.append(f"{name:14s} {sides[0]:32s} {sides[1]:32s} wins {e['wins']}/{e['pairs']}{tail}")
+        if name == "op_p50_s":
+            # the medians of the raw time and of the unit it is scaled by
+            for label, key in (("raw", "raw_op_p50_s"), ("kernel", "kernel_s")):
+                cells = [f"{side} {_figure(summary['unit'][side][key])}" for side in SIDES]
+                lines.append(f"  {label:12s} {cells[0]:32s} {cells[1]}")
     for side in SIDES:
         o = summary["ops"][side]
         lines.append(
@@ -254,6 +295,7 @@ def run_once(checkout, workload, seed, seconds):
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         record.update(attempted=0, failed=0, metrics={}, stderr=proc.stderr[-2000:])
+        record.update(dict.fromkeys(UNIT))
         return record
     record.update(
         correct=result["correct"],
@@ -261,6 +303,8 @@ def run_once(checkout, workload, seed, seconds):
         failed=result["failed"],
         metrics=result["metrics"],
     )
+    # written by this run, since it printed a result after writing it
+    record.update(read_unit(checkout, workload, seed))
     return record
 
 
@@ -284,7 +328,11 @@ def main(argv=None):
             record.update(side=side, pair=pair, first=side == order(pair)[0])
             runs.append(record)
             p50 = _value(record, "op_p50_s")
-            print(f"pair {pair} {side}: op_p50_s {p50} ({record['wall_s']:.0f} s)", flush=True)
+            print(
+                f"pair {pair} {side}: op_p50_s {p50}, raw {record['raw_op_p50_s']}, "
+                f"kernel {record['kernel_s']} ({record['wall_s']:.0f} s)",
+                flush=True,
+            )
     summary = summarize(runs, metrics)
     print("\n".join(format_summary(summary)))
     append_set(
