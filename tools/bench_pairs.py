@@ -93,12 +93,13 @@ def summarize(runs, metrics):
     the `UNIT` values (None when missing). `metrics` holds dicts with
     `name`, `better` ("lower" or "higher") and optionally `bound`,
     relative to the base median. A pair counts as won when both of its
-    runs have the metric and the change's value is strictly better. Returns {"ops": {side: {"runs", "no_result",
-    "incorrect", "attempted", "failed"}}, "unit": {side: {name: median or
-    None}} for each `UNIT` name, "metrics": {name: {"base": stats,
-    "change": stats, "wins", "pairs", "gap", "base_iqr", "verdict"}}}, with
-    stats {"median", "q1", "q3", "n"} or None when no run has it, and gap
-    the signed improvement of the change's median (positive = better).
+    runs have the metric and the change's value is strictly better.
+    Returns {"ops": {side: {"runs", "no_result", "incorrect", "attempted",
+    "failed"}}, "unit": {side: {name: median or None}} for each `UNIT`
+    name, "metrics": {name: {"base": stats, "change": stats, "wins",
+    "pairs", "gap", "base_iqr", "verdict"}}}, with stats {"median", "q1",
+    "q3", "n"} or None when no run has it, and gap the signed improvement
+    of the change's median (positive = better).
     The verdict is "worse" when the change's median is worse by more than
     bound times the base median; "unresolved" when the base IQR exceeds
     bound times the base median and not every change run beats every base
